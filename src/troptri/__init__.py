@@ -31,15 +31,14 @@ from .polygon import (
     Polygon,
     is_unique,
     newton_polygon,
-    tropical_points,
     uniqueness_oracle,
 )
 from .puiseux import PuiseuxScalar
-from .rationals import Rat, format_rat, parse_rat, rat
+from .rationals import format_rat, parse_rat
 from .residue import PrimeField, RationalField, ResiduePoly, roots_in_units
-from .roottree import RootTree, TriangularSystem, starting_tree, trop_triangular
+from .roottree import RootTree, TriangularSystem, trop_triangular
 from .sysparse import format_system, parse_system
-from .upoly import MPoly, UCoeff, UPoly, compose, initial_form
+from .upoly import MPoly, UPoly, compose, initial_form
 
 __version__ = "0.1.0"
 
@@ -56,7 +55,6 @@ __all__ = [
     "PrecisionLimitError",
     "PrimeField",
     "PuiseuxScalar",
-    "Rat",
     "RationalField",
     "RecursionLimitError",
     "ReservedIdentifierError",
@@ -64,7 +62,6 @@ __all__ = [
     "RootTree",
     "TriangularSystem",
     "TropError",
-    "UCoeff",
     "UPoly",
     "ZeroHasNoValuation",
     "ZeroPolynomialError",
@@ -80,10 +77,7 @@ __all__ = [
     "parse_rat",
     "parse_system",
     "puiseux_expansion",
-    "rat",
     "roots_in_units",
-    "starting_tree",
     "trop_triangular",
-    "tropical_points",
     "uniqueness_oracle",
 ]

@@ -1,8 +1,9 @@
 """Command line driver: parse a system, tropicalize, report.
 
 Exit codes: 0 success; 2 the residue field is too small (roots did not
-split); 3 the precision safeguard tripped; 4 input could not be parsed
-or is not triangular; 5 any other mathematical failure.
+split); 3 the precision safeguard tripped; 4 a flag value is out of
+range, or input could not be parsed or is not triangular; 5 any other
+mathematical failure.
 """
 
 import argparse
@@ -17,6 +18,7 @@ from .errors import (
     PrecisionLimitError,
     TropError,
 )
+from .expansion import DEFAULT_MAX_DEPTH
 from .rationals import format_rat, parse_rat
 from .roottree import RootTree
 from .svg import write_polygon_svg
@@ -40,10 +42,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="include the finished root tree in the output")
     parser.add_argument("--newton-svg", metavar="DIR",
                         help="write one SVG per Newton polygon the driver inspects")
-    parser.add_argument("--max-depth", type=int, default=64, metavar="N",
-                        help="recursion cap for the expansion (default 64)")
-    parser.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="seed for the randomized polygon oracle (testing only)")
+    parser.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH, metavar="N",
+                        help="recursion cap for the expansion (default %(default)s)")
     return parser
 
 
@@ -52,8 +52,16 @@ def main(argv=None) -> int:
     try:
         p_step = parse_rat(args.pstep)
         p_max = parse_rat(args.pmax)
+        if p_step <= 0:
+            raise ValueError("--pstep must be positive, got %s" % args.pstep)
+        if p_max < 0:
+            raise ValueError("--pmax must be nonnegative, got %s" % args.pmax)
     except ValueError as exc:
         print("error: bad precision flag: %s" % exc, file=sys.stderr)
+        return 4
+    if args.max_depth < 0:
+        print("error: bad --max-depth: must be nonnegative, got %d" % args.max_depth,
+              file=sys.stderr)
         return 4
 
     try:

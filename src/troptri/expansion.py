@@ -24,7 +24,7 @@ from .polygon import is_unique, newton_polygon
 from .puiseux import PuiseuxScalar
 from .rationals import format_rat
 from .residue import roots_in_units
-from .upoly import UCoeff, UPoly, _zero_deg, initial_form
+from .upoly import MPoly, UPoly, _zero_deg, initial_form
 
 DEFAULT_MAX_DEPTH = 64
 
@@ -72,11 +72,11 @@ class ApproxRoot:
     def known_scalar(self, field) -> PuiseuxScalar:
         return PuiseuxScalar(field, self.known)
 
-    def as_ucoeff(self, field, nvars) -> UCoeff:
+    def as_ucoeff(self, field, nvars) -> MPoly:
         """The root as an element of K[u], tail included."""
-        value = UCoeff.from_scalar(field, nvars, self.known_scalar(field))
+        value = MPoly.constant(field, nvars, self.known_scalar(field))
         if self.tail is not None:
-            value = value + UCoeff.u_term(
+            value = value + MPoly.variable(
                 field, nvars, self.index, PuiseuxScalar.t_power(field, self.tail)
             )
         return value
@@ -87,19 +87,6 @@ class ApproxRoot:
     def sort_key(self):
         exact_rank = 0 if self.tail is None else 1
         return (self.valuation(), exact_rank, self.known, self.tail or Fraction(0))
-
-    def format(self, field) -> str:
-        parts = []
-        s = self.known_scalar(field)
-        if not s.is_zero():
-            parts.append(s.format())
-        if self.tail is not None:
-            u = "u%d" % (self.index + 1)
-            if self.tail == 0:
-                parts.append(u)
-            else:
-                parts.append("%s*t^(%s)" % (u, format_rat(self.tail)))
-        return " + ".join(parts)
 
     def __repr__(self):
         return "<root x%d: %s>" % (self.index + 1, self.format_plain())

@@ -17,7 +17,7 @@ from .errors import ZeroPolynomialError
 from .puiseux import PuiseuxScalar
 from .rationals import format_rat
 from .residue import ResiduePoly, unit_roots_partial
-from .upoly import UPoly, _zero_deg
+from .upoly import UPoly
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,7 @@ class Polygon:
         ]
 
     def tropical_points(self):
+        """Negated lower-edge slopes: the candidate root valuations."""
         return {-s for s in self.slopes()}
 
     def span(self):
@@ -112,11 +113,6 @@ def newton_polygon(f: UPoly) -> Polygon:
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no Newton polygon")
     return Polygon(tuple(lower_hull(support_points(f))))
-
-
-def tropical_points(polygon: Polygon) -> set:
-    """Negated lower-edge slopes: the candidate root valuations."""
-    return polygon.tropical_points()
 
 
 def is_unique(f: UPoly) -> bool:
@@ -234,14 +230,3 @@ def _adversarial_tuples(f, variables, rng):
                     values[i] = PuiseuxScalar.constant(field, root)
                     out.append(values)
     return out
-
-
-def _initials_outside_residue_field(f: UPoly, polygon: Polygon):
-    """Support points on a lower edge whose initial still holds a tail variable."""
-    zero = _zero_deg(f.nvars)
-    hits = []
-    for j, v in support_points(f):
-        if polygon.on_lower_edge(j, v):
-            if any(d != zero for d in f.coeffs[j].initial_terms()):
-                hits.append(j)
-    return hits

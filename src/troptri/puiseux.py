@@ -66,13 +66,6 @@ class PuiseuxScalar:
             raise ZeroHasNoValuation("0 has no initial coefficient")
         return self.terms[0][1]
 
-    def coefficient(self, exp):
-        exp = Fraction(exp)
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return self.field.zero
-
     def __add__(self, other):
         field = self.field
         i = j = 0

@@ -2,21 +2,14 @@
 
 from fractions import Fraction
 
-Rat = Fraction
-
-
-def rat(num, den=1) -> Fraction:
-    """Build a rational from integers or from a 'p/q' string."""
-    if isinstance(num, str):
-        return parse_rat(num)
-    return Fraction(num, den)
-
 
 def parse_rat(text: str) -> Fraction:
     """Parse 'p' or 'p/q' into a Fraction; raises ValueError otherwise."""
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
+        if int(den) == 0:
+            raise ValueError("zero denominator in %r" % text)
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 

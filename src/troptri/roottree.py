@@ -36,7 +36,9 @@ class TriangularSystem:
         for i, f in enumerate(polys):
             if f.nvars != n:
                 raise NonTriangularError("f%d is not a polynomial in %d coordinates" % (i + 1, n))
-            used = f.variables_used()
+            if f.is_zero():
+                raise NonTriangularError("f%d is the zero polynomial" % (i + 1))
+            used = f.variables()
             if any(v > i for v in used):
                 raise NonTriangularError(
                     "f%d uses x%d; only x1..x%d are allowed" % (i + 1, max(used) + 1, i + 1)
@@ -49,9 +51,9 @@ class TriangularSystem:
 
 
 class Vertex:
-    __slots__ = ("vid", "parent", "children", "root", "prec", "depth", "dead", "birth")
+    __slots__ = ("vid", "parent", "children", "root", "prec", "depth", "dead")
 
-    def __init__(self, vid, parent, depth, root, prec, birth):
+    def __init__(self, vid, parent, depth, root, prec):
         self.vid = vid
         self.parent = parent
         self.children = []
@@ -59,7 +61,6 @@ class Vertex:
         self.prec = prec
         self.depth = depth
         self.dead = False
-        self.birth = birth
 
 
 class PolygonEvent:
@@ -91,7 +92,6 @@ class RootTree:
         self.polygon_log = []
         self.grow_count = 0
         self.reinforce_count = 0
-        self._births = 0
         self._next_id = 0
         self.vertices = {}
         root = self._new_vertex(parent=None, depth=0, root=None, prec=Fraction(0))
@@ -100,9 +100,8 @@ class RootTree:
     # -- construction helpers -------------------------------------------------
 
     def _new_vertex(self, parent, depth, root, prec):
-        v = Vertex(self._next_id, parent, depth, root, prec, self._births)
+        v = Vertex(self._next_id, parent, depth, root, prec)
         self._next_id += 1
-        self._births += 1
         self.vertices[v.vid] = v
         return v
 
@@ -281,11 +280,12 @@ class RootTree:
     # -- driver ----------------------------------------------------------------
 
     def _select_leaf(self):
+        """The deepest open leaf; among those, the oldest (smallest id)."""
         best = None
         for v in self.vertices.values():
             if v.children or v.dead or v.depth >= self.n:
                 continue
-            if best is None or (v.depth, -v.birth) > (best.depth, -best.birth):
+            if best is None or (v.depth, -v.vid) > (best.depth, -best.vid):
                 best = v
         return best
 
@@ -382,11 +382,6 @@ class RootTree:
                     }
                 )
         return {"root": self.root_id, "vertices": vertices}
-
-
-def starting_tree(system: TriangularSystem, p_step, p_max, **kwargs) -> RootTree:
-    """A fresh single-vertex tree for the given system."""
-    return RootTree(system, p_step, p_max, **kwargs)
 
 
 def trop_triangular(system: TriangularSystem, p_step=1, p_max=32,

@@ -22,7 +22,7 @@ from .puiseux import PuiseuxScalar
 from .rationals import format_rat
 from .residue import PrimeField, RationalField
 from .roottree import TriangularSystem
-from .upoly import MPoly
+from .upoly import MPoly, format_monomial
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^/]))")
 
@@ -223,23 +223,13 @@ def parse_system(text: str) -> TriangularSystem:
         )
 
     polys = []
-    for i, (line_no, raw, expr) in enumerate(poly_lines):
+    for line_no, raw, expr in poly_lines:
         offset = raw.index(expr) if expr and expr in raw else len("poly")
         toks = _Tokenizer(expr, line_no)
         for k in range(len(toks.tokens)):
             tok, col = toks.tokens[k]
             toks.tokens[k] = (tok, col + offset)
-        poly = _ExprParser(toks, field, nvars).parse()
-        if poly.is_zero():
-            raise NonTriangularError("f%d is the zero polynomial" % (i + 1))
-        used = poly.variables_used()
-        if any(v > i for v in used):
-            raise NonTriangularError(
-                "f%d uses x%d; only x1..x%d are allowed" % (i + 1, max(used) + 1, i + 1)
-            )
-        if i not in used:
-            raise NonTriangularError("f%d does not use x%d" % (i + 1, i + 1))
-        polys.append(poly)
+        polys.append(_ExprParser(toks, field, nvars).parse())
     return TriangularSystem(polys)
 
 
@@ -292,13 +282,8 @@ def _format_mpoly(f: MPoly) -> str:
     field = f.field
     parts = []
     for deg in sorted(f.terms, reverse=True):
-        scalar = f.terms[deg]
-        mono = "*".join(
-            "x%d" % (i + 1) if e == 1 else "x%d^%d" % (i + 1, e)
-            for i, e in enumerate(deg)
-            if e
-        )
-        for e, c in scalar.terms:
+        mono = format_monomial("x", deg)
+        for e, c in f.terms[deg].terms:
             factors = []
             cs = field.format(c)
             if cs.startswith("-"):

@@ -8,12 +8,13 @@ minimum over the Puiseux values.  Keeping the tails symbolic is what
 makes truncation exact: a coefficient is deleted only when it is exactly
 zero, never because it merely looks small.
 
-Three layers:
+Two layers:
 
-* ``UCoeff``   -- an element of K[u_1..u_n] (sparse in the u-exponents).
-* ``UPoly``    -- a univariate polynomial in one coordinate x_i over UCoeff.
-* ``MPoly``    -- a plain multivariate polynomial over K, the input format
-                  for triangular systems before roots are substituted.
+* ``MPoly`` -- a sparse polynomial over K in n variables.  It holds the
+               input polynomials in x_1..x_n, and the coefficients in
+               K[u_1..u_n] once roots have been substituted.
+* ``UPoly`` -- a univariate polynomial in one coordinate x_i whose
+               coefficients are MPolys in the tail variables u.
 """
 
 from __future__ import annotations
@@ -30,8 +31,12 @@ def _zero_deg(nvars):
     return (0,) * nvars
 
 
-class UCoeff:
-    """An element of K[u_1..u_n]: sparse map u-exponent tuple -> scalar."""
+class MPoly:
+    """Sparse polynomial over K: map exponent tuple -> nonzero scalar.
+
+    The same type serves the input polynomials in x_1..x_n and the
+    K[u_1..u_n] coefficients of a UPoly; only ``format`` names the letter.
+    """
 
     __slots__ = ("field", "nvars", "terms")
 
@@ -57,14 +62,16 @@ class UCoeff:
         return cls(field, nvars, {})
 
     @classmethod
-    def from_scalar(cls, field, nvars, scalar):
+    def constant(cls, field, nvars, scalar):
         if scalar.is_zero():
             return cls(field, nvars, {})
         return cls(field, nvars, {_zero_deg(nvars): scalar})
 
     @classmethod
-    def u_term(cls, field, nvars, index, scalar):
-        """scalar * u_index (scalar may be any Puiseux value)."""
+    def variable(cls, field, nvars, index, scalar=None):
+        """scalar * (variable ``index``); the scalar defaults to 1."""
+        if scalar is None:
+            scalar = PuiseuxScalar.constant(field, field.one)
         if scalar.is_zero():
             return cls(field, nvars, {})
         deg = [0] * nvars
@@ -74,14 +81,6 @@ class UCoeff:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        """True when no u-variable occurs."""
-        zero = _zero_deg(self.nvars)
-        return all(d == zero for d in self.terms)
-
-    def constant_scalar(self):
-        return self.terms.get(_zero_deg(self.nvars), PuiseuxScalar.zero(self.field))
-
     def variables(self):
         out = set()
         for deg in self.terms:
@@ -89,363 +88,6 @@ class UCoeff:
                 if e:
                     out.add(i)
         return out
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for deg, scalar in other.terms.items():
-            if deg in out:
-                s = out[deg] + scalar
-                if s.is_zero():
-                    del out[deg]
-                else:
-                    out[deg] = s
-            else:
-                out[deg] = scalar
-        return UCoeff(self.field, self.nvars, out)
-
-    def __neg__(self):
-        return UCoeff(self.field, self.nvars, {d: -s for d, s in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for d1, s1 in self.terms.items():
-            for d2, s2 in other.terms.items():
-                deg = tuple(a + b for a, b in zip(d1, d2))
-                prod = s1 * s2
-                if deg in out:
-                    out[deg] = out[deg] + prod
-                else:
-                    out[deg] = prod
-        return UCoeff(self.field, self.nvars, {d: s for d, s in out.items() if not s.is_zero()})
-
-    def __pow__(self, n):
-        result = UCoeff.from_scalar(self.field, self.nvars, PuiseuxScalar.constant(self.field, self.field.one))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def mul_scalar(self, scalar):
-        if scalar.is_zero():
-            return UCoeff.zero(self.field, self.nvars)
-        return UCoeff(self.field, self.nvars, {d: s * scalar for d, s in self.terms.items()})
-
-    def uval(self) -> Fraction:
-        """Minimum valuation over all Puiseux coefficients."""
-        if not self.terms:
-            raise ZeroHasNoValuation("0 has no valuation")
-        return min(s.valuation() for s in self.terms.values())
-
-    def initial_terms(self):
-        """The residue terms attaining the minimum valuation.
-
-        Returns a dict u-exponent tuple -> residue element: the image of
-        this coefficient in the residue field with the tails kept
-        symbolic.  Raises on zero.
-        """
-        v = self.uval()
-        return {d: s.initial() for d, s in self.terms.items() if s.valuation() == v}
-
-    def specialize(self, values):
-        """Substitute Puiseux values for the given u-variables.
-
-        ``values`` maps variable index -> PuiseuxScalar of valuation 0
-        (degenerate inputs are the caller's business to reject).
-        """
-        out = UCoeff.zero(self.field, self.nvars)
-        for deg, scalar in self.terms.items():
-            factor = PuiseuxScalar.constant(self.field, self.field.one)
-            rest = [0] * self.nvars
-            for i, e in enumerate(deg):
-                if not e:
-                    continue
-                if i in values:
-                    factor = factor * values[i] ** e
-                else:
-                    rest[i] = e
-            value = scalar * factor
-            if not value.is_zero():
-                out = out + UCoeff(self.field, self.nvars, {tuple(rest): value})
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UCoeff)
-            and other.field == self.field
-            and other.nvars == self.nvars
-            and other.terms == self.terms
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.nvars, frozenset(self.terms.items())))
-
-    def format(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for deg in sorted(self.terms):
-            scalar = self.terms[deg]
-            mono = "*".join(
-                "u%d" % (i + 1) if e == 1 else "u%d^%d" % (i + 1, e)
-                for i, e in enumerate(deg)
-                if e
-            )
-            ss = scalar.format()
-            if not mono:
-                parts.append(ss)
-            elif ss == "1":
-                parts.append(mono)
-            elif ss == "-1":
-                parts.append("-%s" % mono)
-            else:
-                if " " in ss:
-                    ss = "(%s)" % ss
-                parts.append("%s*%s" % (ss, mono))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "<%s>" % self.format()
-
-
-class UPoly:
-    """Univariate polynomial in coordinate ``var`` over UCoeff coefficients."""
-
-    __slots__ = ("field", "nvars", "var", "coeffs")
-
-    def __init__(self, field, nvars, var, coeffs=None):
-        self.field = field
-        self.nvars = nvars
-        self.var = var
-        self.coeffs = dict(coeffs) if coeffs else {}
-
-    @classmethod
-    def from_coeffs(cls, field, nvars, var, pairs):
-        acc = {}
-        for j, c in pairs:
-            if j in acc:
-                acc[j] = acc[j] + c
-            else:
-                acc[j] = c
-        return cls(field, nvars, var, {j: c for j, c in acc.items() if not c.is_zero()})
-
-    @classmethod
-    def x_power(cls, field, nvars, var, degree=1, coeff=None):
-        if coeff is None:
-            coeff = UCoeff.from_scalar(field, nvars, PuiseuxScalar.constant(field, field.one))
-        if coeff.is_zero():
-            return cls(field, nvars, var, {})
-        return cls(field, nvars, var, {degree: coeff})
-
-    @classmethod
-    def from_ucoeff(cls, field, nvars, var, coeff):
-        if coeff.is_zero():
-            return cls(field, nvars, var, {})
-        return cls(field, nvars, var, {0: coeff})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def degree(self):
-        if not self.coeffs:
-            raise ZeroPolynomialError("the zero polynomial has no degree")
-        return max(self.coeffs)
-
-    def support(self):
-        return sorted(self.coeffs)
-
-    def coeff(self, j):
-        return self.coeffs.get(j, UCoeff.zero(self.field, self.nvars))
-
-    def constant_coeff(self):
-        return self.coeff(0)
-
-    def variables(self):
-        out = set()
-        for c in self.coeffs.values():
-            out |= c.variables()
-        return out
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for j, c in other.coeffs.items():
-            if j in out:
-                s = out[j] + c
-                if s.is_zero():
-                    del out[j]
-                else:
-                    out[j] = s
-            else:
-                out[j] = c
-        return UPoly(self.field, self.nvars, self.var, out)
-
-    def __neg__(self):
-        return UPoly(self.field, self.nvars, self.var, {j: -c for j, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for j1, c1 in self.coeffs.items():
-            for j2, c2 in other.coeffs.items():
-                j = j1 + j2
-                prod = c1 * c2
-                if j in out:
-                    out[j] = out[j] + prod
-                else:
-                    out[j] = prod
-        return UPoly(self.field, self.nvars, self.var, {j: c for j, c in out.items() if not c.is_zero()})
-
-    def mul_ucoeff(self, coeff):
-        if coeff.is_zero():
-            return UPoly(self.field, self.nvars, self.var, {})
-        out = {j: c * coeff for j, c in self.coeffs.items()}
-        return UPoly(self.field, self.nvars, self.var, {j: c for j, c in out.items() if not c.is_zero()})
-
-    def shift_substitute(self, prefix: PuiseuxScalar, scale) -> UPoly:
-        """Evaluate at prefix + t^scale * x, i.e. recenter and rescale.
-
-        With scale 0 this recenters the polynomial at ``prefix``; with a
-        positive scale it additionally zooms into the tail region where
-        the next root terms live.  Exact; the degree is preserved.
-        """
-        if self.is_zero():
-            return UPoly(self.field, self.nvars, self.var, {})
-        scale = Fraction(scale)
-        lin = UPoly.from_coeffs(
-            self.field,
-            self.nvars,
-            self.var,
-            [
-                (0, UCoeff.from_scalar(self.field, self.nvars, prefix)),
-                (1, UCoeff.from_scalar(self.field, self.nvars, PuiseuxScalar.t_power(self.field, scale))),
-            ],
-        )
-        acc = UPoly(self.field, self.nvars, self.var, {})
-        for j in range(self.degree(), -1, -1):
-            acc = acc * lin
-            c = self.coeffs.get(j)
-            if c is not None:
-                acc = acc + UPoly.from_ucoeff(self.field, self.nvars, self.var, c)
-        return acc
-
-    def evaluate_ucoeff(self, value: UCoeff) -> UCoeff:
-        """Substitute a K[u] element for the x-variable."""
-        if self.is_zero():
-            return UCoeff.zero(self.field, self.nvars)
-        acc = UCoeff.zero(self.field, self.nvars)
-        for j in range(self.degree(), -1, -1):
-            acc = acc * value
-            c = self.coeffs.get(j)
-            if c is not None:
-                acc = acc + c
-        return acc
-
-    def specialize_u(self, values) -> UPoly:
-        """Substitute valuation-zero Puiseux values for u-variables.
-
-        Every supplied value must have valuation exactly 0; anything
-        else would change which monomials dominate and is rejected.
-        """
-        for i, v in values.items():
-            if v.is_zero() or v.valuation() != 0:
-                raise ValueError("substituted value for u%d must have valuation 0" % (i + 1))
-        out = {}
-        for j, c in self.coeffs.items():
-            s = c.specialize(values)
-            if not s.is_zero():
-                out[j] = s
-        return UPoly(self.field, self.nvars, self.var, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UPoly)
-            and other.field == self.field
-            and other.nvars == self.nvars
-            and other.var == self.var
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.nvars, self.var, frozenset((j, frozenset(c.terms.items())) for j, c in self.coeffs.items())))
-
-    def format(self) -> str:
-        if not self.coeffs:
-            return "0"
-        name = "x%d" % (self.var + 1)
-        parts = []
-        for j in sorted(self.coeffs, reverse=True):
-            cs = self.coeffs[j].format()
-            if j == 0:
-                parts.append("(%s)" % cs if " " in cs else cs)
-                continue
-            xs = name if j == 1 else "%s^%d" % (name, j)
-            if cs == "1":
-                parts.append(xs)
-            elif cs == "-1":
-                parts.append("-%s" % xs)
-            else:
-                parts.append("(%s)*%s" % (cs, xs))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "<%s>" % self.format()
-
-
-class MPoly:
-    """Sparse multivariate polynomial over K in coordinates x_1..x_n."""
-
-    __slots__ = ("field", "nvars", "terms")
-
-    def __init__(self, field, nvars, terms=None):
-        self.field = field
-        self.nvars = nvars
-        self.terms = dict(terms) if terms else {}
-
-    @classmethod
-    def from_terms(cls, field, nvars, pairs):
-        acc = {}
-        for deg, scalar in pairs:
-            deg = tuple(deg)
-            if deg in acc:
-                acc[deg] = acc[deg] + scalar
-            else:
-                acc[deg] = scalar
-        return cls(field, nvars, {d: s for d, s in acc.items() if not s.is_zero()})
-
-    @classmethod
-    def constant(cls, field, nvars, scalar):
-        if scalar.is_zero():
-            return cls(field, nvars, {})
-        return cls(field, nvars, {_zero_deg(nvars): scalar})
-
-    @classmethod
-    def variable(cls, field, nvars, index):
-        deg = [0] * nvars
-        deg[index] = 1
-        return cls(field, nvars, {tuple(deg): PuiseuxScalar.constant(field, field.one)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def variables_used(self):
-        out = set()
-        for deg in self.terms:
-            for i, e in enumerate(deg):
-                if e:
-                    out.add(i)
-        return out
-
-    def degree_in(self, index):
-        if not self.terms:
-            return 0
-        return max(deg[index] for deg in self.terms)
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -490,8 +132,46 @@ class MPoly:
 
     def mul_scalar(self, scalar):
         if scalar.is_zero():
-            return MPoly(self.field, self.nvars, {})
+            return MPoly.zero(self.field, self.nvars)
         return MPoly(self.field, self.nvars, {d: s * scalar for d, s in self.terms.items()})
+
+    def uval(self) -> Fraction:
+        """Minimum valuation over all Puiseux coefficients."""
+        if not self.terms:
+            raise ZeroHasNoValuation("0 has no valuation")
+        return min(s.valuation() for s in self.terms.values())
+
+    def initial_terms(self):
+        """The residue terms attaining the minimum valuation.
+
+        Returns a dict u-exponent tuple -> residue element: the image of
+        this coefficient in the residue field with the tails kept
+        symbolic.  Raises on zero.
+        """
+        v = self.uval()
+        return {d: s.initial() for d, s in self.terms.items() if s.valuation() == v}
+
+    def specialize(self, values):
+        """Substitute Puiseux values for the given u-variables.
+
+        ``values`` maps variable index -> PuiseuxScalar of valuation 0
+        (degenerate inputs are the caller's business to reject).
+        """
+        out = MPoly.zero(self.field, self.nvars)
+        for deg, scalar in self.terms.items():
+            factor = PuiseuxScalar.constant(self.field, self.field.one)
+            rest = [0] * self.nvars
+            for i, e in enumerate(deg):
+                if not e:
+                    continue
+                if i in values:
+                    factor = factor * values[i] ** e
+                else:
+                    rest[i] = e
+            value = scalar * factor
+            if not value.is_zero():
+                out = out + MPoly(self.field, self.nvars, {tuple(rest): value})
+        return out
 
     def __eq__(self, other):
         return (
@@ -504,30 +184,198 @@ class MPoly:
     def __hash__(self):
         return hash((self.field, self.nvars, frozenset(self.terms.items())))
 
-    def format(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for deg in sorted(self.terms, reverse=True):
-            scalar = self.terms[deg]
-            mono = "*".join(
-                "x%d" % (i + 1) if e == 1 else "x%d^%d" % (i + 1, e)
-                for i, e in enumerate(deg)
-                if e
-            )
-            ss = scalar.format()
-            if not mono:
-                parts.append("(%s)" % ss if "+" in ss else ss)
-                continue
-            if ss == "1":
-                parts.append(mono)
-            elif ss == "-1":
-                parts.append("-%s" % mono)
+    def format(self, letter="x") -> str:
+        """Render with variables named letter1..lettern, e.g. 'x1^2 + (1 + t)*x1'."""
+        return _format_sum(letter, {d: s.format() for d, s in self.terms.items()})
+
+    def __repr__(self):
+        return "<%s>" % self.format()
+
+
+def format_monomial(letter, deg) -> str:
+    """Render an exponent tuple as e.g. 'x1^2*x3'; '' for the constant monomial."""
+    return "*".join(
+        "%s%d" % (letter, i + 1) if e == 1 else "%s%d^%d" % (letter, i + 1, e)
+        for i, e in enumerate(deg)
+        if e
+    )
+
+
+def _format_sum(letter, coeffs) -> str:
+    """Render a dict exponent tuple -> coefficient text, highest monomial first."""
+    parts = []
+    for deg in sorted(coeffs, reverse=True):
+        mono = format_monomial(letter, deg)
+        cs = coeffs[deg]
+        if not mono:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(mono)
+        elif cs == "-1":
+            parts.append("-%s" % mono)
+        else:
+            parts.append("%s*%s" % ("(%s)" % cs if " " in cs else cs, mono))
+    return " + ".join(parts) or "0"
+
+
+class UPoly:
+    """Univariate polynomial in coordinate ``var`` over MPoly coefficients in u."""
+
+    __slots__ = ("field", "nvars", "var", "coeffs")
+
+    def __init__(self, field, nvars, var, coeffs=None):
+        self.field = field
+        self.nvars = nvars
+        self.var = var
+        self.coeffs = dict(coeffs) if coeffs else {}
+
+    @classmethod
+    def from_coeffs(cls, field, nvars, var, pairs):
+        acc = {}
+        for j, c in pairs:
+            if j in acc:
+                acc[j] = acc[j] + c
             else:
-                if "+" in ss or "*" in ss or "^" in ss:
-                    ss = "(%s)" % ss
-                parts.append("%s*%s" % (ss, mono))
-        return " + ".join(parts)
+                acc[j] = c
+        return cls(field, nvars, var, {j: c for j, c in acc.items() if not c.is_zero()})
+
+    @classmethod
+    def x_power(cls, field, nvars, var, degree=1, coeff=None):
+        if coeff is None:
+            coeff = MPoly.constant(field, nvars, PuiseuxScalar.constant(field, field.one))
+        if coeff.is_zero():
+            return cls(field, nvars, var, {})
+        return cls(field, nvars, var, {degree: coeff})
+
+    @classmethod
+    def from_ucoeff(cls, field, nvars, var, coeff):
+        if coeff.is_zero():
+            return cls(field, nvars, var, {})
+        return cls(field, nvars, var, {0: coeff})
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def degree(self):
+        if not self.coeffs:
+            raise ZeroPolynomialError("the zero polynomial has no degree")
+        return max(self.coeffs)
+
+    def coeff(self, j):
+        return self.coeffs.get(j, MPoly.zero(self.field, self.nvars))
+
+    def constant_coeff(self):
+        return self.coeff(0)
+
+    def variables(self):
+        out = set()
+        for c in self.coeffs.values():
+            out |= c.variables()
+        return out
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for j, c in other.coeffs.items():
+            if j in out:
+                s = out[j] + c
+                if s.is_zero():
+                    del out[j]
+                else:
+                    out[j] = s
+            else:
+                out[j] = c
+        return UPoly(self.field, self.nvars, self.var, out)
+
+    def __neg__(self):
+        return UPoly(self.field, self.nvars, self.var, {j: -c for j, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for j1, c1 in self.coeffs.items():
+            for j2, c2 in other.coeffs.items():
+                j = j1 + j2
+                prod = c1 * c2
+                if j in out:
+                    out[j] = out[j] + prod
+                else:
+                    out[j] = prod
+        return UPoly(self.field, self.nvars, self.var, {j: c for j, c in out.items() if not c.is_zero()})
+
+    def shift_substitute(self, prefix: PuiseuxScalar, scale) -> UPoly:
+        """Evaluate at prefix + t^scale * x, i.e. recenter and rescale.
+
+        With scale 0 this recenters the polynomial at ``prefix``; with a
+        positive scale it additionally zooms into the tail region where
+        the next root terms live.  Exact; the degree is preserved.
+        """
+        if self.is_zero():
+            return UPoly(self.field, self.nvars, self.var, {})
+        scale = Fraction(scale)
+        lin = UPoly.from_coeffs(
+            self.field,
+            self.nvars,
+            self.var,
+            [
+                (0, MPoly.constant(self.field, self.nvars, prefix)),
+                (1, MPoly.constant(self.field, self.nvars, PuiseuxScalar.t_power(self.field, scale))),
+            ],
+        )
+        acc = UPoly(self.field, self.nvars, self.var, {})
+        for j in range(self.degree(), -1, -1):
+            acc = acc * lin
+            c = self.coeffs.get(j)
+            if c is not None:
+                acc = acc + UPoly.from_ucoeff(self.field, self.nvars, self.var, c)
+        return acc
+
+    def evaluate_ucoeff(self, value: MPoly) -> MPoly:
+        """Substitute a K[u] element for the x-variable."""
+        if self.is_zero():
+            return MPoly.zero(self.field, self.nvars)
+        acc = MPoly.zero(self.field, self.nvars)
+        for j in range(self.degree(), -1, -1):
+            acc = acc * value
+            c = self.coeffs.get(j)
+            if c is not None:
+                acc = acc + c
+        return acc
+
+    def specialize_u(self, values) -> UPoly:
+        """Substitute valuation-zero Puiseux values for u-variables.
+
+        Every supplied value must have valuation exactly 0; anything
+        else would change which monomials dominate and is rejected.
+        """
+        for i, v in values.items():
+            if v.is_zero() or v.valuation() != 0:
+                raise ValueError("substituted value for u%d must have valuation 0" % (i + 1))
+        out = {}
+        for j, c in self.coeffs.items():
+            s = c.specialize(values)
+            if not s.is_zero():
+                out[j] = s
+        return UPoly(self.field, self.nvars, self.var, out)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, UPoly)
+            and other.field == self.field
+            and other.nvars == self.nvars
+            and other.var == self.var
+            and other.coeffs == self.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.field, self.nvars, self.var, frozenset((j, frozenset(c.terms.items())) for j, c in self.coeffs.items())))
+
+    def format(self) -> str:
+        return _format_sum("x", {
+            tuple(j if i == self.var else 0 for i in range(self.nvars)): c.format("u")
+            for j, c in self.coeffs.items()
+        })
 
     def __repr__(self):
         return "<%s>" % self.format()
@@ -536,8 +384,8 @@ class MPoly:
 def compose(f: MPoly, values, target: int) -> UPoly:
     """Substitute K[u] values for x_1..x_k and keep x_{target} univariate.
 
-    ``values`` supplies one UCoeff per substituted coordinate (index 0 up
-    to target-1); coordinate ``target`` survives as the polynomial
+    ``values`` supplies one K[u] MPoly per substituted coordinate (index 0
+    up to target-1); coordinate ``target`` survives as the polynomial
     variable.  Raises ZeroSubstitutionError when everything cancels,
     which flags a degenerate input system.
     """
@@ -555,7 +403,7 @@ def compose(f: MPoly, values, target: int) -> UPoly:
         for i, e in enumerate(deg):
             if e and i > target:
                 raise ValueError("polynomial uses x%d beyond the kept coordinate x%d" % (i + 1, target + 1))
-        piece = UCoeff.from_scalar(field, nvars, scalar)
+        piece = MPoly.constant(field, nvars, scalar)
         for i in range(min(len(values), len(deg))):
             if deg[i]:
                 piece = piece * value_power(i, deg[i])
@@ -629,23 +477,6 @@ def initial_form(f: UPoly, w) -> InitialForm:
 
 def format_residue_terms(terms) -> str:
     """Render a dict u-degree -> residue element, e.g. '-u1 + 1'."""
-    if not terms:
-        return "0"
-    parts = []
-    for deg in sorted(terms, reverse=True):
-        coeff = terms[deg]
-        mono = "*".join(
-            "u%d" % (i + 1) if e == 1 else "u%d^%d" % (i + 1, e)
-            for i, e in enumerate(deg)
-            if e
-        )
-        cs = format_rat(coeff) if isinstance(coeff, Fraction) else str(coeff)
-        if not mono:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append(mono)
-        elif cs == "-1":
-            parts.append("-%s" % mono)
-        else:
-            parts.append("%s*%s" % (cs, mono))
-    return " + ".join(parts)
+    return _format_sum(
+        "u", {d: format_rat(c) if isinstance(c, Fraction) else str(c) for d, c in terms.items()}
+    )

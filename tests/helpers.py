@@ -8,7 +8,6 @@ from troptri import (
     PuiseuxScalar,
     RationalField,
     TriangularSystem,
-    UCoeff,
     UPoly,
 )
 
@@ -35,20 +34,20 @@ def tp(exp, coeff=1, field=QQ):
 
 
 def uc(nvars, *terms, field=QQ):
-    """UCoeff from (scalar, u-degree tuple) pairs."""
-    return UCoeff.from_terms(field, nvars, [(deg, scalar) for scalar, deg in terms])
+    """K[u] coefficient (an MPoly in u) from (scalar, u-degree tuple) pairs."""
+    return MPoly.from_terms(field, nvars, [(deg, scalar) for scalar, deg in terms])
 
 
 def uconst(nvars, scalar, field=QQ):
-    return UCoeff.from_scalar(field, nvars, scalar)
+    return MPoly.constant(field, nvars, scalar)
 
 
 def upoly(nvars, var, coeffs, field=QQ):
-    """UPoly from {degree: UCoeff-or-scalar}."""
+    """UPoly from {degree: MPoly-or-scalar}."""
     pairs = []
     for j, c in coeffs.items():
         if isinstance(c, PuiseuxScalar):
-            c = UCoeff.from_scalar(field, nvars, c)
+            c = MPoly.constant(field, nvars, c)
         pairs.append((j, c))
     return UPoly.from_coeffs(field, nvars, var, pairs)
 
@@ -77,14 +76,14 @@ def paper_f1(nvars=1, var=0):
     x = UPoly.x_power(QQ, nvars, var)
     r1 = ps((0, 1), (2, 1))
     r2 = ps((0, 1), (1, 1), (2, 1))
-    as_poly = lambda s: UPoly.from_ucoeff(QQ, nvars, var, UCoeff.from_scalar(QQ, nvars, s))
+    as_poly = lambda s: UPoly.from_ucoeff(QQ, nvars, var, MPoly.constant(QQ, nvars, s))
     return (x - as_poly(r1)) * (x - as_poly(r2))
 
 
 def paper_f2_tilde(nvars=2):
     """(x2 - t - t^2 u1) * (x2 - 1 - t - t^2 u1) over K[u1][x2]."""
     x2 = UPoly.x_power(QQ, nvars, 1)
-    t2u1 = UCoeff.u_term(QQ, nvars, 0, tp(2))
+    t2u1 = MPoly.variable(QQ, nvars, 0, tp(2))
     a = uconst(nvars, tp(1)) + t2u1
     b = uconst(nvars, ps((0, 1), (1, 1))) + t2u1
     lift = lambda c: UPoly.from_ucoeff(QQ, nvars, 1, c)

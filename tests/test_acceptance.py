@@ -30,7 +30,6 @@ from troptri import (
     MPoly,
     PuiseuxScalar,
     RootTree,
-    UCoeff,
     UPoly,
     ZeroSubstitutionError,
     compose,

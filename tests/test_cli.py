@@ -1,7 +1,10 @@
 """The command line driver: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
+
+import pytest
 
 from helpers import QQ, const, ps, upoly, uc
 from troptri.cli import main
@@ -168,6 +171,83 @@ def test_svg_tail_variable_labels():
     assert ">-u1<" in data
 
 
-def test_seed_flag_accepted(tmp_path):
-    code, out, err = run_cli(tmp_path, THREE_VAR, "--seed", "7", "--max-depth", "32")
+# exact bytes of earlier releases; a formatting or traversal change shows here
+PINNED_TREE_JSON = {
+    "close-roots": (
+        CLOSE_ROOTS,
+        ("--pstep", "2", "--pmax", "2"),
+        '{"points":[["0","1"],["0","2"]],"tree":{"root":0,"vertices":['
+        '{"id":0,"parent":null,"valuation":null,"precision":null,"exact":null,"dead":false},'
+        '{"id":2,"parent":0,"valuation":"0","precision":"2","exact":true,"dead":false},'
+        '{"id":3,"parent":0,"valuation":"0","precision":"2","exact":false,"dead":false},'
+        '{"id":4,"parent":2,"valuation":"1","precision":"0","exact":false,"dead":false},'
+        '{"id":5,"parent":3,"valuation":"2","precision":"0","exact":false,"dead":false}]}}\n',
+    ),
+    "three-var": (
+        THREE_VAR,
+        (),
+        '{"points":[["0","0","0"],["0","-1","1"],["-1","1","0"],["-1","-1","2"]],'
+        '"tree":{"root":0,"vertices":['
+        '{"id":0,"parent":null,"valuation":null,"precision":null,"exact":null,"dead":false},'
+        '{"id":1,"parent":0,"valuation":"0","precision":"0","exact":false,"dead":false},'
+        '{"id":2,"parent":0,"valuation":"-1","precision":"0","exact":false,"dead":false},'
+        '{"id":3,"parent":1,"valuation":"0","precision":"0","exact":false,"dead":false},'
+        '{"id":4,"parent":1,"valuation":"-1","precision":"0","exact":false,"dead":false},'
+        '{"id":5,"parent":3,"valuation":"0","precision":"0","exact":false,"dead":false},'
+        '{"id":6,"parent":4,"valuation":"1","precision":"0","exact":false,"dead":false},'
+        '{"id":7,"parent":2,"valuation":"1","precision":"0","exact":false,"dead":false},'
+        '{"id":8,"parent":2,"valuation":"-1","precision":"0","exact":false,"dead":false},'
+        '{"id":9,"parent":7,"valuation":"0","precision":"0","exact":false,"dead":false},'
+        '{"id":10,"parent":8,"valuation":"2","precision":"0","exact":false,"dead":false}]}}\n',
+    ),
+}
+
+# SHA-256 of each --newton-svg file for CLOSE_ROOTS at --pstep 2 --pmax 2; the
+# vertex labels include the tail monomial formatting ("-u1 + 1")
+PINNED_SVG_SHA256 = {
+    "polygon_000.svg": "44e8d14be7027743ac072c161ef91904eb14746486cebdb6f267747fe2d76eb4",
+    "polygon_001.svg": "52aa0b492f0885f282faebfc90213731a20cfb30d8c0348689e6230b7f3387b5",
+    "polygon_002.svg": "08c1873ed86bfe6442aa3a60eb832060c0aff114424174581dff47609cfc324e",
+    "polygon_003.svg": "82d0266a8eae22babb25d348249ec7de8cacba3ec7b0aa3314ea81c4a8621a01",
+    "polygon_004.svg": "5de6f29e65aced9a26c6cdfff393bbf2437a30d080f3dc9d78ec89888faa681a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TREE_JSON))
+def test_pinned_tree_json_bytes(tmp_path, name):
+    text, flags, want = PINNED_TREE_JSON[name]
+    code, out, err = run_cli(tmp_path, text, *flags, "--format", "json", "--tree")
     assert code == 0
+    assert out == want
+
+
+def test_pinned_newton_svg_bytes(tmp_path):
+    svg_dir = tmp_path / "polygons"
+    code, out, err = run_cli(tmp_path, CLOSE_ROOTS, "--pstep", "2", "--pmax", "2",
+                             "--newton-svg", str(svg_dir))
+    assert code == 0
+    got = {
+        name: hashlib.sha256((svg_dir / name).read_bytes()).hexdigest()
+        for name in sorted(os.listdir(svg_dir))
+    }
+    assert got == PINNED_SVG_SHA256
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--pstep", "0"),
+        ("--pstep", "-1"),
+        ("--pmax", "-1"),
+        ("--pstep", "1/0"),
+        ("--pmax", "1/0"),
+        ("--pmax", "x"),
+        ("--max-depth", "-1"),
+    ],
+    ids="=".join,
+)
+def test_bad_flag_values_exit_4(tmp_path, flags):
+    code, out, err = run_cli(tmp_path, THREE_VAR, *flags)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: bad ") and err.count("\n") == 1

@@ -155,9 +155,9 @@ def test_root_shape_validation():
 
 
 def _trop(f):
-    from troptri import newton_polygon, tropical_points
+    from troptri import newton_polygon
 
-    return tropical_points(newton_polygon(f))
+    return newton_polygon(f).tropical_points()
 
 
 def _factored_poly(rng):

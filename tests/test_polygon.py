@@ -8,12 +8,10 @@ import pytest
 from helpers import QQ, const, paper_f1, paper_f2_tilde, ps, tp, uc, uconst, upoly
 from troptri import (
     Polygon,
-    UCoeff,
     UPoly,
     ZeroPolynomialError,
     is_unique,
     newton_polygon,
-    tropical_points,
     uniqueness_oracle,
 )
 
@@ -23,7 +21,7 @@ def test_polygon_of_quadratic_with_unit_and_inverse_roots():
     polygon = newton_polygon(f)
     assert polygon.vertices == ((0, Fraction(0)), (1, Fraction(0)), (2, Fraction(1)))
     assert polygon.slopes() == [Fraction(0), Fraction(1)]
-    assert tropical_points(polygon) == {Fraction(0), Fraction(-1)}
+    assert polygon.tropical_points() == {Fraction(0), Fraction(-1)}
 
 
 def test_polygon_of_f2_tilde():
@@ -39,7 +37,7 @@ def test_polygon_single_monomial():
     polygon = newton_polygon(f)
     assert polygon.vertices == ((3, Fraction(1, 2)),)
     assert polygon.edges() == []
-    assert tropical_points(polygon) == set()
+    assert polygon.tropical_points() == set()
 
 
 def test_polygon_midpoint_is_not_a_vertex():
@@ -57,7 +55,7 @@ def test_polygon_rejects_zero():
 
 def test_tropical_points_of_recentered_quadratic():
     f = upoly(1, 0, {2: const(1), 1: ps((1, -1), (2, -2)), 0: ps((3, 1), (4, 1))})
-    assert tropical_points(newton_polygon(f)) == {Fraction(1), Fraction(2)}
+    assert newton_polygon(f).tropical_points() == {Fraction(1), Fraction(2)}
 
 
 def test_convexity_enforced():
@@ -114,7 +112,7 @@ def test_ufree_polygons_track_factored_roots():
         for r in roots:
             f = f * (x - UPoly.from_ucoeff(QQ, 1, 0, uconst(1, r)))
         assert is_unique(f)
-        got = tropical_points(newton_polygon(f))
+        got = newton_polygon(f).tropical_points()
         assert got == {r.valuation() for r in roots}
 
 

@@ -25,7 +25,6 @@ from troptri import (
     PrecisionLimitError,
     RootTree,
     TriangularSystem,
-    starting_tree,
     trop_triangular,
 )
 
@@ -35,7 +34,7 @@ def fr(a, b=1):
 
 
 def test_starting_tree_is_a_single_vertex():
-    tree = starting_tree(three_var_system(), 1, 10)
+    tree = RootTree(three_var_system(), 1, 10)
     assert len(tree.vertices) == 1
     assert tree.vertices[tree.root_id].root is None
     assert tree.grow_count == 0 and tree.reinforce_count == 0
@@ -43,9 +42,9 @@ def test_starting_tree_is_a_single_vertex():
 
 def test_starting_tree_validates_parameters():
     with pytest.raises(ValueError):
-        starting_tree(three_var_system(), 0, 10)
+        RootTree(three_var_system(), 0, 10)
     with pytest.raises(ValueError):
-        starting_tree(three_var_system(), 1, -1)
+        RootTree(three_var_system(), 1, -1)
 
 
 def test_triangular_validation():
@@ -58,14 +57,14 @@ def test_triangular_validation():
 
 
 def test_extension_polynomial_at_the_tree_root():
-    tree = starting_tree(close_roots_system(), 2, 2)
+    tree = RootTree(close_roots_system(), 2, 2)
     ext = tree.extension_polynomial(tree.root_id)
     assert ext.variables() == set()
     assert sorted(ext.coeffs) == [0, 1, 2]
 
 
 def test_extension_polynomial_with_bare_tail():
-    tree = starting_tree(close_roots_system(), 2, 2)
+    tree = RootTree(close_roots_system(), 2, 2)
     tree.grow(tree.root_id)
     (child,) = tree.vertices[tree.root_id].children
     ext = tree.extension_polynomial(child)
@@ -74,7 +73,7 @@ def test_extension_polynomial_with_bare_tail():
 
 
 def test_extension_polynomial_with_refined_root():
-    tree = starting_tree(close_roots_system(), 2, 2)
+    tree = RootTree(close_roots_system(), 2, 2)
     tree.grow(tree.root_id)
     (child,) = tree.vertices[tree.root_id].children
     tree.vertices[child].root = root(0, [(0, 1), (1, 1)], 2)
@@ -83,7 +82,7 @@ def test_extension_polynomial_with_refined_root():
 
 
 def test_reinforcement_polynomial_for_bare_root_is_f1():
-    tree = starting_tree(close_roots_system(), 2, 2)
+    tree = RootTree(close_roots_system(), 2, 2)
     tree.grow(tree.root_id)
     (child,) = tree.vertices[tree.root_id].children
     reinf = tree.reinforcement_polynomial(child)
@@ -95,7 +94,7 @@ def test_reinforcement_polynomial_recenters_at_known_part():
 
     # shifted by the known part only; rescaling by the tail exponent
     # reproduces the fully zoomed form
-    tree = starting_tree(close_roots_system(), 2, 2)
+    tree = RootTree(close_roots_system(), 2, 2)
     tree.grow(tree.root_id)
     (child,) = tree.vertices[tree.root_id].children
     tree.vertices[child].root = root(0, [(0, 1)], 1)
@@ -105,14 +104,14 @@ def test_reinforcement_polynomial_recenters_at_known_part():
 
 
 def test_reinforcement_polynomial_requires_depth():
-    tree = starting_tree(close_roots_system(), 2, 2)
+    tree = RootTree(close_roots_system(), 2, 2)
     with pytest.raises(ValueError):
         tree.reinforcement_polynomial(tree.root_id)
 
 
 def test_grow_attaches_children_by_descending_valuation():
     f1 = mpoly(1, {(2,): tp(1), (1,): const(1), (0,): const(1)})
-    tree = starting_tree(TriangularSystem([f1]), 1, 8)
+    tree = RootTree(TriangularSystem([f1]), 1, 8)
     tree.grow(tree.root_id)
     kids = [tree.vertices[c].root for c in tree.vertices[tree.root_id].children]
     assert [k.valuation() for k in kids] == [fr(0), fr(-1)]
@@ -121,7 +120,7 @@ def test_grow_attaches_children_by_descending_valuation():
 
 
 def test_grow_single_tropical_point():
-    tree = starting_tree(close_roots_system(), 2, 2)
+    tree = RootTree(close_roots_system(), 2, 2)
     tree.grow(tree.root_id)
     assert len(tree.vertices[tree.root_id].children) == 1
 
@@ -130,7 +129,7 @@ def test_grow_dead_branch_on_monomial_extension():
     # f2 = x1 * x2 collapses to a monomial once x1 is exactly 1
     f1 = xvar(2, 0) - mconst(2, const(1))
     f2 = xvar(2, 0) * xvar(2, 1)
-    tree = starting_tree(TriangularSystem([f1, f2]), 1, 8)
+    tree = RootTree(TriangularSystem([f1, f2]), 1, 8)
     tree.run()
     assert tree.point_set() == set()
     dead = [v for v in tree.vertices.values() if v.dead]
@@ -138,7 +137,7 @@ def test_grow_dead_branch_on_monomial_extension():
 
 
 def test_reinforce_splits_the_close_roots():
-    tree = starting_tree(close_roots_system(), 2, 2)
+    tree = RootTree(close_roots_system(), 2, 2)
     tree.grow(tree.root_id)
     (child,) = tree.vertices[tree.root_id].children
     tree.reinforce(child)
@@ -150,7 +149,7 @@ def test_reinforce_splits_the_close_roots():
 
 
 def test_reinforce_respects_precision_bound():
-    tree = starting_tree(close_roots_system(), 2, 2)
+    tree = RootTree(close_roots_system(), 2, 2)
     tree.grow(tree.root_id)
     (child,) = tree.vertices[tree.root_id].children
     tree.vertices[child].prec = fr(1)

@@ -59,12 +59,14 @@ def test_parse_products_of_factors():
 
 
 def test_parse_non_triangular():
-    with pytest.raises(NonTriangularError):
+    with pytest.raises(NonTriangularError, match=r"^f1 uses x2; only x1\.\.x1 are allowed$"):
         parse_system("ring x1 x2\npoly x2 - 1\npoly x1\n")
-    with pytest.raises(NonTriangularError):
+    with pytest.raises(NonTriangularError, match=r"^f2 does not use x2$"):
         parse_system("ring x1 x2\npoly x1 - 1\npoly x1 + 1\n")
-    with pytest.raises(NonTriangularError):
+    with pytest.raises(NonTriangularError, match=r"^expected 2 poly lines for 2 coordinates, found 1$"):
         parse_system("ring x1 x2\npoly x1 - 1\n")
+    with pytest.raises(NonTriangularError, match=r"^f2 is the zero polynomial$"):
+        parse_system("ring x1 x2\npoly x1 - 1\npoly x2 - x2\n")
 
 
 def test_parse_reserved_identifier():
