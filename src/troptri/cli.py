@@ -70,7 +70,7 @@ def main(argv=None) -> int:
                 text = handle.read()
         else:
             text = sys.stdin.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("error: cannot read input: %s" % exc, file=sys.stderr)
         return 4
 

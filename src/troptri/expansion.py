@@ -72,7 +72,7 @@ class ApproxRoot:
     def known_scalar(self, field) -> PuiseuxScalar:
         return PuiseuxScalar(field, self.known)
 
-    def as_ucoeff(self, field, nvars) -> MPoly:
+    def as_mpoly(self, field, nvars) -> MPoly:
         """The root as an element of K[u], tail included."""
         value = MPoly.constant(field, nvars, self.known_scalar(field))
         if self.tail is not None:
@@ -161,8 +161,8 @@ def is_approximate_root(f: UPoly, root: ApproxRoot) -> bool:
         raise ZeroPolynomialError("cannot test roots against the zero polynomial")
     if root.tail is None:
         raise ExactRootError("the root is exact; substitute and compare with zero instead")
-    value = root.as_ucoeff(f.field, f.nvars)
-    image = f.evaluate_ucoeff(value)
+    value = root.as_mpoly(f.field, f.nvars)
+    image = f.evaluate(value)
     if image.is_zero():
         raise ExactRootError("the root substitutes to exactly zero")
     degrees = {deg[root.index] for deg in image.initial_terms()}

@@ -115,7 +115,7 @@ def newton_polygon(f: UPoly) -> Polygon:
     return Polygon(tuple(lower_hull(support_points(f))))
 
 
-def is_unique(f: UPoly) -> bool:
+def is_unique(f: UPoly, polygon=None) -> bool:
     """Whether the polygon survives every valuation-zero tail substitution.
 
     Criterion: at every hull *vertex* the minimum-valuation part of the
@@ -123,11 +123,13 @@ def is_unique(f: UPoly) -> bool:
     substitution can raise (or keep ambiguous) that vertex.  Testing the
     whole coefficient for being a monomial would be too strict: in
     x + (1 + t*u1) the constant coefficient has two terms but its
-    valuation is 0 under every substitution.
+    valuation is 0 under every substitution.  ``polygon`` is f's Newton
+    polygon when the caller has already built it.
     """
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no Newton polygon")
-    polygon = newton_polygon(f)
+    if polygon is None:
+        polygon = newton_polygon(f)
     for j, _ in polygon.vertices:
         if len(f.coeffs[j].initial_terms()) != 1:
             return False

@@ -51,7 +51,7 @@ class TriangularSystem:
 
 
 class Vertex:
-    __slots__ = ("vid", "parent", "children", "root", "prec", "depth", "dead")
+    __slots__ = ("vid", "parent", "children", "root", "prec", "depth", "dead", "substituted")
 
     def __init__(self, vid, parent, depth, root, prec):
         self.vid = vid
@@ -61,6 +61,11 @@ class Vertex:
         self.prec = prec
         self.depth = depth
         self.dead = False
+        # f_{depth+1..n} with x_1..x_depth replaced by the branch's roots,
+        # filled on first use.  A vertex's root never changes after it is
+        # created (reinforce replaces vertices by copies, which start empty
+        # and refill from their new parent), so the cache is never invalidated.
+        self.substituted = None
 
 
 class PolygonEvent:
@@ -95,6 +100,7 @@ class RootTree:
         self._next_id = 0
         self.vertices = {}
         root = self._new_vertex(parent=None, depth=0, root=None, prec=Fraction(0))
+        root.substituted = system.polys
         self.root_id = root.vid
 
     # -- construction helpers -------------------------------------------------
@@ -115,6 +121,14 @@ class RootTree:
         chain.reverse()
         return chain
 
+    def _substituted(self, v):
+        """The vertex's cached f_{d+1..n}; a child puts its one root into its parent's."""
+        if v.substituted is None:
+            value = v.root.as_mpoly(self.field, self.n)
+            above = self._substituted(self.vertices[v.parent])
+            v.substituted = tuple(g.substitute(v.depth - 1, value) for g in above[1:])
+        return v.substituted
+
     # -- the two tree-changing operations -------------------------------------
 
     def extension_polynomial(self, vid) -> UPoly:
@@ -123,9 +137,8 @@ class RootTree:
         k = v.depth
         if k >= self.n:
             raise ValueError("the branch is already full length")
-        values = [b.root.as_ucoeff(self.field, self.n) for b in self.branch(vid)]
         try:
-            return compose(self.system.polys[k], values, k)
+            return compose(self._substituted(v)[0], (), k)
         except ZeroSubstitutionError as exc:
             exc.args = ("f%d vanishes on the branch: %s" % (k + 1, exc),)
             raise
@@ -141,22 +154,22 @@ class RootTree:
         k = v.depth
         if k < 1:
             raise ValueError("the tree root carries no root to reinforce")
-        chain = self.branch(vid)
-        values = [b.root.as_ucoeff(self.field, self.n) for b in chain[:-1]]
         try:
-            composed = compose(self.system.polys[k - 1], values, k - 1)
+            composed = compose(self._substituted(self.vertices[v.parent])[0], (), k - 1)
         except ZeroSubstitutionError as exc:
             exc.args = ("f%d vanishes on the branch: %s" % (k, exc),)
             raise
         return composed.shift_substitute(v.root.known_scalar(self.field), 0)
 
-    def grow(self, vid, ext=None):
+    def grow(self, vid, ext=None, polygon=None):
         """Attach one child per tropical point of the extension polynomial."""
         v = self.vertices[vid]
         if ext is None:
             ext = self.extension_polynomial(vid)
+        if polygon is None:
+            polygon = newton_polygon(ext)
         self.grow_count += 1
-        points = newton_polygon(ext).tropical_points()
+        points = polygon.tropical_points()
         if not points:
             v.dead = True
             return
@@ -212,15 +225,18 @@ class RootTree:
 
         root = target_vertex.root
         reinf = self.reinforcement_polynomial(target_vertex.vid)
-        self._log_polygon("reinforcement f%d at vertex %d" % (l + 1, target_vertex.vid), reinf)
-        corrections = self._corrections(reinf, root, target, l + 1)
+        polygon = newton_polygon(reinf)
+        self._log_polygon(
+            "reinforcement f%d at vertex %d" % (l + 1, target_vertex.vid), reinf, polygon
+        )
+        corrections = self._corrections(reinf, polygon, root, target, l + 1)
         refined = sorted(
             {self._merge_root(root, corr) for corr in corrections},
             key=lambda r: r.sort_key(),
         )
         self._replace_subtree(target_vertex, refined)
 
-    def _corrections(self, reinf: UPoly, root: ApproxRoot, target, findex):
+    def _corrections(self, reinf: UPoly, polygon, root: ApproxRoot, target, findex):
         """Expansions of the reinforcement polynomial past the root's tail.
 
         Roots with a known prefix keep their valuation whatever the
@@ -229,11 +245,11 @@ class RootTree:
         exponent itself is (higher points belong to sibling branches).
         """
         w_r = root.tail
-        if not is_unique(reinf):
+        if not is_unique(reinf, polygon):
             # cannot trust any tropical point; record the bookkeeping and
             # let the driver try again with better ancestor precision
             return {ApproxRoot(root.index, (), w_r)}
-        points = newton_polygon(reinf).tropical_points()
+        points = polygon.tropical_points()
         if root.known:
             admissible = sorted(w for w in points if w >= w_r)
         else:
@@ -295,11 +311,12 @@ class RootTree:
         if leaf is None:
             return False
         ext = self.extension_polynomial(leaf.vid)
+        polygon = newton_polygon(ext)
         self._log_polygon(
-            "extension f%d at vertex %d" % (leaf.depth + 1, leaf.vid), ext
+            "extension f%d at vertex %d" % (leaf.depth + 1, leaf.vid), ext, polygon
         )
-        if is_unique(ext):
-            self.grow(leaf.vid, ext)
+        if is_unique(ext, polygon):
+            self.grow(leaf.vid, ext, polygon)
         else:
             self.reinforce(leaf.vid)
         return True
@@ -334,10 +351,9 @@ class RootTree:
 
     # -- reporting ---------------------------------------------------------------
 
-    def _log_polygon(self, label, poly: UPoly):
-        if not self.record_polygons or poly.is_zero():
+    def _log_polygon(self, label, poly: UPoly, polygon):
+        if not self.record_polygons:
             return
-        polygon = newton_polygon(poly)
         labels = [
             format_residue_terms(poly.coeffs[j].initial_terms())
             for j, _ in polygon.vertices

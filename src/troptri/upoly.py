@@ -173,6 +173,10 @@ class MPoly:
                 out = out + MPoly(self.field, self.nvars, {tuple(rest): value})
         return out
 
+    def substitute(self, index, value):
+        """Put the K[u] element ``value`` in for variable ``index`` (Horner's rule)."""
+        return UPoly.from_mpoly(self, index).evaluate(value)
+
     def __eq__(self, other):
         return (
             isinstance(other, MPoly)
@@ -248,10 +252,15 @@ class UPoly:
         return cls(field, nvars, var, {degree: coeff})
 
     @classmethod
-    def from_ucoeff(cls, field, nvars, var, coeff):
-        if coeff.is_zero():
-            return cls(field, nvars, var, {})
-        return cls(field, nvars, var, {0: coeff})
+    def from_mpoly(cls, f: MPoly, var):
+        """f as a polynomial in variable ``var`` over its other variables."""
+        coeffs = {}
+        for deg, scalar in f.terms.items():
+            rest = deg[:var] + (0,) + deg[var + 1:]
+            coeffs.setdefault(deg[var], {})[rest] = scalar
+        return cls(f.field, f.nvars, var, {
+            j: MPoly(f.field, f.nvars, terms) for j, terms in coeffs.items()
+        })
 
     def is_zero(self):
         return not self.coeffs
@@ -328,10 +337,10 @@ class UPoly:
             acc = acc * lin
             c = self.coeffs.get(j)
             if c is not None:
-                acc = acc + UPoly.from_ucoeff(self.field, self.nvars, self.var, c)
+                acc = acc + UPoly.x_power(self.field, self.nvars, self.var, 0, c)
         return acc
 
-    def evaluate_ucoeff(self, value: MPoly) -> MPoly:
+    def evaluate(self, value: MPoly) -> MPoly:
         """Substitute a K[u] element for the x-variable."""
         if self.is_zero():
             return MPoly.zero(self.field, self.nvars)
@@ -385,37 +394,20 @@ def compose(f: MPoly, values, target: int) -> UPoly:
     """Substitute K[u] values for x_1..x_k and keep x_{target} univariate.
 
     ``values`` supplies one K[u] MPoly per substituted coordinate (index 0
-    up to target-1); coordinate ``target`` survives as the polynomial
-    variable.  Raises ZeroSubstitutionError when everything cancels,
-    which flags a degenerate input system.
+    up to target-1), put in one coordinate at a time by ``MPoly.substitute``;
+    coordinate ``target`` survives as the polynomial variable, so with no
+    values this only reads f out in x_{target}.  Raises
+    ZeroSubstitutionError when everything cancels, which flags a
+    degenerate input system.
     """
-    field, nvars = f.field, f.nvars
-    powers = [dict() for _ in range(len(values))]
-
-    def value_power(i, e):
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = values[i] ** e
-        return cache[e]
-
-    acc = {}
-    for deg, scalar in f.terms.items():
-        for i, e in enumerate(deg):
-            if e and i > target:
-                raise ValueError("polynomial uses x%d beyond the kept coordinate x%d" % (i + 1, target + 1))
-        piece = MPoly.constant(field, nvars, scalar)
-        for i in range(min(len(values), len(deg))):
-            if deg[i]:
-                piece = piece * value_power(i, deg[i])
-        j = deg[target]
-        if j in acc:
-            acc[j] = acc[j] + piece
-        else:
-            acc[j] = piece
-    coeffs = {j: c for j, c in acc.items() if not c.is_zero()}
-    if not coeffs:
+    beyond = [i for i in f.variables() if i > target]
+    if beyond:
+        raise ValueError("polynomial uses x%d beyond the kept coordinate x%d" % (min(beyond) + 1, target + 1))
+    for i, value in enumerate(values):
+        f = f.substitute(i, value)
+    if f.is_zero():
         raise ZeroSubstitutionError("substitution produced the zero polynomial")
-    return UPoly(field, nvars, target, coeffs)
+    return UPoly.from_mpoly(f, target)
 
 
 class InitialForm:

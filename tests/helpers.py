@@ -9,6 +9,7 @@ from troptri import (
     RationalField,
     TriangularSystem,
     UPoly,
+    ZeroSubstitutionError,
 )
 
 QQ = RationalField()
@@ -65,6 +66,30 @@ def mconst(nvars, scalar, field=QQ):
     return MPoly.constant(field, nvars, scalar)
 
 
+def compose_naive(f, values, target):
+    """``compose`` by the product-of-powers rule, term by term.
+
+    An oracle independent of the engine's one-coordinate Horner kernel:
+    each term of f becomes its scalar times the product of the values'
+    powers, and the pieces are summed per power of x_{target}.
+    """
+    field, nvars = f.field, f.nvars
+    acc = {}
+    for deg, scalar in f.terms.items():
+        if any(e and i > target for i, e in enumerate(deg)):
+            raise ValueError("polynomial uses a coordinate beyond x%d" % (target + 1))
+        piece = MPoly.constant(field, nvars, scalar)
+        for i, value in enumerate(values):
+            if deg[i]:
+                piece = piece * value ** deg[i]
+        j = deg[target]
+        acc[j] = acc[j] + piece if j in acc else piece
+    coeffs = {j: c for j, c in acc.items() if not c.is_zero()}
+    if not coeffs:
+        raise ZeroSubstitutionError("substitution produced the zero polynomial")
+    return UPoly(field, nvars, target, coeffs)
+
+
 def root(index, known, tail):
     """ApproxRoot from (exponent, int coeff) pairs and a tail exponent or None."""
     terms = tuple((Fraction(e), QQ.from_int(c)) for e, c in known)
@@ -76,7 +101,7 @@ def paper_f1(nvars=1, var=0):
     x = UPoly.x_power(QQ, nvars, var)
     r1 = ps((0, 1), (2, 1))
     r2 = ps((0, 1), (1, 1), (2, 1))
-    as_poly = lambda s: UPoly.from_ucoeff(QQ, nvars, var, MPoly.constant(QQ, nvars, s))
+    as_poly = lambda s: UPoly.x_power(QQ, nvars, var, 0, MPoly.constant(QQ, nvars, s))
     return (x - as_poly(r1)) * (x - as_poly(r2))
 
 
@@ -86,7 +111,7 @@ def paper_f2_tilde(nvars=2):
     t2u1 = MPoly.variable(QQ, nvars, 0, tp(2))
     a = uconst(nvars, tp(1)) + t2u1
     b = uconst(nvars, ps((0, 1), (1, 1))) + t2u1
-    lift = lambda c: UPoly.from_ucoeff(QQ, nvars, 1, c)
+    lift = lambda c: UPoly.x_power(QQ, nvars, 1, 0, c)
     return (x2 - lift(a)) * (x2 - lift(b))
 
 

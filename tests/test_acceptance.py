@@ -271,4 +271,4 @@ def _random_root_value(rng, index, nvars=3):
         known = [] if rng.random() < 0.5 else [(0, rng.choice([1, 2, -1]))]
         tail = Fraction(rng.randint(1 if known else 0, 2))
         r = root(index, known, tail)
-    return r.as_ucoeff(QQ, nvars)
+    return r.as_mpoly(QQ, nvars)

@@ -77,6 +77,17 @@ def test_exit_code_non_triangular(tmp_path):
     assert code == 4
 
 
+def test_exit_code_non_utf8_input(tmp_path, capsys):
+    src = tmp_path / "system.txt"
+    src.write_bytes(b"\xff\xfe ring")
+    code = main(["--input", str(src)])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: cannot read input: ")
+    assert err.count("\n") == 1
+
+
 def test_exit_code_non_splitting(tmp_path):
     text = "ring x1 x2\npoly x1^2 - 2\npoly x2 - x1 + 1\n"
     code, out, err = run_cli(tmp_path, text)

@@ -58,7 +58,7 @@ def test_expansion_continues_past_exact_hit():
     # (x - 1)(x - 1 - t)(x - 1 - t^2): recentering at 1 zeroes the constant
     # term, yet the other two roots extend the same prefix
     x = UPoly.x_power(QQ, 1, 0)
-    lift = lambda s: UPoly.from_ucoeff(QQ, 1, 0, uconst(1, s))
+    lift = lambda s: UPoly.x_power(QQ, 1, 0, 0, uconst(1, s))
     f = (x - lift(const(1))) * (x - lift(ps((0, 1), (1, 1)))) * (x - lift(ps((0, 1), (2, 1))))
     got = puiseux_expansion(f, 0, 5)
     assert got == {
@@ -177,7 +177,7 @@ def _factored_poly(rng):
     x = UPoly.x_power(QQ, 1, 0)
     f = upoly(1, 0, {0: const(1)})
     for r in roots:
-        f = f * (x - UPoly.from_ucoeff(QQ, 1, 0, uconst(1, r)))
+        f = f * (x - UPoly.x_power(QQ, 1, 0, 0, uconst(1, r)))
     true_roots = [root(0, [(e, int(c) if c.denominator == 1 else c) for e, c in r.terms], None) for r in roots]
     return f, true_roots
 

@@ -110,7 +110,7 @@ def test_ufree_polygons_track_factored_roots():
         f = UPoly.from_coeffs(QQ, 1, 0, [(0, uconst(1, const(1)))])
         f = upoly(1, 0, {0: const(1)})
         for r in roots:
-            f = f * (x - UPoly.from_ucoeff(QQ, 1, 0, uconst(1, r)))
+            f = f * (x - UPoly.x_power(QQ, 1, 0, 0, uconst(1, r)))
         assert is_unique(f)
         got = newton_polygon(f).tropical_points()
         assert got == {r.valuation() for r in roots}

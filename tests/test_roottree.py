@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     QQ,
     close_roots_system,
+    compose_naive,
     const,
     mconst,
     mpoly,
@@ -303,3 +304,67 @@ def test_random_oracle_systems_small():
     for _ in range(25):
         system, expected = random_system_with_expected_points(rng)
         assert trop_triangular(system) == expected
+
+
+# -- the per-vertex substitution cache -----------------------------------------
+
+
+def _branch_values(tree, vid):
+    return [b.root.as_mpoly(tree.field, tree.n) for b in tree.branch(vid)]
+
+
+def _finished_trees():
+    from oracle_systems import random_system_with_expected_points
+
+    rng = random.Random(424242)
+    trees = [
+        RootTree(close_roots_system(), 2, 2),
+        RootTree(close_roots_system(), 1, 32),
+        RootTree(three_var_system(), 1, 32),
+    ]
+    trees += [RootTree(random_system_with_expected_points(rng)[0], 1, 32) for _ in range(25)]
+    return [tree.run() for tree in trees]
+
+
+def test_cached_polynomials_match_the_naive_substitution():
+    checked = 0
+    for tree in _finished_trees():
+        polys = tree.system.polys
+        for v in tree.vertices.values():
+            if v.dead:
+                continue
+            values = _branch_values(tree, v.vid)
+            k = v.depth
+            if k < tree.n:
+                assert tree.extension_polynomial(v.vid) == compose_naive(polys[k], values, k)
+                checked += 1
+            if k >= 1:
+                naive = compose_naive(polys[k - 1], values[:-1], k - 1)
+                expected = naive.shift_substitute(v.root.known_scalar(tree.field), 0)
+                assert tree.reinforcement_polynomial(v.vid) == expected
+                checked += 1
+    assert checked > 200
+
+
+def test_copied_descendants_extend_with_the_new_root():
+    # f3 uses x1 directly, so a depth-2 copy must see the refined x1 root
+    x1, x2, x3 = xvar(3, 0), xvar(3, 1), xvar(3, 2)
+    f1 = (x1 - mconst(3, ps((0, 1), (1, 1)))) * (x1 - mconst(3, ps((0, 1), (1, 1), (2, 1))))
+    f2 = x2 - x1 + mconst(3, const(1))
+    f3 = x3 - x1 * x2
+    tree = RootTree(TriangularSystem([f1, f2, f3]), 1, 8)
+    tree.grow(tree.root_id)
+    (child,) = tree.vertices[tree.root_id].children
+    tree.grow(child)
+    (grandchild,) = tree.vertices[child].children
+    old = {1: tree.extension_polynomial(child), 2: tree.extension_polynomial(grandchild)}
+
+    tree.reinforce(child)
+    (copy,) = tree.vertices[tree.root_id].children
+    assert tree.vertices[copy].root == root(0, [(0, 1)], 1)
+    (copied_grandchild,) = tree.vertices[copy].children
+    for vid in (copy, copied_grandchild):
+        k = tree.vertices[vid].depth
+        ext = tree.extension_polynomial(vid)
+        assert ext == compose_naive(tree.system.polys[k], _branch_values(tree, vid), k)
+        assert ext != old[k]

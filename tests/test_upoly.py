@@ -4,8 +4,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import QQ, const, mconst, mpoly, paper_f2_tilde, ps, root, tp, uc, uconst, upoly, xvar
+from helpers import (
+    QQ,
+    compose_naive,
+    const,
+    mconst,
+    mpoly,
+    paper_f2_tilde,
+    ps,
+    root,
+    tp,
+    uc,
+    uconst,
+    upoly,
+    xvar,
+)
 from troptri import (
     MPoly,
     UPoly,
@@ -84,14 +100,14 @@ def test_compose_direct_substitution():
     # f2 = x2 - (x1 - 1 - t) composed with the bare tail for x1
     f2 = xvar(2, 1) - xvar(2, 0) + mconst(2, ps((0, 1), (1, 1)))
     bare = root(0, [], 0)  # u1
-    g = compose(f2, [bare.as_ucoeff(QQ, 2)], 1)
+    g = compose(f2, [bare.as_mpoly(QQ, 2)], 1)
     assert g == upoly(2, 1, {1: const(1), 0: uc(2, (const(-1), (1, 0)), (ps((0, 1), (1, 1)), (0, 0)))})
 
 
 def test_compose_with_refined_root():
     f2 = xvar(2, 1) - xvar(2, 0) + mconst(2, ps((0, 1), (1, 1)))
     refined = root(0, [(0, 1), (1, 1)], 2)  # 1 + t + u1 t^2
-    g = compose(f2, [refined.as_ucoeff(QQ, 2)], 1)
+    g = compose(f2, [refined.as_mpoly(QQ, 2)], 1)
     assert g == upoly(2, 1, {1: const(1), 0: uc(2, (tp(2, -1), (1, 0)))})
 
 
@@ -104,10 +120,58 @@ def test_compose_empty_root_sequence():
 def test_compose_zero_result():
     f2 = xvar(2, 1) - xvar(2, 0)
     exact = root(0, [(0, 1)], None)
-    value = exact.as_ucoeff(QQ, 2)
+    value = exact.as_mpoly(QQ, 2)
     f = xvar(2, 1) - xvar(2, 1)  # zero polynomial
     with pytest.raises(ZeroSubstitutionError):
         compose(f, [value], 1)
+
+
+def test_compose_rejects_coordinates_beyond_the_kept_one():
+    f = xvar(3, 2) - xvar(3, 0)
+    with pytest.raises(ValueError, match="uses x3 beyond the kept coordinate x2"):
+        compose(f, [root(0, [(0, 1)], 1).as_mpoly(QQ, 3)], 1)
+
+
+_EXPONENTS = st.fractions(min_value=-2, max_value=3, max_denominator=2)
+_COEFFS = st.sampled_from([1, 2, 3, -1, -2, -3])
+
+
+@st.composite
+def _compose_cases(draw):
+    """A sparse f in x_1..x_{k+1} of 2-4 variables, and k random root values."""
+    nvars = draw(st.integers(2, 4))
+    k = draw(st.integers(0, nvars - 1))
+    degrees = st.tuples(*[st.integers(0, 2)] * (k + 1)).map(lambda d: d + (0,) * (nvars - k - 1))
+    scalars = st.lists(st.tuples(_EXPONENTS, _COEFFS), min_size=1, max_size=2).map(
+        lambda pairs: ps(*pairs)
+    )
+    f = MPoly.from_terms(QQ, nvars, draw(st.dictionaries(degrees, scalars, max_size=5)).items())
+    values = []
+    for i in range(k):
+        exps = sorted(draw(st.sets(_EXPONENTS, max_size=2)))
+        known = [(e, draw(_COEFFS)) for e in exps]
+        if known:
+            last = exps[-1]
+            tails = st.fractions(min_value=last, max_value=4, max_denominator=2)
+            tail = draw(st.none() | tails.filter(lambda w: w > last))
+        else:
+            tail = draw(st.fractions(min_value=-2, max_value=4, max_denominator=2))
+        values.append(root(i, known, tail).as_mpoly(QQ, nvars))
+    return f, values, k
+
+
+def _compose_outcome(fn, f, values, k):
+    try:
+        return fn(f, values, k)
+    except ZeroSubstitutionError:
+        return "zero"
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_compose_cases())
+def test_compose_matches_the_naive_substitution(case):
+    f, values, k = case
+    assert _compose_outcome(compose, f, values, k) == _compose_outcome(compose_naive, f, values, k)
 
 
 def test_shift_substitute_identity():
@@ -280,4 +344,4 @@ def _random_root_value(rng, index, nvars=3):
         known = [] if rng.random() < 0.5 else [(0, rng.choice([1, 2, -1]))]
         tail = Fraction(rng.randint(0 if not known else 1, 2))
         r = root(index, known, tail)
-    return r.as_ucoeff(QQ, nvars)
+    return r.as_mpoly(QQ, nvars)
