@@ -98,7 +98,7 @@ class ApproxRoot:
         return " + ".join(bits) if bits else "0"
 
 
-def puiseux_expansion(f: UPoly, w, p_rel, max_depth: int = DEFAULT_MAX_DEPTH) -> set:
+def puiseux_expansion(f: UPoly, w, p_rel, max_depth: int = DEFAULT_MAX_DEPTH) -> dict:
     """All approximate roots of f with valuation w.
 
     Each returned root is either exact, or truncated with relative
@@ -106,6 +106,11 @@ def puiseux_expansion(f: UPoly, w, p_rel, max_depth: int = DEFAULT_MAX_DEPTH) ->
     variable blocks any further digit (maximal precision).  Requires a
     polygon that is immune to tail substitutions and a target valuation
     w that the polygon actually offers.
+
+    The result maps each root to the polynomial its expansion stopped
+    at: f recentered at the root's known terms (f itself when it has
+    none), or None for an exact root, which needs none.  Refining the
+    root later resumes from that polynomial.
     """
     if f.is_zero():
         raise ZeroPolynomialError("cannot expand roots of the zero polynomial")
@@ -117,22 +122,22 @@ def puiseux_expansion(f: UPoly, w, p_rel, max_depth: int = DEFAULT_MAX_DEPTH) ->
     return _expand(f, w, Fraction(p_rel), 0, max_depth)
 
 
-def _expand(f: UPoly, w, p_rel, depth, max_depth) -> set:
+def _expand(f: UPoly, w, p_rel, depth, max_depth) -> dict:
     if depth > max_depth:
         raise RecursionLimitError("expansion exceeded %d recursion levels" % max_depth)
     field = f.field
     i = f.var
-    bare = {ApproxRoot(i, (), w)}
+    bare = {ApproxRoot(i, (), w): f}
     h = initial_form(f, w)
     if p_rel <= 0 or h.contains_u():
         return bare
-    out = set()
+    out = {}
     for c in sorted(roots_in_units(h.residue_poly()), key=field.sort_key):
         shifted = f.shift_substitute(PuiseuxScalar.t_power(field, w, c), 0)
         if not is_unique(shifted):
             return bare
         if shifted.constant_coeff().is_zero():
-            out.add(ApproxRoot(i, ((w, c),), None))
+            out[ApproxRoot(i, ((w, c),), None)] = None
         higher = sorted(
             w2 for w2 in newton_polygon(shifted).tropical_points() if w2 > w
         )
@@ -142,8 +147,8 @@ def _expand(f: UPoly, w, p_rel, depth, max_depth) -> set:
             # exponent gain reaches p_rel
             budget = p_rel - (higher[0] - w)
             for w2 in higher:
-                for sub in _expand(shifted, w2, budget, depth + 1, max_depth):
-                    out.add(sub.with_prefix(w, c))
+                for sub, g in _expand(shifted, w2, budget, depth + 1, max_depth).items():
+                    out[sub.with_prefix(w, c)] = g
     return out
 
 

@@ -51,7 +51,9 @@ class TriangularSystem:
 
 
 class Vertex:
-    __slots__ = ("vid", "parent", "children", "root", "prec", "depth", "dead", "substituted")
+    __slots__ = (
+        "vid", "parent", "children", "root", "prec", "depth", "dead", "substituted", "recentered",
+    )
 
     def __init__(self, vid, parent, depth, root, prec):
         self.vid = vid
@@ -62,10 +64,15 @@ class Vertex:
         self.depth = depth
         self.dead = False
         # f_{depth+1..n} with x_1..x_depth replaced by the branch's roots,
-        # filled on first use.  A vertex's root never changes after it is
-        # created (reinforce replaces vertices by copies, which start empty
-        # and refill from their new parent), so the cache is never invalidated.
+        # each entry filled on first use.  A vertex's root never changes
+        # after it is created (reinforce replaces vertices by copies, which
+        # start empty and refill from their new parent), so the cache is
+        # never invalidated.
         self.substituted = None
+        # f_depth recentered at the root's known terms, when the expansion
+        # that produced the root handed it over; set only on vertices that
+        # reinforce created directly, whose parent is the one it was built on
+        self.recentered = None
 
 
 class PolygonEvent:
@@ -100,7 +107,7 @@ class RootTree:
         self._next_id = 0
         self.vertices = {}
         root = self._new_vertex(parent=None, depth=0, root=None, prec=Fraction(0))
-        root.substituted = system.polys
+        root.substituted = list(system.polys)
         self.root_id = root.vid
 
     # -- construction helpers -------------------------------------------------
@@ -121,13 +128,16 @@ class RootTree:
         chain.reverse()
         return chain
 
-    def _substituted(self, v):
-        """The vertex's cached f_{d+1..n}; a child puts its one root into its parent's."""
+    def _substituted(self, v, i=0):
+        """The vertex's cached f_{d+1+i}; a child puts its one root into its parent's."""
         if v.substituted is None:
-            value = v.root.as_mpoly(self.field, self.n)
-            above = self._substituted(self.vertices[v.parent])
-            v.substituted = tuple(g.substitute(v.depth - 1, value) for g in above[1:])
-        return v.substituted
+            v.substituted = [None] * (self.n - v.depth)
+        g = v.substituted[i]
+        if g is None:
+            above = self._substituted(self.vertices[v.parent], i + 1)
+            g = above.substitute(v.depth - 1, v.root.as_mpoly(self.field, self.n))
+            v.substituted[i] = g
+        return g
 
     # -- the two tree-changing operations -------------------------------------
 
@@ -138,7 +148,7 @@ class RootTree:
         if k >= self.n:
             raise ValueError("the branch is already full length")
         try:
-            return compose(self._substituted(v)[0], (), k)
+            return compose(self._substituted(v), (), k)
         except ZeroSubstitutionError as exc:
             exc.args = ("f%d vanishes on the branch: %s" % (k + 1, exc),)
             raise
@@ -148,17 +158,22 @@ class RootTree:
 
         Ancestors contribute their full roots (tails included); the
         vertex's own root contributes only its known prefix, so the
-        polynomial's roots are exactly the possible corrections.
+        polynomial's roots are exactly the possible corrections.  A vertex
+        made by ``reinforce`` already holds it from its expansion.
         """
         v = self.vertices[vid]
         k = v.depth
         if k < 1:
             raise ValueError("the tree root carries no root to reinforce")
+        if v.recentered is not None:
+            return v.recentered
         try:
-            composed = compose(self._substituted(self.vertices[v.parent])[0], (), k - 1)
+            composed = compose(self._substituted(self.vertices[v.parent]), (), k - 1)
         except ZeroSubstitutionError as exc:
             exc.args = ("f%d vanishes on the branch: %s" % (k, exc),)
             raise
+        if not v.root.known:
+            return composed
         return composed.shift_substitute(v.root.known_scalar(self.field), 0)
 
     def grow(self, vid, ext=None, polygon=None):
@@ -189,7 +204,9 @@ class RootTree:
         precision (else the branch head), expands corrections past the
         root's known prefix, and replaces the vertex (subtree copied per
         correction).  Raises PrecisionLimitError when the branch head's
-        precision would exceed the safeguard.
+        precision would exceed the safeguard, or when the reinforcement
+        would leave the tree as it was: the driver is deterministic, so it
+        would repeat that reinforcement forever.
         """
         chain = self.branch(vid)
         if not chain:
@@ -209,6 +226,7 @@ class RootTree:
             uncertain = [idx for idx in range(len(chain)) if not chain[idx].root.is_exact]
             l = uncertain[0]  # reachable only through uncertain ancestors
         target_vertex = chain[l]
+        old_prec = target_vertex.prec
         if l == 0 and not chain[0].root.is_exact:
             new_prec = head_prec + self.p_step
             if new_prec > self.p_max:
@@ -231,9 +249,15 @@ class RootTree:
         )
         corrections = self._corrections(reinf, polygon, root, target, l + 1)
         refined = sorted(
-            {self._merge_root(root, corr) for corr in corrections},
-            key=lambda r: r.sort_key(),
+            ((self._merge_root(root, corr), g) for corr, g in corrections.items()),
+            key=lambda pair: pair[0].sort_key(),
         )
+        if target_vertex.prec == old_prec and [r for r, _ in refined] == [root]:
+            raise PrecisionLimitError(
+                "reinforcing f%d at vertex %d gains no precision within the bound %s"
+                % (l + 1, target_vertex.vid, self.p_max),
+                source="f%d" % (l + 1),
+            )
         self._replace_subtree(target_vertex, refined)
 
     def _corrections(self, reinf: UPoly, polygon, root: ApproxRoot, target, findex):
@@ -248,34 +272,39 @@ class RootTree:
         if not is_unique(reinf, polygon):
             # cannot trust any tropical point; record the bookkeeping and
             # let the driver try again with better ancestor precision
-            return {ApproxRoot(root.index, (), w_r)}
+            return {ApproxRoot(root.index, (), w_r): reinf}
         points = polygon.tropical_points()
         if root.known:
             admissible = sorted(w for w in points if w >= w_r)
         else:
             admissible = [w for w in points if w == w_r]
-        out = set()
+        out = {}
         w0 = root.valuation()
         for w in admissible:
             budget = target - (w - w0)
             try:
-                out |= puiseux_expansion(reinf, w, budget, self.max_depth)
+                out.update(puiseux_expansion(reinf, w, budget, self.max_depth))
             except NonSplittingError as exc:
                 exc.source = exc.source or "f%d" % findex
                 raise
         if not out:
-            out = {ApproxRoot(root.index, (), w_r)}
+            out = {ApproxRoot(root.index, (), w_r): reinf}
         return out
 
     @staticmethod
     def _merge_root(root: ApproxRoot, corr: ApproxRoot) -> ApproxRoot:
         return ApproxRoot(root.index, root.known + corr.known, corr.tail)
 
-    def _replace_subtree(self, vertex, refined_roots):
+    def _replace_subtree(self, vertex, refined):
+        """Replace the vertex by one copy per (root, recentered polynomial) pair."""
         parent = self.vertices[vertex.parent]
         parent.children.remove(vertex.vid)
-        for new_root in refined_roots:
-            parent.children.append(self._copy_subtree(vertex, parent.vid, new_root))
+        for new_root, recentered in refined:
+            copy_id = self._copy_subtree(vertex, parent.vid, new_root)
+            # the copy keeps the vertex's parent, which the polynomial was built on;
+            # copies further down have new ancestors and start without one
+            self.vertices[copy_id].recentered = recentered
+            parent.children.append(copy_id)
         self._drop_subtree(vertex.vid)
 
     def _drop_subtree(self, vid):

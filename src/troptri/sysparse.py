@@ -11,11 +11,13 @@ constants, the coordinates x1..xn, and t.  Fractional or negative
 exponents are allowed on t only and are written t^(p/q) or t^-1.
 Identifiers starting with 'u' are reserved for the engine's tail
 variables and rejected.  The i-th poly line may use x1..xi only and must
-use xi.
+use xi.  A power whose expansion would pass MAX_POWER_SIZE is rejected
+before it is computed.
 """
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .errors import NonTriangularError, ParseError, ReservedIdentifierError
 from .puiseux import PuiseuxScalar
@@ -23,6 +25,14 @@ from .rationals import format_rat
 from .residue import PrimeField, RationalField
 from .roottree import TriangularSystem
 from .upoly import MPoly, format_monomial
+
+# Largest power the parser expands.  The size of base^e is its term bound
+# C(e + k - 1, k - 1) for a base of k >= 2 terms (one term: an x-monomial
+# times one power of t), and e itself for a single term or a constant, since
+# the degree is what later work grows with.  At the limit one power takes
+# at most about 1.4 s to expand ((7/3*x1 + 5/11)^255, 256 terms, on a 2.1 GHz
+# Xeon); (x1 + 1)^200000 would run for hours.
+MAX_POWER_SIZE = 256
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^/]))")
 
@@ -113,11 +123,19 @@ class _ExprParser:
         base, base_kind = self.atom()
         if self.toks.peek() != "^":
             return base
-        self.toks.next()
+        _, col = self.toks.next()
         if base_kind == "t":
             exp = self.signed_rational_exponent()
             return MPoly.constant(self.field, self.nvars, PuiseuxScalar.t_power(self.field, exp))
         exp = self.natural_exponent()
+        k = sum(len(s.terms) for s in base.terms.values())
+        if exp > MAX_POWER_SIZE or (k >= 2 and comb(exp + k - 1, k - 1) > MAX_POWER_SIZE):
+            raise ParseError(
+                "power too large: exponent %s on a %d-term base exceeds the size limit %d"
+                % (exp, k, MAX_POWER_SIZE),
+                self.toks.line_no,
+                col,
+            )
         return base**exp
 
     def atom(self):
@@ -127,7 +145,7 @@ class _ExprParser:
             self.toks.expect(")")
             return value, "expr"
         if tok.isdigit():
-            value = self.rational_constant(int(tok))
+            value = self.rational_constant(self.integer(tok, col))
             return MPoly.constant(self.field, self.nvars, PuiseuxScalar.constant(self.field, value)), "num"
         if tok == "t":
             return MPoly.constant(self.field, self.nvars, PuiseuxScalar.t_power(self.field, 1)), "t"
@@ -137,7 +155,7 @@ class _ExprParser:
             )
         m = re.fullmatch(r"x(\d+)", tok)
         if m:
-            idx = int(m.group(1))
+            idx = self.integer(m.group(1), col)
             if not 1 <= idx <= self.nvars:
                 raise ParseError("unknown variable %r" % tok, self.toks.line_no, col)
             return MPoly.variable(self.field, self.nvars, idx - 1), "var"
@@ -146,15 +164,25 @@ class _ExprParser:
     def rational_constant(self, numerator):
         if self.toks.peek() == "/":
             self.toks.next()
-            tok, col = self.toks.next()
-            if not tok.isdigit() or int(tok) == 0:
-                raise ParseError("expected a nonzero denominator", self.toks.line_no, col)
-            value = Fraction(numerator, int(tok))
+            value = Fraction(numerator, self.nonzero_denominator())
         else:
             value = Fraction(numerator)
         return self.field.from_int(value.numerator) if value.denominator == 1 else self.field.div(
             self.field.from_int(value.numerator), self.field.from_int(value.denominator)
         )
+
+    def integer(self, digits, col) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            raise ParseError("the number has too many digits", self.toks.line_no, col) from None
+
+    def nonzero_denominator(self) -> int:
+        tok, col = self.toks.next()
+        den = self.integer(tok, col) if tok.isdigit() else 0
+        if den == 0:
+            raise ParseError("expected a nonzero denominator", self.toks.line_no, col)
+        return den
 
     def natural_exponent(self) -> int:
         tok, col = self.toks.next()
@@ -162,17 +190,17 @@ class _ExprParser:
             raise ParseError(
                 "fractional or negative exponents are only allowed on t", self.toks.line_no, col
             )
-        return int(tok)
+        return self.integer(tok, col)
 
     def signed_rational_exponent(self) -> Fraction:
         tok, col = self.toks.next()
         if tok.isdigit():
-            return Fraction(int(tok))
+            return Fraction(self.integer(tok, col))
         if tok == "-":
             tok, col = self.toks.next()
             if not tok.isdigit():
                 raise ParseError("expected an integer exponent", self.toks.line_no, col)
-            return Fraction(-int(tok))
+            return Fraction(-self.integer(tok, col))
         if tok == "(":
             sign = 1
             tok, col = self.toks.next()
@@ -181,14 +209,11 @@ class _ExprParser:
                 tok, col = self.toks.next()
             if not tok.isdigit():
                 raise ParseError("expected an integer numerator", self.toks.line_no, col)
-            num = int(tok)
+            num = self.integer(tok, col)
             den = 1
             if self.toks.peek() == "/":
                 self.toks.next()
-                tok, col = self.toks.next()
-                if not tok.isdigit() or int(tok) == 0:
-                    raise ParseError("expected a nonzero denominator", self.toks.line_no, col)
-                den = int(tok)
+                den = self.nonzero_denominator()
             self.toks.expect(")")
             return Fraction(sign * num, den)
         raise ParseError("expected an exponent", self.toks.line_no, col)
@@ -264,7 +289,10 @@ def _parse_header(header, line_no):
 
 
 def format_system(system: TriangularSystem) -> str:
-    """Render a system in the input format; reparsing gives an equal system."""
+    """Render a system in the input format.
+
+    Reparsing gives an equal system when no x-degree passes MAX_POWER_SIZE.
+    """
     field = system.field
     if isinstance(field, PrimeField):
         header = "ring %s fp:%d" % (" ".join("x%d" % (i + 1) for i in range(system.n)), field.p)

@@ -323,22 +323,24 @@ class UPoly:
         if self.is_zero():
             return UPoly(self.field, self.nvars, self.var, {})
         scale = Fraction(scale)
-        lin = UPoly.from_coeffs(
-            self.field,
-            self.nvars,
-            self.var,
-            [
-                (0, MPoly.constant(self.field, self.nvars, prefix)),
-                (1, MPoly.constant(self.field, self.nvars, PuiseuxScalar.t_power(self.field, scale))),
-            ],
-        )
-        acc = UPoly(self.field, self.nvars, self.var, {})
-        for j in range(self.degree(), -1, -1):
-            acc = acc * lin
-            c = self.coeffs.get(j)
-            if c is not None:
-                acc = acc + UPoly.x_power(self.field, self.nvars, self.var, 0, c)
-        return acc
+        zero = MPoly.zero(self.field, self.nvars)
+        a = [self.coeffs.get(j, zero) for j in range(self.degree() + 1)]
+        if not prefix.is_zero():
+            # Taylor shift by repeated synthetic division: pass i leaves the
+            # coefficient of x^i in f(x + prefix) in a[i]
+            d = len(a) - 1
+            for i in range(d):
+                for j in range(d - 1, i - 1, -1):
+                    if not a[j + 1].is_zero():
+                        a[j] = a[j] + a[j + 1].mul_scalar(prefix)
+        out = {}
+        for j, c in enumerate(a):
+            if c.is_zero():
+                continue
+            if scale and j:
+                c = MPoly(self.field, self.nvars, {deg: s.shift(scale * j) for deg, s in c.terms.items()})
+            out[j] = c
+        return UPoly(self.field, self.nvars, self.var, out)
 
     def evaluate(self, value: MPoly) -> MPoly:
         """Substitute a K[u] element for the x-variable."""

@@ -90,6 +90,29 @@ def compose_naive(f, values, target):
     return UPoly(field, nvars, target, coeffs)
 
 
+def shift_substitute_naive(f, prefix, scale):
+    """``UPoly.shift_substitute`` by Horner's rule over whole polynomials.
+
+    An oracle independent of the engine's in-place Taylor shift: f is
+    evaluated at the linear polynomial prefix + t^scale * x, with one
+    product of full UPolys per degree.
+    """
+    field, nvars, var = f.field, f.nvars, f.var
+    if f.is_zero():
+        return UPoly(field, nvars, var, {})
+    lin = UPoly.from_coeffs(field, nvars, var, [
+        (0, MPoly.constant(field, nvars, prefix)),
+        (1, MPoly.constant(field, nvars, PuiseuxScalar.t_power(field, Fraction(scale)))),
+    ])
+    acc = UPoly(field, nvars, var, {})
+    for j in range(f.degree(), -1, -1):
+        acc = acc * lin
+        c = f.coeffs.get(j)
+        if c is not None:
+            acc = acc + UPoly.x_power(field, nvars, var, 0, c)
+    return acc
+
+
 def root(index, known, tail):
     """ApproxRoot from (exponent, int coeff) pairs and a tail exponent or None."""
     terms = tuple((Fraction(e), QQ.from_int(c)) for e, c in known)

@@ -93,7 +93,7 @@ def test_criterion_2_reinforcement_counters():
 @criterion("3: worked expansion with both branch budgets")
 def test_criterion_3_worked_expansion():
     f = paper_f1()
-    got = puiseux_expansion(f, 0, 2)
+    got = set(puiseux_expansion(f, 0, 2))
     assert got == {
         root(0, [(0, 1), (2, 1)], None),   # exact
         root(0, [(0, 1), (1, 1)], 2),      # truncated at t^2
@@ -104,10 +104,10 @@ def test_criterion_3_worked_expansion():
     # branch below valuation 1 ran out at budget 0 (bare tail at t^2)
     f1_shift = f.shift_substitute(const(1), 0)
     assert f1_shift == upoly(1, 0, {2: const(1), 1: ps((1, -1), (2, -2)), 0: ps((3, 1), (4, 1))})
-    assert puiseux_expansion(f1_shift, 2, 1) == {root(0, [(2, 1)], None)}
+    assert set(puiseux_expansion(f1_shift, 2, 1)) == {root(0, [(2, 1)], None)}
     f11_shift = f1_shift.shift_substitute(tp(1), 0)
     assert f11_shift == upoly(1, 0, {2: const(1), 1: ps((1, 1), (2, -2)), 0: ps((3, -1), (4, 1))})
-    assert puiseux_expansion(f11_shift, 2, 0) == {root(0, [], 2)}
+    assert set(puiseux_expansion(f11_shift, 2, 0)) == {root(0, [], 2)}
 
 
 @criterion("4: predicate fixtures and coefficient-exact shifts")

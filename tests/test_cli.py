@@ -3,12 +3,14 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
 from helpers import QQ, const, ps, upoly, uc
 from troptri.cli import main
 from troptri.polygon import newton_polygon
+from troptri.roottree import RootTree
 from troptri.svg import polygon_svg
 
 THREE_VAR = """\
@@ -103,6 +105,90 @@ def test_exit_code_precision_limit(tmp_path):
     )
     code, out, err = run_cli(tmp_path, text, "--pstep", "1", "--pmax", "1")
     assert code == 3
+
+
+NO_PROGRESS = {
+    # the head x1 = 1 is exact, and the x2 root 1 + t + u2*t^40 cannot be
+    # refined within --pmax 32, so every reinforcement returns it unchanged
+    "exact-head": (
+        "ring x1 x2 x3\n"
+        "poly x1 - 1\n"
+        "poly (x2 - x1 - t)*(x2 - x1 - t - t^40)\n"
+        "poly x3 - x2 + 1 + t + 2*t^40\n"
+    ),
+    # the points are (0,1,2) (0,2,1), but the refined x1 roots get copies of
+    # a subtree grown for a sibling root (an open defect), and the run stalls
+    "copied-subtree": (
+        "ring x1 x2 x3\n"
+        "poly (x1 - 1 - t)*(x1 - 1 - t^2)\n"
+        "poly x2 - x1 + 1 - t^2\n"
+        "poly x3 - x2 + t - t^3\n"
+    ),
+}
+
+
+def _step_budget(monkeypatch, budget=500):
+    """Fail the test instead of hanging when the driver does not finish."""
+    step = RootTree.step
+    taken = []
+
+    def bounded(tree):
+        taken.append(None)
+        assert len(taken) <= budget, "no result after %d steps" % budget
+        return step(tree)
+
+    monkeypatch.setattr(RootTree, "step", bounded)
+
+
+@pytest.mark.parametrize("name", sorted(NO_PROGRESS))
+def test_no_progress_reinforcement_exits_3(tmp_path, monkeypatch, name):
+    _step_budget(monkeypatch)
+    code, out, err = run_cli(tmp_path, NO_PROGRESS[name])
+    assert code == 3
+    assert out == ""
+    assert re.fullmatch(
+        r"error: reinforcing f\d at vertex \d+ gains no precision within the bound 32\n", err
+    )
+
+
+def test_exact_head_system_finishes_with_a_higher_bound(tmp_path, monkeypatch):
+    _step_budget(monkeypatch)
+    code, out, err = run_cli(tmp_path, NO_PROGRESS["exact-head"], "--pmax", "64")
+    assert (code, out) == (0, "(0,0,40)\n")
+
+
+@pytest.mark.parametrize(
+    "power, col, message",
+    [
+        ("(x1+1)^200000", 17, "power too large: exponent 200000 on a 2-term base exceeds the size limit 256"),
+        ("x1^257", 13, "power too large: exponent 257 on a 1-term base exceeds the size limit 256"),
+        ("(x1+x2+1)^22", 20, "power too large: exponent 22 on a 3-term base exceeds the size limit 256"),
+    ],
+    ids=["binomial", "monomial", "trinomial"],
+)
+def test_oversized_power_exits_4(tmp_path, power, col, message):
+    code, out, err = run_cli(tmp_path, "ring x1 x2\npoly x1\npoly x2 - %s\n" % power)
+    assert code == 4
+    assert out == ""
+    assert err == "error: line 3, column %d: %s\n" % (col, message)
+
+
+@pytest.mark.parametrize(
+    "expr, col",
+    [("x1^" + "9" * 5000, 14), ("x1 - " + "7" * 5000, 16), ("x1 - t^(1/" + "7" * 5000 + ")", 21),
+     ("x" + "1" * 5000, 11)],
+    ids=["exponent", "constant", "t-exponent", "variable"],
+)
+def test_number_with_too_many_digits_exits_4(tmp_path, expr, col):
+    code, out, err = run_cli(tmp_path, "ring x1 x2\npoly x1\npoly x2 - %s\n" % expr)
+    assert code == 4
+    assert out == ""
+    assert err == "error: line 3, column %d: the number has too many digits\n" % col
+
+
+def test_power_at_the_size_limit_is_expanded(tmp_path):
+    code, out, err = run_cli(tmp_path, "ring x1\npoly x1^256 - t\n")
+    assert (code, out) == (0, "(1/256)\n")
 
 
 def test_single_polynomial_runs_without_root_finding(tmp_path):

@@ -21,25 +21,25 @@ def test_worked_expansion_of_close_roots():
     # two roots agreeing in the constant term: one comes out exact, the
     # other truncated with its tail at t^2
     f = paper_f1()
-    got = puiseux_expansion(f, 0, 2)
+    got = set(puiseux_expansion(f, 0, 2))
     assert got == {root(0, [(0, 1), (2, 1)], None), root(0, [(0, 1), (1, 1)], 2)}
 
 
 def test_expansion_zero_budget_returns_bare_tail():
     f = paper_f1()
-    assert puiseux_expansion(f, 0, 0) == {root(0, [], 0)}
-    assert puiseux_expansion(f, 0, -1) == {root(0, [], 0)}
+    assert set(puiseux_expansion(f, 0, 0)) == {root(0, [], 0)}
+    assert set(puiseux_expansion(f, 0, -1)) == {root(0, [], 0)}
 
 
 def test_expansion_linear_exact():
     f = upoly(1, 0, {1: const(1), 0: tp(1, -1)})  # x - t
-    assert puiseux_expansion(f, 1, 5) == {root(0, [(1, 1)], None)}
+    assert set(puiseux_expansion(f, 1, 5)) == {root(0, [(1, 1)], None)}
 
 
 def test_expansion_stops_on_tail_variable_in_dominant_part():
     # x2 - t^2 u1: at weight 2 the dominant equation still contains u1
     f = upoly(2, 1, {1: const(1), 0: uc(2, (tp(2, -1), (1, 0)))})
-    assert puiseux_expansion(f, 2, 3) == {ApproxRoot(1, (), Fraction(2))}
+    assert set(puiseux_expansion(f, 2, 3)) == {ApproxRoot(1, (), Fraction(2))}
 
 
 def test_expansion_rejects_bad_target():
@@ -60,7 +60,7 @@ def test_expansion_continues_past_exact_hit():
     x = UPoly.x_power(QQ, 1, 0)
     lift = lambda s: UPoly.x_power(QQ, 1, 0, 0, uconst(1, s))
     f = (x - lift(const(1))) * (x - lift(ps((0, 1), (1, 1)))) * (x - lift(ps((0, 1), (2, 1))))
-    got = puiseux_expansion(f, 0, 5)
+    got = set(puiseux_expansion(f, 0, 5))
     assert got == {
         root(0, [(0, 1)], None),
         root(0, [(0, 1), (1, 1)], None),

@@ -14,6 +14,7 @@ from helpers import (
     mpoly,
     ps,
     root,
+    shift_substitute_naive,
     three_var_system,
     tp,
     uc,
@@ -368,3 +369,28 @@ def test_copied_descendants_extend_with_the_new_root():
         ext = tree.extension_polynomial(vid)
         assert ext == compose_naive(tree.system.polys[k], _branch_values(tree, vid), k)
         assert ext != old[k]
+        assert tree.reinforcement_polynomial(vid) == _naive_reinforcement_polynomial(tree, vid)
+
+    # a vertex made by reinforce keeps the polynomial its expansion stopped
+    # at; a copy further down has new ancestors and must build its own
+    assert tree.vertices[copy].recentered is not None
+    assert tree.vertices[copied_grandchild].recentered is None
+    tree.reinforce(copied_grandchild)  # stale below the refined x1 root
+    (refined_x2,) = tree.vertices[copy].children
+    assert tree.vertices[refined_x2].recentered is not None
+    tree.reinforce(refined_x2)  # the head again: refined_x2 is copied below each new x1 root
+    for x1_vid in tree.vertices[tree.root_id].children:
+        x1_vertex = tree.vertices[x1_vid]
+        assert (x1_vertex.recentered is None) == x1_vertex.root.is_exact
+        (x2_vid,) = x1_vertex.children
+        assert tree.vertices[x2_vid].recentered is None
+    for vid, v in tree.vertices.items():
+        if v.root is not None:
+            assert tree.reinforcement_polynomial(vid) == _naive_reinforcement_polynomial(tree, vid)
+
+
+def _naive_reinforcement_polynomial(tree, vid):
+    v = tree.vertices[vid]
+    k = v.depth
+    naive = compose_naive(tree.system.polys[k - 1], _branch_values(tree, vid)[:-1], k - 1)
+    return shift_substitute_naive(naive, v.root.known_scalar(tree.field), 0)

@@ -16,6 +16,7 @@ from helpers import (
     paper_f2_tilde,
     ps,
     root,
+    shift_substitute_naive,
     tp,
     uc,
     uconst,
@@ -24,6 +25,7 @@ from helpers import (
 )
 from troptri import (
     MPoly,
+    PrimeField,
     UPoly,
     ZeroHasNoValuation,
     ZeroSubstitutionError,
@@ -172,6 +174,43 @@ def _compose_outcome(fn, f, values, k):
 def test_compose_matches_the_naive_substitution(case):
     f, values, k = case
     assert _compose_outcome(compose, f, values, k) == _compose_outcome(compose_naive, f, values, k)
+
+
+_SHIFT_FIELDS = st.sampled_from([QQ, PrimeField(7)])
+_SHIFT_SCALES = st.just(Fraction(0)) | st.fractions(min_value=0, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _scalars(draw, field, max_terms):
+    pairs = draw(st.lists(st.tuples(_EXPONENTS, _COEFFS), max_size=max_terms))
+    return ps(*pairs, field=field)
+
+
+@st.composite
+def _shift_cases(draw):
+    """A UPoly of degree 0-6 with K[u] coefficients, and a multi-term prefix."""
+    field = draw(_SHIFT_FIELDS)
+    nvars = draw(st.integers(1, 3))
+    var = draw(st.integers(0, nvars - 1))
+    u_degrees = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeff = st.dictionaries(u_degrees, _scalars(field, 2), min_size=1, max_size=3).map(
+        lambda terms: MPoly.from_terms(field, nvars, terms.items())
+    )
+    top = draw(st.integers(0, 6))
+    coeffs = draw(st.dictionaries(st.integers(0, top), coeff, max_size=top + 1))
+    coeffs[top] = draw(coeff.filter(lambda c: not c.is_zero()))
+    f = UPoly.from_coeffs(field, nvars, var, coeffs.items())
+    return f, draw(_scalars(field, 3)), draw(_scalars(field, 3)), draw(_SHIFT_SCALES)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_shift_cases())
+def test_shift_substitute_matches_the_naive_horner_rule(case):
+    f, prefix, other, scale = case
+    assert f.shift_substitute(prefix, scale) == shift_substitute_naive(f, prefix, scale)
+    # recentering twice is recentering once at the sum
+    twice = f.shift_substitute(prefix, 0).shift_substitute(other, 0)
+    assert twice == f.shift_substitute(prefix + other, 0)
 
 
 def test_shift_substitute_identity():
