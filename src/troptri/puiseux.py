@@ -117,8 +117,9 @@ class PuiseuxScalar:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, coeff):

@@ -1,10 +1,14 @@
 """Shared builders for the test suite."""
 
+import contextlib
+import signal
 from fractions import Fraction
+from math import lcm
 
 from troptri import (
     ApproxRoot,
     MPoly,
+    PrimeField,
     PuiseuxScalar,
     RationalField,
     TriangularSystem,
@@ -157,3 +161,85 @@ def close_roots_system():
     x2 = xvar(2, 1)
     f2 = x2 - x1 + mconst(2, ps((0, 1), (1, 1)))
     return TriangularSystem([f1, f2])
+
+
+def unit_roots_naive(field, coeffs):
+    """``field.unit_roots`` by enumerating candidate roots.
+
+    An oracle independent of the engine's root splitting and p-adic
+    lifting: over F_p every unit is tried, over Q every +-u/v with u
+    dividing the constant and v the leading coefficient of the
+    denominator-free polynomial (rational root theorem).  Each candidate
+    that is a root is deflated out while it still is one.
+    """
+    work = list(coeffs)
+    while work and work[0] == 0:
+        work.pop(0)
+    if len(work) <= 1:
+        return set(), True
+    if isinstance(field, PrimeField):
+        candidates = range(1, field.p)
+    else:
+        den = lcm(*(c.denominator for c in work))
+        ints = [int(c * den) for c in work]
+        candidates = set()
+        for u in _divisors(abs(ints[0])):
+            for v in _divisors(abs(ints[-1])):
+                candidates.add(Fraction(u, v))
+                candidates.add(Fraction(-u, v))
+        candidates = sorted(candidates)
+    roots = set()
+    for cand in candidates:
+        while len(work) > 1 and _horner(field, work, cand) == 0:
+            work = _deflate(field, work, cand)
+            roots.add(cand)
+    return roots, len(work) == 1
+
+
+def _divisors(n):
+    out = set()
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.add(i)
+            out.add(n // i)
+        i += 1
+    return sorted(out)
+
+
+def _horner(field, coeffs, x):
+    acc = field.zero
+    for c in reversed(coeffs):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
+
+
+def _deflate(field, coeffs, root):
+    # synthetic division by (x - root); exact because root is a root
+    out = [field.zero] * (len(coeffs) - 1)
+    carry = field.zero
+    for i in range(len(coeffs) - 1, 0, -1):
+        carry = field.add(coeffs[i], field.mul(root, carry))
+        out[i - 1] = carry
+    return out
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised by ``time_limit``.  Not an Exception, so that hypothesis
+    reports it at once instead of shrinking through more hanging runs."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail instead of hanging past ``seconds``."""
+
+    def expired(signum, frame):
+        raise TimeLimitExceeded("no result after %d s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -5,9 +5,16 @@ import json
 import os
 import re
 
-import pytest
+import random
+from fractions import Fraction
 
-from helpers import QQ, const, ps, upoly, uc
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from helpers import QQ, const, ps, time_limit, upoly, uc
+from oracle_systems import random_system_with_expected_points
+from troptri import format_system
 from troptri.cli import main
 from troptri.polygon import newton_polygon
 from troptri.roottree import RootTree
@@ -155,6 +162,82 @@ def test_exact_head_system_finishes_with_a_higher_bound(tmp_path, monkeypatch):
     _step_budget(monkeypatch)
     code, out, err = run_cli(tmp_path, NO_PROGRESS["exact-head"], "--pmax", "64")
     assert (code, out) == (0, "(0,0,40)\n")
+
+
+def test_large_residue_constants_finish(tmp_path):
+    # x1 = +-10^12, far too large to find by listing the divisors of 10^24
+    text = (
+        "ring x1 x2\n"
+        "poly x1^2 - 1000000000000000000000000\n"
+        "poly x2 - x1 + 1000000000000 + t\n"
+    )
+    with time_limit(60):
+        code, out, err = run_cli(tmp_path, text)
+    assert (code, out, err) == (0, "(0,0) (0,1)\n", "")
+
+
+_PRIMES = [p for p in range(2, 10**4) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+@st.composite
+def _random_system_texts(draw):
+    """A triangular system of 2 or 3 lines over Q or F_p, p < 10^4, as text.
+
+    Line i is a product of one to three factors xi - c*t^e - a, some of
+    them also minus x(i-1), plus up to two terms of lower degree in xi.
+    The constants a come from a pool of three, so that roots of one line
+    cancel in the next and force expansions; the extra terms make some
+    residue polynomials not split.
+    """
+    n = draw(st.integers(2, 3))
+    p = draw(st.none() | st.sampled_from(_PRIMES))
+    coeff = st.integers(-5, 5).filter(bool) if p is None else st.integers(1, p - 1)
+    t_power = st.fractions(-2, 3, max_denominator=2)
+    pool = draw(st.lists(coeff, min_size=3, max_size=3))
+    lines = ["ring " + " ".join("x%d" % (i + 1) for i in range(n)) + ("" if p is None else " fp:%d" % p)]
+    for i in range(n):
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            linked = i > 0 and draw(st.booleans())
+            factors.append("(x%d%s - (%d)*t^(%s) - (%d))" % (
+                i + 1, " - x%d" % i if linked else "",
+                draw(coeff), draw(t_power), draw(st.sampled_from(pool))))
+        terms = ["*".join(factors)]
+        degrees = st.tuples(*[st.integers(0, 2)] * i, st.integers(0, len(factors) - 1))
+        for deg, c, e in draw(st.lists(st.tuples(degrees, coeff, t_power), max_size=2)):
+            monomial = ["(%d)" % c, "t^(%s)" % e]
+            monomial += ["x%d^%d" % (k + 1, d) for k, d in enumerate(deg) if d]
+            terms.append("*".join(monomial))
+        lines.append("poly " + " + ".join(terms))
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_system_texts():
+    return st.integers(0, 2**32).map(
+        lambda seed: random_system_with_expected_points(random.Random(seed), 4, 3)
+    ).map(lambda built: (format_system(built[0]), built[1]))
+
+
+def _points(out):
+    return {tuple(Fraction(c) for c in point.strip("()").split(",")) for point in out.split()}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.tuples(_random_system_texts(), st.none()) | _oracle_system_texts())
+@example((NO_PROGRESS["copied-subtree"], None))
+def test_every_run_ends_in_points_or_an_error(tmp_path_factory, case):
+    text, expected = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _step_budget(monkeypatch, budget=2000)
+        code, out, err = run_cli(tmp_path_factory.mktemp("system"), text)
+    if code == 0:
+        assert err == ""
+        assert expected is None or _points(out) == expected
+    else:
+        # a TropError: exit 2 (no split), 3 (precision bound) or 5 (other)
+        assert code in (2, 3, 5)
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -87,6 +87,15 @@ def test_pow():
     assert a**3 == a * a * a
 
 
+@pytest.mark.parametrize("n", range(10))
+def test_pow_is_repeated_multiplication(n):
+    a = ps((-1, 2), (0, 1), (Fraction(3, 2), -3))
+    want = const(1)
+    for _ in range(n):
+        want = want * a
+    assert a**n == want
+
+
 def _random_scalar(rng, nonzero=False):
     nterms = rng.randint(1 if nonzero else 0, 3)
     exps = rng.sample([Fraction(k, rng.randint(1, 3)) for k in range(-4, 7)], k=min(nterms, 4)) if nterms else []

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import time_limit, unit_roots_naive
 from troptri import (
     DivisionByZero,
     NonSplittingError,
@@ -147,3 +150,82 @@ def test_f5_roots_agree_with_exhaustive_evaluation():
         except NonSplittingError:
             continue
         assert got == want
+
+
+# one irreducible quadratic per field: x^2 - 2 over Q and F5, x^2 + x + 1
+# over F2, x^2 + 1 over F3, F7 and F10007 (p = 3 mod 4)
+_FIELDS = {
+    QQ: [Fraction(-2), Fraction(0), Fraction(1)],
+    PrimeField(2): [1, 1, 1],
+    PrimeField(3): [1, 0, 1],
+    F5: [3, 0, 1],
+    PrimeField(7): [1, 0, 1],
+    PrimeField(10007): [1, 0, 1],
+}
+
+
+def _times(field, a, b):
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return out
+
+
+def _from_roots(field, roots):
+    coeffs = [field.one]
+    for r in roots:
+        coeffs = _times(field, coeffs, [field.neg(r), field.one])
+    return coeffs
+
+
+@st.composite
+def _root_cases(draw):
+    """A scaled product of linear factors with multiplicities, times a power
+    of x, a quadratic that may not split, or both."""
+    field = draw(st.sampled_from(list(_FIELDS)))
+    if field == QQ:
+        elements = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    else:
+        elements = st.integers(0, field.p - 1)
+    lead = draw(elements.filter(lambda c: c != 0))
+    roots = []
+    for r in draw(st.lists(elements, max_size=3, unique=True)):
+        roots += [r] * draw(st.integers(1, 2))
+    coeffs = [field.zero] * draw(st.integers(0, 2)) + _times(field, [lead], _from_roots(field, roots))
+    quadratic = st.lists(elements, min_size=2, max_size=2).map(lambda c: c + [field.one])
+    extra = draw(st.none() | st.just(_FIELDS[field]) | quadratic)
+    if extra is not None:
+        coeffs = _times(field, coeffs, extra)
+    return field, coeffs
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_root_cases())
+def test_unit_roots_match_the_enumeration(case):
+    field, coeffs = case
+    with time_limit(10):
+        assert field.unit_roots(coeffs) == unit_roots_naive(field, coeffs)
+
+
+def test_large_prime_split_cubic_returns_the_constructed_roots():
+    p = 999983
+    field = PrimeField(p)
+    roots = {p - 1, p - 2, p - 7}
+    assert roots_in_units(ResiduePoly(field, _from_roots(field, sorted(roots)))) == roots
+
+
+def test_large_prime_irreducible_quadratic_does_not_split():
+    p = 999983  # p = 3 mod 4, so -1 is not a square
+    assert p % 4 == 3
+    with pytest.raises(NonSplittingError):
+        roots_in_units(ResiduePoly(PrimeField(p), [1, 0, 1]))
+
+
+def test_large_rational_roots_are_found():
+    # x^2 - 10^24 and (3x - 10^12)(x + 7/5): coefficients far past any
+    # enumeration of divisors
+    p = ResiduePoly(QQ, [Fraction(-10**24), Fraction(0), Fraction(1)])
+    assert roots_in_units(p) == {Fraction(10**12), Fraction(-10**12)}
+    q = ResiduePoly(QQ, _from_roots(QQ, [Fraction(10**12, 3), Fraction(-7, 5)]))
+    assert roots_in_units(q) == {Fraction(10**12, 3), Fraction(-7, 5)}

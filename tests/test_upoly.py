@@ -176,6 +176,15 @@ def test_compose_matches_the_naive_substitution(case):
     assert _compose_outcome(compose, f, values, k) == _compose_outcome(compose_naive, f, values, k)
 
 
+
+@pytest.mark.parametrize("n", range(10))
+def test_mpoly_pow_is_repeated_multiplication(n):
+    f = mpoly(2, {(1, 0): const(2), (0, 1): tp(1), (0, 0): ps((-1, 1), (0, -3))})
+    want = mconst(2, const(1))
+    for _ in range(n):
+        want = want * f
+    assert f**n == want
+
 _SHIFT_FIELDS = st.sampled_from([QQ, PrimeField(7)])
 _SHIFT_SCALES = st.just(Fraction(0)) | st.fractions(min_value=0, max_value=3, max_denominator=3)
 
