@@ -8,7 +8,6 @@ cancellation.
 
 from .errors import (
     DivisionByZero,
-    ExactRootError,
     InvalidTargetError,
     NonSplittingError,
     NonTriangularError,
@@ -21,18 +20,8 @@ from .errors import (
     ZeroPolynomialError,
     ZeroSubstitutionError,
 )
-from .expansion import (
-    ApproxRoot,
-    has_maximal_precision,
-    is_approximate_root,
-    puiseux_expansion,
-)
-from .polygon import (
-    Polygon,
-    is_unique,
-    newton_polygon,
-    uniqueness_oracle,
-)
+from .expansion import ApproxRoot, puiseux_expansion
+from .polygon import Polygon, is_unique, newton_polygon
 from .puiseux import PuiseuxScalar
 from .rationals import format_rat, parse_rat
 from .residue import PrimeField, RationalField, ResiduePoly, roots_in_units
@@ -45,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxRoot",
     "DivisionByZero",
-    "ExactRootError",
     "InvalidTargetError",
     "MPoly",
     "NonSplittingError",
@@ -69,9 +57,7 @@ __all__ = [
     "compose",
     "format_rat",
     "format_system",
-    "has_maximal_precision",
     "initial_form",
-    "is_approximate_root",
     "is_unique",
     "newton_polygon",
     "parse_rat",
@@ -79,5 +65,4 @@ __all__ = [
     "puiseux_expansion",
     "roots_in_units",
     "trop_triangular",
-    "uniqueness_oracle",
 ]

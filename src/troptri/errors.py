@@ -42,14 +42,6 @@ class InvalidTargetError(TropError):
     """The requested valuation is not a tropical point of the polynomial."""
 
 
-class ExactRootError(TropError):
-    """A root candidate substitutes to exactly zero.
-
-    The candidate is an exact root, so the approximate-root predicate has
-    nothing to measure.
-    """
-
-
 class RecursionLimitError(TropError):
     """Expansion exceeded the configured recursion depth safeguard."""
 

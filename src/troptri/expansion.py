@@ -14,17 +14,12 @@ tail u_i * t^(w_r) standing for their unknown continuation.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    ExactRootError,
-    InvalidTargetError,
-    RecursionLimitError,
-    ZeroPolynomialError,
-)
+from .errors import InvalidTargetError, RecursionLimitError, ZeroPolynomialError
 from .polygon import is_unique, newton_polygon
 from .puiseux import PuiseuxScalar
 from .rationals import format_rat
 from .residue import roots_in_units
-from .upoly import MPoly, UPoly, _zero_deg, initial_form
+from .upoly import MPoly, UPoly, initial_form
 
 DEFAULT_MAX_DEPTH = 64
 
@@ -63,12 +58,6 @@ class ApproxRoot:
             return self.known[0][0]
         return self.tail
 
-    def relative_precision(self):
-        """w_r - w_0 for truncated roots, None (= unbounded) for exact ones."""
-        if self.tail is None:
-            return None
-        return self.tail - self.valuation()
-
     def known_scalar(self, field) -> PuiseuxScalar:
         return PuiseuxScalar(field, self.known)
 
@@ -89,13 +78,10 @@ class ApproxRoot:
         return (self.valuation(), exact_rank, self.known, self.tail or Fraction(0))
 
     def __repr__(self):
-        return "<root x%d: %s>" % (self.index + 1, self.format_plain())
-
-    def format_plain(self):
         bits = ["%s t^%s" % (c, e) for e, c in self.known]
         if self.tail is not None:
             bits.append("u%d t^%s" % (self.index + 1, self.tail))
-        return " + ".join(bits) if bits else "0"
+        return "<root x%d: %s>" % (self.index + 1, " + ".join(bits) or "0")
 
 
 def puiseux_expansion(f: UPoly, w, p_rel, max_depth: int = DEFAULT_MAX_DEPTH) -> dict:
@@ -114,10 +100,11 @@ def puiseux_expansion(f: UPoly, w, p_rel, max_depth: int = DEFAULT_MAX_DEPTH) ->
     """
     if f.is_zero():
         raise ZeroPolynomialError("cannot expand roots of the zero polynomial")
-    if not is_unique(f):
+    polygon = newton_polygon(f)
+    if not is_unique(f, polygon):
         raise ValueError("the Newton polygon is not substitution-invariant")
     w = Fraction(w)
-    if w not in newton_polygon(f).tropical_points():
+    if w not in polygon.tropical_points():
         raise InvalidTargetError("%s is not a tropical point of the polynomial" % format_rat(w))
     return _expand(f, w, Fraction(p_rel), 0, max_depth)
 
@@ -134,13 +121,12 @@ def _expand(f: UPoly, w, p_rel, depth, max_depth) -> dict:
     out = {}
     for c in sorted(roots_in_units(h.residue_poly()), key=field.sort_key):
         shifted = f.shift_substitute(PuiseuxScalar.t_power(field, w, c), 0)
-        if not is_unique(shifted):
+        polygon = newton_polygon(shifted)
+        if not is_unique(shifted, polygon):
             return bare
         if shifted.constant_coeff().is_zero():
             out[ApproxRoot(i, ((w, c),), None)] = None
-        higher = sorted(
-            w2 for w2 in newton_polygon(shifted).tropical_points() if w2 > w
-        )
+        higher = sorted(w2 for w2 in polygon.tropical_points() if w2 > w)
         if higher:
             # every branch is charged the gap to the nearest admissible
             # point; the budget hits zero no later than the accumulated
@@ -150,48 +136,3 @@ def _expand(f: UPoly, w, p_rel, depth, max_depth) -> dict:
                 for sub, g in _expand(shifted, w2, budget, depth + 1, max_depth).items():
                     out[sub.with_prefix(w, c)] = g
     return out
-
-
-def is_approximate_root(f: UPoly, root: ApproxRoot) -> bool:
-    """Whether the truncated root genuinely covers roots of f.
-
-    Substitutes the root (tail included) into f and inspects the dominant
-    residue part of the result as a polynomial in the root's own tail
-    variable: if at least two distinct tail-degrees survive, some
-    valuation-zero tail value cancels the dominant part, so true roots
-    extend the prefix.  A single surviving tail-degree means nothing can
-    cancel and the prefix is off the mark.
-    """
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot test roots against the zero polynomial")
-    if root.tail is None:
-        raise ExactRootError("the root is exact; substitute and compare with zero instead")
-    value = root.as_mpoly(f.field, f.nvars)
-    image = f.evaluate(value)
-    if image.is_zero():
-        raise ExactRootError("the root substitutes to exactly zero")
-    degrees = {deg[root.index] for deg in image.initial_terms()}
-    return len(degrees) >= 2
-
-
-def has_maximal_precision(f: UPoly, root: ApproxRoot) -> bool:
-    """Whether expanding the root any further is blocked by tail variables.
-
-    Recenters f at the known part and rescales by the tail exponent; the
-    root cannot be refined exactly when that polynomial's polygon is
-    substitution-invariant yet some support point on a lower edge keeps a
-    tail variable in its dominant residue part.
-    """
-    if root.tail is None:
-        raise ValueError("exact roots have nothing left to refine")
-    field = f.field
-    g = f.shift_substitute(root.known_scalar(field), root.tail)
-    if g.is_zero() or not is_unique(g):
-        return False
-    polygon = newton_polygon(g)
-    zero = _zero_deg(f.nvars)
-    for j, c in g.coeffs.items():
-        v = c.uval()
-        if polygon.on_lower_edge(j, v) and any(d != zero for d in c.initial_terms()):
-            return True
-    return False

@@ -205,9 +205,6 @@ class ResiduePoly:
             raise ZeroPolynomialError("the zero polynomial has no degree")
         return len(self.coeffs) - 1
 
-    def evaluate(self, x):
-        return _horner(self.field, self.coeffs, x)
-
     def __eq__(self, other):
         return (
             isinstance(other, ResiduePoly)
@@ -239,31 +236,12 @@ def roots_in_units(poly: ResiduePoly) -> set:
     return roots
 
 
-def unit_roots_partial(poly: ResiduePoly) -> set:
-    """Best-effort unit roots, without the splitting guarantee.
-
-    Used by the randomized polygon oracle, where missing a root only
-    weakens a probabilistic check.
-    """
-    if poly.is_zero():
-        return set()
-    roots, _ = poly.field.unit_roots(poly.coeffs)
-    return roots
-
-
 def _strip_unit_part(coeffs):
     coeffs = list(coeffs)
     k = 0
     while k < len(coeffs) and coeffs[k] == 0:
         k += 1
     return coeffs[k:]
-
-
-def _horner(field, coeffs, x):
-    acc = field.zero
-    for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
 
 
 def _divide_linear(field, coeffs, root):

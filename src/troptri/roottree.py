@@ -141,17 +141,20 @@ class RootTree:
 
     # -- the two tree-changing operations -------------------------------------
 
+    def _next_polynomial(self, v) -> UPoly:
+        """f_{d+1} in x_{d+1}, with the roots of v's branch (depth d) substituted."""
+        try:
+            return compose(self._substituted(v), (), v.depth)
+        except ZeroSubstitutionError as exc:
+            exc.args = ("f%d vanishes on the branch: %s" % (v.depth + 1, exc),)
+            raise
+
     def extension_polynomial(self, vid) -> UPoly:
         """The next polynomial with this branch's roots substituted."""
         v = self.vertices[vid]
-        k = v.depth
-        if k >= self.n:
+        if v.depth >= self.n:
             raise ValueError("the branch is already full length")
-        try:
-            return compose(self._substituted(v), (), k)
-        except ZeroSubstitutionError as exc:
-            exc.args = ("f%d vanishes on the branch: %s" % (k + 1, exc),)
-            raise
+        return self._next_polynomial(v)
 
     def reinforcement_polynomial(self, vid) -> UPoly:
         """f_k recentered at the known part of this vertex's root.
@@ -162,16 +165,11 @@ class RootTree:
         made by ``reinforce`` already holds it from its expansion.
         """
         v = self.vertices[vid]
-        k = v.depth
-        if k < 1:
+        if v.depth < 1:
             raise ValueError("the tree root carries no root to reinforce")
         if v.recentered is not None:
             return v.recentered
-        try:
-            composed = compose(self._substituted(self.vertices[v.parent]), (), k - 1)
-        except ZeroSubstitutionError as exc:
-            exc.args = ("f%d vanishes on the branch: %s" % (k, exc),)
-            raise
+        composed = self._next_polynomial(self.vertices[v.parent])
         if not v.root.known:
             return composed
         return composed.shift_substitute(v.root.known_scalar(self.field), 0)
@@ -202,11 +200,11 @@ class RootTree:
 
         Picks the first branch vertex whose root was computed with stale
         precision (else the branch head), expands corrections past the
-        root's known prefix, and replaces the vertex (subtree copied per
-        correction).  Raises PrecisionLimitError when the branch head's
-        precision would exceed the safeguard, or when the reinforcement
-        would leave the tree as it was: the driver is deterministic, so it
-        would repeat that reinforcement forever.
+        root's known prefix, and replaces the vertex by one vertex per
+        correction (``_replace_subtree``).  Raises PrecisionLimitError when
+        the branch head's precision would exceed the safeguard, or when the
+        reinforcement would leave the tree as it was: the driver is
+        deterministic, so it would repeat that reinforcement forever.
         """
         chain = self.branch(vid)
         if not chain:
@@ -296,11 +294,27 @@ class RootTree:
         return ApproxRoot(root.index, root.known + corr.known, corr.tail)
 
     def _replace_subtree(self, vertex, refined):
-        """Replace the vertex by one copy per (root, recentered polynomial) pair."""
+        """Replace the vertex by one vertex per (root, recentered polynomial) pair.
+
+        The vertex's subtree was grown with its root's tail u*t^(w_r)
+        symbolic, and every polygon trusted there passed ``is_unique``: it
+        is the same for every value of u of valuation zero.  A refined
+        root whose first new term (or bare tail) sits at w_r is such a
+        value, u = c + ... with c != 0, so it gets a copy of the subtree.
+        A refined root whose next term sits past w_r puts in a u of
+        positive valuation, which the subtree never covered; it gets a
+        fresh childless vertex at the same depth and precision, and the
+        driver grows it again.
+        """
         parent = self.vertices[vertex.parent]
         parent.children.remove(vertex.vid)
+        k = len(vertex.root.known)
         for new_root, recentered in refined:
-            copy_id = self._copy_subtree(vertex, parent.vid, new_root)
+            nxt = new_root.known[k][0] if len(new_root.known) > k else new_root.tail
+            if nxt == vertex.root.tail:
+                copy_id = self._copy_subtree(vertex, parent.vid, new_root)
+            else:
+                copy_id = self._new_vertex(parent.vid, vertex.depth, new_root, vertex.prec).vid
             # the copy keeps the vertex's parent, which the polynomial was built on;
             # copies further down have new ancestors and start without one
             self.vertices[copy_id].recentered = recentered
@@ -388,21 +402,6 @@ class RootTree:
             for j, _ in polygon.vertices
         ]
         self.polygon_log.append(PolygonEvent(label, polygon, labels))
-
-    def check_invariants(self):
-        """Structural sanity: connectivity, depth bound, branch typing, precisions."""
-        assert self.root_id in self.vertices
-        for v in self.vertices.values():
-            assert v.depth <= self.n
-            for c in v.children:
-                child = self.vertices[c]
-                assert child.parent == v.vid
-                assert child.depth == v.depth + 1
-            if v.root is not None:
-                assert v.root.index == v.depth - 1
-                chain = self.branch(v.vid)
-                assert v.prec <= chain[0].prec
-        return True
 
     def to_json_dict(self):
         from .rationals import format_rat

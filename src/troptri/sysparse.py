@@ -41,7 +41,6 @@ class _Tokenizer:
     def __init__(self, text, line_no):
         self.text = text
         self.line_no = line_no
-        self.pos = 0
         self.tokens = []
         self._scan()
         self.index = 0
@@ -76,11 +75,6 @@ class _Tokenizer:
         tok, col = self.next()
         if tok != want:
             raise ParseError("expected %r, found %r" % (want, tok), self.line_no, col)
-
-    def here(self):
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][1]
-        return len(self.text) + 1
 
 
 class _ExprParser:

@@ -152,28 +152,6 @@ class MPoly:
         v = self.uval()
         return {d: s.initial() for d, s in self.terms.items() if s.valuation() == v}
 
-    def specialize(self, values):
-        """Substitute Puiseux values for the given u-variables.
-
-        ``values`` maps variable index -> PuiseuxScalar of valuation 0
-        (degenerate inputs are the caller's business to reject).
-        """
-        out = MPoly.zero(self.field, self.nvars)
-        for deg, scalar in self.terms.items():
-            factor = PuiseuxScalar.constant(self.field, self.field.one)
-            rest = [0] * self.nvars
-            for i, e in enumerate(deg):
-                if not e:
-                    continue
-                if i in values:
-                    factor = factor * values[i] ** e
-                else:
-                    rest[i] = e
-            value = scalar * factor
-            if not value.is_zero():
-                out = out + MPoly(self.field, self.nvars, {tuple(rest): value})
-        return out
-
     def substitute(self, index, value):
         """Put the K[u] element ``value`` in for variable ``index`` (Horner's rule)."""
         return UPoly.from_mpoly(self, index).evaluate(value)
@@ -355,22 +333,6 @@ class UPoly:
                 acc = acc + c
         return acc
 
-    def specialize_u(self, values) -> UPoly:
-        """Substitute valuation-zero Puiseux values for u-variables.
-
-        Every supplied value must have valuation exactly 0; anything
-        else would change which monomials dominate and is rejected.
-        """
-        for i, v in values.items():
-            if v.is_zero() or v.valuation() != 0:
-                raise ValueError("substituted value for u%d must have valuation 0" % (i + 1))
-        out = {}
-        for j, c in self.coeffs.items():
-            s = c.specialize(values)
-            if not s.is_zero():
-                out[j] = s
-        return UPoly(self.field, self.nvars, self.var, out)
-
     def __eq__(self, other):
         return (
             isinstance(other, UPoly)
@@ -442,15 +404,6 @@ class InitialForm:
         for j, c in self.terms.items():
             coeffs[j] = c.get(zero, self.field.zero)
         return ResiduePoly(self.field, coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, InitialForm)
-            and other.field == self.field
-            and other.nvars == self.nvars
-            and other.var == self.var
-            and other.terms == self.terms
-        )
 
     def __repr__(self):
         inner = ", ".join(

@@ -190,7 +190,7 @@ def unit_roots_naive(field, coeffs):
         candidates = sorted(candidates)
     roots = set()
     for cand in candidates:
-        while len(work) > 1 and _horner(field, work, cand) == 0:
+        while len(work) > 1 and horner(field, work, cand) == 0:
             work = _deflate(field, work, cand)
             roots.add(cand)
     return roots, len(work) == 1
@@ -207,7 +207,7 @@ def _divisors(n):
     return sorted(out)
 
 
-def _horner(field, coeffs, x):
+def horner(field, coeffs, x):
     acc = field.zero
     for c in reversed(coeffs):
         acc = field.add(field.mul(acc, x), c)

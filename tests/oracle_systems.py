@@ -36,7 +36,17 @@ def _try_build(rng, max_vars, max_factors):
                 extra = (m, mult)
             factors.append((rho, extra))
         specs.append(factors)
+    return _build(specs)
 
+
+def _build(specs):
+    """The system whose line i is the product of x_i - rho - mult*x_m.
+
+    ``specs[i]`` lists line i's factors as (rho, extra), with extra None or
+    (m, mult).  Returns the system and its points, or None when some
+    solution has a zero coordinate.
+    """
+    n = len(specs)
     solutions = [()]
     for factors in specs:
         extended = []
@@ -64,6 +74,40 @@ def _try_build(rng, max_vars, max_factors):
             f = f * factor
         polys.append(f)
     return TriangularSystem(polys), expected
+
+
+def prefix_cancelling_system_with_expected_points(rng):
+    """A 3-variable system whose x1 roots share a prefix the next line cancels.
+
+    The x1 roots are P + s_k: one nonzero constant P, and series s_k that
+    part at different exponents.  Then x2 = x1 - P + rho2 and x3 = x2 - rho3,
+    with terms of rho2 and rho3 drawn partly from the s_k so that some cancel.
+    """
+    while True:
+        built = _build(_prefix_cancelling_specs(rng))
+        if built is not None:
+            return built
+
+
+def _prefix_cancelling_specs(rng):
+    q = rng.randint(1, 2)
+    exponents = [Fraction(k, q) for k in range(1, 4 * q + 1)]
+    coeff = lambda: QQ.from_int(rng.choice([1, 2, -1, -2]))
+    parts = []
+    for e in rng.sample(exponents, rng.randint(2, 3)):
+        terms = [(e, coeff())]
+        later = [x for x in exponents if x > e]
+        if later and rng.random() < 0.7:
+            terms.append((rng.choice(later), coeff()))
+        parts.append(PuiseuxScalar.from_terms(QQ, terms))
+    pool = [term for s in parts for term in s.terms] + [(e, coeff()) for e in exponents]
+    rho2, rho3 = (
+        PuiseuxScalar.from_terms(QQ, [(e, c * rng.choice([1, -1])) for e, c in rng.sample(pool, rng.randint(1, 2))])
+        for _ in range(2)
+    )
+    prefix = PuiseuxScalar.constant(QQ, QQ.from_int(rng.choice([1, 2, 3, -1, -2, -3])))
+    one = PuiseuxScalar.constant(QQ, QQ.one)
+    return [[(prefix + s, None) for s in parts], [(rho2 - prefix, (0, one))], [(-rho3, (1, one))]]
 
 
 def _random_root(rng, q):

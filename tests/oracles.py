@@ -1,0 +1,216 @@
+"""Independent oracles for the engine's predicates and structures.
+
+``uniqueness_oracle`` probes ``is_unique`` by specializing the tails;
+``is_approximate_root`` and ``has_maximal_precision`` are the paper's
+two predicates on truncated roots.
+"""
+
+import random
+from fractions import Fraction
+
+from troptri import MPoly, PuiseuxScalar, ResiduePoly, UPoly, ZeroPolynomialError, is_unique, newton_polygon
+
+
+class ExactRootError(Exception):
+    """The root is exact, so the approximate-root predicate measures nothing."""
+
+
+def specialize(poly, values):
+    """Put valuation-zero Puiseux values in for u-variables of an MPoly or UPoly.
+
+    ``values`` maps variable index -> PuiseuxScalar; any other valuation
+    would change which monomials dominate and is rejected.
+    """
+    for i, v in values.items():
+        if v.is_zero() or v.valuation() != 0:
+            raise ValueError("substituted value for u%d must have valuation 0" % (i + 1))
+    if isinstance(poly, UPoly):
+        return UPoly.from_coeffs(poly.field, poly.nvars, poly.var, [
+            (j, specialize(c, values)) for j, c in poly.coeffs.items()
+        ])
+    for i, v in values.items():
+        poly = poly.substitute(i, MPoly.constant(poly.field, poly.nvars, v))
+    return poly
+
+
+def span(polygon):
+    return polygon.vertices[0][0], polygon.vertices[-1][0]
+
+
+def hull_value(polygon, j):
+    """Height of the lower hull above j (j within the span)."""
+    lo, hi = span(polygon)
+    if not lo <= j <= hi:
+        raise ValueError("j=%s outside the polygon span [%s, %s]" % (j, lo, hi))
+    for (j1, v1), (j2, v2) in polygon.edges():
+        if j1 <= j <= j2:
+            return v1 + Fraction(v2 - v1, j2 - j1) * (j - j1)
+    return polygon.vertices[0][1]
+
+
+def on_lower_edge(polygon, j, v) -> bool:
+    """True when the point (j, v) lies on one of the lower edges."""
+    for (j1, v1), (j2, v2) in polygon.edges():
+        if j1 <= j <= j2 and v == v1 + Fraction(v2 - v1, j2 - j1) * (j - j1):
+            return True
+    return False
+
+
+def uniqueness_oracle(f: UPoly, trials: int = 100, seed: int = 0) -> bool:
+    """Randomized semantic check of polygon uniqueness.
+
+    Draws ``trials`` random valuation-zero Puiseux tuples for the tail
+    variables, adds adversarial tuples built by solving single-variable
+    cancellations of the dominant coefficient terms, specializes, and
+    compares the resulting polygons pairwise.  Returns False on any
+    mismatch.  Probabilistic.
+    """
+    if f.is_zero():
+        raise ZeroPolynomialError("the zero polynomial has no Newton polygon")
+    variables = sorted(f.variables())
+    if not variables:
+        return True
+    field = f.field
+    rng = random.Random(seed)
+
+    tuples = [_generic_tuple(f, variables, rng)]
+    for _ in range(trials):
+        tuples.append({i: _random_unit(field, rng) for i in variables})
+    tuples.extend(_adversarial_tuples(f, variables, rng))
+
+    shapes = []
+    for values in tuples:
+        g = specialize(f, values)
+        shapes.append(None if g.is_zero() else newton_polygon(g).vertices)
+    return all(s == shapes[0] for s in shapes)
+
+
+def _random_unit(field, rng) -> PuiseuxScalar:
+    """A random valuation-zero finite Puiseux value."""
+    c0 = field.from_int(rng.choice([1, 2, 3, 5, -1, -2, -3]))
+    value = PuiseuxScalar.constant(field, c0)
+    if rng.random() < 0.5:
+        exp = Fraction(rng.randint(1, 4), rng.randint(1, 2))
+        c1 = field.from_int(rng.randint(-3, 3))
+        value = value + PuiseuxScalar.t_power(field, exp, c1)
+    return value
+
+
+def _generic_tuple(f, variables, rng):
+    """A tuple keeping every coefficient at its nominal valuation."""
+    field = f.field
+    initials = [c.initial_terms() for c in f.coeffs.values()]
+    for _ in range(64):
+        values = {i: field.from_int(rng.randint(1, 97)) for i in variables}
+        if all(not field.is_zero(eval_residue(field, g, values)[0]) for g in initials):
+            return {i: PuiseuxScalar.constant(field, v) for i, v in values.items()}
+    return {i: PuiseuxScalar.constant(field, field.one) for i in variables}
+
+
+def eval_residue(field, terms, values, keep=None):
+    """Put residue values in for every u-variable except ``keep``.
+
+    ``terms`` maps u-degree -> residue element.  Returns the result by
+    its degree in u_keep (all under degree 0 when ``keep`` is None).
+    """
+    out = {}
+    for deg, coeff in terms.items():
+        prod = coeff
+        for k, e in enumerate(deg):
+            if k == keep:
+                continue
+            for _ in range(e):
+                prod = field.mul(prod, values.get(k, field.one))
+        d = 0 if keep is None else deg[keep]
+        out[d] = field.add(out.get(d, field.zero), prod)
+    return out
+
+
+def _adversarial_tuples(f, variables, rng):
+    """Substitutions designed to cancel dominant coefficient terms.
+
+    For each coefficient's initial and each variable occurring in it, fix
+    the other variables at random units and solve the resulting
+    univariate residue polynomial for nonzero roots.
+    """
+    field = f.field
+    out = []
+    for c in f.coeffs.values():
+        initial = c.initial_terms()
+        if len(initial) < 2:
+            continue
+        active = sorted({i for deg in initial for i, e in enumerate(deg) if e})
+        for i in active:
+            for _ in range(3):
+                others = {k: field.from_int(rng.randint(1, 12)) for k in variables if k != i}
+                coeffs = eval_residue(field, initial, others, keep=i)
+                dense = [coeffs.get(d, field.zero) for d in range(max(coeffs) + 1)]
+                roots, _ = field.unit_roots(ResiduePoly(field, dense).coeffs)
+                for root in roots:
+                    values = {k: PuiseuxScalar.constant(field, v) for k, v in others.items()}
+                    values[i] = PuiseuxScalar.constant(field, root)
+                    out.append(values)
+    return out
+
+
+def relative_precision(root):
+    """w_r - w_0 for truncated roots, None (= unbounded) for exact ones."""
+    if root.tail is None:
+        return None
+    return root.tail - root.valuation()
+
+
+def is_approximate_root(f: UPoly, root) -> bool:
+    """Whether the truncated root genuinely covers roots of f.
+
+    Substitutes the root (tail included) into f and inspects the dominant
+    residue part of the result as a polynomial in the root's own tail
+    variable: if at least two distinct tail-degrees survive, some
+    valuation-zero tail value cancels the dominant part, so true roots
+    extend the prefix.  A single surviving tail-degree means nothing can
+    cancel and the prefix is off the mark.
+    """
+    if f.is_zero():
+        raise ZeroPolynomialError("cannot test roots against the zero polynomial")
+    if root.tail is None:
+        raise ExactRootError("the root is exact; substitute and compare with zero instead")
+    image = f.evaluate(root.as_mpoly(f.field, f.nvars))
+    if image.is_zero():
+        raise ExactRootError("the root substitutes to exactly zero")
+    degrees = {deg[root.index] for deg in image.initial_terms()}
+    return len(degrees) >= 2
+
+
+def has_maximal_precision(f: UPoly, root) -> bool:
+    """Whether expanding the root any further is blocked by tail variables.
+
+    Recenters f at the known part and rescales by the tail exponent; the
+    root cannot be refined exactly when that polynomial's polygon is
+    substitution-invariant yet some support point on a lower edge keeps a
+    tail variable in its dominant residue part.
+    """
+    if root.tail is None:
+        raise ValueError("exact roots have nothing left to refine")
+    g = f.shift_substitute(root.known_scalar(f.field), root.tail)
+    if g.is_zero() or not is_unique(g):
+        return False
+    polygon = newton_polygon(g)
+    zero = (0,) * f.nvars
+    for j, c in g.coeffs.items():
+        if on_lower_edge(polygon, j, c.uval()) and any(d != zero for d in c.initial_terms()):
+            return True
+    return False
+
+
+def check_invariants(tree):
+    """Structural sanity: connectivity, depth bound, branch typing, precisions."""
+    assert tree.root_id in tree.vertices
+    for v in tree.vertices.values():
+        assert v.depth <= tree.n
+        for c in v.children:
+            child = tree.vertices[c]
+            assert child.parent == v.vid
+            assert child.depth == v.depth + 1
+        if v.root is not None:
+            assert v.root.index == v.depth - 1
+            assert v.prec <= tree.branch(v.vid)[0].prec

@@ -26,6 +26,7 @@ from helpers import (
     upoly,
 )
 from oracle_systems import random_system_with_expected_points
+from oracles import has_maximal_precision, is_approximate_root, uniqueness_oracle
 from troptri import (
     MPoly,
     PuiseuxScalar,
@@ -33,12 +34,9 @@ from troptri import (
     UPoly,
     ZeroSubstitutionError,
     compose,
-    has_maximal_precision,
-    is_approximate_root,
     is_unique,
     puiseux_expansion,
     trop_triangular,
-    uniqueness_oracle,
 )
 
 

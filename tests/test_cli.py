@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import QQ, const, ps, time_limit, upoly, uc
-from oracle_systems import random_system_with_expected_points
+from oracle_systems import prefix_cancelling_system_with_expected_points, random_system_with_expected_points
 from troptri import format_system
 from troptri.cli import main
 from troptri.polygon import newton_polygon
@@ -123,15 +123,17 @@ NO_PROGRESS = {
         "poly (x2 - x1 - t)*(x2 - x1 - t - t^40)\n"
         "poly x3 - x2 + 1 + t + 2*t^40\n"
     ),
-    # the points are (0,1,2) (0,2,1), but the refined x1 roots get copies of
-    # a subtree grown for a sibling root (an open defect), and the run stalls
-    "copied-subtree": (
-        "ring x1 x2 x3\n"
-        "poly (x1 - 1 - t)*(x1 - 1 - t^2)\n"
-        "poly x2 - x1 + 1 - t^2\n"
-        "poly x3 - x2 + t - t^3\n"
-    ),
 }
+
+# the x1 roots 1 + t and 1 + t^2 share the prefix 1, which f2 cancels; the
+# subtree grown while x1 = 1 + u1*t must not be copied under 1 + t^2, whose
+# next term sits past t
+COPIED_SUBTREE = (
+    "ring x1 x2 x3\n"
+    "poly (x1 - 1 - t)*(x1 - 1 - t^2)\n"
+    "poly x2 - x1 + 1 - t^2\n"
+    "poly x3 - x2 + t - t^3\n"
+)
 
 
 def _step_budget(monkeypatch, budget=500):
@@ -156,6 +158,12 @@ def test_no_progress_reinforcement_exits_3(tmp_path, monkeypatch, name):
     assert re.fullmatch(
         r"error: reinforcing f\d at vertex \d+ gains no precision within the bound 32\n", err
     )
+
+
+def test_copied_subtree_system_prints_its_points(tmp_path, monkeypatch):
+    _step_budget(monkeypatch)
+    code, out, err = run_cli(tmp_path, COPIED_SUBTREE)
+    assert (code, out, err) == (0, "(0,1,2) (0,2,1)\n", "")
 
 
 def test_exact_head_system_finishes_with_a_higher_bound(tmp_path, monkeypatch):
@@ -212,27 +220,33 @@ def _random_system_texts(draw):
     return "\n".join(lines) + "\n"
 
 
-def _oracle_system_texts():
-    return st.integers(0, 2**32).map(
-        lambda seed: random_system_with_expected_points(random.Random(seed), 4, 3)
-    ).map(lambda built: (format_system(built[0]), built[1]))
+def _oracle_system_texts(build, *args):
+    built = st.integers(0, 2**32).map(lambda seed: build(random.Random(seed), *args))
+    return built.map(lambda b: (format_system(b[0]), b[1]))
 
 
 def _points(out):
     return {tuple(Fraction(c) for c in point.strip("()").split(",")) for point in out.split()}
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(st.tuples(_random_system_texts(), st.none()) | _oracle_system_texts())
-@example((NO_PROGRESS["copied-subtree"], None))
+@settings(max_examples=225, derandomize=True, deadline=None)
+@given(
+    st.tuples(_random_system_texts(), st.none())
+    | _oracle_system_texts(random_system_with_expected_points, 4, 3)
+    | _oracle_system_texts(prefix_cancelling_system_with_expected_points)
+)
+@example((COPIED_SUBTREE, {(0, 1, 2), (0, 2, 1)}))
 def test_every_run_ends_in_points_or_an_error(tmp_path_factory, case):
     text, expected = case
     with pytest.MonkeyPatch.context() as monkeypatch:
         _step_budget(monkeypatch, budget=2000)
         code, out, err = run_cli(tmp_path_factory.mktemp("system"), text)
-    if code == 0:
+    if expected is not None:
+        # a system with oracle points must produce them
+        assert (code, err) == (0, "")
+        assert _points(out) == expected
+    elif code == 0:
         assert err == ""
-        assert expected is None or _points(out) == expected
     else:
         # a TropError: exit 2 (no split), 3 (precision bound) or 5 (other)
         assert code in (2, 3, 5)

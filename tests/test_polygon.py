@@ -6,14 +6,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import QQ, const, paper_f1, paper_f2_tilde, ps, tp, uc, uconst, upoly
-from troptri import (
-    Polygon,
-    UPoly,
-    ZeroPolynomialError,
-    is_unique,
-    newton_polygon,
-    uniqueness_oracle,
-)
+from oracles import hull_value, on_lower_edge, span, specialize, uniqueness_oracle
+from troptri import Polygon, UPoly, ZeroPolynomialError, is_unique, newton_polygon
 
 
 def test_polygon_of_quadratic_with_unit_and_inverse_roots():
@@ -44,8 +38,8 @@ def test_polygon_midpoint_is_not_a_vertex():
     f = upoly(1, 0, {0: const(1), 1: const(2), 2: const(1)})
     polygon = newton_polygon(f)
     assert polygon.vertices == ((0, Fraction(0)), (2, Fraction(0)))
-    assert polygon.on_lower_edge(1, Fraction(0))
-    assert not polygon.on_lower_edge(1, Fraction(1))
+    assert on_lower_edge(polygon, 1, Fraction(0))
+    assert not on_lower_edge(polygon, 1, Fraction(1))
 
 
 def test_polygon_rejects_zero():
@@ -82,8 +76,8 @@ def test_uniqueness_oracle_examples():
     f = upoly(2, 1, {1: const(1), 0: uc(2, (const(1), (1, 0)), (ps((0, -1), (1, -1)), (0, 0)))})
     assert not uniqueness_oracle(f, trials=50, seed=1)
     # explicit witness pair for the same polynomial
-    one_plus_t = f.specialize_u({0: ps((0, 1), (1, 1))})
-    two = f.specialize_u({0: const(2)})
+    one_plus_t = specialize(f, {0: ps((0, 1), (1, 1))})
+    two = specialize(f, {0: const(2)})
     assert newton_polygon(one_plus_t).vertices != newton_polygon(two).vertices
 
     h = upoly(2, 0, {1: const(1), 0: uc(2, (const(1), (0, 0)), (tp(1), (1, 0)))})
@@ -116,12 +110,6 @@ def test_ufree_polygons_track_factored_roots():
         assert got == {r.valuation() for r in roots}
 
 
-def test_polygon_json_serialization():
-    f = upoly(1, 0, {2: tp(Fraction(1, 2)), 0: const(1)})
-    data = newton_polygon(f).to_json_dict()
-    assert data == {"vertices": [[[0, 1], [0, 1]], [[2, 1], [1, 2]]]}
-
-
 def test_support_points_lie_on_or_above_hull():
     rng = random.Random(40)
     from troptri.polygon import support_points
@@ -129,10 +117,10 @@ def test_support_points_lie_on_or_above_hull():
     for _ in range(80):
         f = _random_upoly(rng)
         polygon = newton_polygon(f)
-        lo, hi = polygon.span()
+        lo, hi = span(polygon)
         for j, v in support_points(f):
             assert lo <= j <= hi
-            assert v >= polygon.hull_value(j)
+            assert v >= hull_value(polygon, j)
 
 
 def test_syntactic_test_matches_oracle_on_random_corpus():
