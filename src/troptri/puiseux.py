@@ -2,14 +2,14 @@
 
 A scalar is a sum c_1*t^(w_1) + ... + c_k*t^(w_k) with strictly
 increasing rational exponents (negative exponents allowed) and nonzero
-residue-field coefficients.  All arithmetic is exact; cancellation
-removes terms only when they are exactly zero.
+residue-field coefficients.  An exponent is an ``int`` when integral,
+else a ``fractions.Fraction``; the two compare and hash alike, so only
+the cost of the arithmetic differs.  All arithmetic is exact;
+cancellation removes terms only when they are exactly zero.
 """
 
-from fractions import Fraction
-
 from .errors import ZeroHasNoValuation
-from .rationals import format_rat
+from .rationals import format_rat, int_if_integral
 
 
 class PuiseuxScalar:
@@ -25,7 +25,7 @@ class PuiseuxScalar:
         """Canonicalize arbitrary (exponent, coefficient) pairs."""
         acc = {}
         for exp, coeff in pairs:
-            exp = Fraction(exp)
+            exp = int_if_integral(exp)
             if exp in acc:
                 acc[exp] = field.add(acc[exp], coeff)
             else:
@@ -41,7 +41,7 @@ class PuiseuxScalar:
     def constant(cls, field, coeff):
         if field.is_zero(coeff):
             return cls(field, ())
-        return cls(field, ((Fraction(0), coeff),))
+        return cls(field, ((0, coeff),))
 
     @classmethod
     def t_power(cls, field, exp, coeff=None):
@@ -49,12 +49,12 @@ class PuiseuxScalar:
             coeff = field.one
         if field.is_zero(coeff):
             return cls(field, ())
-        return cls(field, ((Fraction(exp), coeff),))
+        return cls(field, ((int_if_integral(exp), coeff),))
 
     def is_zero(self):
         return not self.terms
 
-    def valuation(self) -> Fraction:
+    def valuation(self):
         """The least exponent carrying a nonzero coefficient."""
         if not self.terms:
             raise ZeroHasNoValuation("0 has no valuation")
@@ -100,7 +100,7 @@ class PuiseuxScalar:
         acc = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = e1 + e2
+                e = int_if_integral(e1 + e2)
                 prod = field.mul(c1, c2)
                 if e in acc:
                     acc[e] = field.add(acc[e], prod)
@@ -108,19 +108,6 @@ class PuiseuxScalar:
                     acc[e] = prod
         terms = [(e, c) for e, c in sorted(acc.items()) if not field.is_zero(c)]
         return PuiseuxScalar(field, terms)
-
-    def __pow__(self, n):
-        if n < 0 or not isinstance(n, int):
-            raise ValueError("only nonnegative integer powers are supported")
-        result = PuiseuxScalar.constant(self.field, self.field.one)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def scale(self, coeff):
         """Multiply by a residue-field constant."""
@@ -131,8 +118,8 @@ class PuiseuxScalar:
 
     def shift(self, exp):
         """Multiply by t^exp."""
-        exp = Fraction(exp)
-        return PuiseuxScalar(self.field, tuple((e + exp, c) for e, c in self.terms))
+        terms = tuple((int_if_integral(e + exp), c) for e, c in self.terms)
+        return PuiseuxScalar(self.field, terms)
 
     def __eq__(self, other):
         return (

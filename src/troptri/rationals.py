@@ -14,6 +14,14 @@ def parse_rat(text: str) -> Fraction:
     return Fraction(int(text))
 
 
+def int_if_integral(x):
+    """The stored form of an exact rational: an int when integral, else the
+    Fraction itself.  Both compare and hash alike; ints are cheaper."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 def format_rat(x: Fraction) -> str:
     """Render a rational as 'p' or 'p/q' with q > 0 and gcd(p, q) = 1."""
     if x.denominator == 1:

@@ -1,10 +1,11 @@
 """Exact residue fields and unit-root extraction.
 
-Two concrete fields are provided: the rationals (elements are
-``fractions.Fraction``) and prime fields F_p for p <= 10^6 (elements are
-ints in 0..p-1).  ``roots_in_units`` returns the nonzero roots of a
-univariate polynomial and refuses to continue when the polynomial does
-not split into linear factors over the configured field.
+Two concrete fields are provided: the rationals (an element is an
+``int`` when integral, else a ``fractions.Fraction``) and prime fields
+F_p for p <= 10^6 (elements are ints in 0..p-1).  ``roots_in_units``
+returns the nonzero roots of a univariate polynomial and refuses to
+continue when the polynomial does not split into linear factors over the
+configured field.
 
 Both fields find roots with one F_p kernel, in time polynomial in the
 degree, log p and the bit size of the coefficients (Cantor and
@@ -17,9 +18,10 @@ smallest prime that divides neither end coefficient and keeps them
 simple, Hensel-lifted until the modulus bounds numerator and denominator
 and recovered by rational reconstruction (Loos, SIAM J. Comput. 12,
 1983).  In both fields every
-candidate is then checked by exact evaluation and deflated out as often
+candidate is then checked by exact division and deflated out as often
 as it divides, which gives the multiplicities and whether the
-polynomial splits.
+polynomial splits; over Q this runs on the denominator-free integer
+polynomial, where a root u/v divides out as the primitive factor v*x - u.
 """
 
 import random
@@ -27,6 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DivisionByZero, NonSplittingError, ZeroPolynomialError
+from .rationals import int_if_integral
 
 
 class RationalField:
@@ -37,23 +40,23 @@ class RationalField:
 
     @property
     def zero(self):
-        return Fraction(0)
+        return 0
 
     @property
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def add(self, a, b):
-        return a + b
+        return int_if_integral(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return int_if_integral(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return int_if_integral(a * b)
 
     def neg(self, a):
         return -a
@@ -61,12 +64,12 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("cannot invert 0 in %s" % self.name)
-        return 1 / a
+        return int_if_integral(Fraction(1) / a)
 
     def div(self, a, b):
         if b == 0:
             raise DivisionByZero("division by 0 in %s" % self.name)
-        return a / b
+        return int_if_integral(Fraction(a) / b)
 
     def is_zero(self, a):
         return a == 0
@@ -86,7 +89,8 @@ class RationalField:
         polynomial, after the power of x dividing it is removed, factors
         completely into linear pieces over the rationals.  Candidates come
         from the squarefree part by p-adic lifting; found roots are
-        deflated out to account for multiplicities.
+        deflated out of the integer polynomial to account for
+        multiplicities.
         """
         work = _strip_unit_part(coeffs)
         if len(work) <= 1:
@@ -94,10 +98,10 @@ class RationalField:
         den = lcm(*(c.denominator for c in work))
         ints = [c.numerator * (den // c.denominator) for c in work]
         if len(ints) == 2:
-            candidates = [Fraction(-ints[0], ints[1])]
+            candidates = [int_if_integral(Fraction(-ints[0], ints[1]))]
         else:
             candidates = _rational_candidates(_squarefree_part(ints))
-        return _deflate_roots(self, work, candidates)
+        return _deflate_roots(ints, candidates, _zz_divide_root)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -173,7 +177,9 @@ class PrimeField:
         work = _strip_unit_part(coeffs)
         if len(work) <= 1:
             return set(), True
-        return _deflate_roots(self, work, _fp_roots(work, self.p))
+        return _deflate_roots(
+            work, _fp_roots(work, self.p), lambda f, root: _divide_linear(self, f, root)
+        )
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -245,25 +251,26 @@ def _strip_unit_part(coeffs):
 
 
 def _divide_linear(field, coeffs, root):
-    """Quotient and remainder of the division by (x - root), by synthetic
-    division; the remainder is the value at ``root``."""
+    """The quotient of the division by (x - root), by synthetic division, or
+    None when the remainder, the value at ``root``, is not zero."""
     out = [None] * (len(coeffs) - 1)
     carry = coeffs[-1]
     for i in range(len(coeffs) - 2, -1, -1):
         out[i] = carry
         carry = field.add(coeffs[i], field.mul(root, carry))
-    return out, carry
+    return out if field.is_zero(carry) else None
 
 
-def _deflate_roots(field, work, candidates):
+def _deflate_roots(work, candidates, divide):
     """``(roots, split)``: the candidates that are roots of ``work``, each
     deflated out as often as it divides, and whether nothing but a
-    constant is left."""
+    constant is left.  ``divide(work, root)`` is the quotient by the
+    linear factor of ``root``, or None when ``root`` is not a root."""
     roots = set()
-    for c in sorted(candidates, key=field.sort_key):
+    for c in sorted(candidates):
         while len(work) > 1:
-            quotient, value = _divide_linear(field, work, c)
-            if not field.is_zero(value):
+            quotient = divide(work, c)
+            if quotient is None:
                 break
             work = quotient
             roots.add(c)
@@ -414,6 +421,23 @@ def _zz_exact_quotient(a, b):
     return q
 
 
+def _zz_divide_root(a, root):
+    """a / (v*x - u) for root = u/v in lowest terms, or None when u/v is not
+    a root of a.  Divides from the top; by Gauss the quotient of a root is
+    integral, so a leading coefficient not divisible by v or a nonzero
+    remainder refutes it."""
+    u, v = root.numerator, root.denominator
+    q = [0] * (len(a) - 1)
+    carry = 0
+    for i in range(len(a) - 1, 0, -1):
+        c, rem = divmod(a[i] + carry, v)
+        if rem:
+            return None
+        q[i - 1] = c
+        carry = c * u
+    return q if a[0] + carry == 0 else None
+
+
 def _rational_candidates(f):
     """Rationals among which lie all roots of the squarefree primitive f.
 
@@ -462,7 +486,7 @@ def _reconstruct(r, m, bound):
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
-    return Fraction(r1, t1)
+    return int_if_integral(Fraction(r1, t1))
 
 
 def _is_prime(n):

@@ -30,7 +30,7 @@ def polygon_svg(polygon: Polygon, vertex_labels=None, title=None) -> str:
     jmin, jmax = vs[0][0], vs[-1][0]
     vmin = min(v for _, v in vs)
     vmax = max(v for _, v in vs)
-    vpad = max(Fraction(1), (vmax - vmin) / 2)
+    vpad = max(Fraction(1), Fraction(vmax - vmin) / 2)
     top = vmax + vpad
     jspan = max(Fraction(jmax - jmin), Fraction(1))
     vspan = max(top - vmin, Fraction(1))

@@ -425,6 +425,4 @@ def initial_form(f: UPoly, w) -> InitialForm:
 
 def format_residue_terms(terms) -> str:
     """Render a dict u-degree -> residue element, e.g. '-u1 + 1'."""
-    return _format_sum(
-        "u", {d: format_rat(c) if isinstance(c, Fraction) else str(c) for d, c in terms.items()}
-    )
+    return _format_sum("u", {d: format_rat(c) for d, c in terms.items()})

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import QQ, const, ps, time_limit, upoly, uc
+from helpers import const, ps, time_limit, upoly
 from oracle_systems import prefix_cancelling_system_with_expected_points, random_system_with_expected_points
 from troptri import format_system
 from troptri.cli import main

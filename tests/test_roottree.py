@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    QQ,
     close_roots_system,
     compose_naive,
     const,
@@ -93,8 +92,6 @@ def test_reinforcement_polynomial_for_bare_root_is_f1():
 
 
 def test_reinforcement_polynomial_recenters_at_known_part():
-    from helpers import paper_f2_tilde
-
     # shifted by the known part only; rescaling by the tail exponent
     # reproduces the fully zoomed form
     tree = RootTree(close_roots_system(), 2, 2)

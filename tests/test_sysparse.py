@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import QQ, const, mpoly, ps, tp, xvar, mconst
+from helpers import QQ, const, mpoly, tp, xvar, mconst
 from troptri import (
     NonTriangularError,
     ParseError,
