@@ -103,9 +103,9 @@ def main(argv=None) -> int:
     if args.newton_svg:
         try:
             os.makedirs(args.newton_svg, exist_ok=True)
-            for index, event in enumerate(tree.polygon_log):
+            for index, (label, polygon, vertex_labels) in enumerate(tree.polygon_log):
                 path = os.path.join(args.newton_svg, "polygon_%03d.svg" % index)
-                write_polygon_svg(path, event.polygon, event.vertex_labels, title=event.label)
+                write_polygon_svg(path, polygon, vertex_labels, title=label)
         except OSError as exc:
             print("error: cannot write SVG: %s" % exc, file=sys.stderr)
             return 5

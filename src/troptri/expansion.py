@@ -36,7 +36,7 @@ class ApproxRoot:
 
     index: int
     known: tuple
-    tail: object  # Fraction | None
+    tail: object  # int | Fraction | None
 
     def __post_init__(self):
         if not self.known and self.tail is None:
@@ -53,7 +53,7 @@ class ApproxRoot:
     def is_exact(self):
         return self.tail is None
 
-    def valuation(self) -> Fraction:
+    def valuation(self):
         if self.known:
             return self.known[0][0]
         return self.tail
@@ -75,7 +75,7 @@ class ApproxRoot:
 
     def sort_key(self):
         exact_rank = 0 if self.tail is None else 1
-        return (self.valuation(), exact_rank, self.known, self.tail or Fraction(0))
+        return (self.valuation(), exact_rank, self.known, self.tail or 0)
 
     def __repr__(self):
         bits = ["%s t^%s" % (c, e) for e, c in self.known]
@@ -116,11 +116,11 @@ def _expand(f: UPoly, w, p_rel, depth, max_depth) -> dict:
     i = f.var
     bare = {ApproxRoot(i, (), w): f}
     h = initial_form(f, w)
-    if p_rel <= 0 or h.contains_u():
+    if p_rel <= 0 or h is None:
         return bare
     out = {}
-    for c in sorted(roots_in_units(h.residue_poly()), key=field.sort_key):
-        shifted = f.shift_substitute(PuiseuxScalar.t_power(field, w, c), 0)
+    for c in sorted(roots_in_units(h)):
+        shifted = f.shift_substitute(PuiseuxScalar.t_power(field, w, c))
         polygon = newton_polygon(shifted)
         if not is_unique(shifted, polygon):
             return bare

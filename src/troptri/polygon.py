@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ZeroPolynomialError
-from .rationals import format_rat
+from .rationals import format_rat, int_if_integral
 from .upoly import UPoly
 
 
@@ -42,7 +42,7 @@ class Polygon:
 
     def slopes(self):
         return [
-            Fraction(v2 - v1, j2 - j1) for (j1, v1), (j2, v2) in self.edges()
+            int_if_integral(Fraction(v2 - v1, j2 - j1)) for (j1, v1), (j2, v2) in self.edges()
         ]
 
     def tropical_points(self):

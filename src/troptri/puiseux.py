@@ -30,7 +30,7 @@ class PuiseuxScalar:
                 acc[exp] = field.add(acc[exp], coeff)
             else:
                 acc[exp] = coeff
-        terms = [(e, c) for e, c in sorted(acc.items()) if not field.is_zero(c)]
+        terms = [(e, c) for e, c in sorted(acc.items()) if c != 0]
         return cls(field, terms)
 
     @classmethod
@@ -39,7 +39,7 @@ class PuiseuxScalar:
 
     @classmethod
     def constant(cls, field, coeff):
-        if field.is_zero(coeff):
+        if coeff == 0:
             return cls(field, ())
         return cls(field, ((0, coeff),))
 
@@ -47,7 +47,7 @@ class PuiseuxScalar:
     def t_power(cls, field, exp, coeff=None):
         if coeff is None:
             coeff = field.one
-        if field.is_zero(coeff):
+        if coeff == 0:
             return cls(field, ())
         return cls(field, ((int_if_integral(exp), coeff),))
 
@@ -80,7 +80,7 @@ class PuiseuxScalar:
                 j += 1
             else:
                 c = field.add(a[i][1], b[j][1])
-                if not field.is_zero(c):
+                if c != 0:
                     out.append((a[i][0], c))
                 i += 1
                 j += 1
@@ -106,20 +106,8 @@ class PuiseuxScalar:
                     acc[e] = field.add(acc[e], prod)
                 else:
                     acc[e] = prod
-        terms = [(e, c) for e, c in sorted(acc.items()) if not field.is_zero(c)]
+        terms = [(e, c) for e, c in sorted(acc.items()) if c != 0]
         return PuiseuxScalar(field, terms)
-
-    def scale(self, coeff):
-        """Multiply by a residue-field constant."""
-        field = self.field
-        if field.is_zero(coeff):
-            return PuiseuxScalar(field, ())
-        return PuiseuxScalar(field, tuple((e, field.mul(c, coeff)) for e, c in self.terms))
-
-    def shift(self, exp):
-        """Multiply by t^exp."""
-        terms = tuple((int_if_integral(e + exp), c) for e, c in self.terms)
-        return PuiseuxScalar(self.field, terms)
 
     def __eq__(self, other):
         return (
@@ -136,7 +124,7 @@ class PuiseuxScalar:
             return "0"
         parts = []
         for e, c in self.terms:
-            cs = self.field.format(c)
+            cs = format_rat(c)
             if e == 0:
                 parts.append(cs)
             else:

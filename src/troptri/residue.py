@@ -2,7 +2,9 @@
 
 Two concrete fields are provided: the rationals (an element is an
 ``int`` when integral, else a ``fractions.Fraction``) and prime fields
-F_p for p <= 10^6 (elements are ints in 0..p-1).  ``roots_in_units``
+F_p for p <= 10^6 (elements are ints in 0..p-1).  Elements of both are
+canonical, so callers test them with ``== 0``, print them with
+``format_rat`` and order them with ``sorted``.  ``roots_in_units``
 returns the nonzero roots of a univariate polynomial and refuses to
 continue when the polynomial does not split into linear factors over the
 configured field.
@@ -52,9 +54,6 @@ class RationalField:
     def add(self, a, b):
         return int_if_integral(a + b)
 
-    def sub(self, a, b):
-        return int_if_integral(a - b)
-
     def mul(self, a, b):
         return int_if_integral(a * b)
 
@@ -70,17 +69,6 @@ class RationalField:
         if b == 0:
             raise DivisionByZero("division by 0 in %s" % self.name)
         return int_if_integral(Fraction(a) / b)
-
-    def is_zero(self, a):
-        return a == 0
-
-    def format(self, a):
-        if a.denominator == 1:
-            return str(a.numerator)
-        return "%d/%d" % (a.numerator, a.denominator)
-
-    def sort_key(self, a):
-        return a
 
     def unit_roots(self, coeffs):
         """All nonzero rational roots of sum(coeffs[j] * x**j).
@@ -146,9 +134,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -163,23 +148,18 @@ class PrimeField:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def format(self, a):
-        return str(a % self.p)
-
-    def sort_key(self, a):
-        return a % self.p
-
     def unit_roots(self, coeffs):
         """All roots in F_p*, found by root splitting; see RationalField."""
         work = _strip_unit_part(coeffs)
         if len(work) <= 1:
             return set(), True
-        return _deflate_roots(
-            work, _fp_roots(work, self.p), lambda f, root: _divide_linear(self, f, root)
-        )
+        p = self.p
+
+        def divide(f, root):
+            quotient, remainder = _fp_divmod(f, [-root % p, 1], p)
+            return None if remainder else quotient
+
+        return _deflate_roots(work, _fp_roots(work, p), divide)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -198,7 +178,7 @@ class ResiduePoly:
 
     def __init__(self, field, coeffs):
         coeffs = list(coeffs)
-        while coeffs and field.is_zero(coeffs[-1]):
+        while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.field = field
         self.coeffs = tuple(coeffs)
@@ -248,17 +228,6 @@ def _strip_unit_part(coeffs):
     while k < len(coeffs) and coeffs[k] == 0:
         k += 1
     return coeffs[k:]
-
-
-def _divide_linear(field, coeffs, root):
-    """The quotient of the division by (x - root), by synthetic division, or
-    None when the remainder, the value at ``root``, is not zero."""
-    out = [None] * (len(coeffs) - 1)
-    carry = coeffs[-1]
-    for i in range(len(coeffs) - 2, -1, -1):
-        out[i] = carry
-        carry = field.add(coeffs[i], field.mul(root, carry))
-    return out if field.is_zero(carry) else None
 
 
 def _deflate_roots(work, candidates, divide):

@@ -75,17 +75,6 @@ class Vertex:
         self.recentered = None
 
 
-class PolygonEvent:
-    """One polygon inspected by the driver, for diagnostics and SVG output."""
-
-    __slots__ = ("label", "polygon", "vertex_labels")
-
-    def __init__(self, label, polygon, vertex_labels):
-        self.label = label
-        self.polygon = polygon
-        self.vertex_labels = vertex_labels
-
-
 class RootTree:
     def __init__(self, system, p_step, p_max, max_depth=DEFAULT_MAX_DEPTH, record_polygons=False):
         p_step = Fraction(p_step)
@@ -101,6 +90,8 @@ class RootTree:
         self.p_max = p_max
         self.max_depth = max_depth
         self.record_polygons = record_polygons
+        # (label, polygon, vertex labels) per polygon the driver inspects,
+        # for diagnostics and SVG output
         self.polygon_log = []
         self.grow_count = 0
         self.reinforce_count = 0
@@ -129,13 +120,23 @@ class RootTree:
         return chain
 
     def _substituted(self, v, i=0):
-        """The vertex's cached f_{d+1+i}; a child puts its one root into its parent's."""
-        if v.substituted is None:
-            v.substituted = [None] * (self.n - v.depth)
-        g = v.substituted[i]
-        if g is None:
-            above = self._substituted(self.vertices[v.parent], i + 1)
-            g = above.substitute(v.depth - 1, v.root.as_mpoly(self.field, self.n))
+        """The vertex's cached f_{d+1+i}; a child puts its one root into its parent's.
+
+        Walks up to the nearest ancestor holding the entry, then fills the
+        entries on the way back down, topmost first.
+        """
+        missing = []
+        while True:
+            if v.substituted is None:
+                v.substituted = [None] * (self.n - v.depth)
+            g = v.substituted[i]
+            if g is not None:
+                break
+            missing.append((v, i))
+            v = self.vertices[v.parent]
+            i += 1
+        for v, i in reversed(missing):
+            g = g.substitute(v.depth - 1, v.root.as_mpoly(self.field, self.n))
             v.substituted[i] = g
         return g
 
@@ -172,7 +173,7 @@ class RootTree:
         composed = self._next_polynomial(self.vertices[v.parent])
         if not v.root.known:
             return composed
-        return composed.shift_substitute(v.root.known_scalar(self.field), 0)
+        return composed.shift_substitute(v.root.known_scalar(self.field))
 
     def grow(self, vid, ext=None, polygon=None):
         """Attach one child per tropical point of the extension polynomial."""
@@ -322,19 +323,29 @@ class RootTree:
         self._drop_subtree(vertex.vid)
 
     def _drop_subtree(self, vid):
-        v = self.vertices.pop(vid)
-        for c in v.children:
-            self._drop_subtree(c)
+        stack = [vid]
+        while stack:
+            stack.extend(reversed(self.vertices.pop(stack.pop()).children))
 
     def _copy_subtree(self, template, parent_id, new_root) -> int:
-        copy = self._new_vertex(
-            parent=parent_id, depth=template.depth, root=new_root, prec=template.prec
-        )
-        copy.dead = template.dead
-        for child_id in template.children:
-            child = self.vertices[child_id]
-            copy.children.append(self._copy_subtree(child, copy.vid, child.root))
-        return copy.vid
+        """Copy the template's subtree under ``parent_id``, ids in preorder;
+        the caller links the returned top copy to its parent."""
+        top = None
+        stack = [(template, parent_id, new_root)]
+        while stack:
+            template, parent_id, root = stack.pop()
+            copy = self._new_vertex(
+                parent=parent_id, depth=template.depth, root=root, prec=template.prec
+            )
+            copy.dead = template.dead
+            if top is None:
+                top = copy.vid
+            else:
+                self.vertices[parent_id].children.append(copy.vid)
+            for child_id in reversed(template.children):
+                child = self.vertices[child_id]
+                stack.append((child, copy.vid, child.root))
+        return top
 
     # -- driver ----------------------------------------------------------------
 
@@ -373,20 +384,17 @@ class RootTree:
         """Branch valuation vectors, depth-first, first occurrence kept."""
         out = []
         seen = set()
-
-        def visit(vid, vals):
+        stack = [(self.root_id, ())]
+        while stack:
+            vid, vals = stack.pop()
             v = self.vertices[vid]
             if v.root is not None:
                 vals = vals + (v.root.valuation(),)
-            if not v.children:
-                if v.depth == self.n and not v.dead and vals not in seen:
-                    seen.add(vals)
-                    out.append(vals)
-                return
-            for c in v.children:
-                visit(c, vals)
-
-        visit(self.root_id, ())
+            if v.children:
+                stack.extend((c, vals) for c in reversed(v.children))
+            elif v.depth == self.n and not v.dead and vals not in seen:
+                seen.add(vals)
+                out.append(vals)
         return out
 
     def point_set(self):
@@ -401,7 +409,7 @@ class RootTree:
             format_residue_terms(poly.coeffs[j].initial_terms())
             for j, _ in polygon.vertices
         ]
-        self.polygon_log.append(PolygonEvent(label, polygon, labels))
+        self.polygon_log.append((label, polygon, labels))
 
     def to_json_dict(self):
         from .rationals import format_rat

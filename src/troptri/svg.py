@@ -59,12 +59,11 @@ def polygon_svg(polygon: Polygon, vertex_labels=None, title=None) -> str:
     out.append('  <polygon points="%s" fill="#cfe0f5" stroke="none"/>' % " ".join(region))
 
     # lower edges with slope labels
-    for (j1, v1), (j2, v2) in polygon.edges():
+    for ((j1, v1), (j2, v2)), slope in zip(polygon.edges(), polygon.slopes()):
         out.append(
             '  <line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#000" stroke-width="2"/>'
             % (_px(X(j1)), _px(Y(v1)), _px(X(j2)), _px(Y(v2)))
         )
-        slope = Fraction(v2 - v1, j2 - j1)
         mx = (X(j1) + X(j2)) / 2
         my = (Y(v1) + Y(v2)) / 2 - 8
         out.append(

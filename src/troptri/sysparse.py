@@ -12,7 +12,8 @@ exponents are allowed on t only and are written t^(p/q) or t^-1.
 Identifiers starting with 'u' are reserved for the engine's tail
 variables and rejected.  The i-th poly line may use x1..xi only and must
 use xi.  A power whose expansion would pass MAX_POWER_SIZE is rejected
-before it is computed.
+before it is computed, and so are parentheses nested deeper than
+MAX_NESTING.
 """
 
 import re
@@ -33,6 +34,11 @@ from .upoly import MPoly, format_monomial
 # at most about 1.4 s to expand ((7/3*x1 + 5/11)^255, 256 terms, on a 2.1 GHz
 # Xeon); (x1 + 1)^200000 would run for hours.
 MAX_POWER_SIZE = 256
+
+# Deepest parenthesis nesting the parser accepts.  Each level costs four
+# frames of the recursive descent, so this stays far below Python's
+# default recursion limit of 1000.
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^/]))")
 
@@ -84,6 +90,7 @@ class _ExprParser:
         self.toks = tokens
         self.field = field
         self.nvars = nvars
+        self.nesting = 0
 
     def parse(self) -> MPoly:
         value = self.expression()
@@ -135,8 +142,14 @@ class _ExprParser:
     def atom(self):
         tok, col = self.toks.next()
         if tok == "(":
+            if self.nesting == MAX_NESTING:
+                raise ParseError(
+                    "parentheses nested deeper than %d" % MAX_NESTING, self.toks.line_no, col
+                )
+            self.nesting += 1
             value = self.expression()
             self.toks.expect(")")
+            self.nesting -= 1
             return value, "expr"
         if tok.isdigit():
             value = self.rational_constant(self.integer(tok, col))
@@ -301,13 +314,12 @@ def format_system(system: TriangularSystem) -> str:
 def _format_mpoly(f: MPoly) -> str:
     # one summand per (x-monomial, t-power) pair; every summand is a plain
     # product of atoms, so the result reparses whatever the signs are
-    field = f.field
     parts = []
     for deg in sorted(f.terms, reverse=True):
         mono = format_monomial("x", deg)
         for e, c in f.terms[deg].terms:
             factors = []
-            cs = field.format(c)
+            cs = format_rat(c)
             if cs.startswith("-"):
                 cs = "(%s)" % cs
             if e != 0:

@@ -19,8 +19,6 @@ Two layers:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ZeroHasNoValuation, ZeroPolynomialError, ZeroSubstitutionError
 from .puiseux import PuiseuxScalar
 from .rationals import format_rat
@@ -136,7 +134,7 @@ class MPoly:
             return MPoly.zero(self.field, self.nvars)
         return MPoly(self.field, self.nvars, {d: s * scalar for d, s in self.terms.items()})
 
-    def uval(self) -> Fraction:
+    def uval(self):
         """Minimum valuation over all Puiseux coefficients."""
         if not self.terms:
             raise ZeroHasNoValuation("0 has no valuation")
@@ -292,16 +290,13 @@ class UPoly:
                     out[j] = prod
         return UPoly(self.field, self.nvars, self.var, {j: c for j, c in out.items() if not c.is_zero()})
 
-    def shift_substitute(self, prefix: PuiseuxScalar, scale) -> UPoly:
-        """Evaluate at prefix + t^scale * x, i.e. recenter and rescale.
+    def shift_substitute(self, prefix: PuiseuxScalar) -> UPoly:
+        """Evaluate at prefix + x, i.e. recenter the polynomial at ``prefix``.
 
-        With scale 0 this recenters the polynomial at ``prefix``; with a
-        positive scale it additionally zooms into the tail region where
-        the next root terms live.  Exact; the degree is preserved.
+        Exact; the degree is preserved.
         """
         if self.is_zero():
             return UPoly(self.field, self.nvars, self.var, {})
-        scale = Fraction(scale)
         zero = MPoly.zero(self.field, self.nvars)
         a = [self.coeffs.get(j, zero) for j in range(self.degree() + 1)]
         if not prefix.is_zero():
@@ -312,14 +307,7 @@ class UPoly:
                 for j in range(d - 1, i - 1, -1):
                     if not a[j + 1].is_zero():
                         a[j] = a[j] + a[j + 1].mul_scalar(prefix)
-        out = {}
-        for j, c in enumerate(a):
-            if c.is_zero():
-                continue
-            if scale and j:
-                c = MPoly(self.field, self.nvars, {deg: s.shift(scale * j) for deg, s in c.terms.items()})
-            out[j] = c
-        return UPoly(self.field, self.nvars, self.var, out)
+        return UPoly(self.field, self.nvars, self.var, {j: c for j, c in enumerate(a) if not c.is_zero()})
 
     def evaluate(self, value: MPoly) -> MPoly:
         """Substitute a K[u] element for the x-variable."""
@@ -375,52 +363,25 @@ def compose(f: MPoly, values, target: int) -> UPoly:
     return UPoly.from_mpoly(f, target)
 
 
-class InitialForm:
-    """The terms of a UPoly that dominate at a given weight.
+def initial_form(f: UPoly, w):
+    """The residue polynomial of the terms of f minimizing w*j + val(coefficient).
 
-    Coefficients are residue terms (u-monomials over the residue field);
-    the x-structure is kept so the result can be handed to root finding
-    when no u-variable survives.
+    None when a tail variable survives in those terms: then the dominant
+    equation has no residue roots to offer.
     """
-
-    __slots__ = ("field", "nvars", "var", "terms")
-
-    def __init__(self, field, nvars, var, terms):
-        self.field = field
-        self.nvars = nvars
-        self.var = var
-        self.terms = terms  # dict j -> dict u-degree -> residue elem
-
-    def contains_u(self) -> bool:
-        zero = _zero_deg(self.nvars)
-        return any(d != zero for c in self.terms.values() for d in c)
-
-    def residue_poly(self) -> ResiduePoly:
-        if self.contains_u():
-            raise ValueError("initial form still contains tail variables")
-        zero = _zero_deg(self.nvars)
-        top = max(self.terms)
-        coeffs = [self.field.zero] * (top + 1)
-        for j, c in self.terms.items():
-            coeffs[j] = c.get(zero, self.field.zero)
-        return ResiduePoly(self.field, coeffs)
-
-    def __repr__(self):
-        inner = ", ".join(
-            "%d: %s" % (j, format_residue_terms(self.terms[j])) for j in sorted(self.terms)
-        )
-        return "InitialForm{%s}" % inner
-
-
-def initial_form(f: UPoly, w) -> InitialForm:
-    """Terms of f minimizing w*j + val(coefficient), reduced to residues."""
     if f.is_zero():
         raise ZeroHasNoValuation("the zero polynomial has no initial form")
-    w = Fraction(w)
     scored = [(w * j + c.uval(), j, c) for j, c in f.coeffs.items()]
     best = min(s for s, _, _ in scored)
-    terms = {j: c.initial_terms() for s, j, c in scored if s == best}
-    return InitialForm(f.field, f.nvars, f.var, terms)
+    zero = _zero_deg(f.nvars)
+    coeffs = [f.field.zero] * (max(j for s, j, _ in scored if s == best) + 1)
+    for s, j, c in scored:
+        if s == best:
+            terms = c.initial_terms()
+            if len(terms) != 1 or zero not in terms:
+                return None
+            coeffs[j] = terms[zero]
+    return ResiduePoly(f.field, coeffs)
 
 
 def format_residue_terms(terms) -> str:

@@ -95,7 +95,8 @@ def compose_naive(f, values, target):
 
 
 def shift_substitute_naive(f, prefix, scale):
-    """``UPoly.shift_substitute`` by Horner's rule over whole polynomials.
+    """``oracles.shift_and_rescale`` by Horner's rule over whole polynomials;
+    with scale 0 this is ``UPoly.shift_substitute``.
 
     An oracle independent of the engine's in-place Taylor shift: f is
     evaluated at the linear polynomial prefix + t^scale * x, with one

@@ -2,7 +2,8 @@
 
 ``uniqueness_oracle`` probes ``is_unique`` by specializing the tails;
 ``is_approximate_root`` and ``has_maximal_precision`` are the paper's
-two predicates on truncated roots.
+two predicates on truncated roots; ``shift_and_rescale`` is the
+recentering the second one reads, followed by a rescaling.
 """
 
 import random
@@ -31,6 +32,16 @@ def specialize(poly, values):
     for i, v in values.items():
         poly = poly.substitute(i, MPoly.constant(poly.field, poly.nvars, v))
     return poly
+
+
+def shift_and_rescale(f, prefix, scale):
+    """f evaluated at prefix + t^scale * x: recentered at ``prefix``, then
+    rescaled so that x^j gains the factor t^(scale*j)."""
+    g = f.shift_substitute(prefix)
+    return UPoly(g.field, g.nvars, g.var, {
+        j: c.mul_scalar(PuiseuxScalar.t_power(g.field, Fraction(scale) * j))
+        for j, c in g.coeffs.items()
+    })
 
 
 def span(polygon):
@@ -102,7 +113,7 @@ def _generic_tuple(f, variables, rng):
     initials = [c.initial_terms() for c in f.coeffs.values()]
     for _ in range(64):
         values = {i: field.from_int(rng.randint(1, 97)) for i in variables}
-        if all(not field.is_zero(eval_residue(field, g, values)[0]) for g in initials):
+        if all(eval_residue(field, g, values)[0] != 0 for g in initials):
             return {i: PuiseuxScalar.constant(field, v) for i, v in values.items()}
     return {i: PuiseuxScalar.constant(field, field.one) for i in variables}
 
@@ -191,7 +202,7 @@ def has_maximal_precision(f: UPoly, root) -> bool:
     """
     if root.tail is None:
         raise ValueError("exact roots have nothing left to refine")
-    g = f.shift_substitute(root.known_scalar(f.field), root.tail)
+    g = shift_and_rescale(f, root.known_scalar(f.field), root.tail)
     if g.is_zero() or not is_unique(g):
         return False
     polygon = newton_polygon(g)

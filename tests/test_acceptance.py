@@ -26,7 +26,7 @@ from helpers import (
     upoly,
 )
 from oracle_systems import random_system_with_expected_points
-from oracles import has_maximal_precision, is_approximate_root, uniqueness_oracle
+from oracles import has_maximal_precision, is_approximate_root, shift_and_rescale, uniqueness_oracle
 from troptri import (
     MPoly,
     PuiseuxScalar,
@@ -100,10 +100,10 @@ def test_criterion_3_worked_expansion():
     # leaves x^2 + (-2t^2 - t)x + (t^4 + t^3); its branch at valuation 2
     # ran with budget 1 (and found the exact continuation t^2), and the
     # branch below valuation 1 ran out at budget 0 (bare tail at t^2)
-    f1_shift = f.shift_substitute(const(1), 0)
+    f1_shift = f.shift_substitute(const(1))
     assert f1_shift == upoly(1, 0, {2: const(1), 1: ps((1, -1), (2, -2)), 0: ps((3, 1), (4, 1))})
     assert set(puiseux_expansion(f1_shift, 2, 1)) == {root(0, [(2, 1)], None)}
-    f11_shift = f1_shift.shift_substitute(tp(1), 0)
+    f11_shift = f1_shift.shift_substitute(tp(1))
     assert f11_shift == upoly(1, 0, {2: const(1), 1: ps((1, 1), (2, -2)), 0: ps((3, -1), (4, 1))})
     assert set(puiseux_expansion(f11_shift, 2, 0)) == {root(0, [], 2)}
 
@@ -135,14 +135,14 @@ def test_criterion_4_predicates_and_shifts():
             0: uc(2, (ps((1, 1), (2, 1)), (0, 0)), (ps((2, 1), (3, 2)), (1, 0)), (tp(4), (2, 0))),
         }),
     }
-    assert f2.shift_substitute(PuiseuxScalar.zero(QQ), 0) == shifts[(0, 0)]
-    assert f2.shift_substitute(PuiseuxScalar.zero(QQ), 1) == shifts[(1, 0)]
-    assert f2.shift_substitute(ps((0, 1), (1, 1)), 2) == upoly(2, 1, {
+    assert f2.shift_substitute(PuiseuxScalar.zero(QQ)) == shifts[(0, 0)]
+    assert shift_and_rescale(f2, PuiseuxScalar.zero(QQ), 1) == shifts[(1, 0)]
+    assert shift_and_rescale(f2, ps((0, 1), (1, 1)), 2) == upoly(2, 1, {
         2: tp(4),
         1: u1(tp(4, -2)) + uconst(2, tp(2)),
         0: u1sq(tp(4)) + u1(tp(2, -1)),
     })
-    assert f2.shift_substitute(tp(1), 2) == upoly(2, 1, {
+    assert shift_and_rescale(f2, tp(1), 2) == upoly(2, 1, {
         2: tp(4),
         1: u1(tp(4, -2)) + uconst(2, tp(2, -1)),
         0: u1sq(tp(4)) + u1(tp(2)),
@@ -207,8 +207,8 @@ def test_criterion_7_algebra_laws():
         g = _random_upoly_instance(rng)
         prefix = ps((0, rng.choice([1, 2, -1])), (1, rng.randint(-2, 2)))
         scale = Fraction(rng.randint(0, 3), rng.randint(1, 2))
-        lhs = (f * g).shift_substitute(prefix, scale)
-        assert lhs == f.shift_substitute(prefix, scale) * g.shift_substitute(prefix, scale)
+        lhs = shift_and_rescale(f * g, prefix, scale)
+        assert lhs == shift_and_rescale(f, prefix, scale) * shift_and_rescale(g, prefix, scale)
 
 
 # -- randomized instance builders ---------------------------------------------

@@ -19,6 +19,7 @@ from troptri.cli import main
 from troptri.polygon import newton_polygon
 from troptri.roottree import RootTree
 from troptri.svg import polygon_svg
+from troptri.sysparse import MAX_NESTING
 
 THREE_VAR = """\
 ring x1 x2 x3
@@ -283,6 +284,19 @@ def test_number_with_too_many_digits_exits_4(tmp_path, expr, col):
     assert err == "error: line 3, column %d: the number has too many digits\n" % col
 
 
+@pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 1000])
+def test_parenthesis_nesting_limit(tmp_path, depth):
+    expr = "(" * depth + "x2 - x1" + ")" * depth
+    code, out, err = run_cli(tmp_path, "ring x1 x2\npoly x1 - t\npoly %s\n" % expr)
+    if depth <= MAX_NESTING:
+        assert (code, out, err) == (0, "(1,1)\n", "")
+    else:
+        # the opening parenthesis one past the limit, after "poly "
+        col = len("poly ") + MAX_NESTING + 1
+        assert (code, out) == (4, "")
+        assert err == "error: line 3, column %d: parentheses nested deeper than %d\n" % (col, MAX_NESTING)
+
+
 def test_power_at_the_size_limit_is_expanded(tmp_path):
     code, out, err = run_cli(tmp_path, "ring x1\npoly x1^256 - t\n")
     assert (code, out) == (0, "(1/256)\n")
@@ -355,9 +369,10 @@ def test_svg_single_vertex():
 def test_svg_tail_variable_labels():
     # recentered two-factor product: the constant vertex keeps -u1
     from helpers import paper_f2_tilde
+    from oracles import shift_and_rescale
     from troptri.upoly import format_residue_terms
 
-    g = paper_f2_tilde().shift_substitute(ps((0, 1), (1, 1)), 2)
+    g = shift_and_rescale(paper_f2_tilde(), ps((0, 1), (1, 1)), 2)
     polygon = newton_polygon(g)
     labels = [format_residue_terms(g.coeffs[j].initial_terms()) for j, _ in polygon.vertices]
     assert labels == ["-u1", "1", "1"]

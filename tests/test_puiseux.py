@@ -50,14 +50,7 @@ def test_negative_exponents():
     a = ps((-1, 1), (0, 2))
     assert a.valuation() == -1
     assert (a * tp(1)).valuation() == 0
-    assert a.shift(2) == ps((1, 1), (2, 2))
-
-
-def test_scale_and_shift():
-    a = ps((0, 1), (2, 3))
-    assert a.scale(QQ.from_int(2)) == ps((0, 2), (2, 6))
-    assert a.scale(QQ.zero).is_zero()
-    assert a.shift(Fraction(1, 2)) == ps((Fraction(1, 2), 1), (Fraction(5, 2), 3))
+    assert a * tp(2) == ps((1, 1), (2, 2))
 
 
 def test_cancellation_is_exact():

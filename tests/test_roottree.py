@@ -1,6 +1,8 @@
 """The tree driver: growing, reinforcing, and the full tropicalization."""
 
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from troptri import (
     PrecisionLimitError,
     RootTree,
     TriangularSystem,
+    parse_system,
     trop_triangular,
 )
 
@@ -99,7 +102,7 @@ def test_reinforcement_polynomial_recenters_at_known_part():
     (child,) = tree.vertices[tree.root_id].children
     tree.vertices[child].root = root(0, [(0, 1)], 1)
     reinf = tree.reinforcement_polynomial(child)
-    direct = tree.extension_polynomial(tree.root_id).shift_substitute(const(1), 0)
+    direct = tree.extension_polynomial(tree.root_id).shift_substitute(const(1))
     assert reinf == direct
 
 
@@ -339,7 +342,7 @@ def test_cached_polynomials_match_the_naive_substitution():
                 checked += 1
             if k >= 1:
                 naive = compose_naive(polys[k - 1], values[:-1], k - 1)
-                expected = naive.shift_substitute(v.root.known_scalar(tree.field), 0)
+                expected = naive.shift_substitute(v.root.known_scalar(tree.field))
                 assert tree.reinforcement_polynomial(v.vid) == expected
                 checked += 1
     assert checked > 200
@@ -392,3 +395,43 @@ def _naive_reinforcement_polynomial(tree, vid):
     k = v.depth
     naive = compose_naive(tree.system.polys[k - 1], _branch_values(tree, vid)[:-1], k - 1)
     return shift_substitute_naive(naive, v.root.known_scalar(tree.field), 0)
+
+
+@contextmanager
+def _recursion_headroom(frames):
+    """Lower the recursion limit to the current stack depth plus ``frames``."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _chain_system(n, first, last):
+    """``first`` on line 1, xi - x(i-1) on lines 2..n-1, ``last`` on line n."""
+    lines = ["ring " + " ".join("x%d" % (i + 1) for i in range(n)), "poly " + first]
+    lines += ["poly x%d - x%d" % (i + 1, i) for i in range(1, n - 1)]
+    return parse_system("\n".join(lines + ["poly " + last]) + "\n")
+
+
+def test_long_chain_needs_no_recursion_per_coordinate():
+    system = _chain_system(150, "x1 - t", "x150 - x149")
+    with _recursion_headroom(100):
+        tree = RootTree(system, 1, 32).run()
+        assert tree.points() == [(1,) * 150]
+        assert len(tree.to_json_dict()["vertices"]) == 151
+
+
+def test_long_chain_copies_and_drops_deep_subtrees_without_recursion():
+    # the last line cancels the shared prefix 1 of the two x1 roots, so the
+    # head is reinforced and its 119-deep subtree copied and dropped
+    system = _chain_system(120, "(x1 - 1 - t)*(x1 - 1 - t^2)", "x120 - x119 + 1")
+    with _recursion_headroom(100):
+        tree = RootTree(system, 1, 32).run()
+        assert tree.points() == [(0,) * 119 + (1,), (0,) * 119 + (2,)]
+    assert tree.reinforce_count > 0
+    check_invariants(tree)
