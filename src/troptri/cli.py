@@ -7,6 +7,7 @@ mathematical failure.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,7 +26,9 @@ from .svg import write_polygon_svg
 from .sysparse import parse_system
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="troptri",
         description="Tropical points of a zero-dimensional triangular system "

@@ -11,11 +11,11 @@ built once.  The randomized semantic cross-check of ``is_unique`` is a
 test oracle (``tests/oracles.py``), not part of the package.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
+from math import lcm
 
 from .errors import ZeroPolynomialError
-from .rationals import format_rat, int_if_integral
+from .rationals import format_rat, ratio
 from .upoly import UPoly
 
 
@@ -24,30 +24,32 @@ class Polygon:
     """Lower hull vertices (j, v), strictly increasing in j and in slope."""
 
     vertices: tuple
+    _slopes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # the checks and the slopes run on the heights scaled to integers
         vs = self.vertices
         if not vs:
             raise ValueError("a polygon needs at least one vertex")
-        for (j1, _), (j2, _) in zip(vs, vs[1:]):
-            if j2 <= j1:
-                raise ValueError("vertices must be strictly increasing in j")
-        slopes = self.slopes()
-        for s1, s2 in zip(slopes, slopes[1:]):
-            if s2 <= s1:
+        scale = lcm(*[v.denominator for _, v in vs])
+        points = [(j, v.numerator * (scale // v.denominator)) for j, v in vs]
+        steps = [(j2 - j1, h2 - h1) for (j1, h1), (j2, h2) in zip(points, points[1:])]
+        if any(dj <= 0 for dj, _ in steps):
+            raise ValueError("vertices must be strictly increasing in j")
+        for (dj1, dh1), (dj2, dh2) in zip(steps, steps[1:]):
+            if dh2 * dj1 <= dh1 * dj2:
                 raise ValueError("slopes must strictly increase (convexity)")
+        object.__setattr__(self, "_slopes", tuple(ratio(dh, dj * scale) for dj, dh in steps))
 
     def edges(self):
         return list(zip(self.vertices, self.vertices[1:]))
 
     def slopes(self):
-        return [
-            int_if_integral(Fraction(v2 - v1, j2 - j1)) for (j1, v1), (j2, v2) in self.edges()
-        ]
+        return list(self._slopes)
 
     def tropical_points(self):
         """Negated lower-edge slopes: the candidate root valuations."""
-        return {-s for s in self.slopes()}
+        return {-s for s in self._slopes}
 
     def __repr__(self):
         return "Polygon[%s]" % ", ".join(
@@ -76,15 +78,19 @@ def lower_hull(points):
     return hull
 
 
-def support_points(f: UPoly):
-    return [(j, c.uval()) for j, c in sorted(f.coeffs.items())]
-
-
 def newton_polygon(f: UPoly) -> Polygon:
-    """The Newton polygon of a nonzero polynomial."""
+    """The Newton polygon of a nonzero polynomial.
+
+    The hull runs on integers: every height is scaled by the least common
+    denominator of the coefficients' valuations, and only the corners are
+    turned back into rationals.
+    """
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no Newton polygon")
-    return Polygon(tuple(lower_hull(support_points(f))))
+    support = [(j, c.val_pair()) for j, c in sorted(f.coeffs.items())]
+    scale = lcm(*[d for _, (_, d) in support])
+    corners = lower_hull([(j, n * (scale // d)) for j, (n, d) in support])
+    return Polygon(tuple((j, ratio(h, scale)) for j, h in corners))
 
 
 def is_unique(f: UPoly, polygon=None) -> bool:

@@ -2,75 +2,122 @@
 
 A scalar is a sum c_1*t^(w_1) + ... + c_k*t^(w_k) with strictly
 increasing rational exponents (negative exponents allowed) and nonzero
-residue-field coefficients.  An exponent is an ``int`` when integral,
-else a ``fractions.Fraction``; the two compare and hash alike, so only
-the cost of the arithmetic differs.  All arithmetic is exact;
-cancellation removes terms only when they are exactly zero.
+residue-field coefficients.  It is stored over one common denominator:
+``den`` is a positive int and ``nums`` holds the pairs (n_i, c_i) with
+w_i = n_i / den, n_i strictly increasing.  ``den`` is the least such
+denominator (1 for zero), so equal scalars store equal ``(den, nums)``.
+The arithmetic works on the integer numerators only; exponents leave
+as rationals (an int when integral, else a ``fractions.Fraction``)
+through ``valuation``, ``terms`` and ``format``.  All arithmetic is
+exact; cancellation removes terms only when they are exactly zero.
 """
 
+from math import gcd, lcm
+
 from .errors import ZeroHasNoValuation
-from .rationals import format_rat, int_if_integral
+from .rationals import format_rat, ratio
+
+
+def _scalar(field, den, nums):
+    s = object.__new__(PuiseuxScalar)
+    s.field = field
+    s.den = den
+    s.nums = nums
+    return s
+
+
+def _reduced(field, den, nums):
+    """The scalar of sorted nonzero ``nums`` over ``den``, with den made least."""
+    g = gcd(den, *[n for n, _ in nums]) if den != 1 else 1
+    if g != 1:
+        den //= g
+        nums = [(n // g, c) for n, c in nums]
+    return _scalar(field, den, tuple(nums))
+
+
+def _over(pairs, den):
+    """(exponent, coefficient) pairs as (numerator over ``den``, coefficient)."""
+    return [(e.numerator * (den // e.denominator), c) for e, c in pairs]
+
+
+def _common(a, b):
+    """The least common denominator of two scalars and both their numerators over it."""
+    if a.den == b.den:
+        return a.den, a.nums, b.nums
+    den = lcm(a.den, b.den)
+    ka, kb = den // a.den, den // b.den
+    return den, [(n * ka, c) for n, c in a.nums], [(n * kb, c) for n, c in b.nums]
 
 
 class PuiseuxScalar:
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "den", "nums")
 
     def __init__(self, field, terms=()):
         # terms must already be canonical: sorted, unique exponents, no zeros
         self.field = field
-        self.terms = tuple(terms)
+        self.den = lcm(*[e.denominator for e, _ in terms])
+        self.nums = tuple(_over(terms, self.den))
 
     @classmethod
     def from_terms(cls, field, pairs):
         """Canonicalize arbitrary (exponent, coefficient) pairs."""
+        pairs = list(pairs)
+        den = lcm(*[e.denominator for e, _ in pairs])
         acc = {}
-        for exp, coeff in pairs:
-            exp = int_if_integral(exp)
-            if exp in acc:
-                acc[exp] = field.add(acc[exp], coeff)
+        for n, coeff in _over(pairs, den):
+            if n in acc:
+                acc[n] = field.add(acc[n], coeff)
             else:
-                acc[exp] = coeff
-        terms = [(e, c) for e, c in sorted(acc.items()) if c != 0]
-        return cls(field, terms)
+                acc[n] = coeff
+        return _reduced(field, den, [(n, c) for n, c in sorted(acc.items()) if c != 0])
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return _scalar(field, 1, ())
 
     @classmethod
     def constant(cls, field, coeff):
         if coeff == 0:
-            return cls(field, ())
-        return cls(field, ((0, coeff),))
+            return _scalar(field, 1, ())
+        return _scalar(field, 1, ((0, coeff),))
 
     @classmethod
     def t_power(cls, field, exp, coeff=None):
         if coeff is None:
             coeff = field.one
         if coeff == 0:
-            return cls(field, ())
-        return cls(field, ((int_if_integral(exp), coeff),))
+            return _scalar(field, 1, ())
+        return _scalar(field, exp.denominator, ((exp.numerator, coeff),))
+
+    @property
+    def terms(self):
+        """The (exponent, coefficient) pairs with rational exponents."""
+        den = self.den
+        if den == 1:
+            return self.nums
+        return tuple((ratio(n, den), c) for n, c in self.nums)
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def valuation(self):
         """The least exponent carrying a nonzero coefficient."""
-        if not self.terms:
+        if not self.nums:
             raise ZeroHasNoValuation("0 has no valuation")
-        return self.terms[0][0]
+        return ratio(self.nums[0][0], self.den)
 
     def initial(self):
         """The coefficient of the least exponent."""
-        if not self.terms:
+        if not self.nums:
             raise ZeroHasNoValuation("0 has no initial coefficient")
-        return self.terms[0][1]
+        return self.nums[0][1]
 
     def __add__(self, other):
         field = self.field
+        den, a, b = _common(self, other)
         i = j = 0
-        a, b = self.terms, other.terms
         out = []
+        cancelled = False
         while i < len(a) and j < len(b):
             if a[i][0] < b[j][0]:
                 out.append(a[i])
@@ -82,45 +129,59 @@ class PuiseuxScalar:
                 c = field.add(a[i][1], b[j][1])
                 if c != 0:
                     out.append((a[i][0], c))
+                else:
+                    cancelled = True
                 i += 1
                 j += 1
         out.extend(a[i:])
         out.extend(b[j:])
-        return PuiseuxScalar(field, out)
+        if cancelled:
+            # without a cancellation the least common denominator stays least
+            return _reduced(field, den, out)
+        return _scalar(field, den, tuple(out))
 
     def __neg__(self):
-        field = self.field
-        return PuiseuxScalar(field, tuple((e, field.neg(c)) for e, c in self.terms))
+        neg = self.field.neg
+        return _scalar(self.field, self.den, tuple((n, neg(c)) for n, c in self.nums))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         field = self.field
+        den, a, b = _common(self, other)
+        mul, add = field.mul, field.add
+        if len(a) == 1 or len(b) == 1:
+            # one term shifts the other's exponents in order, and a field
+            # has no zero divisors, so nothing merges or cancels
+            if len(b) != 1:
+                a, b = b, a
+            ((n2, c2),) = b
+            return _reduced(field, den, [(n1 + n2, mul(c1, c2)) for n1, c1 in a])
         acc = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = int_if_integral(e1 + e2)
-                prod = field.mul(c1, c2)
-                if e in acc:
-                    acc[e] = field.add(acc[e], prod)
+        for n1, c1 in a:
+            for n2, c2 in b:
+                n = n1 + n2
+                prod = mul(c1, c2)
+                if n in acc:
+                    acc[n] = add(acc[n], prod)
                 else:
-                    acc[e] = prod
-        terms = [(e, c) for e, c in sorted(acc.items()) if c != 0]
-        return PuiseuxScalar(field, terms)
+                    acc[n] = prod
+        return _reduced(field, den, [(n, c) for n, c in sorted(acc.items()) if c != 0])
 
     def __eq__(self, other):
         return (
             isinstance(other, PuiseuxScalar)
             and other.field == self.field
-            and other.terms == self.terms
+            and other.den == self.den
+            and other.nums == self.nums
         )
 
     def __hash__(self):
-        return hash((self.field, self.terms))
+        return hash((self.field, self.den, self.nums))
 
     def format(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for e, c in self.terms:

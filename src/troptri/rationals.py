@@ -22,6 +22,13 @@ def int_if_integral(x):
     return x
 
 
+def ratio(n: int, d: int):
+    """n / d (d > 0) in stored form: an int when d divides n, else a Fraction."""
+    if n % d == 0:
+        return n // d
+    return Fraction(n, d)
+
+
 def format_rat(x: Fraction) -> str:
     """Render a rational as 'p' or 'p/q' with q > 0 and gcd(p, q) = 1."""
     if x.denominator == 1:

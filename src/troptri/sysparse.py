@@ -129,7 +129,7 @@ class _ExprParser:
             exp = self.signed_rational_exponent()
             return MPoly.constant(self.field, self.nvars, PuiseuxScalar.t_power(self.field, exp))
         exp = self.natural_exponent()
-        k = sum(len(s.terms) for s in base.terms.values())
+        k = sum(len(s.nums) for s in base.terms.values())
         if exp > MAX_POWER_SIZE or (k >= 2 and comb(exp + k - 1, k - 1) > MAX_POWER_SIZE):
             raise ParseError(
                 "power too large: exponent %s on a %d-term base exceeds the size limit %d"
@@ -152,7 +152,7 @@ class _ExprParser:
             self.nesting -= 1
             return value, "expr"
         if tok.isdigit():
-            value = self.rational_constant(self.integer(tok, col))
+            value = self.rational_constant(self.integer(tok, col), col)
             return MPoly.constant(self.field, self.nvars, PuiseuxScalar.constant(self.field, value)), "num"
         if tok == "t":
             return MPoly.constant(self.field, self.nvars, PuiseuxScalar.t_power(self.field, 1)), "t"
@@ -168,15 +168,20 @@ class _ExprParser:
             return MPoly.variable(self.field, self.nvars, idx - 1), "var"
         raise ParseError("unexpected %r" % tok, self.toks.line_no, col)
 
-    def rational_constant(self, numerator):
+    def rational_constant(self, numerator, col):
+        """The field element of numerator[/denominator]; ``col`` is where it starts."""
         if self.toks.peek() == "/":
             self.toks.next()
             value = Fraction(numerator, self.nonzero_denominator())
         else:
             value = Fraction(numerator)
-        return self.field.from_int(value.numerator) if value.denominator == 1 else self.field.div(
-            self.field.from_int(value.numerator), self.field.from_int(value.denominator)
-        )
+        if value.denominator == 1:
+            return self.field.from_int(value.numerator)
+        den = self.field.from_int(value.denominator)
+        if den == 0:
+            message = "the denominator %d is 0 in %s" % (value.denominator, self.field.name)
+            raise ParseError(message, self.toks.line_no, col)
+        return self.field.div(self.field.from_int(value.numerator), den)
 
     def integer(self, digits, col) -> int:
         try:

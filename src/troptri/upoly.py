@@ -19,9 +19,11 @@ Two layers:
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import ZeroHasNoValuation, ZeroPolynomialError, ZeroSubstitutionError
 from .puiseux import PuiseuxScalar
-from .rationals import format_rat
+from .rationals import format_rat, ratio
 from .residue import ResiduePoly
 
 
@@ -134,11 +136,22 @@ class MPoly:
             return MPoly.zero(self.field, self.nvars)
         return MPoly(self.field, self.nvars, {d: s * scalar for d, s in self.terms.items()})
 
-    def uval(self):
-        """Minimum valuation over all Puiseux coefficients."""
+    def val_pair(self):
+        """Minimum valuation over all Puiseux coefficients, as (numerator,
+        denominator) in lowest terms with a positive denominator."""
         if not self.terms:
             raise ZeroHasNoValuation("0 has no valuation")
-        return min(s.valuation() for s in self.terms.values())
+        n = d = None
+        for s in self.terms.values():
+            sn = s.nums[0][0]
+            if d is None or sn * d < n * s.den:
+                n, d = sn, s.den
+        g = gcd(n, d)
+        return n // g, d // g
+
+    def uval(self):
+        """Minimum valuation over all Puiseux coefficients."""
+        return ratio(*self.val_pair())
 
     def initial_terms(self):
         """The residue terms attaining the minimum valuation.
@@ -147,8 +160,8 @@ class MPoly:
         this coefficient in the residue field with the tails kept
         symbolic.  Raises on zero.
         """
-        v = self.uval()
-        return {d: s.initial() for d, s in self.terms.items() if s.valuation() == v}
+        n, d = self.val_pair()
+        return {deg: s.nums[0][1] for deg, s in self.terms.items() if s.nums[0][0] * d == n * s.den}
 
     def substitute(self, index, value):
         """Put the K[u] element ``value`` in for variable ``index`` (Horner's rule)."""

@@ -1,6 +1,7 @@
 """Independent oracles for the engine's predicates and structures.
 
-``uniqueness_oracle`` probes ``is_unique`` by specializing the tails;
+``newton_polygon_rational`` is the Newton hull taken over the rational
+heights; ``uniqueness_oracle`` probes ``is_unique`` by specializing the tails;
 ``is_approximate_root`` and ``has_maximal_precision`` are the paper's
 two predicates on truncated roots; ``shift_and_rescale`` is the
 recentering the second one reads, followed by a rescaling.
@@ -9,7 +10,8 @@ recentering the second one reads, followed by a rescaling.
 import random
 from fractions import Fraction
 
-from troptri import MPoly, PuiseuxScalar, ResiduePoly, UPoly, ZeroPolynomialError, is_unique, newton_polygon
+from troptri import MPoly, Polygon, PuiseuxScalar, ResiduePoly, UPoly, ZeroPolynomialError, is_unique, newton_polygon
+from troptri.polygon import lower_hull
 
 
 class ExactRootError(Exception):
@@ -42,6 +44,19 @@ def shift_and_rescale(f, prefix, scale):
         j: c.mul_scalar(PuiseuxScalar.t_power(g.field, Fraction(scale) * j))
         for j, c in g.coeffs.items()
     })
+
+
+def support_points(f: UPoly):
+    """The points (j, val(a_j)) of f = sum a_j x^j, with rational heights
+    taken as the least valuation of each coefficient's scalars."""
+    return [(j, min(s.valuation() for s in c.terms.values())) for j, c in sorted(f.coeffs.items())]
+
+
+def newton_polygon_rational(f: UPoly) -> Polygon:
+    """The Newton polygon, its lower hull taken over rational heights."""
+    if f.is_zero():
+        raise ZeroPolynomialError("the zero polynomial has no Newton polygon")
+    return Polygon(tuple(lower_hull(support_points(f))))
 
 
 def span(polygon):

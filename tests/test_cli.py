@@ -284,6 +284,23 @@ def test_number_with_too_many_digits_exits_4(tmp_path, expr, col):
     assert err == "error: line 3, column %d: the number has too many digits\n" % col
 
 
+@pytest.mark.parametrize(
+    "constant, col, den", [("1/7", 11, 7), ("3/14", 11, 14), ("(2*t + 5/21)", 18, 21)],
+    ids=["1/7", "3/14", "nested"],
+)
+def test_denominator_zero_in_the_prime_field_exits_4(tmp_path, constant, col, den):
+    code, out, err = run_cli(tmp_path, "ring x1 fp:7\npoly x1 - %s\n" % constant)
+    assert (code, out) == (4, "")
+    # col is where the constant's numerator starts
+    assert err == "error: line 2, column %d: the denominator %d is 0 in F7\n" % (col, den)
+
+
+def test_denominator_that_reduces_away_over_the_prime_field(tmp_path):
+    # 7/14 is 1/2 before it is read in F_7, and 2 is a unit there
+    code, out, err = run_cli(tmp_path, "ring x1 fp:7\npoly x1 - 7/14\n")
+    assert (code, out, err) == (0, "(0)\n", "")
+
+
 @pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 1000])
 def test_parenthesis_nesting_limit(tmp_path, depth):
     expr = "(" * depth + "x2 - x1" + ")" * depth
@@ -460,3 +477,23 @@ def test_bad_flag_values_exit_4(tmp_path, flags):
     assert code == 4
     assert out == ""
     assert err.startswith("error: bad ") and err.count("\n") == 1
+
+
+def test_the_shared_parser_answers_each_call_alike(tmp_path, capsys):
+    # the parser is built once per process, so a rejected flag, a run with
+    # other flags and --help must leave it as it was
+    from troptri.cli import build_arg_parser
+
+    assert build_arg_parser() is build_arg_parser()
+    seen = []
+    for argv in (["--format", "bad"], ["--help"], ["--bogus"]):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            seen.append((stop.value.code, capsys.readouterr()))
+            assert run_cli(tmp_path, THREE_VAR, "--format", "json", "--pmax", "8")[0] == 0
+    assert [code for code, _ in seen] == [2, 2, 0, 0, 2, 2]
+    assert seen[0] == seen[1] and seen[2] == seen[3] and seen[4] == seen[5]
+    assert seen[0][1].err.endswith("error: argument --format: invalid choice: 'bad' (choose from 'text', 'json')\n")
+    assert seen[2][1].out.startswith("usage: troptri ")
+    assert run_cli(tmp_path, THREE_VAR) == (0, "(0,0,0) (0,-1,1) (-1,1,0) (-1,-1,2)\n", "")

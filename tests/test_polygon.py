@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import QQ, const, paper_f1, paper_f2_tilde, ps, tp, uc, uconst, upoly
-from oracles import hull_value, on_lower_edge, span, specialize, uniqueness_oracle
+from oracles import hull_value, on_lower_edge, span, specialize, support_points, uniqueness_oracle
 from troptri import Polygon, UPoly, ZeroPolynomialError, is_unique, newton_polygon
 
 
@@ -112,8 +112,6 @@ def test_ufree_polygons_track_factored_roots():
 
 def test_support_points_lie_on_or_above_hull():
     rng = random.Random(40)
-    from troptri.polygon import support_points
-
     for _ in range(80):
         f = _random_upoly(rng)
         polygon = newton_polygon(f)

@@ -6,14 +6,22 @@ check that no operation leaves an integral Fraction or makes a float, and
 that every result equals the same operation on plain Fractions.  F_p
 elements are ints in 0..p-1 after every operation, so the engine tests,
 prints and orders residue elements of both fields as plain numbers.
+
+A Puiseux scalar stores its exponents as int numerators over one least
+common denominator; the exponents read here come through its rational
+view ``terms``.  Its arithmetic is checked against dicts keyed by
+Fraction exponents, and the integer Newton hull against the hull taken
+over rational heights.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from troptri import NonSplittingError, PrimeField, PuiseuxScalar, RationalField, ResiduePoly, roots_in_units
+from oracles import newton_polygon_rational
+from troptri import MPoly, NonSplittingError, PrimeField, PuiseuxScalar, RationalField, ResiduePoly, UPoly, newton_polygon, roots_in_units
 
 QQ = RationalField()
 
@@ -134,3 +142,105 @@ def test_prime_field_roots_are_canonical(p, roots, extra, lead):
         for c in reversed(poly.coeffs):
             value = field.add(field.mul(value, r), c)
         assert value == 0
+
+
+# exponents with denominators 1..6, so sums and products need a common one
+wide_exponents = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+series_fields = st.sampled_from([QQ, PrimeField(7)])
+
+
+def reference(field, pairs):
+    """The dict Fraction exponent -> nonzero coefficient of a sum of terms."""
+    out = {}
+    for e, c in pairs:
+        e = Fraction(e)
+        out[e] = field.add(out.get(e, 0), c)
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def reference_product(field, a, b):
+    return reference(field, [(e1 + e2, field.mul(c1, c2)) for e1, c1 in a.items() for e2, c2 in b.items()])
+
+
+def assert_form(s):
+    """Least common denominator, strictly increasing numerators, no zero coefficient."""
+    assert type(s.den) is int and s.den >= 1
+    assert gcd(s.den, *[n for n, _ in s.nums]) == 1
+    if not s.nums:
+        assert s.den == 1
+    numerators = [n for n, _ in s.nums]
+    assert all(type(n) is int for n in numerators)
+    assert all(m < n for m, n in zip(numerators, numerators[1:]))
+    assert all(c != 0 for _, c in s.nums)
+
+
+def assert_matches(s, ref):
+    assert_form(s)
+    assert_exponents_stored(s)
+    assert s.terms == tuple(sorted(ref.items()))
+    if ref:
+        low = min(ref)
+        assert s.valuation() == low and s.initial() == ref[low]
+        assert_stored(s.valuation())
+
+
+@st.composite
+def scalar_pairs(draw):
+    field = draw(series_fields)
+    coeffs = st.integers(-3, 3).map(field.from_int)
+    terms = st.lists(st.tuples(wide_exponents, coeffs), max_size=4)
+    return field, draw(terms), draw(terms), draw(wide_exponents), draw(coeffs.filter(bool))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(scalar_pairs())
+def test_scalar_arithmetic_matches_fraction_keyed_reference(case):
+    field, pa, pb, w, c = case
+    a, b = PuiseuxScalar.from_terms(field, pa), PuiseuxScalar.from_terms(field, pb)
+    ra, rb = reference(field, pa), reference(field, pb)
+    tw = PuiseuxScalar.t_power(field, w, c)
+    neg_b = {e: field.neg(x) for e, x in rb.items()}
+    assert_matches(a, ra)
+    assert_matches(tw, {w: c})
+    assert_matches(a + b, reference(field, [*ra.items(), *rb.items()]))
+    assert_matches(-b, neg_b)
+    assert_matches(a - b, reference(field, [*ra.items(), *neg_b.items()]))
+    assert_matches(a * b, reference_product(field, ra, rb))
+    assert_matches(a * tw, reference_product(field, ra, {w: c}))
+    assert_matches(a - a, {})
+    # the stored form is canonical, so equal values are equal objects
+    assert PuiseuxScalar(field, a.terms) == a and hash(PuiseuxScalar(field, a.terms)) == hash(a)
+    assert (a + b) * tw == a * tw + b * tw
+
+
+@st.composite
+def upolys(draw):
+    """A UPoly over Q in x1 whose coefficients are K[u1, u2] elements with
+    exponent denominators 1..6."""
+    coeffs = st.integers(-3, 3).filter(bool)
+    scalar = st.lists(st.tuples(wide_exponents, coeffs), min_size=1, max_size=3).map(
+        lambda pairs: PuiseuxScalar.from_terms(QQ, pairs)
+    )
+    coeff = st.dictionaries(st.tuples(st.just(0), st.integers(0, 1), st.integers(0, 1)), scalar,
+                            min_size=1, max_size=2).map(lambda terms: MPoly.from_terms(QQ, 3, terms.items()))
+    pairs = draw(st.dictionaries(st.integers(0, 7), coeff, min_size=1, max_size=6))
+    return UPoly.from_coeffs(QQ, 3, 0, pairs.items())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(upolys())
+def test_integer_newton_hull_matches_the_rational_hull(f):
+    if f.is_zero():
+        return
+    polygon = newton_polygon(f)
+    assert polygon == newton_polygon_rational(f)
+    for j, v in polygon.vertices:
+        assert_stored(v)
+    for c in f.coeffs.values():
+        low = min(s.valuation() for s in c.terms.values())
+        assert c.uval() == low
+        assert_stored(c.uval())
+        assert c.initial_terms() == {d: s.initial() for d, s in c.terms.items() if s.valuation() == low}
+    assert polygon.slopes() == [Fraction(v2 - v1, j2 - j1) for (j1, v1), (j2, v2) in polygon.edges()]
+    for s in polygon.slopes():
+        assert_stored(s)
