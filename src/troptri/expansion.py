@@ -12,12 +12,11 @@ tail u_i * t^(w_r) standing for their unknown continuation.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidTargetError, RecursionLimitError, ZeroPolynomialError
 from .polygon import is_unique, newton_polygon
 from .puiseux import PuiseuxScalar
-from .rationals import format_rat
+from .rationals import format_rat, int_if_integral
 from .residue import roots_in_units
 from .upoly import MPoly, UPoly, initial_form
 
@@ -103,10 +102,10 @@ def puiseux_expansion(f: UPoly, w, p_rel, max_depth: int = DEFAULT_MAX_DEPTH) ->
     polygon = newton_polygon(f)
     if not is_unique(f, polygon):
         raise ValueError("the Newton polygon is not substitution-invariant")
-    w = Fraction(w)
+    w = int_if_integral(w)
     if w not in polygon.tropical_points():
         raise InvalidTargetError("%s is not a tropical point of the polynomial" % format_rat(w))
-    return _expand(f, w, Fraction(p_rel), 0, max_depth)
+    return _expand(f, w, p_rel, 0, max_depth)
 
 
 def _expand(f: UPoly, w, p_rel, depth, max_depth) -> dict:

@@ -104,12 +104,12 @@ class RationalField:
 class PrimeField:
     """The prime field F_p; elements are canonical ints in 0..p-1.
 
-    p is capped because the primality check on construction is trial
-    division.
+    p is capped below the bound up to which the primality check on
+    construction (deterministic Miller-Rabin) is exact.
     """
 
     __slots__ = ("p",)
-    MAX_PRIME = 10**6
+    MAX_PRIME = 10**24
 
     def __init__(self, p):
         if p < 2 or p > self.MAX_PRIME or not _is_prime(p):
@@ -458,14 +458,25 @@ def _reconstruct(r, m, bound):
     return int_if_integral(Fraction(r1, t1))
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    """Miller-Rabin to the 13 prime bases 2..41, exact below psi_13 =
+    3317044064679887385961981 (Sorenson and Webster, Math. Comp. 86, 2017),
+    so for every n up to PrimeField.MAX_PRIME.  Twelve bases are not enough:
+    psi_12 = 318665857834031151167461 passes 2..37."""
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # 2^r exactly divides n - 1
+    for b in _MR_BASES:
+        x = pow(b, (n - 1) >> r, n)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        i += 2
     return True

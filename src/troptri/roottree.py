@@ -52,7 +52,7 @@ class TriangularSystem:
 
 class Vertex:
     __slots__ = (
-        "vid", "parent", "children", "root", "prec", "depth", "dead", "substituted", "recentered",
+        "vid", "parent", "children", "root", "prec", "depth", "dead", "value", "substituted", "recentered",
     )
 
     def __init__(self, vid, parent, depth, root, prec):
@@ -63,6 +63,8 @@ class Vertex:
         self.prec = prec
         self.depth = depth
         self.dead = False
+        # the root as a K[u] element, built on first use
+        self.value = None
         # f_{depth+1..n} with x_1..x_depth replaced by the branch's roots,
         # each entry filled on first use.  A vertex's root never changes
         # after it is created (reinforce replaces vertices by copies, which
@@ -136,7 +138,9 @@ class RootTree:
             v = self.vertices[v.parent]
             i += 1
         for v, i in reversed(missing):
-            g = g.substitute(v.depth - 1, v.root.as_mpoly(self.field, self.n))
+            if v.value is None:
+                v.value = v.root.as_mpoly(self.field, self.n)
+            g = g.substitute(v.depth - 1, v.value)
             v.substituted[i] = g
         return g
 

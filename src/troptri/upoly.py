@@ -19,7 +19,7 @@ Two layers:
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ZeroHasNoValuation, ZeroPolynomialError, ZeroSubstitutionError
 from .puiseux import PuiseuxScalar
@@ -164,8 +164,37 @@ class MPoly:
         return {deg: s.nums[0][1] for deg, s in self.terms.items() if s.nums[0][0] * d == n * s.den}
 
     def substitute(self, index, value):
-        """Put the K[u] element ``value`` in for variable ``index`` (Horner's rule)."""
-        return UPoly.from_mpoly(self, index).evaluate(value)
+        """Put ``value`` = a + s*u_index in for x_index (a, s scalars, either may be 0).
+
+        Variable ``index`` is x_index before and u_index after, so a root's
+        known terms recenter the polynomial and its tail rescales it.  A
+        polynomial that does not use x_index comes back as the same object.
+        Raises ValueError for any other value.
+        """
+        parts = [None, None]  # a, s
+        for deg, scalar in value.terms.items():
+            if deg[index] > 1 or sum(deg) != deg[index]:
+                raise ValueError("the value must be a + s*u%d for scalars a and s" % (index + 1))
+            parts[deg[index]] = scalar
+        a, s = parts
+        if not any(deg[index] for deg in self.terms):
+            return self
+        if a is None and s is not None:
+            # a bare tail: every monomial stays, x_index^k gains the factor s^k
+            powers = _powers(s, max(deg[index] for deg in self.terms))
+            return MPoly(self.field, self.nvars, {
+                d: c * powers[d[index]] if d[index] else c for d, c in self.terms.items()
+            })
+        coeffs = UPoly.from_mpoly(self, index).coeffs
+        if a is not None:
+            coeffs = _taylor_shift(coeffs, a)
+        if s is None:
+            return coeffs.get(0, MPoly.zero(self.field, self.nvars))
+        powers = _powers(s, max(coeffs))
+        return MPoly(self.field, self.nvars, {
+            d[:index] + (j,) + d[index + 1:]: scalar * powers[j] if j else scalar
+            for j, c in coeffs.items() for d, scalar in c.terms.items()
+        })
 
     def __eq__(self, other):
         return (
@@ -308,31 +337,9 @@ class UPoly:
 
         Exact; the degree is preserved.
         """
-        if self.is_zero():
-            return UPoly(self.field, self.nvars, self.var, {})
-        zero = MPoly.zero(self.field, self.nvars)
-        a = [self.coeffs.get(j, zero) for j in range(self.degree() + 1)]
-        if not prefix.is_zero():
-            # Taylor shift by repeated synthetic division: pass i leaves the
-            # coefficient of x^i in f(x + prefix) in a[i]
-            d = len(a) - 1
-            for i in range(d):
-                for j in range(d - 1, i - 1, -1):
-                    if not a[j + 1].is_zero():
-                        a[j] = a[j] + a[j + 1].mul_scalar(prefix)
-        return UPoly(self.field, self.nvars, self.var, {j: c for j, c in enumerate(a) if not c.is_zero()})
-
-    def evaluate(self, value: MPoly) -> MPoly:
-        """Substitute a K[u] element for the x-variable."""
-        if self.is_zero():
-            return MPoly.zero(self.field, self.nvars)
-        acc = MPoly.zero(self.field, self.nvars)
-        for j in range(self.degree(), -1, -1):
-            acc = acc * value
-            c = self.coeffs.get(j)
-            if c is not None:
-                acc = acc + c
-        return acc
+        if prefix.is_zero() or not self.coeffs:
+            return UPoly(self.field, self.nvars, self.var, self.coeffs)
+        return UPoly(self.field, self.nvars, self.var, _taylor_shift(self.coeffs, prefix))
 
     def __eq__(self, other):
         return (
@@ -354,6 +361,27 @@ class UPoly:
 
     def __repr__(self):
         return "<%s>" % self.format()
+
+
+def _taylor_shift(coeffs, prefix):
+    """The nonzero coefficients of f(x + prefix), f = sum coeffs[j]*x^j != 0, by
+    repeated synthetic division: pass i leaves the coefficient of x^i in a[i]."""
+    d = max(coeffs)
+    zero = MPoly.zero(coeffs[d].field, coeffs[d].nvars)
+    a = [coeffs.get(j, zero) for j in range(d + 1)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            if a[j + 1].terms:
+                a[j] = a[j] + a[j + 1].mul_scalar(prefix)
+    return {j: c for j, c in enumerate(a) if c.terms}
+
+
+def _powers(s, k):
+    """[None, s, s^2, ..., s^k]; no caller reads s^0."""
+    powers = [None, s]
+    for _ in range(k - 1):
+        powers.append(powers[-1] * s)
+    return powers
 
 
 def compose(f: MPoly, values, target: int) -> UPoly:
@@ -384,16 +412,20 @@ def initial_form(f: UPoly, w):
     """
     if f.is_zero():
         raise ZeroHasNoValuation("the zero polynomial has no initial form")
-    scored = [(w * j + c.uval(), j, c) for j, c in f.coeffs.items()]
-    best = min(s for s, _, _ in scored)
+    # w*j + val(c) times wd*m, m the lcm of the valuations' denominators: an int
+    wn, wd = w.numerator, w.denominator
+    vals = {j: c.val_pair() for j, c in f.coeffs.items()}
+    m = lcm(*[d for _, d in vals.values()])
+    scores = {j: wn * j * m + n * wd * (m // d) for j, (n, d) in vals.items()}
+    best = min(scores.values())
+    top = [j for j, score in scores.items() if score == best]
     zero = _zero_deg(f.nvars)
-    coeffs = [f.field.zero] * (max(j for s, j, _ in scored if s == best) + 1)
-    for s, j, c in scored:
-        if s == best:
-            terms = c.initial_terms()
-            if len(terms) != 1 or zero not in terms:
-                return None
-            coeffs[j] = terms[zero]
+    coeffs = [f.field.zero] * (max(top) + 1)
+    for j in top:
+        terms = f.coeffs[j].initial_terms()
+        if len(terms) != 1 or zero not in terms:
+            return None
+        coeffs[j] = terms[zero]
     return ResiduePoly(f.field, coeffs)
 
 

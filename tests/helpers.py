@@ -73,9 +73,10 @@ def mconst(nvars, scalar, field=QQ):
 def compose_naive(f, values, target):
     """``compose`` by the product-of-powers rule, term by term.
 
-    An oracle independent of the engine's one-coordinate Horner kernel:
-    each term of f becomes its scalar times the product of the values'
-    powers, and the pieces are summed per power of x_{target}.
+    An oracle independent of the engine's one-coordinate kernel, which
+    recenters and rescales: each term of f becomes its scalar times the
+    product of the values' powers, and the pieces are summed per power of
+    x_{target}.
     """
     field, nvars = f.field, f.nvars
     acc = {}

@@ -1,5 +1,7 @@
 """Independent oracles for the engine's predicates and structures.
 
+``evaluate`` is Horner's rule, the reference for ``MPoly.substitute``;
+``is_prime_trial_division`` is the reference for the Miller-Rabin test;
 ``newton_polygon_rational`` is the Newton hull taken over the rational
 heights; ``uniqueness_oracle`` probes ``is_unique`` by specializing the tails;
 ``is_approximate_root`` and ``has_maximal_precision`` are the paper's
@@ -34,6 +36,30 @@ def specialize(poly, values):
     for i, v in values.items():
         poly = poly.substitute(i, MPoly.constant(poly.field, poly.nvars, v))
     return poly
+
+
+def evaluate(f: UPoly, value: MPoly) -> MPoly:
+    """f with the K[u] element ``value`` put in for its variable (Horner's rule)."""
+    acc = MPoly.zero(f.field, f.nvars)
+    for j in range(max(f.coeffs, default=-1), -1, -1):
+        acc = acc * value
+        c = f.coeffs.get(j)
+        if c is not None:
+            acc = acc + c
+    return acc
+
+
+def is_prime_trial_division(n):
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    i = 3
+    while i * i <= n:
+        if n % i == 0:
+            return False
+        i += 2
+    return True
 
 
 def shift_and_rescale(f, prefix, scale):
@@ -200,7 +226,7 @@ def is_approximate_root(f: UPoly, root) -> bool:
         raise ZeroPolynomialError("cannot test roots against the zero polynomial")
     if root.tail is None:
         raise ExactRootError("the root is exact; substitute and compare with zero instead")
-    image = f.evaluate(root.as_mpoly(f.field, f.nvars))
+    image = evaluate(f, root.as_mpoly(f.field, f.nvars))
     if image.is_zero():
         raise ExactRootError("the root substitutes to exactly zero")
     degrees = {deg[root.index] for deg in image.initial_terms()}

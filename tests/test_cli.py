@@ -4,9 +4,12 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -497,3 +500,47 @@ def test_the_shared_parser_answers_each_call_alike(tmp_path, capsys):
     assert seen[0][1].err.endswith("error: argument --format: invalid choice: 'bad' (choose from 'text', 'json')\n")
     assert seen[2][1].out.startswith("usage: troptri ")
     assert run_cli(tmp_path, THREE_VAR) == (0, "(0,0,0) (0,-1,1) (-1,1,0) (-1,-1,2)\n", "")
+
+
+CHAIN_RSS = """\
+import resource, sys
+from troptri.cli import main
+code = main(["--input", sys.argv[1]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_chain_of_300_coordinates_prints_all_ones_in_little_memory(tmp_path):
+    # only line i+1 uses x_i, so every vertex shares all but one cached
+    # polynomial with its parent and memory stays flat in the chain length
+    n = 300
+    src = tmp_path / "chain.txt"
+    src.write_text("ring %s\npoly x1 - t\n%s" % (
+        " ".join("x%d" % (i + 1) for i in range(n)),
+        "".join("poly x%d - x%d\n" % (i + 1, i) for i in range(1, n)),
+    ))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", CHAIN_RSS, str(src)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout == "(%s)\n" % ",".join(["1"] * n)
+    code, maxrss_kb = done.stderr.split()
+    assert code == "0"
+    assert int(maxrss_kb) < 60 * 1024
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+def test_system_over_a_61_bit_prime_field_solves(tmp_path):
+    text = "ring x1 x2 fp:%d\npoly (x1 - 3 - t)*(x1 - 5*t^2)\npoly x2^2 - x1*x2 + 7*t\n" % MERSENNE_61
+    with time_limit(10):
+        code, out, err = run_cli(tmp_path, text)
+    assert (code, err) == (0, "")
+    assert out.strip() == "(2,1/2) (0,1) (0,0)"
+
+
+@pytest.mark.parametrize("p", [10**24 + 7, 318665857834031151167461, 10**6 + 2], ids=["above-cap", "psi12", "even"])
+def test_modulus_above_the_cap_or_composite_exits_4(tmp_path, p):
+    code, out, err = run_cli(tmp_path, "ring x1 fp:%d\npoly x1 - t\n" % p)
+    assert (code, out) == (4, "")
+    assert err == "error: line 1, column 1: modulus must be a prime <= %d, got %d\n" % (10**24, p)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import troptri
 from helpers import horner, time_limit, unit_roots_naive
+from oracles import is_prime_trial_division
 from troptri import (
     DivisionByZero,
     NonSplittingError,
@@ -16,6 +17,7 @@ from troptri import (
     RationalField,
     ResiduePoly,
 )
+from troptri.residue import _is_prime
 
 QQ = RationalField()
 F5 = PrimeField(5)
@@ -68,9 +70,25 @@ def test_prime_field_validation():
     with pytest.raises(ValueError):
         PrimeField(4)
     with pytest.raises(ValueError):
-        PrimeField(10**6 + 3)
+        PrimeField(10**24 + 7)  # prime, but above the cap
     assert PrimeField(2).p == 2
     assert PrimeField(999983).p == 999983
+    assert PrimeField(10**6 + 3).p == 10**6 + 3
+
+
+def test_miller_rabin_agrees_with_trial_division_below_10_to_the_5():
+    assert [n for n in range(10**5) if _is_prime(n)] == [n for n in range(10**5) if is_prime_trial_division(n)]
+
+
+def test_miller_rabin_on_large_numbers():
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to the
+    # twelve prime bases 2..37; base 41 exposes it
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not _is_prime(318665857834031151167461)
+    assert _is_prime(2**61 - 1) and _is_prime(10**24 + 7)
+    assert not _is_prime((2**31 - 1) * (2**61 - 1))
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    assert PrimeField.MAX_PRIME == 10**24
 
 
 def test_residue_poly_normalization():

@@ -435,3 +435,33 @@ def test_long_chain_copies_and_drops_deep_subtrees_without_recursion():
         assert tree.points() == [(0,) * 119 + (1,), (0,) * 119 + (2,)]
     assert tree.reinforce_count > 0
     check_invariants(tree)
+
+
+def _assert_untouched_entries_are_shared(tree):
+    """A vertex's cached polynomial that does not use the vertex's own
+    coordinate is its parent's entry itself, not an equal copy."""
+    for v in tree.vertices.values():
+        if v.root is None or v.substituted is None:
+            continue
+        parent = tree.vertices[v.parent]
+        for i, g in enumerate(v.substituted):
+            above = parent.substituted[i + 1]
+            if g is not None and above is not None and v.depth - 1 not in above.variables():
+                assert g is above
+
+
+def test_chain_of_300_coordinates_shares_its_cached_polynomials():
+    n = 300
+    system = _chain_system(n, "x1 - t", "x%d - x%d" % (n, n - 1))
+    tree = RootTree(system, 1, 32).run()
+    assert tree.points() == [(1,) * n]
+    _assert_untouched_entries_are_shared(tree)
+    # f_(d+1) uses only x_d and x_(d+1), so the root's entry passes down untouched
+    for v in tree.vertices.values():
+        if 0 < v.depth < n - 1:
+            assert tree.vertices[v.parent].substituted[1] is system.polys[v.depth]
+
+
+def test_untouched_cache_entries_are_shared_on_finished_trees():
+    for tree in _finished_trees():
+        _assert_untouched_entries_are_shared(tree)

@@ -21,7 +21,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import newton_polygon_rational
-from troptri import MPoly, NonSplittingError, PrimeField, PuiseuxScalar, RationalField, ResiduePoly, UPoly, newton_polygon, roots_in_units
+from troptri import (
+    MPoly,
+    NonSplittingError,
+    PrimeField,
+    PuiseuxScalar,
+    RationalField,
+    ResiduePoly,
+    RootTree,
+    UPoly,
+    initial_form,
+    newton_polygon,
+    parse_system,
+    roots_in_units,
+)
 
 QQ = RationalField()
 
@@ -244,3 +257,47 @@ def test_integer_newton_hull_matches_the_rational_hull(f):
     assert polygon.slopes() == [Fraction(v2 - v1, j2 - j1) for (j1, v1), (j2, v2) in polygon.edges()]
     for s in polygon.slopes():
         assert_stored(s)
+
+
+def _initial_form_by_fractions(f, w):
+    """``initial_form`` with the scores w*j + val(c) taken as Fractions."""
+    scored = [(Fraction(w) * j + Fraction(c.uval()), j, c) for j, c in f.coeffs.items()]
+    best = min(s for s, _, _ in scored)
+    zero = (0,) * f.nvars
+    coeffs = [f.field.zero] * (max(j for s, j, _ in scored if s == best) + 1)
+    for s, j, c in scored:
+        if s == best:
+            terms = c.initial_terms()
+            if len(terms) != 1 or zero not in terms:
+                return None
+            coeffs[j] = terms[zero]
+    return ResiduePoly(f.field, coeffs)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(upolys(), exponents)
+def test_integer_scores_of_the_initial_form_match_fraction_scores(f, w):
+    if f.is_zero():
+        return
+    got = initial_form(f, w)
+    assert got == _initial_form_by_fractions(f, w)
+    if got is not None:
+        for c in got.coeffs:
+            assert_stored(c)
+
+
+def test_points_and_root_exponents_keep_the_stored_form():
+    # both x1 roots start with the term 1*t^0, whose exponent comes out of
+    # the expansion rather than the parser
+    system = parse_system("ring x1 x2\npoly (x1 - 1 - t)*(x1 - 1 - t^2)\npoly x2 - x1 + 1\n")
+    tree = RootTree(system, 1, 32).run()
+    assert tree.point_set() == {(0, 1), (0, 2)}
+    for point in tree.points():
+        for x in point:
+            assert_stored(x)
+    for v in tree.vertices.values():
+        if v.root is not None:
+            for e, _ in v.root.known:
+                assert_stored(e)
+            if v.root.tail is not None:
+                assert_stored(v.root.tail)

@@ -23,7 +23,7 @@ from helpers import (
     upoly,
     xvar,
 )
-from oracles import eval_residue, shift_and_rescale, specialize
+from oracles import eval_residue, evaluate, shift_and_rescale, specialize
 from troptri import (
     MPoly,
     PrimeField,
@@ -204,6 +204,46 @@ def _shift_cases(draw):
     coeffs[top] = draw(coeff.filter(lambda c: not c.is_zero()))
     f = UPoly.from_coeffs(field, nvars, var, coeffs.items())
     return f, draw(_scalars(field, 3)), draw(_scalars(field, 3)), draw(_SHIFT_SCALES)
+
+
+_VALUE_SHAPES = st.sampled_from(["bare tail", "exact", "known plus tail", "unused coordinate"])
+
+
+@st.composite
+def _substitute_cases(draw):
+    """A sparse MPoly, a coordinate, a value a + s*u_index, and a value of any other shape."""
+    field = draw(_SHIFT_FIELDS)
+    nvars = draw(st.integers(1, 3))
+    index = draw(st.integers(0, nvars - 1))
+    degrees = st.tuples(*[st.integers(0, 3)] * nvars)
+    f = MPoly.from_terms(field, nvars, draw(st.dictionaries(degrees, _scalars(field, 2), max_size=5)).items())
+    shape = draw(_VALUE_SHAPES)
+    nonzero = _scalars(field, 3).filter(lambda c: not c.is_zero())
+    a = draw(_scalars(field, 3) if shape in ("bare tail", "unused coordinate") else nonzero)
+    s = draw(_scalars(field, 2) if shape in ("exact", "unused coordinate") else nonzero)
+    if shape == "bare tail":
+        a = ps(field=field)
+    elif shape == "exact":
+        s = ps(field=field)
+    elif shape == "unused coordinate":
+        f = MPoly(field, nvars, {d: c for d, c in f.terms.items() if not d[index]})
+    value = MPoly.constant(field, nvars, a) + MPoly.variable(field, nvars, index, s)
+    linear = (0,) * index + (1,) + (0,) * (nvars - index - 1)
+    other = draw(degrees.filter(lambda d: any(d) and d != linear))
+    bad = value + MPoly.constant(field, nvars, draw(nonzero)) * MPoly(field, nvars, {other: ps((0, 1), field=field)})
+    return f, index, value, bad
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_substitute_cases())
+def test_substitute_matches_horners_rule(case):
+    f, index, value, bad = case
+    got = f.substitute(index, value)
+    assert got == evaluate(UPoly.from_mpoly(f, index), value)
+    if not any(d[index] for d in f.terms):
+        assert got is f
+    with pytest.raises(ValueError):
+        f.substitute(index, bad)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
