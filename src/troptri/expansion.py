@@ -18,7 +18,7 @@ from .polygon import is_unique, newton_polygon
 from .puiseux import PuiseuxScalar
 from .rationals import format_rat, int_if_integral
 from .residue import roots_in_units
-from .upoly import MPoly, UPoly, initial_form
+from .upoly import UPoly, initial_form
 
 DEFAULT_MAX_DEPTH = 64
 
@@ -60,14 +60,12 @@ class ApproxRoot:
     def known_scalar(self, field) -> PuiseuxScalar:
         return PuiseuxScalar(field, self.known)
 
-    def as_mpoly(self, field, nvars) -> MPoly:
-        """The root as an element of K[u], tail included."""
-        value = MPoly.constant(field, nvars, self.known_scalar(field))
-        if self.tail is not None:
-            value = value + MPoly.variable(
-                field, nvars, self.index, PuiseuxScalar.t_power(field, self.tail)
-            )
-        return value
+    def scalars(self, field):
+        """(a, s) with the root a + s*u_index: the known part and the tail's
+        t-power, each None when it is 0."""
+        a = self.known_scalar(field) if self.known else None
+        s = None if self.tail is None else PuiseuxScalar.t_power(field, self.tail)
+        return a, s
 
     def with_prefix(self, exp, coeff):
         return ApproxRoot(self.index, ((exp, coeff),) + self.known, self.tail)

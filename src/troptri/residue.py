@@ -2,12 +2,12 @@
 
 Two concrete fields are provided: the rationals (an element is an
 ``int`` when integral, else a ``fractions.Fraction``) and prime fields
-F_p for p <= 10^6 (elements are ints in 0..p-1).  Elements of both are
-canonical, so callers test them with ``== 0``, print them with
-``format_rat`` and order them with ``sorted``.  ``roots_in_units``
-returns the nonzero roots of a univariate polynomial and refuses to
-continue when the polynomial does not split into linear factors over the
-configured field.
+F_p for p <= ``PrimeField.MAX_PRIME`` = 10^24 (elements are ints in
+0..p-1).  Elements of both are canonical, so callers test them with
+``== 0``, print them with ``format_rat`` and order them with
+``sorted``.  ``roots_in_units`` returns the nonzero roots of a
+univariate polynomial and refuses to continue when the polynomial does
+not split into linear factors over the configured field.
 
 Both fields find roots with one F_p kernel, in time polynomial in the
 degree, log p and the bit size of the coefficients (Cantor and

@@ -23,9 +23,12 @@ from .upoly import UPoly, compose, format_residue_terms
 
 
 class TriangularSystem:
-    """Polynomials f_1..f_n with f_i using exactly the coordinates x_1..x_i."""
+    """Polynomials f_1..f_n with f_i using x_i and no coordinate past it.
 
-    __slots__ = ("field", "n", "polys")
+    ``used[k]`` is the set of coordinate indices that f_(k+1) uses.
+    """
+
+    __slots__ = ("field", "n", "polys", "used")
 
     def __init__(self, polys):
         polys = list(polys)
@@ -33,6 +36,7 @@ class TriangularSystem:
             raise NonTriangularError("a triangular system needs at least one polynomial")
         field = polys[0].field
         n = len(polys)
+        uses = []
         for i, f in enumerate(polys):
             if f.nvars != n:
                 raise NonTriangularError("f%d is not a polynomial in %d coordinates" % (i + 1, n))
@@ -45,14 +49,16 @@ class TriangularSystem:
                 )
             if i not in used:
                 raise NonTriangularError("f%d does not use x%d" % (i + 1, i + 1))
+            uses.append(frozenset(used))
         self.field = field
         self.n = n
         self.polys = tuple(polys)
+        self.used = tuple(uses)
 
 
 class Vertex:
     __slots__ = (
-        "vid", "parent", "children", "root", "prec", "depth", "dead", "value", "substituted", "recentered",
+        "vid", "parent", "children", "root", "prec", "depth", "dead", "substituted", "recentered",
     )
 
     def __init__(self, vid, parent, depth, root, prec):
@@ -63,14 +69,13 @@ class Vertex:
         self.prec = prec
         self.depth = depth
         self.dead = False
-        # the root as a K[u] element, built on first use
-        self.value = None
-        # f_{depth+1..n} with x_1..x_depth replaced by the branch's roots,
-        # each entry filled on first use.  A vertex's root never changes
+        # {k: f_(k+1) with x_1..x_depth replaced by the branch's roots}, for
+        # the k >= depth whose f_(k+1) uses this vertex's coordinate, each
+        # entry filled on first use.  A vertex's root never changes
         # after it is created (reinforce replaces vertices by copies, which
-        # start empty and refill from their new parent), so the cache is
+        # start empty and refill from their new ancestors), so the cache is
         # never invalidated.
-        self.substituted = None
+        self.substituted = {}
         # f_depth recentered at the root's known terms, when the expansion
         # that produced the root handed it over; set only on vertices that
         # reinforce created directly, whose parent is the one it was built on
@@ -99,9 +104,7 @@ class RootTree:
         self.reinforce_count = 0
         self._next_id = 0
         self.vertices = {}
-        root = self._new_vertex(parent=None, depth=0, root=None, prec=Fraction(0))
-        root.substituted = list(system.polys)
-        self.root_id = root.vid
+        self.root_id = self._new_vertex(parent=None, depth=0, root=None, prec=Fraction(0)).vid
 
     # -- construction helpers -------------------------------------------------
 
@@ -121,27 +124,29 @@ class RootTree:
         chain.reverse()
         return chain
 
-    def _substituted(self, v, i=0):
-        """The vertex's cached f_{d+1+i}; a child puts its one root into its parent's.
+    def _substituted(self, v, k):
+        """f_(k+1) with the roots of v's branch put in.
 
-        Walks up to the nearest ancestor holding the entry, then fills the
-        entries on the way back down, topmost first.
+        Putting a root in replaces x_j by u_j at the same index, so a root
+        whose coordinate f_(k+1) does not use leaves it as it is.  Walks up
+        past such vertices to the nearest one holding the entry, or to
+        f_(k+1) itself once the coordinates fall below the least one it
+        uses, then fills the missing entries, topmost first.
         """
+        used = self.system.used[k]
+        lowest = min(used)
+        g = self.system.polys[k]
         missing = []
-        while True:
-            if v.substituted is None:
-                v.substituted = [None] * (self.n - v.depth)
-            g = v.substituted[i]
-            if g is not None:
-                break
-            missing.append((v, i))
+        while v.depth > lowest:
+            if v.depth - 1 in used:
+                if k in v.substituted:
+                    g = v.substituted[k]
+                    break
+                missing.append(v)
             v = self.vertices[v.parent]
-            i += 1
-        for v, i in reversed(missing):
-            if v.value is None:
-                v.value = v.root.as_mpoly(self.field, self.n)
-            g = g.substitute(v.depth - 1, v.value)
-            v.substituted[i] = g
+        for v in reversed(missing):
+            g = g.substitute(v.depth - 1, *v.root.scalars(self.field))
+            v.substituted[k] = g
         return g
 
     # -- the two tree-changing operations -------------------------------------
@@ -149,7 +154,7 @@ class RootTree:
     def _next_polynomial(self, v) -> UPoly:
         """f_{d+1} in x_{d+1}, with the roots of v's branch (depth d) substituted."""
         try:
-            return compose(self._substituted(v), (), v.depth)
+            return compose(self._substituted(v, v.depth), v.depth)
         except ZeroSubstitutionError as exc:
             exc.args = ("f%d vanishes on the branch: %s" % (v.depth + 1, exc),)
             raise

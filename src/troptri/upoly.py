@@ -163,20 +163,13 @@ class MPoly:
         n, d = self.val_pair()
         return {deg: s.nums[0][1] for deg, s in self.terms.items() if s.nums[0][0] * d == n * s.den}
 
-    def substitute(self, index, value):
-        """Put ``value`` = a + s*u_index in for x_index (a, s scalars, either may be 0).
+    def substitute(self, index, a, s):
+        """Put a + s*u_index in for x_index (a, s scalars, each None when it is 0).
 
         Variable ``index`` is x_index before and u_index after, so a root's
         known terms recenter the polynomial and its tail rescales it.  A
         polynomial that does not use x_index comes back as the same object.
-        Raises ValueError for any other value.
         """
-        parts = [None, None]  # a, s
-        for deg, scalar in value.terms.items():
-            if deg[index] > 1 or sum(deg) != deg[index]:
-                raise ValueError("the value must be a + s*u%d for scalars a and s" % (index + 1))
-            parts[deg[index]] = scalar
-        a, s = parts
         if not any(deg[index] for deg in self.terms):
             return self
         if a is None and s is not None:
@@ -384,21 +377,16 @@ def _powers(s, k):
     return powers
 
 
-def compose(f: MPoly, values, target: int) -> UPoly:
-    """Substitute K[u] values for x_1..x_k and keep x_{target} univariate.
+def compose(f: MPoly, target: int) -> UPoly:
+    """f, with roots already put in for the coordinates before ``target``,
+    as a polynomial in coordinate ``target`` over K[u].
 
-    ``values`` supplies one K[u] MPoly per substituted coordinate (index 0
-    up to target-1), put in one coordinate at a time by ``MPoly.substitute``;
-    coordinate ``target`` survives as the polynomial variable, so with no
-    values this only reads f out in x_{target}.  Raises
-    ZeroSubstitutionError when everything cancels, which flags a
+    Raises ZeroSubstitutionError when everything cancelled, which flags a
     degenerate input system.
     """
     beyond = [i for i in f.variables() if i > target]
     if beyond:
         raise ValueError("polynomial uses x%d beyond the kept coordinate x%d" % (min(beyond) + 1, target + 1))
-    for i, value in enumerate(values):
-        f = f.substitute(i, value)
     if f.is_zero():
         raise ZeroSubstitutionError("substitution produced the zero polynomial")
     return UPoly.from_mpoly(f, target)

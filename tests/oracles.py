@@ -1,6 +1,8 @@
 """Independent oracles for the engine's predicates and structures.
 
-``evaluate`` is Horner's rule, the reference for ``MPoly.substitute``;
+``evaluate`` is Horner's rule, the reference for ``MPoly.substitute``, and
+``as_mpoly`` is a root as the K[u] value it puts in; ``compose_roots`` is
+``compose`` after putting roots in by ``MPoly.substitute``;
 ``is_prime_trial_division`` is the reference for the Miller-Rabin test;
 ``newton_polygon_rational`` is the Newton hull taken over the rational
 heights; ``uniqueness_oracle`` probes ``is_unique`` by specializing the tails;
@@ -12,7 +14,17 @@ recentering the second one reads, followed by a rescaling.
 import random
 from fractions import Fraction
 
-from troptri import MPoly, Polygon, PuiseuxScalar, ResiduePoly, UPoly, ZeroPolynomialError, is_unique, newton_polygon
+from troptri import (
+    MPoly,
+    Polygon,
+    PuiseuxScalar,
+    ResiduePoly,
+    UPoly,
+    ZeroPolynomialError,
+    compose,
+    is_unique,
+    newton_polygon,
+)
 from troptri.polygon import lower_hull
 
 
@@ -34,8 +46,23 @@ def specialize(poly, values):
             (j, specialize(c, values)) for j, c in poly.coeffs.items()
         ])
     for i, v in values.items():
-        poly = poly.substitute(i, MPoly.constant(poly.field, poly.nvars, v))
+        poly = poly.substitute(i, v, None)
     return poly
+
+
+def as_mpoly(root, field, nvars) -> MPoly:
+    """The root as an element of K[u]: its known terms plus u_index*t^tail."""
+    value = MPoly.constant(field, nvars, PuiseuxScalar(field, root.known))
+    if root.tail is not None:
+        value = value + MPoly.variable(field, nvars, root.index, PuiseuxScalar.t_power(field, root.tail))
+    return value
+
+
+def compose_roots(f: MPoly, roots, target):
+    """``compose(f, target)`` after putting each root in for its coordinate."""
+    for r in roots:
+        f = f.substitute(r.index, *r.scalars(f.field))
+    return compose(f, target)
 
 
 def evaluate(f: UPoly, value: MPoly) -> MPoly:
@@ -226,7 +253,7 @@ def is_approximate_root(f: UPoly, root) -> bool:
         raise ZeroPolynomialError("cannot test roots against the zero polynomial")
     if root.tail is None:
         raise ExactRootError("the root is exact; substitute and compare with zero instead")
-    image = evaluate(f, root.as_mpoly(f.field, f.nvars))
+    image = evaluate(f, as_mpoly(root, f.field, f.nvars))
     if image.is_zero():
         raise ExactRootError("the root substitutes to exactly zero")
     degrees = {deg[root.index] for deg in image.initial_terms()}

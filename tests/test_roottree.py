@@ -22,13 +22,15 @@ from helpers import (
     upoly,
     xvar,
 )
-from oracles import check_invariants
+from oracles import as_mpoly, check_invariants, evaluate
 from troptri import (
+    MPoly,
     NonSplittingError,
     NonTriangularError,
     PrecisionLimitError,
     RootTree,
     TriangularSystem,
+    UPoly,
     parse_system,
     trop_triangular,
 )
@@ -312,7 +314,7 @@ def test_random_oracle_systems_small():
 
 
 def _branch_values(tree, vid):
-    return [b.root.as_mpoly(tree.field, tree.n) for b in tree.branch(vid)]
+    return [as_mpoly(b.root, tree.field, tree.n) for b in tree.branch(vid)]
 
 
 def _finished_trees():
@@ -438,28 +440,51 @@ def test_long_chain_copies_and_drops_deep_subtrees_without_recursion():
 
 
 def _assert_untouched_entries_are_shared(tree):
-    """A vertex's cached polynomial that does not use the vertex's own
-    coordinate is its parent's entry itself, not an equal copy."""
+    """Each cached entry is f_(k+1) with the branch's roots put in (by
+    Horner's rule, one coordinate at a time), and a vertex holds one only
+    when f_(k+1) uses the vertex's coordinate: the entries that its root
+    would leave untouched stay with the ancestor that made them."""
+    polys = tree.system.polys
     for v in tree.vertices.values():
-        if v.root is None or v.substituted is None:
-            continue
-        parent = tree.vertices[v.parent]
-        for i, g in enumerate(v.substituted):
-            above = parent.substituted[i + 1]
-            if g is not None and above is not None and v.depth - 1 not in above.variables():
-                assert g is above
+        branch = tree.branch(v.vid)
+        for k, g in v.substituted.items():
+            assert v.depth - 1 in polys[k].variables()
+            expected = polys[k]
+            for b in branch:
+                value = as_mpoly(b.root, tree.field, tree.n)
+                expected = evaluate(UPoly.from_mpoly(expected, b.depth - 1), value)
+            assert g == expected
+
+
+def _chain_of_300():
+    return _chain_system(300, "x1 - t", "x300 - x299")
 
 
 def test_chain_of_300_coordinates_shares_its_cached_polynomials():
     n = 300
-    system = _chain_system(n, "x1 - t", "x%d - x%d" % (n, n - 1))
+    system = _chain_of_300()
     tree = RootTree(system, 1, 32).run()
     assert tree.points() == [(1,) * n]
     _assert_untouched_entries_are_shared(tree)
-    # f_(d+1) uses only x_d and x_(d+1), so the root's entry passes down untouched
+    # f_(d+1) uses only x_d and x_(d+1): the vertex at depth d caches it
+    # alone, and every other vertex passes it by
     for v in tree.vertices.values():
-        if 0 < v.depth < n - 1:
-            assert tree.vertices[v.parent].substituted[1] is system.polys[v.depth]
+        assert set(v.substituted) == ({v.depth} if 0 < v.depth < n else set())
+
+
+def test_chain_of_300_coordinates_puts_each_root_in_once(monkeypatch):
+    system = _chain_of_300()
+    calls = []
+    substitute = MPoly.substitute
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return substitute(self, *args)
+
+    monkeypatch.setattr(MPoly, "substitute", counted)
+    RootTree(system, 1, 32).run()
+    assert len(calls) == 299
+    assert sorted(calls) == list(range(299))
 
 
 def test_untouched_cache_entries_are_shared_on_finished_trees():
