@@ -112,8 +112,10 @@ def _expand(f: UPoly, w, p_rel, depth, max_depth) -> dict:
     field = f.field
     i = f.var
     bare = {ApproxRoot(i, (), w): f}
+    if p_rel <= 0:
+        return bare
     h = initial_form(f, w)
-    if p_rel <= 0 or h is None:
+    if h is None:
         return bare
     out = {}
     for c in sorted(roots_in_units(h)):

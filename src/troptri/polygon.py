@@ -6,9 +6,10 @@ its lower edges are the valuations of the roots of f.  When coefficients
 carry tail variables, the polygon is trustworthy only if no admissible
 substitution for the tails can move a hull vertex; ``is_unique`` decides
 that syntactically, from the coefficients at the hull vertices alone.
-Callers that already hold the polygon pass it in, so each polygon is
-built once.  The randomized semantic cross-check of ``is_unique`` is a
-test oracle (``tests/oracles.py``), not part of the package.
+``newton_polygon`` keeps each polygon in its polynomial's ``polygon``
+slot, so each polygon is built once and lives as long as its polynomial.
+The randomized semantic cross-check of ``is_unique`` is a test oracle
+(``tests/oracles.py``), not part of the package.
 """
 
 from dataclasses import dataclass, field
@@ -79,18 +80,22 @@ def lower_hull(points):
 
 
 def newton_polygon(f: UPoly) -> Polygon:
-    """The Newton polygon of a nonzero polynomial.
+    """The Newton polygon of a nonzero polynomial, built on the first call
+    and kept in ``f.polygon``.
 
     The hull runs on integers: every height is scaled by the least common
     denominator of the coefficients' valuations, and only the corners are
     turned back into rationals.
     """
+    if f.polygon is not None:
+        return f.polygon
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no Newton polygon")
     support = [(j, c.val_pair()) for j, c in sorted(f.coeffs.items())]
     scale = lcm(*[d for _, (_, d) in support])
     corners = lower_hull([(j, n * (scale // d)) for j, (n, d) in support])
-    return Polygon(tuple((j, ratio(h, scale)) for j, h in corners))
+    f.polygon = Polygon(tuple((j, ratio(h, scale)) for j, h in corners))
+    return f.polygon
 
 
 def is_unique(f: UPoly, polygon=None) -> bool:

@@ -15,7 +15,9 @@ Zassenhaus, Math. Comp. 36, 1981).  It takes g = gcd(f, x^p - x), the
 product of the distinct linear factors of f, by powering x modulo f,
 and splits g by equal-degree splitting: gcd(h, (x + a)^((p-1)/2) - 1)
 for random a separates the roots r with r + a a square from the rest.
-Over Q the rational roots of the squarefree part are found modulo the
+Over Q a linear squarefree part c1*x + c0, as of (x - r)^m when the
+roots of a cluster agree on a term, gives its root -c0/c1 directly;
+otherwise the rational roots of the squarefree part are found modulo the
 smallest prime that divides neither end coefficient and keeps them
 simple, Hensel-lifted until the modulus bounds numerator and denominator
 and recovered by rational reconstruction (Loos, SIAM J. Comput. 12,
@@ -76,19 +78,20 @@ class RationalField:
         Returns ``(roots, split)`` where ``split`` is True when the
         polynomial, after the power of x dividing it is removed, factors
         completely into linear pieces over the rationals.  Candidates come
-        from the squarefree part by p-adic lifting; found roots are
-        deflated out of the integer polynomial to account for
-        multiplicities.
+        from the squarefree part, read off it when it is linear and found
+        by p-adic lifting otherwise; found roots are deflated out of the
+        integer polynomial to account for multiplicities.
         """
         work = _strip_unit_part(coeffs)
         if len(work) <= 1:
             return set(), True
         den = lcm(*(c.denominator for c in work))
         ints = [c.numerator * (den // c.denominator) for c in work]
-        if len(ints) == 2:
-            candidates = [int_if_integral(Fraction(-ints[0], ints[1]))]
+        squarefree = _squarefree_part(ints)
+        if len(squarefree) == 2:
+            candidates = [int_if_integral(Fraction(-squarefree[0], squarefree[1]))]
         else:
-            candidates = _rational_candidates(_squarefree_part(ints))
+            candidates = _rational_candidates(squarefree)
         return _deflate_roots(ints, candidates, _zz_divide_root)
 
     def __eq__(self, other):

@@ -221,18 +221,14 @@ class RootTree:
             raise ValueError("cannot reinforce at the tree root")
         self.reinforce_count += 1
         head_prec = chain[0].prec
-        stale = [
-            idx
-            for idx in range(1, len(chain))
+        l = next((
+            idx for idx in range(1, len(chain))
             if not chain[idx].root.is_exact and chain[idx].prec < head_prec
-        ]
-        if stale:
-            l = stale[0]
-        elif not chain[0].root.is_exact:
-            l = 0
-        else:
-            uncertain = [idx for idx in range(len(chain)) if not chain[idx].root.is_exact]
-            l = uncertain[0]  # reachable only through uncertain ancestors
+        ), None)
+        if l is None:
+            # the head, else the first uncertain vertex: an exact head's
+            # branch is reachable only through uncertain ancestors
+            l = next(idx for idx, v in enumerate(chain) if not v.root.is_exact)
         target_vertex = chain[l]
         old_prec = target_vertex.prec
         if l == 0 and not chain[0].root.is_exact:

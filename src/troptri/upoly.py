@@ -235,15 +235,17 @@ def _format_sum(letter, coeffs) -> str:
 
 
 class UPoly:
-    """Univariate polynomial in coordinate ``var`` over MPoly coefficients in u."""
+    """Univariate polynomial in coordinate ``var`` over MPoly coefficients in u;
+    never changed once built, so ``newton_polygon`` keeps its polygon here."""
 
-    __slots__ = ("field", "nvars", "var", "coeffs")
+    __slots__ = ("field", "nvars", "var", "coeffs", "polygon")
 
     def __init__(self, field, nvars, var, coeffs=None):
         self.field = field
         self.nvars = nvars
         self.var = var
         self.coeffs = dict(coeffs) if coeffs else {}
+        self.polygon = None
 
     @classmethod
     def from_coeffs(cls, field, nvars, var, pairs):
@@ -384,9 +386,9 @@ def compose(f: MPoly, target: int) -> UPoly:
     Raises ZeroSubstitutionError when everything cancelled, which flags a
     degenerate input system.
     """
-    beyond = [i for i in f.variables() if i > target]
-    if beyond:
-        raise ValueError("polynomial uses x%d beyond the kept coordinate x%d" % (min(beyond) + 1, target + 1))
+    if any(any(deg[target + 1:]) for deg in f.terms):
+        beyond = min(i for i in f.variables() if i > target)
+        raise ValueError("polynomial uses x%d beyond the kept coordinate x%d" % (beyond + 1, target + 1))
     if f.is_zero():
         raise ZeroSubstitutionError("substitution produced the zero polynomial")
     return UPoly.from_mpoly(f, target)

@@ -252,3 +252,16 @@ def test_large_rational_roots_are_found():
     assert roots_in_units(p) == {Fraction(10**12), Fraction(-10**12)}
     q = ResiduePoly(QQ, _from_roots(QQ, [Fraction(10**12, 3), Fraction(-7, 5)]))
     assert roots_in_units(q) == {Fraction(10**12, 3), Fraction(-7, 5)}
+
+
+def test_a_linear_squarefree_part_gives_its_root_without_the_p_adic_search(monkeypatch):
+    # (3x - 7)^4 * x^2 and (x + 10^30/7)^3: the roots of a cluster agreeing
+    # on a term; the squarefree part is linear, so no root is searched for mod p
+    def refuse(f, p):
+        raise AssertionError("searched for the roots of %r mod %d" % (f, p))
+
+    monkeypatch.setattr(troptri.residue, "_fp_roots", refuse)
+    power = [0, 0] + _times(QQ, [81], _from_roots(QQ, [Fraction(7, 3)] * 4))
+    assert QQ.unit_roots(power) == ({Fraction(7, 3)}, True)
+    big = Fraction(-10**30, 7)
+    assert QQ.unit_roots(_from_roots(QQ, [big] * 3)) == ({big}, True)

@@ -288,6 +288,32 @@ def test_deep_reinforcement_refreshes_stale_descendants(monkeypatch):
     check_invariants(tree)
 
 
+def test_each_polynomial_builds_its_newton_hull_once(monkeypatch):
+    # three roots of x1 agreeing on 1 + t, two of them also on t^2, so every
+    # branch is reinforced and the expansion revisits polynomials whose
+    # polygon the driver has already inspected
+    system = parse_system(
+        "ring x1 x2 x3\n"
+        "poly (x1 - 1 - t - t^3)*(x1 - 1 - t - t^2)*(x1 - 1 - t - t^2 - 2*t^4)\n"
+        "poly x2 - x1 + 1 + t\n"
+        "poly x3 - x2 + t^2\n"
+    )
+    from troptri import polygon
+
+    built = []  # the polynomial of every hull built, kept alive so ids stay unique
+    lower_hull = polygon.lower_hull
+
+    def spy(points):
+        # the caller is newton_polygon, whose argument f is the polynomial
+        built.append(sys._getframe(1).f_locals["f"])
+        return lower_hull(points)
+
+    monkeypatch.setattr(polygon, "lower_hull", spy)
+    tree = RootTree(system, 1, 32).run()
+    assert tree.reinforce_count >= 3
+    assert len({id(f) for f in built}) == len(built)
+
+
 def test_prime_field_system_end_to_end():
     from troptri import parse_system
 
