@@ -6,7 +6,9 @@ been substituted.  A leaf is extended when the next polynomial's Newton
 polygon can be trusted as it stands ("grow"); otherwise some root on the
 branch is recomputed to higher precision ("reinforce") until the polygon
 stabilizes or the precision safeguard trips.  The tropical points are
-the per-branch valuation vectors of the finished tree.
+the per-branch valuation vectors of the finished tree.  One store per
+tree keeps each polynomial with a root put in, keyed by the polynomial's
+identity and the root's value, so branches with equal roots share it.
 """
 
 from fractions import Fraction
@@ -57,9 +59,7 @@ class TriangularSystem:
 
 
 class Vertex:
-    __slots__ = (
-        "vid", "parent", "children", "root", "prec", "depth", "dead", "substituted", "recentered",
-    )
+    __slots__ = ("vid", "parent", "children", "root", "prec", "depth", "dead", "recentered")
 
     def __init__(self, vid, parent, depth, root, prec):
         self.vid = vid
@@ -69,16 +69,9 @@ class Vertex:
         self.prec = prec
         self.depth = depth
         self.dead = False
-        # {k: f_(k+1) with x_1..x_depth replaced by the branch's roots}, for
-        # the k >= depth whose f_(k+1) uses this vertex's coordinate, each
-        # entry filled on first use.  A vertex's root never changes
-        # after it is created (reinforce replaces vertices by copies, which
-        # start empty and refill from their new ancestors), so the cache is
-        # never invalidated.
-        self.substituted = {}
-        # f_depth recentered at the root's known terms, when the expansion
-        # that produced the root handed it over; set only on vertices that
-        # reinforce created directly, whose parent is the one it was built on
+        # f_depth recentered at the root's known terms, when the expansion that
+        # produced the root handed it over (other polynomials live in the tree's
+        # store); set only on vertices reinforce made, on whose parent it was built
         self.recentered = None
 
 
@@ -104,6 +97,9 @@ class RootTree:
         self.reinforce_count = 0
         self._next_id = 0
         self.vertices = {}
+        # (id(g), root) -> (g, g with the root put in) for every branch of this
+        # tree; holding g keeps its id from being reused (see _next_polynomial)
+        self.store = {}
         self.root_id = self._new_vertex(parent=None, depth=0, root=None, prec=Fraction(0)).vid
 
     # -- construction helpers -------------------------------------------------
@@ -124,40 +120,43 @@ class RootTree:
         chain.reverse()
         return chain
 
-    def _substituted(self, v, k):
-        """f_(k+1) with the roots of v's branch put in.
-
-        Putting a root in replaces x_j by u_j at the same index, so a root
-        whose coordinate f_(k+1) does not use leaves it as it is.  Walks up
-        past such vertices to the nearest one holding the entry, or to
-        f_(k+1) itself once the coordinates fall below the least one it
-        uses, then fills the missing entries, topmost first.
-        """
-        used = self.system.used[k]
-        lowest = min(used)
-        g = self.system.polys[k]
-        missing = []
-        while v.depth > lowest:
-            if v.depth - 1 in used:
-                if k in v.substituted:
-                    g = v.substituted[k]
-                    break
-                missing.append(v)
-            v = self.vertices[v.parent]
-        for v in reversed(missing):
-            g = g.substitute(v.depth - 1, *v.root.scalars(self.field))
-            v.substituted[k] = g
-        return g
-
     # -- the two tree-changing operations -------------------------------------
 
     def _next_polynomial(self, v) -> UPoly:
-        """f_{d+1} in x_{d+1}, with the roots of v's branch (depth d) substituted."""
-        try:
-            return compose(self._substituted(v, v.depth), v.depth)
-        except ZeroSubstitutionError as exc:
-            exc.args = ("f%d vanishes on the branch: %s" % (v.depth + 1, exc),)
-            raise
+        """f_(k+1) in x_(k+1), with the roots of v's branch (depth k) put in.
+
+        Putting a root in replaces x_j by u_j at the same index, so only the
+        roots whose coordinates f_(k+1) uses change it.  Those go in through
+        the store, topmost first; the last key (the deepest such root, or
+        None when there is none) holds the polynomial composed in x_(k+1).
+        """
+        k = v.depth
+        used = self.system.used[k]
+        lowest = min(used)
+        roots = []
+        while v.depth > lowest:
+            if v.depth - 1 in used:
+                roots.append(v.root)
+            v = self.vertices[v.parent]
+        g = self.system.polys[k]
+        for root in roots[:0:-1]:
+            g = self._stored(g, root)
+        return self._stored(g, roots[0] if roots else None, k)
+
+    def _stored(self, g, root, k=None):
+        """g with the root put in, composed in x_(k+1) when k is given."""
+        key = (id(g), root)
+        entry = self.store.get(key)
+        if entry is None:
+            h = g if root is None else g.substitute(root.index, *root.scalars(self.field))
+            if k is not None:
+                try:
+                    h = compose(h, k)
+                except ZeroSubstitutionError as exc:
+                    exc.args = ("f%d vanishes on the branch: %s" % (k + 1, exc),)
+                    raise
+            entry = self.store[key] = (g, h)
+        return entry[1]
 
     def extension_polynomial(self, vid) -> UPoly:
         """The next polynomial with this branch's roots substituted."""

@@ -19,6 +19,7 @@ Two layers:
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, lcm
 
 from .errors import ZeroHasNoValuation, ZeroPolynomialError, ZeroSubstitutionError
@@ -27,7 +28,9 @@ from .rationals import format_rat, ratio
 from .residue import ResiduePoly
 
 
+@cache
 def _zero_deg(nvars):
+    """The all-zero exponent tuple, one shared object per length."""
     return (0,) * nvars
 
 
@@ -270,8 +273,10 @@ class UPoly:
         """f as a polynomial in variable ``var`` over its other variables."""
         coeffs = {}
         for deg, scalar in f.terms.items():
-            rest = deg[:var] + (0,) + deg[var + 1:]
-            coeffs.setdefault(deg[var], {})[rest] = scalar
+            j = deg[var]
+            if j:
+                deg = _zero_deg(f.nvars) if sum(deg) == j else deg[:var] + (0,) + deg[var + 1:]
+            coeffs.setdefault(j, {})[deg] = scalar
         return cls(f.field, f.nvars, var, {
             j: MPoly(f.field, f.nvars, terms) for j, terms in coeffs.items()
         })

@@ -1,0 +1,71 @@
+"""SHA-256 digests of the CLI's bytes on the benchmark corpora.
+
+Prints one line per (workload, seed, flag set, system): the four names and
+the SHA-256 of the exit code, stdout and stderr of ``troptri.cli.main`` run
+in this process on the system's text, fed on standard input as the benchmark
+feeds it.  The corpora are the first SYSTEMS systems of every workload in
+``bench/workloads.py`` at each of SEEDS.  To check that a change leaves the
+CLI's bytes as they were, run this from the root of both trees and compare:
+
+    PYTHONPATH=src python tests/corpus_digests.py > digests.txt
+    diff parent-digests.txt digests.txt
+
+The name keeps pytest from collecting it.  The files under ``bench/`` are
+read, not imported, so nothing is written next to them.
+"""
+
+import hashlib
+import io
+import json
+import sys
+import types
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import troptri.cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SEEDS = (3, 7, 11)
+SYSTEMS = 100
+FLAG_SETS = {
+    "json": ("--format", "json"),
+    "text": ("--format", "text"),
+    "text-pstep-1/3": ("--format", "text", "--pstep", "1/3"),
+    "json-tree": ("--format", "json", "--tree"),
+}
+
+
+def _read_module(name):
+    path = BENCH / (name + ".py")
+    module = types.ModuleType("bench_" + name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+workloads = _read_module("workloads")
+
+
+def cli_digest(text, flags):
+    """SHA-256 of one CLI run on ``text``: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = troptri.cli.main(list(flags))
+    finally:
+        sys.stdin = sys.__stdin__
+    return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode()).hexdigest()
+
+
+def main():
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            systems = workloads.corpus(workload, seed, SYSTEMS)
+            for name, flags in FLAG_SETS.items():
+                for index, system in enumerate(systems):
+                    print(workload, seed, name, index, cli_digest(system.text, flags))
+
+
+if __name__ == "__main__":
+    main()

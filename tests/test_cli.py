@@ -118,6 +118,19 @@ def test_exit_code_precision_limit(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("text, findex", [
+    # x1 = 1 cancels every term of f2
+    ("ring x1 x2\npoly x1 - 1\npoly (x1 - 1)*x2\n", 2),
+    # f3 vanishes on the branch x1 = 1, x2 = 3, not on x1 = 2
+    ("ring x1 x2 x3\npoly (x1 - 1)*(x1 - 2)\npoly x2 - 3\npoly (x1 - 1)*x3 + x2 - 3\n", 3),
+])
+def test_zero_substitution_exits_5_naming_the_polynomial(tmp_path, text, findex):
+    code, out, err = run_cli(tmp_path, text)
+    assert code == 5
+    assert out == ""
+    assert err == "error: f%d vanishes on the branch: substitution produced the zero polynomial\n" % findex
+
+
 NO_PROGRESS = {
     # the head x1 = 1 is exact, and the x2 root 1 + t + u2*t^40 cannot be
     # refined within --pmax 32, so every reinforcement returns it unchanged

@@ -336,7 +336,7 @@ def test_random_oracle_systems_small():
         assert trop_triangular(system) == expected
 
 
-# -- the per-vertex substitution cache -----------------------------------------
+# -- the per-tree substitution store -------------------------------------------
 
 
 def _branch_values(tree, vid):
@@ -466,20 +466,25 @@ def test_long_chain_copies_and_drops_deep_subtrees_without_recursion():
 
 
 def _assert_untouched_entries_are_shared(tree):
-    """Each cached entry is f_(k+1) with the branch's roots put in (by
-    Horner's rule, one coordinate at a time), and a vertex holds one only
-    when f_(k+1) uses the vertex's coordinate: the entries that its root
-    would leave untouched stay with the ancestor that made them."""
-    polys = tree.system.polys
-    for v in tree.vertices.values():
-        branch = tree.branch(v.vid)
-        for k, g in v.substituted.items():
-            assert v.depth - 1 in polys[k].variables()
-            expected = polys[k]
-            for b in branch:
-                value = as_mpoly(b.root, tree.field, tree.n)
-                expected = evaluate(UPoly.from_mpoly(expected, b.depth - 1), value)
-            assert g == expected
+    """Each entry of the store is its source polynomial with the root put in
+    (by Horner's rule), or, under a branch's last key, that polynomial
+    composed in the next coordinate (by the product-of-powers rule).  The
+    entry keeps the source whose id its key names, and no key holds a root
+    whose coordinate the source does not use: such a root would leave the
+    polynomial untouched, so a branch passes it by."""
+    field, n = tree.field, tree.n
+    for (source_id, root), (source, g) in tree.store.items():
+        assert id(source) == source_id
+        if root is None:
+            assert compose_naive(source, [], g.var) == g
+            continue
+        assert root.index in source.variables()
+        value = as_mpoly(root, field, n)
+        if isinstance(g, UPoly):
+            values = [MPoly.variable(field, n, i) for i in range(root.index)] + [value]
+            assert g == compose_naive(source, values, g.var)
+        else:
+            assert g == evaluate(UPoly.from_mpoly(source, root.index), value)
 
 
 def _chain_of_300():
@@ -492,10 +497,13 @@ def test_chain_of_300_coordinates_shares_its_cached_polynomials():
     tree = RootTree(system, 1, 32).run()
     assert tree.points() == [(1,) * n]
     _assert_untouched_entries_are_shared(tree)
-    # f_(d+1) uses only x_d and x_(d+1): the vertex at depth d caches it
-    # alone, and every other vertex passes it by
-    for v in tree.vertices.values():
-        assert set(v.substituted) == ({v.depth} if 0 < v.depth < n else set())
+    # f1 uses no earlier coordinate, and f_(d+1) uses only x_d and x_(d+1):
+    # one entry each, f1 composed as it is and f_(d+1) composed with the
+    # depth-d root put in, and no multivariate entry on the way
+    assert len(tree.store) == n
+    keys = {(source_id, root.index if root else None) for source_id, root in tree.store}
+    assert keys == {(id(system.polys[0]), None)} | {(id(system.polys[d]), d - 1) for d in range(1, n)}
+    assert all(isinstance(g, UPoly) for _, g in tree.store.values())
 
 
 def test_chain_of_300_coordinates_puts_each_root_in_once(monkeypatch):
@@ -516,3 +524,36 @@ def test_chain_of_300_coordinates_puts_each_root_in_once(monkeypatch):
 def test_untouched_cache_entries_are_shared_on_finished_trees():
     for tree in _finished_trees():
         _assert_untouched_entries_are_shared(tree)
+
+
+def test_equal_roots_on_different_branches_share_their_extension_polynomial():
+    # f3 uses x2 but not x1, and both x1 vertices carry the x2 roots 3 and t
+    system = parse_system(
+        "ring x1 x2 x3\n"
+        "poly (x1 - 1)*(x1 - t)\n"
+        "poly (x2 - 3)*(x2 - t)\n"
+        "poly x3 - x2 - t^2\n"
+    )
+    tree = RootTree(system, 1, 32).run()
+    by_root = {}  # the polynomials themselves, kept alive so ids stay unique
+    for v in tree.vertices.values():
+        if v.depth == 2:
+            by_root.setdefault(v.root, []).append(tree.extension_polynomial(v.vid))
+    assert len(by_root) == 2
+    for exts in by_root.values():
+        assert len(exts) == 2 and len({id(ext) for ext in exts}) == 1
+    _assert_untouched_entries_are_shared(tree)
+
+
+def test_each_tree_keeps_its_own_store():
+    system = three_var_system()
+    trees = [RootTree(system, 1, 32).run() for _ in range(2)]
+    made = []
+    for tree in trees:
+        open_vertices = [v.vid for v in tree.vertices.values() if v.depth < tree.n and not v.dead]
+        exts = {vid: tree.extension_polynomial(vid) for vid in open_vertices}
+        # within one tree a polynomial is built once and handed out again
+        assert all(tree.extension_polynomial(vid) is ext for vid, ext in exts.items())
+        made.append(exts)  # kept alive, so ids stay unique
+    ids = [{id(ext) for ext in exts.values()} for exts in made]
+    assert ids[0] and ids[1] and not ids[0] & ids[1]
