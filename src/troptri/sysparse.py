@@ -40,30 +40,23 @@ MAX_POWER_SIZE = 256
 # default recursion limit of 1000.
 MAX_NESTING = 100
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^/]))")
+# the last group catches any other character, so one pass finds every token
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^/])|(\S))")
 
 
 class _Tokenizer:
-    def __init__(self, text, line_no):
-        self.text = text
-        self.line_no = line_no
-        self.tokens = []
-        self._scan()
-        self.index = 0
+    """The tokens of one expression; ``offset`` is the line's column before it."""
 
-    def _scan(self):
-        pos = 0
-        while pos < len(self.text):
-            m = _TOKEN.match(self.text, pos)
-            if not m or m.end() == pos:
-                stripped = self.text[pos:].lstrip()
-                if not stripped:
-                    break
-                col = len(self.text) - len(stripped) + 1
-                raise ParseError("unexpected character %r" % stripped[0], self.line_no, col)
-            col = m.start(m.lastindex) + 1
+    def __init__(self, text, line_no, offset):
+        self.line_no = line_no
+        self.end_col = offset + len(text) + 1
+        self.tokens = []
+        for m in _TOKEN.finditer(text):
+            col = m.start(m.lastindex) + offset + 1
+            if m.lastindex == 4:
+                raise ParseError("unexpected character %r" % m.group(4), line_no, col)
             self.tokens.append((m.group(m.lastindex), col))
-            pos = m.end()
+        self.index = 0
 
     def peek(self):
         if self.index < len(self.tokens):
@@ -72,7 +65,7 @@ class _Tokenizer:
 
     def next(self):
         if self.index >= len(self.tokens):
-            raise ParseError("unexpected end of expression", self.line_no, len(self.text) + 1)
+            raise ParseError("unexpected end of expression", self.line_no, self.end_col)
         tok = self.tokens[self.index]
         self.index += 1
         return tok
@@ -84,7 +77,12 @@ class _Tokenizer:
 
 
 class _ExprParser:
-    """Recursive descent over one poly line; yields an MPoly."""
+    """Recursive descent over one poly line; yields an MPoly.
+
+    Numbers and powers of t stay PuiseuxScalars, combined by scalar
+    arithmetic, until they meet a polynomial: a product takes them in by
+    ``mul_scalar``, and a sum, a power or the result lifts them to a constant.
+    """
 
     def __init__(self, tokens, field, nvars):
         self.toks = tokens
@@ -93,13 +91,18 @@ class _ExprParser:
         self.nesting = 0
 
     def parse(self) -> MPoly:
-        value = self.expression()
+        value = self.lift(self.expression())
         if self.toks.peek() is not None:
             tok, col = self.toks.next()
             raise ParseError("unexpected %r after expression" % tok, self.toks.line_no, col)
         return value
 
-    def expression(self) -> MPoly:
+    def lift(self, value) -> MPoly:
+        if isinstance(value, PuiseuxScalar):
+            return MPoly.constant(self.field, self.nvars, value)
+        return value
+
+    def expression(self):
         negate = False
         if self.toks.peek() == "-":
             self.toks.next()
@@ -110,25 +113,33 @@ class _ExprParser:
         while self.toks.peek() in ("+", "-"):
             op, _ = self.toks.next()
             rhs = self.term()
+            if type(value) is not type(rhs):
+                value, rhs = self.lift(value), self.lift(rhs)
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def term(self) -> MPoly:
+    def term(self):
         value = self.factor()
         while self.toks.peek() == "*":
             self.toks.next()
-            value = value * self.factor()
+            rhs = self.factor()
+            if type(value) is type(rhs):
+                value = value * rhs
+            elif isinstance(value, MPoly):
+                value = value.mul_scalar(rhs)
+            else:
+                value = rhs.mul_scalar(value)
         return value
 
-    def factor(self) -> MPoly:
+    def factor(self):
         base, base_kind = self.atom()
         if self.toks.peek() != "^":
             return base
         _, col = self.toks.next()
         if base_kind == "t":
-            exp = self.signed_rational_exponent()
-            return MPoly.constant(self.field, self.nvars, PuiseuxScalar.t_power(self.field, exp))
+            return PuiseuxScalar.t_power(self.field, self.signed_rational_exponent())
         exp = self.natural_exponent()
+        base = self.lift(base)
         k = sum(len(s.nums) for s in base.terms.values())
         if exp > MAX_POWER_SIZE or (k >= 2 and comb(exp + k - 1, k - 1) > MAX_POWER_SIZE):
             raise ParseError(
@@ -153,9 +164,9 @@ class _ExprParser:
             return value, "expr"
         if tok.isdigit():
             value = self.rational_constant(self.integer(tok, col), col)
-            return MPoly.constant(self.field, self.nvars, PuiseuxScalar.constant(self.field, value)), "num"
+            return PuiseuxScalar.constant(self.field, value), "num"
         if tok == "t":
-            return MPoly.constant(self.field, self.nvars, PuiseuxScalar.t_power(self.field, 1)), "t"
+            return PuiseuxScalar.t_power(self.field, 1), "t"
         if tok.startswith("u"):
             raise ReservedIdentifierError(
                 "%r is reserved for internal tail variables" % tok, self.toks.line_no, col
@@ -248,7 +259,8 @@ def parse_system(text: str) -> TriangularSystem:
             continue
         if not line.startswith("poly"):
             raise ParseError("expected a poly line", line_no, 1)
-        poly_lines.append((line_no, raw, line[len("poly"):]))
+        offset = len(raw) - len(raw.lstrip()) + len("poly")
+        poly_lines.append((line_no, offset, line[len("poly"):]))
     if header is None:
         raise ParseError("empty input: no ring header found", 1, 1)
 
@@ -260,13 +272,8 @@ def parse_system(text: str) -> TriangularSystem:
         )
 
     polys = []
-    for line_no, raw, expr in poly_lines:
-        offset = raw.index(expr) if expr and expr in raw else len("poly")
-        toks = _Tokenizer(expr, line_no)
-        for k in range(len(toks.tokens)):
-            tok, col = toks.tokens[k]
-            toks.tokens[k] = (tok, col + offset)
-        polys.append(_ExprParser(toks, field, nvars).parse())
+    for line_no, offset, expr in poly_lines:
+        polys.append(_ExprParser(_Tokenizer(expr, line_no, offset), field, nvars).parse())
     return TriangularSystem(polys)
 
 

@@ -19,6 +19,7 @@ Two layers:
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 from math import gcd, lcm
 
@@ -115,7 +116,7 @@ class MPoly:
         out = {}
         for d1, s1 in self.terms.items():
             for d2, s2 in other.terms.items():
-                deg = tuple(a + b for a, b in zip(d1, d2))
+                deg = tuple(map(operator.add, d1, d2))
                 prod = s1 * s2
                 if deg in out:
                     out[deg] = out[deg] + prod

@@ -1,11 +1,16 @@
-"""SHA-256 digests of the CLI's bytes on the benchmark corpora.
+"""SHA-256 digests of the parsed systems and the CLI's bytes on the benchmark corpora.
 
 Prints one line per (workload, seed, flag set, system): the four names and
 the SHA-256 of the exit code, stdout and stderr of ``troptri.cli.main`` run
 in this process on the system's text, fed on standard input as the benchmark
-feeds it.  The corpora are the first SYSTEMS systems of every workload in
-``bench/workloads.py`` at each of SEEDS.  To check that a change leaves the
-CLI's bytes as they were, run this from the root of both trees and compare:
+feeds it.  Under the flag set name ``parsed`` it prints instead the SHA-256
+of the system as ``parse_system`` stores it: the field, and for each
+polynomial its terms in stored order, each the exponent tuple and the
+scalar's ``den`` and ``nums``.  So a parser change is compared on the
+corpora directly, not only through the solver.  The corpora are the first
+SYSTEMS systems of every workload in ``bench/workloads.py`` at each of
+SEEDS.  To check that a change leaves both as they were, run this from the
+root of both trees and compare:
 
     PYTHONPATH=src python tests/corpus_digests.py > digests.txt
     diff parent-digests.txt digests.txt
@@ -22,6 +27,7 @@ import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import troptri
 import troptri.cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -58,10 +64,19 @@ def cli_digest(text, flags):
     return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode()).hexdigest()
 
 
+def parsed_digest(text):
+    """SHA-256 of the stored form of the system ``text`` parses to."""
+    system = troptri.parse_system(text)
+    form = [[(deg, s.den, s.nums) for deg, s in f.terms.items()] for f in system.polys]
+    return hashlib.sha256(repr((system.field.name, form)).encode()).hexdigest()
+
+
 def main():
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             systems = workloads.corpus(workload, seed, SYSTEMS)
+            for index, system in enumerate(systems):
+                print(workload, seed, "parsed", index, parsed_digest(system.text))
             for name, flags in FLAG_SETS.items():
                 for index, system in enumerate(systems):
                     print(workload, seed, name, index, cli_digest(system.text, flags))

@@ -8,11 +8,14 @@
 heights; ``uniqueness_oracle`` probes ``is_unique`` by specializing the tails;
 ``is_approximate_root`` and ``has_maximal_precision`` are the paper's
 two predicates on truncated roots; ``shift_and_rescale`` is the
-recentering the second one reads, followed by a rescaling.
+recentering the second one reads, followed by a rescaling;
+``expression_mpoly`` is the value of a parsed expression tree with every
+atom built as a one-term MPoly, the reference for the parser's scalars.
 """
 
 import random
 from fractions import Fraction
+from math import comb
 
 from troptri import (
     MPoly,
@@ -26,6 +29,7 @@ from troptri import (
     newton_polygon,
 )
 from troptri.polygon import lower_hull
+from troptri.sysparse import MAX_POWER_SIZE
 
 
 class ExactRootError(Exception):
@@ -74,6 +78,43 @@ def evaluate(f: UPoly, value: MPoly) -> MPoly:
         if c is not None:
             acc = acc + c
     return acc
+
+
+def expression_mpoly(tree, field, nvars):
+    """The MPoly of an expression tree, built with polynomial arithmetic only.
+
+    ``tree`` is ("num", n, d) for n/d, ("t", e) for t^e, ("x", i) for x_i
+    (1-based), ("neg", a), ("add" | "sub" | "mul", a, b) or ("pow", a, k).
+    Every number and power of t is a one-term MPoly.  Returns None when a
+    power passes the parser's size limit on its base.
+    """
+    kind = tree[0]
+    if kind == "num":
+        c = field.div(field.from_int(tree[1]), field.from_int(tree[2]))
+        return MPoly.constant(field, nvars, PuiseuxScalar.constant(field, c))
+    if kind == "t":
+        return MPoly.constant(field, nvars, PuiseuxScalar.t_power(field, tree[1]))
+    if kind == "x":
+        return MPoly.variable(field, nvars, tree[1] - 1)
+    a = expression_mpoly(tree[1], field, nvars)
+    if a is None:
+        return None
+    if kind == "neg":
+        return -a
+    if kind == "pow":
+        e = tree[2]
+        k = sum(len(s.nums) for s in a.terms.values())
+        if e > MAX_POWER_SIZE or (k >= 2 and comb(e + k - 1, k - 1) > MAX_POWER_SIZE):
+            return None
+        return a**e
+    b = expression_mpoly(tree[2], field, nvars)
+    if b is None:
+        return None
+    if kind == "add":
+        return a + b
+    if kind == "sub":
+        return a - b
+    return a * b
 
 
 def is_prime_trial_division(n):

@@ -277,8 +277,10 @@ def test_every_run_ends_in_points_or_an_error(tmp_path_factory, case):
         ("(x1+1)^200000", 17, "power too large: exponent 200000 on a 2-term base exceeds the size limit 256"),
         ("x1^257", 13, "power too large: exponent 257 on a 1-term base exceeds the size limit 256"),
         ("(x1+x2+1)^22", 20, "power too large: exponent 22 on a 3-term base exceeds the size limit 256"),
+        # a base without x counts its terms in t like any other
+        ("(1+t+t^2)^22", 20, "power too large: exponent 22 on a 3-term base exceeds the size limit 256"),
     ],
-    ids=["binomial", "monomial", "trinomial"],
+    ids=["binomial", "monomial", "trinomial", "scalar-trinomial"],
 )
 def test_oversized_power_exits_4(tmp_path, power, col, message):
     code, out, err = run_cli(tmp_path, "ring x1 x2\npoly x1\npoly x2 - %s\n" % power)

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import QQ, const, mpoly, tp, xvar, mconst
+from oracles import expression_mpoly
 from troptri import (
     NonTriangularError,
     ParseError,
@@ -14,6 +17,7 @@ from troptri import (
     format_system,
     parse_system,
 )
+from troptri.sysparse import _ExprParser, _Tokenizer
 
 THREE_VAR_TEXT = """\
 # three coordinates, all polygons already trustworthy
@@ -84,6 +88,127 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse_system("ring x1\npoly x1 +\n")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ring x1\npoly x1 + @", "line 2, column 11: unexpected character '@'"),
+        ("ring x1\npoly x1 x1", "line 2, column 9: unexpected 'x1' after expression"),
+        ("ring x1\npoly (x1 + 1 t", "line 2, column 14: expected ')', found 't'"),
+        ("ring x1\npoly x1 + x2", "line 2, column 11: unknown variable 'x2'"),
+        ("ring x1\npoly x1^", "line 2, column 9: unexpected end of expression"),
+        ("ring x1\npoly x1 + t^x1", "line 2, column 13: expected an exponent"),
+        ("ring x1\npoly t^-x1", "line 2, column 9: expected an integer exponent"),
+        ("ring x1\npoly t^(x1)", "line 2, column 9: expected an integer numerator"),
+        (
+            "ring x1\npoly x1^(1/2)",
+            "line 2, column 9: fractional or negative exponents are only allowed on t",
+        ),
+        ("ring x1\npoly x1 + 1/0", "line 2, column 13: expected a nonzero denominator"),
+        ("ring x1\npoly t^(1/0)*x1", "line 2, column 11: expected a nonzero denominator"),
+        ("ring x1 fp:5\npoly x1 + 2/5", "line 2, column 11: the denominator 5 is 0 in F5"),
+        # the end of an expression is counted on the whole line, after 'poly'
+        ("ring x1\npoly x1 +", "line 2, column 10: unexpected end of expression"),
+        ("ring x1\n\tpoly x1 + 1 +   # c", "line 2, column 15: unexpected end of expression"),
+        # the expression starts right after 'poly', even where its text repeats the keyword
+        ("ring x1\npolyly", "line 2, column 5: unexpected 'ly'"),
+        ("ring x1\n  polyly", "line 2, column 7: unexpected 'ly'"),
+    ],
+)
+def test_parse_error_messages_and_columns(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert str(err.value) == message
+
+
+def _render(tree, level="sum", lead=True):
+    """Expression text for an ``oracles.expression_mpoly`` tree.
+
+    ``level`` is where the text goes: "sum" takes any expression, "prod" a
+    factor of a product, "base" the base of ``^``.  ``lead`` says the text
+    starts an expression, the one place a unary minus may stand bare.
+    """
+    kind = tree[0]
+    if kind == "num":
+        # n/d is one atom: the parser reads the fraction before a '^'
+        return "%d" % tree[1] if tree[2] == 1 else "%d/%d" % tree[1:]
+    if kind == "x":
+        return "x%d" % tree[1]
+    if kind == "t":
+        e = tree[1]
+        if e == 1:
+            return "t"
+        text = "t^%d" % e if e.denominator == 1 else "t^(%d/%d)" % (e.numerator, e.denominator)
+        return text if level != "base" else "(%s)" % text
+    if kind == "neg":
+        text = "-" + _render(tree[1], "prod", False)
+        bare = level == "sum" and lead
+    elif kind in ("add", "sub"):
+        op = " + " if kind == "add" else " - "
+        left = _render(tree[1], "sum", lead or level != "sum")
+        text = left + op + _render(tree[2], "prod", False)
+        bare = level == "sum"
+    elif kind == "mul":
+        text = _render(tree[1], "prod", False) + "*" + _render(tree[2], "prod", False)
+        bare = level != "base"
+    else:
+        text = _render(tree[1], "base", False) + "^%d" % tree[2]
+        bare = level != "base"
+    return text if bare else "(%s)" % _render(tree, "sum", True)
+
+
+_ATOMS = st.one_of(
+    st.tuples(st.just("num"), st.integers(0, 14), st.integers(1, 6)),
+    st.tuples(st.just("t"), st.fractions(-3, 3, max_denominator=3)),
+    st.tuples(st.just("x"), st.integers(1, 2)),
+)
+_EXPRESSIONS = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.tuples(st.just("neg"), inner),
+        st.tuples(st.sampled_from(["add", "sub", "mul"]), inner, inner),
+        st.tuples(st.just("pow"), inner, st.integers(0, 3)),
+    ),
+    max_leaves=8,
+)
+_T = ("t", Fraction(1))
+_X1 = ("x", 1)
+# a scalar-only base under '^' (7 is 0 in F_7), unary minus on scalars, 0*x1,
+# and a sum that cancels down to a scalar
+_CASES = [
+    ("pow", ("sub", ("num", 7, 1), ("t", Fraction(1, 2))), 3),
+    ("mul", ("pow", ("add", ("num", 1, 2), _T), 2), _X1),
+    ("add", ("neg", ("mul", ("num", 3, 2), ("t", Fraction(-1, 2)))), ("neg", _T)),
+    ("mul", ("num", 0, 1), _X1),
+    ("add", ("sub", _X1, _X1), _T),
+]
+
+
+def _stored(f):
+    return {deg: (s.den, s.nums) for deg, s in f.terms.items()}
+
+
+def _with_examples(test):
+    for tree in _CASES:
+        for p in (None, 7):
+            test = example(tree=tree, p=p)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_EXPRESSIONS, p=st.sampled_from([None, 7]))
+@_with_examples
+def test_parse_stores_what_polynomial_atoms_give(tree, p):
+    field = QQ if p is None else PrimeField(p)
+    text = _render(tree)
+    want = expression_mpoly(tree, field, 2)
+    parser = _ExprParser(_Tokenizer(text, 1, 0), field, 2)
+    if want is None:
+        with pytest.raises(ParseError, match="power too large"):
+            parser.parse()
+        return
+    assert _stored(parser.parse()) == _stored(want), text
 
 
 def test_parse_bad_header():
