@@ -8,7 +8,10 @@ branch is recomputed to higher precision ("reinforce") until the polygon
 stabilizes or the precision safeguard trips.  The tropical points are
 the per-branch valuation vectors of the finished tree.  One store per
 tree keeps each polynomial with a root put in, keyed by the polynomial's
-identity and the root's value, so branches with equal roots share it.
+identity and the root's value, so branches with equal roots share it; it
+also keeps each reinforcement's expansion, keyed by the polynomial's
+identity, the valuation and the budget, so a subtree copy that meets the
+same polynomial again reuses it.
 """
 
 from fractions import Fraction
@@ -97,8 +100,10 @@ class RootTree:
         self.reinforce_count = 0
         self._next_id = 0
         self.vertices = {}
-        # (id(g), root) -> (g, g with the root put in) for every branch of this
-        # tree; holding g keeps its id from being reused (see _next_polynomial)
+        # for every branch of this tree: (id(g), root) -> (g, g with the root put
+        # in), and (id(f), w, budget) -> (f, the expansion of f's roots of
+        # valuation w to that budget); holding g or f keeps its id from being
+        # reused (see _next_polynomial and _corrections)
         self.store = {}
         self.root_id = self._new_vertex(parent=None, depth=0, root=None, prec=Fraction(0)).vid
 
@@ -285,11 +290,16 @@ class RootTree:
         w0 = root.valuation()
         for w in admissible:
             budget = target - (w - w0)
-            try:
-                out.update(puiseux_expansion(reinf, w, budget, self.max_depth))
-            except NonSplittingError as exc:
-                exc.source = exc.source or "f%d" % findex
-                raise
+            key = (id(reinf), w, budget)
+            entry = self.store.get(key)
+            if entry is None:
+                try:
+                    expansion = puiseux_expansion(reinf, w, budget, self.max_depth)
+                except NonSplittingError as exc:
+                    exc.source = exc.source or "f%d" % findex
+                    raise
+                entry = self.store[key] = (reinf, expansion)
+            out.update(entry[1])
         if not out:
             out = {ApproxRoot(root.index, (), w_r): reinf}
         return out

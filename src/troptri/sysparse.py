@@ -22,7 +22,7 @@ from math import comb
 
 from .errors import NonTriangularError, ParseError, ReservedIdentifierError
 from .puiseux import PuiseuxScalar
-from .rationals import format_rat
+from .rationals import format_rat, ratio
 from .residue import PrimeField, RationalField
 from .roottree import TriangularSystem
 from .upoly import MPoly, format_monomial
@@ -134,7 +134,7 @@ class _ExprParser:
     def factor(self):
         base, base_kind = self.atom()
         if self.toks.peek() != "^":
-            return base
+            return PuiseuxScalar.t_power(self.field, 1) if base_kind == "t" else base
         _, col = self.toks.next()
         if base_kind == "t":
             return PuiseuxScalar.t_power(self.field, self.signed_rational_exponent())
@@ -166,7 +166,7 @@ class _ExprParser:
             value = self.rational_constant(self.integer(tok, col), col)
             return PuiseuxScalar.constant(self.field, value), "num"
         if tok == "t":
-            return PuiseuxScalar.t_power(self.field, 1), "t"
+            return None, "t"  # factor builds the power of t once it has the exponent
         if tok.startswith("u"):
             raise ReservedIdentifierError(
                 "%r is reserved for internal tail variables" % tok, self.toks.line_no, col
@@ -215,15 +215,16 @@ class _ExprParser:
             )
         return self.integer(tok, col)
 
-    def signed_rational_exponent(self) -> Fraction:
+    def signed_rational_exponent(self):
+        """The exponent of t in stored form: an int when integral, else a Fraction."""
         tok, col = self.toks.next()
         if tok.isdigit():
-            return Fraction(self.integer(tok, col))
+            return self.integer(tok, col)
         if tok == "-":
             tok, col = self.toks.next()
             if not tok.isdigit():
                 raise ParseError("expected an integer exponent", self.toks.line_no, col)
-            return Fraction(-self.integer(tok, col))
+            return -self.integer(tok, col)
         if tok == "(":
             sign = 1
             tok, col = self.toks.next()
@@ -238,7 +239,7 @@ class _ExprParser:
                 self.toks.next()
                 den = self.nonzero_denominator()
             self.toks.expect(")")
-            return Fraction(sign * num, den)
+            return ratio(sign * num, den)
         raise ParseError("expected an exponent", self.toks.line_no, col)
 
 

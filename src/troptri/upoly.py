@@ -23,9 +23,9 @@ import operator
 from functools import cache
 from math import gcd, lcm
 
-from .errors import ZeroHasNoValuation, ZeroPolynomialError, ZeroSubstitutionError
+from .errors import ZeroHasNoValuation, ZeroSubstitutionError
 from .puiseux import PuiseuxScalar
-from .rationals import format_rat, ratio
+from .rationals import format_rat
 from .residue import ResiduePoly
 
 
@@ -153,10 +153,6 @@ class MPoly:
         g = gcd(n, d)
         return n // g, d // g
 
-    def uval(self):
-        """Minimum valuation over all Puiseux coefficients."""
-        return ratio(*self.val_pair())
-
     def initial_terms(self):
         """The residue terms attaining the minimum valuation.
 
@@ -252,24 +248,6 @@ class UPoly:
         self.polygon = None
 
     @classmethod
-    def from_coeffs(cls, field, nvars, var, pairs):
-        acc = {}
-        for j, c in pairs:
-            if j in acc:
-                acc[j] = acc[j] + c
-            else:
-                acc[j] = c
-        return cls(field, nvars, var, {j: c for j, c in acc.items() if not c.is_zero()})
-
-    @classmethod
-    def x_power(cls, field, nvars, var, degree=1, coeff=None):
-        if coeff is None:
-            coeff = MPoly.constant(field, nvars, PuiseuxScalar.constant(field, field.one))
-        if coeff.is_zero():
-            return cls(field, nvars, var, {})
-        return cls(field, nvars, var, {degree: coeff})
-
-    @classmethod
     def from_mpoly(cls, f: MPoly, var):
         """f as a polynomial in variable ``var`` over its other variables."""
         coeffs = {}
@@ -284,11 +262,6 @@ class UPoly:
 
     def is_zero(self):
         return not self.coeffs
-
-    def degree(self):
-        if not self.coeffs:
-            raise ZeroPolynomialError("the zero polynomial has no degree")
-        return max(self.coeffs)
 
     def coeff(self, j):
         return self.coeffs.get(j, MPoly.zero(self.field, self.nvars))
@@ -366,15 +339,27 @@ class UPoly:
 
 def _taylor_shift(coeffs, prefix):
     """The nonzero coefficients of f(x + prefix), f = sum coeffs[j]*x^j != 0, by
-    repeated synthetic division: pass i leaves the coefficient of x^i in a[i]."""
+    repeated synthetic division: pass i leaves the coefficient of x^i in a[i].
+
+    a holds copies of the coefficients' term dicts, never the inputs, which
+    other polynomials share; each step adds prefix times a[j + 1] into a[j]
+    in place, deleting a term that cancels to zero, and the MPolys are built
+    once at the end."""
     d = max(coeffs)
-    zero = MPoly.zero(coeffs[d].field, coeffs[d].nvars)
-    a = [coeffs.get(j, zero) for j in range(d + 1)]
+    field, nvars = coeffs[d].field, coeffs[d].nvars
+    a = [dict(coeffs[j].terms) if j in coeffs else {} for j in range(d + 1)]
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
-            if a[j + 1].terms:
-                a[j] = a[j] + a[j + 1].mul_scalar(prefix)
-    return {j: c for j, c in enumerate(a) if c.terms}
+            dst = a[j]
+            for deg, scalar in a[j + 1].items():
+                scalar = scalar * prefix
+                if deg in dst:
+                    scalar = dst[deg] + scalar
+                    if scalar.is_zero():
+                        del dst[deg]
+                        continue
+                dst[deg] = scalar
+    return {j: MPoly(field, nvars, terms) for j, terms in enumerate(a) if terms}
 
 
 def _powers(s, k):

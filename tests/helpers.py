@@ -13,8 +13,10 @@ from troptri import (
     RationalField,
     TriangularSystem,
     UPoly,
+    ZeroPolynomialError,
     ZeroSubstitutionError,
 )
+from troptri.rationals import ratio
 
 QQ = RationalField()
 
@@ -47,6 +49,33 @@ def uconst(nvars, scalar, field=QQ):
     return MPoly.constant(field, nvars, scalar)
 
 
+def from_coeffs(field, nvars, var, pairs):
+    """UPoly from (degree, MPoly) pairs; repeated degrees add up, zeros drop."""
+    acc = {}
+    for j, c in pairs:
+        acc[j] = acc[j] + c if j in acc else c
+    return UPoly(field, nvars, var, {j: c for j, c in acc.items() if not c.is_zero()})
+
+
+def x_power(field, nvars, var, degree=1, coeff=None):
+    """coeff * x^degree in coordinate ``var``; the coefficient defaults to 1."""
+    if coeff is None:
+        coeff = MPoly.constant(field, nvars, PuiseuxScalar.constant(field, field.one))
+    return UPoly(field, nvars, var, {} if coeff.is_zero() else {degree: coeff})
+
+
+def degree(f):
+    """The degree of a nonzero UPoly."""
+    if not f.coeffs:
+        raise ZeroPolynomialError("the zero polynomial has no degree")
+    return max(f.coeffs)
+
+
+def uval(c):
+    """The minimum valuation over an MPoly's Puiseux coefficients."""
+    return ratio(*c.val_pair())
+
+
 def upoly(nvars, var, coeffs, field=QQ):
     """UPoly from {degree: MPoly-or-scalar}."""
     pairs = []
@@ -54,7 +83,7 @@ def upoly(nvars, var, coeffs, field=QQ):
         if isinstance(c, PuiseuxScalar):
             c = MPoly.constant(field, nvars, c)
         pairs.append((j, c))
-    return UPoly.from_coeffs(field, nvars, var, pairs)
+    return from_coeffs(field, nvars, var, pairs)
 
 
 def mpoly(nvars, terms, field=QQ):
@@ -106,16 +135,16 @@ def shift_substitute_naive(f, prefix, scale):
     field, nvars, var = f.field, f.nvars, f.var
     if f.is_zero():
         return UPoly(field, nvars, var, {})
-    lin = UPoly.from_coeffs(field, nvars, var, [
+    lin = from_coeffs(field, nvars, var, [
         (0, MPoly.constant(field, nvars, prefix)),
         (1, MPoly.constant(field, nvars, PuiseuxScalar.t_power(field, Fraction(scale)))),
     ])
     acc = UPoly(field, nvars, var, {})
-    for j in range(f.degree(), -1, -1):
+    for j in range(degree(f), -1, -1):
         acc = acc * lin
         c = f.coeffs.get(j)
         if c is not None:
-            acc = acc + UPoly.x_power(field, nvars, var, 0, c)
+            acc = acc + x_power(field, nvars, var, 0, c)
     return acc
 
 
@@ -127,20 +156,20 @@ def root(index, known, tail):
 
 def paper_f1(nvars=1, var=0):
     """(x - 1 - t^2) * (x - 1 - t - t^2), the quadratic with two close roots."""
-    x = UPoly.x_power(QQ, nvars, var)
+    x = x_power(QQ, nvars, var)
     r1 = ps((0, 1), (2, 1))
     r2 = ps((0, 1), (1, 1), (2, 1))
-    as_poly = lambda s: UPoly.x_power(QQ, nvars, var, 0, MPoly.constant(QQ, nvars, s))
+    as_poly = lambda s: x_power(QQ, nvars, var, 0, MPoly.constant(QQ, nvars, s))
     return (x - as_poly(r1)) * (x - as_poly(r2))
 
 
 def paper_f2_tilde(nvars=2):
     """(x2 - t - t^2 u1) * (x2 - 1 - t - t^2 u1) over K[u1][x2]."""
-    x2 = UPoly.x_power(QQ, nvars, 1)
+    x2 = x_power(QQ, nvars, 1)
     t2u1 = MPoly.variable(QQ, nvars, 0, tp(2))
     a = uconst(nvars, tp(1)) + t2u1
     b = uconst(nvars, ps((0, 1), (1, 1))) + t2u1
-    lift = lambda c: UPoly.x_power(QQ, nvars, 1, 0, c)
+    lift = lambda c: x_power(QQ, nvars, 1, 0, c)
     return (x2 - lift(a)) * (x2 - lift(b))
 
 

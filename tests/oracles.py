@@ -17,6 +17,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+from helpers import from_coeffs, uval
 from troptri import (
     MPoly,
     Polygon,
@@ -46,7 +47,7 @@ def specialize(poly, values):
         if v.is_zero() or v.valuation() != 0:
             raise ValueError("substituted value for u%d must have valuation 0" % (i + 1))
     if isinstance(poly, UPoly):
-        return UPoly.from_coeffs(poly.field, poly.nvars, poly.var, [
+        return from_coeffs(poly.field, poly.nvars, poly.var, [
             (j, specialize(c, values)) for j, c in poly.coeffs.items()
         ])
     for i, v in values.items():
@@ -317,7 +318,7 @@ def has_maximal_precision(f: UPoly, root) -> bool:
     polygon = newton_polygon(g)
     zero = (0,) * f.nvars
     for j, c in g.coeffs.items():
-        if on_lower_edge(polygon, j, c.uval()) and any(d != zero for d in c.initial_terms()):
+        if on_lower_edge(polygon, j, uval(c)) and any(d != zero for d in c.initial_terms()):
             return True
     return False
 

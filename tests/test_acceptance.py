@@ -15,6 +15,7 @@ from helpers import (
     QQ,
     close_roots_system,
     const,
+    from_coeffs,
     paper_f1,
     paper_f2_tilde,
     ps,
@@ -31,7 +32,6 @@ from troptri import (
     MPoly,
     PuiseuxScalar,
     RootTree,
-    UPoly,
     ZeroSubstitutionError,
     is_unique,
     puiseux_expansion,
@@ -245,7 +245,7 @@ def _random_upoly_instance(rng, nvars=3):
             coeffs[j] = c
     if not coeffs:
         coeffs[1] = uconst(nvars, const(1))
-    return UPoly.from_coeffs(QQ, nvars, 0, list(coeffs.items()))
+    return from_coeffs(QQ, nvars, 0, list(coeffs.items()))
 
 
 def _random_mpoly(rng, width, nvars):

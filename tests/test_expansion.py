@@ -5,9 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import QQ, const, paper_f1, paper_f2_tilde, ps, root, tp, uc, uconst, upoly
+from helpers import (
+    QQ,
+    const,
+    paper_f1,
+    paper_f2_tilde,
+    ps,
+    root,
+    tp,
+    uc,
+    uconst,
+    upoly,
+    x_power,
+)
 from oracles import ExactRootError, has_maximal_precision, is_approximate_root, relative_precision
-from troptri import ApproxRoot, InvalidTargetError, UPoly, puiseux_expansion
+from troptri import ApproxRoot, InvalidTargetError, puiseux_expansion
 
 
 def test_worked_expansion_of_close_roots():
@@ -50,8 +62,8 @@ def test_expansion_rejects_untrusted_polygon():
 def test_expansion_continues_past_exact_hit():
     # (x - 1)(x - 1 - t)(x - 1 - t^2): recentering at 1 zeroes the constant
     # term, yet the other two roots extend the same prefix
-    x = UPoly.x_power(QQ, 1, 0)
-    lift = lambda s: UPoly.x_power(QQ, 1, 0, 0, uconst(1, s))
+    x = x_power(QQ, 1, 0)
+    lift = lambda s: x_power(QQ, 1, 0, 0, uconst(1, s))
     f = (x - lift(const(1))) * (x - lift(ps((0, 1), (1, 1)))) * (x - lift(ps((0, 1), (2, 1))))
     got = set(puiseux_expansion(f, 0, 5))
     assert got == {
@@ -167,10 +179,10 @@ def _factored_poly(rng):
             continue
         seen.add(r.terms)
         roots.append(r)
-    x = UPoly.x_power(QQ, 1, 0)
+    x = x_power(QQ, 1, 0)
     f = upoly(1, 0, {0: const(1)})
     for r in roots:
-        f = f * (x - UPoly.x_power(QQ, 1, 0, 0, uconst(1, r)))
+        f = f * (x - x_power(QQ, 1, 0, 0, uconst(1, r)))
     true_roots = [root(0, [(e, int(c) if c.denominator == 1 else c) for e, c in r.terms], None) for r in roots]
     return f, true_roots
 

@@ -5,7 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import QQ, const, paper_f1, paper_f2_tilde, ps, tp, uc, uconst, upoly
+from helpers import (
+    QQ,
+    const,
+    from_coeffs,
+    paper_f1,
+    paper_f2_tilde,
+    ps,
+    tp,
+    uc,
+    uconst,
+    upoly,
+    uval,
+    x_power,
+)
 from oracles import hull_value, on_lower_edge, span, specialize, support_points, uniqueness_oracle
 from troptri import Polygon, UPoly, ZeroPolynomialError, is_unique, newton_polygon
 
@@ -21,7 +34,7 @@ def test_polygon_of_quadratic_with_unit_and_inverse_roots():
 def test_polygon_of_f2_tilde():
     # coefficient valuations are 1, 0, 0 by direct inspection
     f2 = paper_f2_tilde()
-    assert [c.uval() for _, c in sorted(f2.coeffs.items())] == [1, 0, 0]
+    assert [uval(c) for _, c in sorted(f2.coeffs.items())] == [1, 0, 0]
     polygon = newton_polygon(f2)
     assert polygon.vertices == ((0, Fraction(1)), (1, Fraction(0)), (2, Fraction(0)))
 
@@ -100,11 +113,11 @@ def test_ufree_polygons_track_factored_roots():
             if rng.random() < 0.5:
                 tail_terms.append((exp + rng.randint(1, 2), rng.choice([1, -1])))
             roots.append(ps(*tail_terms))
-        x = UPoly.x_power(QQ, 1, 0)
-        f = UPoly.from_coeffs(QQ, 1, 0, [(0, uconst(1, const(1)))])
+        x = x_power(QQ, 1, 0)
+        f = from_coeffs(QQ, 1, 0, [(0, uconst(1, const(1)))])
         f = upoly(1, 0, {0: const(1)})
         for r in roots:
-            f = f * (x - UPoly.x_power(QQ, 1, 0, 0, uconst(1, r)))
+            f = f * (x - x_power(QQ, 1, 0, 0, uconst(1, r)))
         assert is_unique(f)
         got = newton_polygon(f).tropical_points()
         assert got == {r.valuation() for r in roots}
@@ -150,4 +163,4 @@ def _random_upoly(rng, nvars=3):
             coeffs[j] = c
     if not coeffs:
         coeffs[1] = uconst(nvars, const(1))
-    return UPoly.from_coeffs(QQ, nvars, 0, list(coeffs.items()))
+    return from_coeffs(QQ, nvars, 0, list(coeffs.items()))

@@ -32,6 +32,7 @@ from troptri import (
     TriangularSystem,
     UPoly,
     parse_system,
+    puiseux_expansion,
     trop_triangular,
 )
 
@@ -468,13 +469,21 @@ def test_long_chain_copies_and_drops_deep_subtrees_without_recursion():
 def _assert_untouched_entries_are_shared(tree):
     """Each entry of the store is its source polynomial with the root put in
     (by Horner's rule), or, under a branch's last key, that polynomial
-    composed in the next coordinate (by the product-of-powers rule).  The
-    entry keeps the source whose id its key names, and no key holds a root
-    whose coordinate the source does not use: such a root would leave the
-    polynomial untouched, so a branch passes it by."""
+    composed in the next coordinate (by the product-of-powers rule), or,
+    under a key (id, w, budget), a fresh expansion of the source's roots of
+    valuation w to that budget.  The entry keeps the source whose id its key
+    names, and no key holds a root whose coordinate the source does not use:
+    such a root would leave the polynomial untouched, so a branch passes it
+    by."""
     field, n = tree.field, tree.n
-    for (source_id, root), (source, g) in tree.store.items():
-        assert id(source) == source_id
+    for key, (source, g) in tree.store.items():
+        assert id(source) == key[0]
+        if len(key) == 3:
+            _, w, budget = key
+            assert isinstance(source, UPoly)
+            assert g == puiseux_expansion(source, w, budget, tree.max_depth)
+            continue
+        root = key[1]
         if root is None:
             assert compose_naive(source, [], g.var) == g
             continue
@@ -545,6 +554,10 @@ def test_equal_roots_on_different_branches_share_their_extension_polynomial():
     _assert_untouched_entries_are_shared(tree)
 
 
+def _expansion_entries(tree):
+    return {key: entry for key, entry in tree.store.items() if len(key) == 3}
+
+
 def test_each_tree_keeps_its_own_store():
     system = three_var_system()
     trees = [RootTree(system, 1, 32).run() for _ in range(2)]
@@ -557,3 +570,40 @@ def test_each_tree_keeps_its_own_store():
         made.append(exts)  # kept alive, so ids stay unique
     ids = [{id(ext) for ext in exts.values()} for exts in made]
     assert ids[0] and ids[1] and not ids[0] & ids[1]
+
+    # so does every expansion: two trees of one system expand equal
+    # polynomials to equal roots, and share neither source nor result
+    system = close_roots_system()
+    trees = [RootTree(system, 1, 32).run() for _ in range(2)]
+    entries = [_expansion_entries(tree) for tree in trees]
+    assert entries[0] and len(entries[0]) == len(entries[1])
+    for (source0, expansion0), (source1, expansion1) in zip(entries[0].values(), entries[1].values()):
+        assert source0 == source1 and source0 is not source1
+        assert expansion0 == expansion1 and expansion0 is not expansion1
+    sources = [{id(source) for source, _ in tree_entries.values()} for tree_entries in entries]
+    assert not sources[0] & sources[1]
+
+
+def test_a_subtree_copy_expands_each_polynomial_once(monkeypatch):
+    # f3 uses x2 and x3 only; reinforcing the x1 head copies the x3 vertex,
+    # whose bare root is reinforced again with the same stored polynomial
+    from oracle_systems import random_system_with_expected_points
+    from troptri import roottree
+
+    system, expected = random_system_with_expected_points(random.Random(38))
+    assert system.used[2] == {1, 2}
+    calls = []  # the polynomials themselves, kept alive so ids stay unique
+    expand = roottree.puiseux_expansion
+
+    def spy(f, w, budget, max_depth):
+        calls.append((f, w, budget))
+        return expand(f, w, budget, max_depth)
+
+    monkeypatch.setattr(roottree, "puiseux_expansion", spy)
+    tree = RootTree(system, 1, 32).run()
+    assert tree.point_set() == expected
+    keys = [(id(f), w, budget) for f, w, budget in calls]
+    assert len(set(keys)) == len(keys)
+    assert tree.reinforce_count > len(calls) > 0
+    assert set(keys) == set(_expansion_entries(tree))
+    _assert_untouched_entries_are_shared(tree)

@@ -20,6 +20,7 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import from_coeffs, uval
 from oracles import newton_polygon_rational
 from troptri import (
     MPoly,
@@ -29,7 +30,6 @@ from troptri import (
     RationalField,
     ResiduePoly,
     RootTree,
-    UPoly,
     initial_form,
     newton_polygon,
     parse_system,
@@ -237,7 +237,7 @@ def upolys(draw):
     coeff = st.dictionaries(st.tuples(st.just(0), st.integers(0, 1), st.integers(0, 1)), scalar,
                             min_size=1, max_size=2).map(lambda terms: MPoly.from_terms(QQ, 3, terms.items()))
     pairs = draw(st.dictionaries(st.integers(0, 7), coeff, min_size=1, max_size=6))
-    return UPoly.from_coeffs(QQ, 3, 0, pairs.items())
+    return from_coeffs(QQ, 3, 0, pairs.items())
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -251,8 +251,8 @@ def test_integer_newton_hull_matches_the_rational_hull(f):
         assert_stored(v)
     for c in f.coeffs.values():
         low = min(s.valuation() for s in c.terms.values())
-        assert c.uval() == low
-        assert_stored(c.uval())
+        assert uval(c) == low
+        assert_stored(uval(c))
         assert c.initial_terms() == {d: s.initial() for d, s in c.terms.items() if s.valuation() == low}
     assert polygon.slopes() == [Fraction(v2 - v1, j2 - j1) for (j1, v1), (j2, v2) in polygon.edges()]
     for s in polygon.slopes():
@@ -261,7 +261,7 @@ def test_integer_newton_hull_matches_the_rational_hull(f):
 
 def _initial_form_by_fractions(f, w):
     """``initial_form`` with the scores w*j + val(c) taken as Fractions."""
-    scored = [(Fraction(w) * j + Fraction(c.uval()), j, c) for j, c in f.coeffs.items()]
+    scored = [(Fraction(w) * j + Fraction(uval(c)), j, c) for j, c in f.coeffs.items()]
     best = min(s for s, _, _ in scored)
     zero = (0,) * f.nvars
     coeffs = [f.field.zero] * (max(j for s, j, _ in scored if s == best) + 1)

@@ -11,6 +11,7 @@ from helpers import (
     QQ,
     compose_naive,
     const,
+    from_coeffs,
     mconst,
     mpoly,
     paper_f2_tilde,
@@ -21,6 +22,7 @@ from helpers import (
     uc,
     uconst,
     upoly,
+    uval,
     xvar,
 )
 from oracles import as_mpoly, compose_roots, eval_residue, evaluate, shift_and_rescale, specialize
@@ -50,11 +52,11 @@ def test_f2_tilde_expands_to_known_coefficients():
 
 def test_uval_examples():
     a0 = uc(2, (ps((1, 1), (2, 1)), (0, 0)), (ps((2, 1), (3, 2)), (1, 0)), (tp(4), (2, 0)))
-    assert a0.uval() == 1
-    assert uc(2, (const(-1), (1, 0)), (ps((0, -1), (1, -1)), (0, 0))).uval() == 0
-    assert uc(2, (tp(1), (0, 1))).uval() == 1
+    assert uval(a0) == 1
+    assert uval(uc(2, (const(-1), (1, 0)), (ps((0, -1), (1, -1)), (0, 0)))) == 0
+    assert uval(uc(2, (tp(1), (0, 1)))) == 1
     with pytest.raises(ZeroHasNoValuation):
-        MPoly.zero(QQ, 2).uval()
+        uval(MPoly.zero(QQ, 2))
 
 
 def test_uinitial_examples():
@@ -202,7 +204,7 @@ def _shift_cases(draw):
     top = draw(st.integers(0, 6))
     coeffs = draw(st.dictionaries(st.integers(0, top), coeff, max_size=top + 1))
     coeffs[top] = draw(coeff.filter(lambda c: not c.is_zero()))
-    f = UPoly.from_coeffs(field, nvars, var, coeffs.items())
+    f = from_coeffs(field, nvars, var, coeffs.items())
     return f, draw(_scalars(field, 3)), draw(_scalars(field, 3)), draw(_SHIFT_SCALES)
 
 
@@ -250,6 +252,45 @@ def test_shift_substitute_matches_the_naive_horner_rule(case):
     # recentering twice is recentering once at the sum
     twice = f.shift_substitute(prefix).shift_substitute(other)
     assert twice == f.shift_substitute(prefix + other)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "F7"])
+def test_recentering_a_cube_at_its_root_cancels_every_lower_coefficient(field):
+    # c * (x1 - a)^3 with a four-term a and a coefficient c in u2, u3: at a
+    # every lower coefficient cancels to exactly zero, term by term
+    a = ps((-1, 2), (0, 1), (Fraction(1, 2), -3), (2, 5), field=field)
+    c = uc(
+        3,
+        (ps((0, 1), (1, 2), field=field), (0, 0, 0)),
+        (tp(1, 3, field=field), (0, 1, 0)),
+        (ps((-1, 4), field=field), (0, 1, 2)),
+        field=field,
+    )
+    cube = (xvar(3, 0, field=field) - mconst(3, a, field=field)) ** 3 * c
+    f = UPoly.from_mpoly(cube, 0)
+    assert len(f.coeffs) == 4
+    shifted = f.shift_substitute(a)
+    assert shifted.coeffs == {3: c}
+    assert not any(scalar.is_zero() for scalar in shifted.coeffs[3].terms.values())
+    # the same cancellation through MPoly.substitute: x1 -> a + s*u1
+    s = tp(Fraction(1, 3), 2, field=field)
+    assert cube.substitute(0, a, s) == c * MPoly.variable(field, 3, 0, s) ** 3
+    assert cube.substitute(0, a, None).is_zero()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_shift_cases(), _substitute_cases())
+def test_recentering_leaves_its_input_as_it_was(shift_case, substitute_case):
+    # the root tree's store shares polynomials between branches, so the
+    # kernel must work on copies of the coefficients' term dicts
+    f, prefix, _, _ = shift_case
+    before = {j: dict(c.terms) for j, c in f.coeffs.items()}
+    f.shift_substitute(prefix)
+    assert {j: c.terms for j, c in f.coeffs.items()} == before
+    g, index, a, s = substitute_case
+    before = dict(g.terms)
+    g.substitute(index, None if a.is_zero() else a, None if s.is_zero() else s)
+    assert g.terms == before
 
 
 def test_shift_substitute_identity():
@@ -306,10 +347,10 @@ def test_uval_is_a_valuation_randomized():
     for _ in range(200):
         a = _random_ucoeff(rng)
         b = _random_ucoeff(rng)
-        assert (a * b).uval() == a.uval() + b.uval()
+        assert uval(a * b) == uval(a) + uval(b)
         s = a + b
         if not s.is_zero():
-            assert s.uval() >= min(a.uval(), b.uval())
+            assert uval(s) >= min(uval(a), uval(b))
 
 
 def test_compose_is_multiplicative_randomized():
@@ -359,11 +400,11 @@ def test_specialization_never_lowers_uval():
         s = specialize(c, values)
         if s.is_zero():
             continue
-        assert s.uval() >= c.uval()
+        assert uval(s) >= uval(c)
         residues = {i: v.initial() for i, v in values.items()}
         survives = eval_residue(QQ, c.initial_terms(), residues)[0]
         if survives != 0:
-            assert s.uval() == c.uval()
+            assert uval(s) == uval(c)
 
 
 def _random_unit(rng):
@@ -393,7 +434,7 @@ def _random_upoly(rng, nvars=2, var=1):
         coeffs[j] = _random_ucoeff(rng, nvars)
     if not coeffs:
         coeffs[1] = uconst(nvars, const(1))
-    return UPoly.from_coeffs(QQ, nvars, var, list(coeffs.items()))
+    return from_coeffs(QQ, nvars, var, list(coeffs.items()))
 
 
 def _random_mpoly(rng, width, nvars):
