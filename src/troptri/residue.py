@@ -9,28 +9,30 @@ F_p for p <= ``PrimeField.MAX_PRIME`` = 10^24 (elements are ints in
 univariate polynomial and refuses to continue when the polynomial does
 not split into linear factors over the configured field.
 
-Both fields find roots with one F_p kernel, in time polynomial in the
-degree, log p and the bit size of the coefficients (Cantor and
-Zassenhaus, Math. Comp. 36, 1981).  It takes g = gcd(f, x^p - x), the
-product of the distinct linear factors of f, by powering x modulo f,
-and splits g by equal-degree splitting: gcd(h, (x + a)^((p-1)/2) - 1)
-for random a separates the roots r with r + a a square from the rest.
-Over Q a linear squarefree part c1*x + c0, as of (x - r)^m when the
-roots of a cluster agree on a term, gives its root -c0/c1 directly;
-otherwise the rational roots of the squarefree part are found modulo the
-smallest prime that divides neither end coefficient and keeps them
-simple, Hensel-lifted until the modulus bounds numerator and denominator
-and recovered by rational reconstruction (Loos, SIAM J. Comput. 12,
-1983).  In both fields every
-candidate is then checked by exact division and deflated out as often
-as it divides, which gives the multiplicities and whether the
-polynomial splits; over Q this runs on the denominator-free integer
-polynomial, where a root u/v divides out as the primitive factor v*x - u.
+Roots are found in time polynomial in the degree, log p and the bit size
+of the coefficients.  Through degree 2 they come in closed form: -c0/c1,
+and (-b +- s)/(2a) for a*x^2 + b*x + c with s^2 = b^2 - 4ac.  Over F_p
+(p odd) Euler's criterion says whether s exists and Tonelli-Shanks finds
+it; over Q s is the integer square root of the discriminant, if it is a
+square.  Above degree 2 F_p takes g = gcd(f, x^p - x), the product of the
+distinct linear factors of f, by powering x modulo f, and splits g by
+equal-degree splitting until every piece has degree at most 2: gcd(h,
+(x + a)^((p-1)/2) - 1) for random a separates the roots r with r + a a
+square from the rest (Cantor and Zassenhaus, Math. Comp. 36, 1981).  Over
+Q a squarefree part of degree >= 3 has its roots found, by trying every
+unit, modulo the least prime that divides neither end coefficient and
+keeps them simple (at most about B*log(B) for a B-bit discriminant),
+Hensel-lifted until the modulus bounds numerator and denominator and
+recovered by rational reconstruction (Loos, SIAM J. Comput. 12, 1983).
+In both fields every candidate is then checked by exact division and
+deflated out as often as it divides, which gives the multiplicities and
+whether the polynomial splits; over Q this runs on the denominator-free
+integer polynomial, where a root u/v divides out as the factor v*x - u.
 """
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import DivisionByZero, NonSplittingError, ZeroPolynomialError
 from .rationals import int_if_integral
@@ -78,9 +80,9 @@ class RationalField:
         Returns ``(roots, split)`` where ``split`` is True when the
         polynomial, after the power of x dividing it is removed, factors
         completely into linear pieces over the rationals.  Candidates come
-        from the squarefree part, read off it when it is linear and found
-        by p-adic lifting otherwise; found roots are deflated out of the
-        integer polynomial to account for multiplicities.
+        from the squarefree part, in closed form through degree 2 (see
+        the module docstring) and by p-adic lifting above; found roots are
+        deflated out of the integer polynomial to count multiplicities.
         """
         work = _strip_unit_part(coeffs)
         if len(work) <= 1:
@@ -90,6 +92,11 @@ class RationalField:
         squarefree = _squarefree_part(ints)
         if len(squarefree) == 2:
             candidates = [int_if_integral(Fraction(-squarefree[0], squarefree[1]))]
+        elif len(squarefree) == 3:
+            c, b, a = squarefree
+            disc = b * b - 4 * a * c
+            s = isqrt(max(disc, 0))
+            candidates = [int_if_integral(Fraction(r - b, 2 * a)) for r in (s, -s) if s * s == disc]
         else:
             candidates = _rational_candidates(squarefree)
         return _deflate_roots(ints, candidates, _zz_divide_root)
@@ -152,7 +159,7 @@ class PrimeField:
         return self.mul(a, self.inv(b))
 
     def unit_roots(self, coeffs):
-        """All roots in F_p*, found by root splitting; see RationalField."""
+        """All roots in F_p*, in closed form or by root splitting; see RationalField."""
         work = _strip_unit_part(coeffs)
         if len(work) <= 1:
             return set(), True
@@ -254,31 +261,60 @@ def _deflate_roots(work, candidates, divide):
 
 
 def _fp_roots(f, p):
-    """The distinct roots in F_p* of f, whose constant term is nonzero."""
+    """The distinct roots in F_p* of f, whose constant term is nonzero; f and
+    each piece the splitting leaves are solved in closed form at degree <= 2."""
     f = _fp_monic(_fp_trim([c % p for c in f]), p)
-    if len(f) <= 1:
-        return []
-    # x^p - x is the product of all x - r; f(0) != 0 leaves r = 0 out
-    xp = _fp_powmod([0, 1], p, f, p) + [0, 0]
-    xp[1] = (xp[1] - 1) % p
-    stack = [_fp_gcd(f, _fp_trim(xp), p)]
-    rng = random.Random(0)
-    roots = []
+    rng = []  # the splitting's random.Random(0), built at the first draw
+
+    def draw():
+        if not rng:
+            rng.append(random.Random(0))
+        return rng[0].randrange(p)
+
+    if len(f) > 3 or p == 2:
+        # x^p - x is the product of all x - r; f(0) != 0 leaves r = 0 out,
+        # and over F_2 at most x + 1
+        xp = _fp_powmod([0, 1], p, f, p) + [0, 0]
+        xp[1] = (xp[1] - 1) % p
+        f = _fp_gcd(f, _fp_trim(xp), p)
+    stack, roots, half = [f], [], (p + 1) // 2
     while stack:
         h = stack.pop()
         if len(h) == 2:
             roots.append(-h[0] % p)
-        elif len(h) > 2:
-            # two distinct units exist, so p is odd
+        elif len(h) == 3:
+            # (-b +- s)/2 for s^2 = b^2 - 4c, if Euler's criterion finds an s
+            b, disc = h[1], (h[1] * h[1] - 4 * h[0]) % p
+            if pow(disc, (p - 1) // 2, p) <= 1:
+                s = _fp_sqrt(disc, p, draw)
+                roots += {(s - b) * half % p, (-s - b) * half % p}
+        elif len(h) > 3:
+            # three distinct units exist, so p is odd
             while True:
-                w = _fp_powmod([rng.randrange(p), 1], (p - 1) // 2, h, p) or [0]
+                w = _fp_powmod([draw(), 1], (p - 1) // 2, h, p) or [0]
                 w[0] = (w[0] - 1) % p
                 g = _fp_gcd(h, _fp_trim(w), p)
                 if 1 < len(g) < len(h):
                     break
-            stack.append(g)
-            stack.append(_fp_divmod(h, g, p)[0])
+            stack += [g, _fp_divmod(h, g, p)[0]]
     return roots
+
+
+def _fp_sqrt(a, p, draw):
+    """A square root of the square a modulo the odd prime p (Tonelli and
+    Shanks).  It needs a non-residue only when 4 divides p - 1, and draws
+    one from ``draw``: half the units are, so two draws are expected."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # 2^s exactly divides p - 1
+    q = (p - 1) >> s
+    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+    if t > 1:  # else r^2 = a, also for a = 0
+        z = next(z for z in iter(draw, None) if pow(z, (p - 1) // 2, p) == p - 1)
+        m, c = s, pow(z, q, p)
+        while t != 1:
+            i = next(i for i in range(1, m) if pow(t, 1 << i, p) == 1)  # t has order 2^i
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def _fp_trim(a):
@@ -414,9 +450,12 @@ def _rational_candidates(f):
     """Rationals among which lie all roots of the squarefree primitive f.
 
     A root u/v in lowest terms has u | f[0] and v | f[-1], so the roots
-    modulo a prime p dividing neither are units.  With every one of them
-    simple, each lifts to a unique root modulo p^k; once p^k exceeds
-    2*|f[0]|*|f[-1]|, reconstruction from it gives u/v back.
+    modulo a prime p dividing neither are units, found by trying each of
+    the p - 1.  With every one of them simple, each lifts to a unique root
+    modulo p^k; once p^k exceeds 2*|f[0]|*|f[-1]|, reconstruction from it
+    gives u/v back.  The primes passed over divide f[0]*f[-1]*disc(f), a
+    number of B bits, so p is at most about B*log(B) and the search costs
+    O(p^2) evaluations of f, polynomial in B.
     """
     low, high = abs(f[0]), abs(f[-1])
     df = [j * c for j, c in enumerate(f)][1:]
@@ -425,7 +464,7 @@ def _rational_candidates(f):
         p += 1
         if not _is_prime(p) or low % p == 0 or high % p == 0:
             continue
-        roots = _fp_roots(f, p)
+        roots = [r for r in range(1, p) if _eval_mod(f, r, p) == 0]
         if all(_eval_mod(df, r, p) for r in roots):
             break
     bound = 2 * low * high

@@ -262,15 +262,15 @@ class TimeLimitExceeded(BaseException):
 
 @contextlib.contextmanager
 def time_limit(seconds):
-    """Fail instead of hanging past ``seconds``."""
+    """Fail instead of hanging past ``seconds``, which may be a fraction."""
 
     def expired(signum, frame):
-        raise TimeLimitExceeded("no result after %d s" % seconds)
+        raise TimeLimitExceeded("no result after %g s" % seconds)
 
     previous = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:
-        signal.alarm(0)
+        signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)

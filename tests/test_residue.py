@@ -176,7 +176,8 @@ def test_f5_roots_agree_with_exhaustive_evaluation():
 
 
 # one irreducible quadratic per field: x^2 - 2 over Q and F5, x^2 + x + 1
-# over F2, x^2 + 1 over F3, F7 and F10007 (p = 3 mod 4)
+# over F2, x^2 + 1 over F3, F7 and F10007 (p = 3 mod 4), x^2 - 3 over F257
+# (p - 1 = 2^8, so square roots there take every step of Tonelli-Shanks)
 _FIELDS = {
     QQ: [Fraction(-2), Fraction(0), Fraction(1)],
     PrimeField(2): [1, 1, 1],
@@ -184,6 +185,7 @@ _FIELDS = {
     F5: [3, 0, 1],
     PrimeField(7): [1, 0, 1],
     PrimeField(10007): [1, 0, 1],
+    PrimeField(257): [254, 0, 1],
 }
 
 
@@ -254,14 +256,103 @@ def test_large_rational_roots_are_found():
     assert roots_in_units(q) == {Fraction(10**12, 3), Fraction(-7, 5)}
 
 
+def _refuse(monkeypatch, name):
+    """Make ``troptri.residue.<name>`` fail the test when it is called."""
+
+    def refuse(*args):
+        raise AssertionError("called %s%r" % (name, args))
+
+    monkeypatch.setattr(troptri.residue, name, refuse)
+
+
 def test_a_linear_squarefree_part_gives_its_root_without_the_p_adic_search(monkeypatch):
     # (3x - 7)^4 * x^2 and (x + 10^30/7)^3: the roots of a cluster agreeing
     # on a term; the squarefree part is linear, so no root is searched for mod p
-    def refuse(f, p):
-        raise AssertionError("searched for the roots of %r mod %d" % (f, p))
-
-    monkeypatch.setattr(troptri.residue, "_fp_roots", refuse)
+    _refuse(monkeypatch, "_rational_candidates")
     power = [0, 0] + _times(QQ, [81], _from_roots(QQ, [Fraction(7, 3)] * 4))
     assert QQ.unit_roots(power) == ({Fraction(7, 3)}, True)
     big = Fraction(-10**30, 7)
     assert QQ.unit_roots(_from_roots(QQ, [big] * 3)) == ({big}, True)
+
+
+def test_a_quadratic_squarefree_part_gives_its_roots_without_the_p_adic_search(monkeypatch):
+    _refuse(monkeypatch, "_rational_candidates")
+    # (3x - 7)^2 (5x + 2) x: squarefree part (3x - 7)(5x + 2), discriminant 41^2
+    split = [0] + _times(QQ, [45], _from_roots(QQ, [Fraction(7, 3), Fraction(7, 3), Fraction(-2, 5)]))
+    assert QQ.unit_roots(split) == ({Fraction(7, 3), Fraction(-2, 5)}, True)
+    big = [Fraction(10**12, 3), Fraction(-7, 5)]
+    assert QQ.unit_roots(_from_roots(QQ, big)) == (set(big), True)
+    # irrational discriminants: 8 for x^2 - 2, 5 for x^2 - x - 1, -4 for
+    # x^2 + 1, and 4*10^24 + 4 for x^2 - 10^24 - 1, one above a square
+    for coeffs in ([-2, 0, 1], [-1, -1, 1], [1, 0, 1], [-(10**24) - 1, 0, 1]):
+        assert QQ.unit_roots(coeffs) == (set(), False)
+    # (x^2 - 2)^3: squarefree part x^2 - 2 again, the cube left undivided
+    assert QQ.unit_roots(_times(QQ, [-2, 0, 1], _times(QQ, [-2, 0, 1], [-2, 0, 1]))) == (set(), False)
+
+
+def test_a_prime_field_polynomial_of_degree_at_most_2_is_solved_without_powering(monkeypatch):
+    _refuse(monkeypatch, "_fp_powmod")
+    for p in (3, 5, 17, 10007, 7340033, 998244353):
+        field = PrimeField(p)
+        assert field.unit_roots([p - 2, 1]) == ({2}, True)
+        assert field.unit_roots(_from_roots(field, [1, p - 1])) == ({1, p - 1}, True)
+        assert field.unit_roots(_times(field, [2], _from_roots(field, [2, 2]))) == ({2}, True)
+        nonresidue = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+        assert field.unit_roots([p - nonresidue, 0, 1]) == (set(), False)
+
+
+def _random_quadratics(p, count):
+    """``count`` random quadratics over F_p with nonzero end coefficients."""
+    rng = random.Random(p)
+    return [[rng.randrange(1, p), rng.randrange(p), rng.randrange(1, p)] for _ in range(count)]
+
+
+@pytest.mark.parametrize("p", [17, 97, 257])
+def test_quadratic_roots_match_the_enumeration_modulo_primes_1_mod_16(p):
+    # p - 1 = 2^4, 3 * 2^5 and 2^8
+    field = PrimeField(p)
+    for coeffs in [[p - a, 0, 1] for a in range(1, p)] + _random_quadratics(p, 300):
+        assert field.unit_roots(coeffs) == unit_roots_naive(field, coeffs), coeffs
+
+
+@pytest.mark.parametrize("p, odd, power", [(7340033, 7, 20), (998244353, 119, 23)])
+def test_square_roots_modulo_primes_with_a_large_power_of_two_in_p_minus_1(p, odd, power):
+    assert p - 1 == odd * 2**power
+    field = PrimeField(p)
+    # z has order 2^power, so z^(2^k) has order 2^(power - k) and its square
+    # needs power - k - 1 steps of Tonelli-Shanks
+    generator = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    z = pow(generator, odd, p)
+    for k in range(power):
+        w = pow(z, 2**k, p)
+        assert roots_in_units(ResiduePoly(field, [(-w * w) % p, 0, 1])) == {w, p - w}
+    with pytest.raises(NonSplittingError):
+        roots_in_units(ResiduePoly(field, [p - z, 0, 1]))
+    seen = {True: 0, False: 0}
+    for c, b, a in _random_quadratics(p, 200):
+        disc = (b * b - 4 * a * c) % p
+        is_square = pow(disc, (p - 1) // 2, p) <= 1
+        seen[is_square] += 1
+        roots, split = field.unit_roots([c, b, a])
+        assert split == is_square
+        assert len(roots) == (0 if not is_square else 1 if disc == 0 else 2)
+        assert all((a * r * r + b * r + c) % p == 0 for r in roots)
+    assert min(seen.values()) > 50
+
+
+def test_the_lifting_prime_is_found_by_trying_every_unit_in_little_time(monkeypatch):
+    # roots 1, 1 + M and 1 + 2M for M the product of the primes below 100:
+    # modulo each of those primes the three roots agree, so the roots are not
+    # simple there and the lifting prime is at least 101
+    searched = []
+    search = troptri.residue._rational_candidates
+    monkeypatch.setattr(troptri.residue, "_rational_candidates", lambda f: searched.append(f) or search(f))
+    primes = [q for q in range(2, 100) if is_prime_trial_division(q)]
+    m = 1
+    for q in primes:
+        m *= q
+    roots = {1, 1 + m, 1 + 2 * m}
+    coeffs = _from_roots(QQ, sorted(roots))
+    with time_limit(0.1):
+        assert QQ.unit_roots(coeffs) == (roots, True)
+    assert len(searched) == 1
