@@ -123,7 +123,7 @@ def _expand(f: UPoly, w, p_rel, depth, max_depth) -> dict:
         polygon = newton_polygon(shifted)
         if not is_unique(shifted, polygon):
             return bare
-        if shifted.constant_coeff().is_zero():
+        if 0 not in shifted.coeffs:
             out[ApproxRoot(i, ((w, c),), None)] = None
         higher = sorted(w2 for w2 in polygon.tropical_points() if w2 > w)
         if higher:

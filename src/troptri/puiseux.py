@@ -59,23 +59,6 @@ class PuiseuxScalar:
         self.nums = tuple(_over(terms, self.den))
 
     @classmethod
-    def from_terms(cls, field, pairs):
-        """Canonicalize arbitrary (exponent, coefficient) pairs."""
-        pairs = list(pairs)
-        den = lcm(*[e.denominator for e, _ in pairs])
-        acc = {}
-        for n, coeff in _over(pairs, den):
-            if n in acc:
-                acc[n] = field.add(acc[n], coeff)
-            else:
-                acc[n] = coeff
-        return _reduced(field, den, [(n, c) for n, c in sorted(acc.items()) if c != 0])
-
-    @classmethod
-    def zero(cls, field):
-        return _scalar(field, 1, ())
-
-    @classmethod
     def constant(cls, field, coeff):
         if coeff == 0:
             return _scalar(field, 1, ())
@@ -105,12 +88,6 @@ class PuiseuxScalar:
         if not self.nums:
             raise ZeroHasNoValuation("0 has no valuation")
         return ratio(self.nums[0][0], self.den)
-
-    def initial(self):
-        """The coefficient of the least exponent."""
-        if not self.nums:
-            raise ZeroHasNoValuation("0 has no initial coefficient")
-        return self.nums[0][1]
 
     def __add__(self, other):
         field = self.field

@@ -64,11 +64,6 @@ class RationalField:
     def neg(self, a):
         return -a
 
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZero("cannot invert 0 in %s" % self.name)
-        return int_if_integral(Fraction(1) / a)
-
     def div(self, a, b):
         if b == 0:
             raise DivisionByZero("division by 0 in %s" % self.name)
@@ -195,11 +190,6 @@ class ResiduePoly:
 
     def is_zero(self):
         return not self.coeffs
-
-    def degree(self):
-        if not self.coeffs:
-            raise ZeroPolynomialError("the zero polynomial has no degree")
-        return len(self.coeffs) - 1
 
     def __eq__(self, other):
         return (

@@ -6,12 +6,21 @@ been substituted.  A leaf is extended when the next polynomial's Newton
 polygon can be trusted as it stands ("grow"); otherwise some root on the
 branch is recomputed to higher precision ("reinforce") until the polygon
 stabilizes or the precision safeguard trips.  The tropical points are
-the per-branch valuation vectors of the finished tree.  One store per
-tree keeps each polynomial with a root put in, keyed by the polynomial's
-identity and the root's value, so branches with equal roots share it; it
-also keeps each reinforcement's expansion, keyed by the polynomial's
-identity, the valuation and the budget, so a subtree copy that meets the
-same polynomial again reuses it.
+the per-branch valuation vectors of the finished tree.
+
+One store per tree keeps every polynomial the tree derives, under three
+kinds of key, each led by the identity of the polynomial it derives from:
+
+* (polynomial, root): it with the root put in, so branches with equal
+  roots share it;
+* (composed polynomial, known terms): it recentered at a root's known
+  prefix, which is what reinforcing that root expands;
+* (polynomial, valuation, budget): its expansion of the roots of that
+  valuation to that budget, so a subtree copy that meets the same
+  polynomial again reuses it.
+
+No polynomial lives on a vertex, so a vertex never reads one built on
+ancestors it no longer has.
 """
 
 from fractions import Fraction
@@ -62,7 +71,7 @@ class TriangularSystem:
 
 
 class Vertex:
-    __slots__ = ("vid", "parent", "children", "root", "prec", "depth", "dead", "recentered")
+    __slots__ = ("vid", "parent", "children", "root", "prec", "depth", "dead")
 
     def __init__(self, vid, parent, depth, root, prec):
         self.vid = vid
@@ -72,10 +81,6 @@ class Vertex:
         self.prec = prec
         self.depth = depth
         self.dead = False
-        # f_depth recentered at the root's known terms, when the expansion that
-        # produced the root handed it over (other polynomials live in the tree's
-        # store); set only on vertices reinforce made, on whose parent it was built
-        self.recentered = None
 
 
 class RootTree:
@@ -101,9 +106,10 @@ class RootTree:
         self._next_id = 0
         self.vertices = {}
         # for every branch of this tree: (id(g), root) -> (g, g with the root put
-        # in), and (id(f), w, budget) -> (f, the expansion of f's roots of
+        # in), (id(f), known) -> (f, the composed f recentered at the known
+        # terms), and (id(f), w, budget) -> (f, the expansion of f's roots of
         # valuation w to that budget); holding g or f keeps its id from being
-        # reused (see _next_polynomial and _corrections)
+        # reused (see _next_polynomial, reinforcement_polynomial and _corrections)
         self.store = {}
         self.root_id = self._new_vertex(parent=None, depth=0, root=None, prec=Fraction(0)).vid
 
@@ -175,18 +181,22 @@ class RootTree:
 
         Ancestors contribute their full roots (tails included); the
         vertex's own root contributes only its known prefix, so the
-        polynomial's roots are exactly the possible corrections.  A vertex
-        made by ``reinforce`` already holds it from its expansion.
+        polynomial's roots are exactly the possible corrections.  It lives
+        in the store, where ``reinforce`` puts the ones its expansion built.
         """
         v = self.vertices[vid]
         if v.depth < 1:
             raise ValueError("the tree root carries no root to reinforce")
-        if v.recentered is not None:
-            return v.recentered
         composed = self._next_polynomial(self.vertices[v.parent])
-        if not v.root.known:
+        known = v.root.known
+        if not known:
             return composed
-        return composed.shift_substitute(v.root.known_scalar(self.field))
+        key = (id(composed), known)
+        entry = self.store.get(key)
+        if entry is None:
+            recentered = composed.shift_substitute(v.root.known_scalar(self.field))
+            entry = self.store[key] = (composed, recentered)
+        return entry[1]
 
     def grow(self, vid, ext=None, polygon=None):
         """Attach one child per tropical point of the extension polynomial."""
@@ -252,15 +262,17 @@ class RootTree:
         root = target_vertex.root
         reinf = self.reinforcement_polynomial(target_vertex.vid)
         polygon = newton_polygon(reinf)
-        self._log_polygon(
-            "reinforcement f%d at vertex %d" % (l + 1, target_vertex.vid), reinf, polygon
-        )
+        self._log_polygon("reinforcement", l + 1, target_vertex.vid, reinf, polygon)
         corrections = self._corrections(reinf, polygon, root, target, l + 1)
-        refined = sorted(
-            ((self._merge_root(root, corr), g) for corr, g in corrections.items()),
-            key=lambda pair: pair[0].sort_key(),
-        )
-        if target_vertex.prec == old_prec and [r for r, _ in refined] == [root]:
+        composed = self._next_polynomial(self.vertices[target_vertex.parent])
+        refined = []
+        for corr, g in corrections.items():
+            new_root = self._merge_root(root, corr)
+            if g is not None and new_root.known:
+                self.store.setdefault((id(composed), new_root.known), (composed, g))
+            refined.append(new_root)
+        refined.sort(key=ApproxRoot.sort_key)
+        if target_vertex.prec == old_prec and refined == [root]:
             raise PrecisionLimitError(
                 "reinforcing f%d at vertex %d gains no precision within the bound %s"
                 % (l + 1, target_vertex.vid, self.p_max),
@@ -309,7 +321,7 @@ class RootTree:
         return ApproxRoot(root.index, root.known + corr.known, corr.tail)
 
     def _replace_subtree(self, vertex, refined):
-        """Replace the vertex by one vertex per (root, recentered polynomial) pair.
+        """Replace the vertex by one vertex per refined root.
 
         The vertex's subtree was grown with its root's tail u*t^(w_r)
         symbolic, and every polygon trusted there passed ``is_unique``: it
@@ -324,15 +336,12 @@ class RootTree:
         parent = self.vertices[vertex.parent]
         parent.children.remove(vertex.vid)
         k = len(vertex.root.known)
-        for new_root, recentered in refined:
+        for new_root in refined:
             nxt = new_root.known[k][0] if len(new_root.known) > k else new_root.tail
             if nxt == vertex.root.tail:
                 copy_id = self._copy_subtree(vertex, parent.vid, new_root)
             else:
                 copy_id = self._new_vertex(parent.vid, vertex.depth, new_root, vertex.prec).vid
-            # the copy keeps the vertex's parent, which the polynomial was built on;
-            # copies further down have new ancestors and start without one
-            self.vertices[copy_id].recentered = recentered
             parent.children.append(copy_id)
         self._drop_subtree(vertex.vid)
 
@@ -380,9 +389,7 @@ class RootTree:
             return False
         ext = self.extension_polynomial(leaf.vid)
         polygon = newton_polygon(ext)
-        self._log_polygon(
-            "extension f%d at vertex %d" % (leaf.depth + 1, leaf.vid), ext, polygon
-        )
+        self._log_polygon("extension", leaf.depth + 1, leaf.vid, ext, polygon)
         if is_unique(ext, polygon):
             self.grow(leaf.vid, ext, polygon)
         else:
@@ -416,9 +423,10 @@ class RootTree:
 
     # -- reporting ---------------------------------------------------------------
 
-    def _log_polygon(self, label, poly: UPoly, polygon):
+    def _log_polygon(self, kind, findex, vid, poly: UPoly, polygon):
         if not self.record_polygons:
             return
+        label = "%s f%d at vertex %d" % (kind, findex, vid)
         labels = [
             format_residue_terms(poly.coeffs[j].initial_terms())
             for j, _ in polygon.vertices

@@ -51,17 +51,6 @@ class MPoly:
         self.terms = dict(terms) if terms else {}
 
     @classmethod
-    def from_terms(cls, field, nvars, pairs):
-        acc = {}
-        for deg, scalar in pairs:
-            deg = tuple(deg)
-            if deg in acc:
-                acc[deg] = acc[deg] + scalar
-            else:
-                acc[deg] = scalar
-        return cls(field, nvars, {d: s for d, s in acc.items() if not s.is_zero()})
-
-    @classmethod
     def zero(cls, field, nvars):
         return cls(field, nvars, {})
 
@@ -236,7 +225,8 @@ def _format_sum(letter, coeffs) -> str:
 
 class UPoly:
     """Univariate polynomial in coordinate ``var`` over MPoly coefficients in u;
-    never changed once built, so ``newton_polygon`` keeps its polygon here."""
+    never changed once built, so ``newton_polygon`` keeps its polygon here, and
+    compared by identity, which is how the root tree's store keys it."""
 
     __slots__ = ("field", "nvars", "var", "coeffs", "polygon")
 
@@ -263,49 +253,6 @@ class UPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def coeff(self, j):
-        return self.coeffs.get(j, MPoly.zero(self.field, self.nvars))
-
-    def constant_coeff(self):
-        return self.coeff(0)
-
-    def variables(self):
-        out = set()
-        for c in self.coeffs.values():
-            out |= c.variables()
-        return out
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for j, c in other.coeffs.items():
-            if j in out:
-                s = out[j] + c
-                if s.is_zero():
-                    del out[j]
-                else:
-                    out[j] = s
-            else:
-                out[j] = c
-        return UPoly(self.field, self.nvars, self.var, out)
-
-    def __neg__(self):
-        return UPoly(self.field, self.nvars, self.var, {j: -c for j, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for j1, c1 in self.coeffs.items():
-            for j2, c2 in other.coeffs.items():
-                j = j1 + j2
-                prod = c1 * c2
-                if j in out:
-                    out[j] = out[j] + prod
-                else:
-                    out[j] = prod
-        return UPoly(self.field, self.nvars, self.var, {j: c for j, c in out.items() if not c.is_zero()})
-
     def shift_substitute(self, prefix: PuiseuxScalar) -> UPoly:
         """Evaluate at prefix + x, i.e. recenter the polynomial at ``prefix``.
 
@@ -314,18 +261,6 @@ class UPoly:
         if prefix.is_zero() or not self.coeffs:
             return UPoly(self.field, self.nvars, self.var, self.coeffs)
         return UPoly(self.field, self.nvars, self.var, _taylor_shift(self.coeffs, prefix))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UPoly)
-            and other.field == self.field
-            and other.nvars == self.nvars
-            and other.var == self.var
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.nvars, self.var, frozenset((j, frozenset(c.terms.items())) for j, c in self.coeffs.items())))
 
     def format(self) -> str:
         return _format_sum("x", {

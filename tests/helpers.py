@@ -13,7 +13,6 @@ from troptri import (
     RationalField,
     TriangularSystem,
     UPoly,
-    ZeroPolynomialError,
     ZeroSubstitutionError,
 )
 from troptri.rationals import ratio
@@ -25,11 +24,23 @@ def fr(num, den=1):
     return Fraction(num, den)
 
 
+def series(field, pairs):
+    """The scalar sum of c*t^e over (exponent, coefficient) pairs in any
+    order, built by scalar addition: repeated exponents add up, zeros drop."""
+    acc = PuiseuxScalar.constant(field, field.zero)
+    for e, c in pairs:
+        acc = acc + PuiseuxScalar.t_power(field, Fraction(e), c)
+    return acc
+
+
 def ps(*pairs, field=QQ):
     """Scalar from (exponent, integer-ish coefficient) pairs."""
-    return PuiseuxScalar.from_terms(
-        field, [(Fraction(e), field.from_int(c) if isinstance(c, int) else c) for e, c in pairs]
-    )
+    return series(field, [(e, field.from_int(c) if isinstance(c, int) else c) for e, c in pairs])
+
+
+def initial(s):
+    """The coefficient of a nonzero scalar's least exponent."""
+    return s.terms[0][1]
 
 
 def const(c, field=QQ):
@@ -40,9 +51,19 @@ def tp(exp, coeff=1, field=QQ):
     return PuiseuxScalar.t_power(field, Fraction(exp), field.from_int(coeff))
 
 
+def sum_mpoly(field, nvars, pairs):
+    """The MPoly sum of scalar*monomial over (exponent tuple, scalar) pairs in
+    any order, built by MPoly addition: repeated monomials add up, zeros drop."""
+    acc = MPoly.zero(field, nvars)
+    for deg, s in pairs:
+        if not s.is_zero():
+            acc = acc + MPoly(field, nvars, {tuple(deg): s})
+    return acc
+
+
 def uc(nvars, *terms, field=QQ):
     """K[u] coefficient (an MPoly in u) from (scalar, u-degree tuple) pairs."""
-    return MPoly.from_terms(field, nvars, [(deg, scalar) for scalar, deg in terms])
+    return sum_mpoly(field, nvars, [(deg, s) for s, deg in terms])
 
 
 def uconst(nvars, scalar, field=QQ):
@@ -55,20 +76,6 @@ def from_coeffs(field, nvars, var, pairs):
     for j, c in pairs:
         acc[j] = acc[j] + c if j in acc else c
     return UPoly(field, nvars, var, {j: c for j, c in acc.items() if not c.is_zero()})
-
-
-def x_power(field, nvars, var, degree=1, coeff=None):
-    """coeff * x^degree in coordinate ``var``; the coefficient defaults to 1."""
-    if coeff is None:
-        coeff = MPoly.constant(field, nvars, PuiseuxScalar.constant(field, field.one))
-    return UPoly(field, nvars, var, {} if coeff.is_zero() else {degree: coeff})
-
-
-def degree(f):
-    """The degree of a nonzero UPoly."""
-    if not f.coeffs:
-        raise ZeroPolynomialError("the zero polynomial has no degree")
-    return max(f.coeffs)
 
 
 def uval(c):
@@ -88,7 +95,7 @@ def upoly(nvars, var, coeffs, field=QQ):
 
 def mpoly(nvars, terms, field=QQ):
     """MPoly from {x-degree tuple: scalar}."""
-    return MPoly.from_terms(field, nvars, list(terms.items()))
+    return sum_mpoly(field, nvars, terms.items())
 
 
 def xvar(nvars, index, field=QQ):
@@ -124,28 +131,50 @@ def compose_naive(f, values, target):
     return UPoly(field, nvars, target, coeffs)
 
 
+def lift(f):
+    """A UPoly as an MPoly in one more variable, the last, standing for x.
+
+    So MPoly arithmetic multiplies UPolys, also where a coefficient uses u
+    at the index of x, which ``UPoly.from_mpoly`` would read as x.
+    """
+    return MPoly(f.field, f.nvars + 1, {
+        deg + (j,): s for j, c in f.coeffs.items() for deg, s in c.terms.items()
+    })
+
+
+def unlift(m, var):
+    """The UPoly in coordinate ``var`` that ``lift`` maps to m."""
+    nvars = m.nvars - 1
+    coeffs = {}
+    for deg, s in m.terms.items():
+        coeffs.setdefault(deg[-1], {})[deg[:-1]] = s
+    return UPoly(m.field, nvars, var, {j: MPoly(m.field, nvars, terms) for j, terms in coeffs.items()})
+
+
+def tail_variables(f):
+    """The indices of the tail variables u that a UPoly's coefficients use."""
+    return set().union(*[c.variables() for c in f.coeffs.values()])
+
+
 def shift_substitute_naive(f, prefix, scale):
     """``oracles.shift_and_rescale`` by Horner's rule over whole polynomials;
     with scale 0 this is ``UPoly.shift_substitute``.
 
     An oracle independent of the engine's in-place Taylor shift: f is
     evaluated at the linear polynomial prefix + t^scale * x, with one
-    product of full UPolys per degree.
+    product of full polynomials (``lift``) per degree.
     """
-    field, nvars, var = f.field, f.nvars, f.var
-    if f.is_zero():
-        return UPoly(field, nvars, var, {})
-    lin = from_coeffs(field, nvars, var, [
-        (0, MPoly.constant(field, nvars, prefix)),
-        (1, MPoly.constant(field, nvars, PuiseuxScalar.t_power(field, Fraction(scale)))),
-    ])
-    acc = UPoly(field, nvars, var, {})
-    for j in range(degree(f), -1, -1):
+    field, nvars = f.field, f.nvars + 1
+    lin = MPoly.constant(field, nvars, prefix) + MPoly.variable(
+        field, nvars, nvars - 1, PuiseuxScalar.t_power(field, Fraction(scale))
+    )
+    acc = MPoly.zero(field, nvars)
+    for j in range(max(f.coeffs, default=-1), -1, -1):
         acc = acc * lin
         c = f.coeffs.get(j)
         if c is not None:
-            acc = acc + x_power(field, nvars, var, 0, c)
-    return acc
+            acc = acc + MPoly(field, nvars, {deg + (0,): s for deg, s in c.terms.items()})
+    return unlift(acc, f.var)
 
 
 def root(index, known, tail):
@@ -156,21 +185,19 @@ def root(index, known, tail):
 
 def paper_f1(nvars=1, var=0):
     """(x - 1 - t^2) * (x - 1 - t - t^2), the quadratic with two close roots."""
-    x = x_power(QQ, nvars, var)
+    x = xvar(nvars, var)
     r1 = ps((0, 1), (2, 1))
     r2 = ps((0, 1), (1, 1), (2, 1))
-    as_poly = lambda s: x_power(QQ, nvars, var, 0, MPoly.constant(QQ, nvars, s))
-    return (x - as_poly(r1)) * (x - as_poly(r2))
+    return UPoly.from_mpoly((x - mconst(nvars, r1)) * (x - mconst(nvars, r2)), var)
 
 
 def paper_f2_tilde(nvars=2):
     """(x2 - t - t^2 u1) * (x2 - 1 - t - t^2 u1) over K[u1][x2]."""
-    x2 = x_power(QQ, nvars, 1)
+    x2 = xvar(nvars, 1)
     t2u1 = MPoly.variable(QQ, nvars, 0, tp(2))
     a = uconst(nvars, tp(1)) + t2u1
     b = uconst(nvars, ps((0, 1), (1, 1))) + t2u1
-    lift = lambda c: x_power(QQ, nvars, 1, 0, c)
-    return (x2 - lift(a)) * (x2 - lift(b))
+    return UPoly.from_mpoly((x2 - a) * (x2 - b), 1)
 
 
 def three_var_system():

@@ -9,7 +9,7 @@ computed with plain scalar arithmetic and no polygon machinery at all.
 
 from fractions import Fraction
 
-from helpers import QQ, mconst, xvar
+from helpers import QQ, mconst, series, xvar
 from troptri import PuiseuxScalar, TriangularSystem
 
 
@@ -99,10 +99,10 @@ def _prefix_cancelling_specs(rng):
         later = [x for x in exponents if x > e]
         if later and rng.random() < 0.7:
             terms.append((rng.choice(later), coeff()))
-        parts.append(PuiseuxScalar.from_terms(QQ, terms))
+        parts.append(series(QQ, terms))
     pool = [term for s in parts for term in s.terms] + [(e, coeff()) for e in exponents]
     rho2, rho3 = (
-        PuiseuxScalar.from_terms(QQ, [(e, c * rng.choice([1, -1])) for e, c in rng.sample(pool, rng.randint(1, 2))])
+        series(QQ, [(e, c * rng.choice([1, -1])) for e, c in rng.sample(pool, rng.randint(1, 2))])
         for _ in range(2)
     )
     prefix = PuiseuxScalar.constant(QQ, QQ.from_int(rng.choice([1, 2, 3, -1, -2, -3])))
@@ -116,7 +116,7 @@ def _random_root(rng, q):
         rng.sample([Fraction(k, q) for k in range(-2, 4)], rng.randint(1, 2))
     )
     terms = [(e, QQ.from_int(rng.choice([1, 2, 3, -1, -2, -3]))) for e in exponents]
-    return PuiseuxScalar.from_terms(QQ, terms)
+    return series(QQ, terms)
 
 
 def _random_multiplier(rng, q):

@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from helpers import from_coeffs, uval
+from helpers import from_coeffs, tail_variables, uval
 from troptri import (
     MPoly,
     Polygon,
@@ -188,7 +188,7 @@ def uniqueness_oracle(f: UPoly, trials: int = 100, seed: int = 0) -> bool:
     """
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no Newton polygon")
-    variables = sorted(f.variables())
+    variables = sorted(tail_variables(f))
     if not variables:
         return True
     field = f.field

@@ -6,20 +6,19 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    QQ,
     const,
+    mconst,
     paper_f1,
     paper_f2_tilde,
     ps,
     root,
     tp,
     uc,
-    uconst,
     upoly,
-    x_power,
+    xvar,
 )
 from oracles import ExactRootError, has_maximal_precision, is_approximate_root, relative_precision
-from troptri import ApproxRoot, InvalidTargetError, puiseux_expansion
+from troptri import ApproxRoot, InvalidTargetError, UPoly, puiseux_expansion
 
 
 def test_worked_expansion_of_close_roots():
@@ -62,9 +61,9 @@ def test_expansion_rejects_untrusted_polygon():
 def test_expansion_continues_past_exact_hit():
     # (x - 1)(x - 1 - t)(x - 1 - t^2): recentering at 1 zeroes the constant
     # term, yet the other two roots extend the same prefix
-    x = x_power(QQ, 1, 0)
-    lift = lambda s: x_power(QQ, 1, 0, 0, uconst(1, s))
-    f = (x - lift(const(1))) * (x - lift(ps((0, 1), (1, 1)))) * (x - lift(ps((0, 1), (2, 1))))
+    x = xvar(1, 0)
+    lin = lambda s: x - mconst(1, s)
+    f = UPoly.from_mpoly(lin(const(1)) * lin(ps((0, 1), (1, 1))) * lin(ps((0, 1), (2, 1))), 0)
     got = set(puiseux_expansion(f, 0, 5))
     assert got == {
         root(0, [(0, 1)], None),
@@ -179,12 +178,12 @@ def _factored_poly(rng):
             continue
         seen.add(r.terms)
         roots.append(r)
-    x = x_power(QQ, 1, 0)
-    f = upoly(1, 0, {0: const(1)})
+    x = xvar(1, 0)
+    f = mconst(1, const(1))
     for r in roots:
-        f = f * (x - x_power(QQ, 1, 0, 0, uconst(1, r)))
+        f = f * (x - mconst(1, r))
     true_roots = [root(0, [(e, int(c) if c.denominator == 1 else c) for e, c in r.terms], None) for r in roots]
-    return f, true_roots
+    return UPoly.from_mpoly(f, 0), true_roots
 
 
 def _extends(true_root, approx):

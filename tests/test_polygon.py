@@ -9,6 +9,7 @@ from helpers import (
     QQ,
     const,
     from_coeffs,
+    mconst,
     paper_f1,
     paper_f2_tilde,
     ps,
@@ -17,7 +18,7 @@ from helpers import (
     uconst,
     upoly,
     uval,
-    x_power,
+    xvar,
 )
 from oracles import hull_value, on_lower_edge, span, specialize, support_points, uniqueness_oracle
 from troptri import Polygon, UPoly, ZeroPolynomialError, is_unique, newton_polygon
@@ -113,11 +114,11 @@ def test_ufree_polygons_track_factored_roots():
             if rng.random() < 0.5:
                 tail_terms.append((exp + rng.randint(1, 2), rng.choice([1, -1])))
             roots.append(ps(*tail_terms))
-        x = x_power(QQ, 1, 0)
-        f = from_coeffs(QQ, 1, 0, [(0, uconst(1, const(1)))])
-        f = upoly(1, 0, {0: const(1)})
+        x = xvar(1, 0)
+        product = mconst(1, const(1))
         for r in roots:
-            f = f * (x - x_power(QQ, 1, 0, 0, uconst(1, r)))
+            product = product * (x - mconst(1, r))
+        f = UPoly.from_mpoly(product, 0)
         assert is_unique(f)
         got = newton_polygon(f).tropical_points()
         assert got == {r.valuation() for r in roots}

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import QQ, const, mconst, ps, tp
-from troptri import PuiseuxScalar, ZeroHasNoValuation
+from helpers import QQ, const, initial, mconst, ps, tp
+from troptri import ZeroHasNoValuation
 
 
 def test_product_of_conjugates():
@@ -18,7 +18,7 @@ def test_product_of_conjugates():
 
 def test_additive_identity():
     rng = random.Random(2)
-    zero = PuiseuxScalar.zero(QQ)
+    zero = ps()
     for _ in range(30):
         a = _random_scalar(rng)
         assert a + zero == a
@@ -37,13 +37,15 @@ def test_valuation_examples():
     a = ps((0, 1), (1, 1), (2, 2), (3, 1), (4, 1))
     assert a.valuation() == 0
     with pytest.raises(ZeroHasNoValuation):
-        PuiseuxScalar.zero(QQ).valuation()
+        ps().valuation()
 
 
 def test_initial_examples():
-    assert ps((Fraction(1, 2), 2), (1, 3)).initial() == 2
-    assert ps((0, -2), (1, -1), (2, -2)).initial() == -2
-    assert const(7).initial() == 7
+    # the engine reads a scalar's initial coefficient as the residue of a
+    # constant coefficient
+    assert mconst(1, ps((Fraction(1, 2), 2), (1, 3))).initial_terms() == {(0,): 2}
+    assert mconst(1, ps((0, -2), (1, -1), (2, -2))).initial_terms() == {(0,): -2}
+    assert initial(const(7)) == 7
 
 
 def test_negative_exponents():
@@ -66,7 +68,7 @@ def test_valuation_laws_randomized():
         a = _random_scalar(rng, nonzero=True)
         b = _random_scalar(rng, nonzero=True)
         assert (a * b).valuation() == a.valuation() + b.valuation()
-        assert (a * b).initial() == QQ.mul(a.initial(), b.initial())
+        assert initial(a * b) == QQ.mul(initial(a), initial(b))
         s = a + b
         if not s.is_zero():
             assert s.valuation() >= min(a.valuation(), b.valuation())
@@ -97,7 +99,7 @@ def _random_scalar(rng, nonzero=False):
     nterms = rng.randint(1 if nonzero else 0, 3)
     exps = rng.sample([Fraction(k, rng.randint(1, 3)) for k in range(-4, 7)], k=min(nterms, 4)) if nterms else []
     pairs = [(e, rng.choice([1, 2, 3, -1, -2, -3])) for e in set(exps)]
-    s = PuiseuxScalar.from_terms(QQ, [(e, QQ.from_int(c)) for e, c in pairs])
+    s = ps(*pairs)
     if nonzero and s.is_zero():
         return const(1)
     return s

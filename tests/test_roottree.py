@@ -16,6 +16,7 @@ from helpers import (
     ps,
     root,
     shift_substitute_naive,
+    tail_variables,
     three_var_system,
     tp,
     uc,
@@ -28,6 +29,7 @@ from troptri import (
     NonSplittingError,
     NonTriangularError,
     PrecisionLimitError,
+    PuiseuxScalar,
     RootTree,
     TriangularSystem,
     UPoly,
@@ -67,7 +69,7 @@ def test_triangular_validation():
 def test_extension_polynomial_at_the_tree_root():
     tree = RootTree(close_roots_system(), 2, 2)
     ext = tree.extension_polynomial(tree.root_id)
-    assert ext.variables() == set()
+    assert tail_variables(ext) == set()
     assert sorted(ext.coeffs) == [0, 1, 2]
 
 
@@ -77,7 +79,7 @@ def test_extension_polynomial_with_bare_tail():
     (child,) = tree.vertices[tree.root_id].children
     ext = tree.extension_polynomial(child)
     # x2 - u1 + 1 + t
-    assert ext == upoly(2, 1, {1: const(1), 0: uc(2, (const(-1), (1, 0)), (ps((0, 1), (1, 1)), (0, 0)))})
+    assert ext.coeffs == upoly(2, 1, {1: const(1), 0: uc(2, (const(-1), (1, 0)), (ps((0, 1), (1, 1)), (0, 0)))}).coeffs
 
 
 def test_extension_polynomial_with_refined_root():
@@ -86,7 +88,7 @@ def test_extension_polynomial_with_refined_root():
     (child,) = tree.vertices[tree.root_id].children
     tree.vertices[child].root = root(0, [(0, 1), (1, 1)], 2)
     ext = tree.extension_polynomial(child)
-    assert ext == upoly(2, 1, {1: const(1), 0: uc(2, (tp(2, -1), (1, 0)))})
+    assert ext.coeffs == upoly(2, 1, {1: const(1), 0: uc(2, (tp(2, -1), (1, 0)))}).coeffs
 
 
 def test_reinforcement_polynomial_for_bare_root_is_f1():
@@ -94,7 +96,7 @@ def test_reinforcement_polynomial_for_bare_root_is_f1():
     tree.grow(tree.root_id)
     (child,) = tree.vertices[tree.root_id].children
     reinf = tree.reinforcement_polynomial(child)
-    assert reinf == tree.extension_polynomial(tree.root_id)
+    assert reinf is tree.extension_polynomial(tree.root_id)
 
 
 def test_reinforcement_polynomial_recenters_at_known_part():
@@ -106,7 +108,7 @@ def test_reinforcement_polynomial_recenters_at_known_part():
     tree.vertices[child].root = root(0, [(0, 1)], 1)
     reinf = tree.reinforcement_polynomial(child)
     direct = tree.extension_polynomial(tree.root_id).shift_substitute(const(1))
-    assert reinf == direct
+    assert reinf.coeffs == direct.coeffs
 
 
 def test_reinforcement_polynomial_requires_depth():
@@ -367,12 +369,12 @@ def test_cached_polynomials_match_the_naive_substitution():
             values = _branch_values(tree, v.vid)
             k = v.depth
             if k < tree.n:
-                assert tree.extension_polynomial(v.vid) == compose_naive(polys[k], values, k)
+                assert tree.extension_polynomial(v.vid).coeffs == compose_naive(polys[k], values, k).coeffs
                 checked += 1
             if k >= 1:
                 naive = compose_naive(polys[k - 1], values[:-1], k - 1)
                 expected = naive.shift_substitute(v.root.known_scalar(tree.field))
-                assert tree.reinforcement_polynomial(v.vid) == expected
+                assert tree.reinforcement_polynomial(v.vid).coeffs == expected.coeffs
                 checked += 1
     assert checked > 200
 
@@ -397,26 +399,51 @@ def test_copied_descendants_extend_with_the_new_root():
     for vid in (copy, copied_grandchild):
         k = tree.vertices[vid].depth
         ext = tree.extension_polynomial(vid)
-        assert ext == compose_naive(tree.system.polys[k], _branch_values(tree, vid), k)
-        assert ext != old[k]
-        assert tree.reinforcement_polynomial(vid) == _naive_reinforcement_polynomial(tree, vid)
+        assert ext.coeffs == compose_naive(tree.system.polys[k], _branch_values(tree, vid), k).coeffs
+        assert ext.coeffs != old[k].coeffs
+        want = _naive_reinforcement_polynomial(tree, vid)
+        assert tree.reinforcement_polynomial(vid).coeffs == want.coeffs
 
-    # a vertex made by reinforce keeps the polynomial its expansion stopped
-    # at; a copy further down has new ancestors and must build its own
-    assert tree.vertices[copy].recentered is not None
-    assert tree.vertices[copied_grandchild].recentered is None
+    # whatever reinforce made, and wherever a copy sits, each vertex's
+    # polynomial is built on the ancestors it has now
     tree.reinforce(copied_grandchild)  # stale below the refined x1 root
     (refined_x2,) = tree.vertices[copy].children
-    assert tree.vertices[refined_x2].recentered is not None
+    _assert_reinforcement_polynomials_follow_the_branches(tree)
     tree.reinforce(refined_x2)  # the head again: refined_x2 is copied below each new x1 root
-    for x1_vid in tree.vertices[tree.root_id].children:
-        x1_vertex = tree.vertices[x1_vid]
-        assert (x1_vertex.recentered is None) == x1_vertex.root.is_exact
-        (x2_vid,) = x1_vertex.children
-        assert tree.vertices[x2_vid].recentered is None
+    assert len(tree.vertices[tree.root_id].children) > 1
+    _assert_reinforcement_polynomials_follow_the_branches(tree)
+    _assert_untouched_entries_are_shared(tree)
+
+
+def test_a_copied_vertex_builds_its_reinforcement_polynomial_once():
+    # the fifth step reinforces the x1 head, and the x2 vertex below it, with
+    # the known prefix 2, is copied below both new x1 roots: no expansion
+    # handed those copies a recentered polynomial, so the first call builds
+    # it into the store, and the second finds it there
+    x1, x2, x3 = xvar(3, 0), xvar(3, 1), xvar(3, 2)
+    f1 = (x1 - mconst(3, ps((0, 1), (1, 1)))) * (x1 - mconst(3, ps((0, 1), (1, 1), (2, 1))))
+    f2 = x2 - x1 - mconst(3, const(1))
+    f3 = x3 - x2 + mconst(3, ps((0, 2), (1, 1)))
+    tree = RootTree(TriangularSystem([f1, f2, f3]), 1, 8)
+    for _ in range(5):
+        tree.step()
+    assert tree.reinforce_count == 3
+    x1_vertices = tree.vertices[tree.root_id].children
+    copies = [vid for x1_vid in x1_vertices for vid in tree.vertices[x1_vid].children]
+    assert len(x1_vertices) == len(copies) == 2
+    for vid in copies:
+        assert tree.vertices[vid].root.known
+        first = tree.reinforcement_polynomial(vid)
+        assert tree.reinforcement_polynomial(vid) is first
+        assert first.coeffs == _naive_reinforcement_polynomial(tree, vid).coeffs
+    _assert_untouched_entries_are_shared(tree)
+
+
+def _assert_reinforcement_polynomials_follow_the_branches(tree):
     for vid, v in tree.vertices.items():
         if v.root is not None:
-            assert tree.reinforcement_polynomial(vid) == _naive_reinforcement_polynomial(tree, vid)
+            want = _naive_reinforcement_polynomial(tree, vid)
+            assert tree.reinforcement_polynomial(vid).coeffs == want.coeffs
 
 
 def _naive_reinforcement_polynomial(tree, vid):
@@ -470,30 +497,41 @@ def _assert_untouched_entries_are_shared(tree):
     """Each entry of the store is its source polynomial with the root put in
     (by Horner's rule), or, under a branch's last key, that polynomial
     composed in the next coordinate (by the product-of-powers rule), or,
-    under a key (id, w, budget), a fresh expansion of the source's roots of
-    valuation w to that budget.  The entry keeps the source whose id its key
-    names, and no key holds a root whose coordinate the source does not use:
-    such a root would leave the polynomial untouched, so a branch passes it
-    by."""
+    under a key (id, known terms), the composed source recentered at those
+    terms (by Horner's rule), or, under a key (id, w, budget), a fresh
+    expansion of the source's roots of valuation w to that budget.  The
+    entry keeps the source whose id its key names, and no key holds a root
+    whose coordinate the source does not use: such a root would leave the
+    polynomial untouched, so a branch passes it by."""
     field, n = tree.field, tree.n
     for key, (source, g) in tree.store.items():
         assert id(source) == key[0]
         if len(key) == 3:
             _, w, budget = key
             assert isinstance(source, UPoly)
-            assert g == puiseux_expansion(source, w, budget, tree.max_depth)
+            assert _expansion_form(g) == _expansion_form(puiseux_expansion(source, w, budget, tree.max_depth))
+            continue
+        if isinstance(key[1], tuple):
+            known = key[1]
+            assert isinstance(source, UPoly) and known
+            assert g.coeffs == shift_substitute_naive(source, PuiseuxScalar(field, known), 0).coeffs
             continue
         root = key[1]
         if root is None:
-            assert compose_naive(source, [], g.var) == g
+            assert compose_naive(source, [], g.var).coeffs == g.coeffs
             continue
         assert root.index in source.variables()
         value = as_mpoly(root, field, n)
         if isinstance(g, UPoly):
             values = [MPoly.variable(field, n, i) for i in range(root.index)] + [value]
-            assert g == compose_naive(source, values, g.var)
+            assert g.coeffs == compose_naive(source, values, g.var).coeffs
         else:
             assert g == evaluate(UPoly.from_mpoly(source, root.index), value)
+
+
+def _expansion_form(expansion):
+    """An expansion with each polynomial read as its coefficients."""
+    return {r: None if g is None else g.coeffs for r, g in expansion.items()}
 
 
 def _chain_of_300():
@@ -578,8 +616,8 @@ def test_each_tree_keeps_its_own_store():
     entries = [_expansion_entries(tree) for tree in trees]
     assert entries[0] and len(entries[0]) == len(entries[1])
     for (source0, expansion0), (source1, expansion1) in zip(entries[0].values(), entries[1].values()):
-        assert source0 == source1 and source0 is not source1
-        assert expansion0 == expansion1 and expansion0 is not expansion1
+        assert source0.coeffs == source1.coeffs and source0 is not source1
+        assert _expansion_form(expansion0) == _expansion_form(expansion1) and expansion0 is not expansion1
     sources = [{id(source) for source, _ in tree_entries.values()} for tree_entries in entries]
     assert not sources[0] & sources[1]
 

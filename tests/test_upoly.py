@@ -12,15 +12,20 @@ from helpers import (
     compose_naive,
     const,
     from_coeffs,
+    initial,
+    lift,
     mconst,
     mpoly,
     paper_f2_tilde,
     ps,
     root,
     shift_substitute_naive,
+    sum_mpoly,
+    tail_variables,
     tp,
     uc,
     uconst,
+    unlift,
     upoly,
     uval,
     xvar,
@@ -40,9 +45,9 @@ from troptri import (
 def test_f2_tilde_expands_to_known_coefficients():
     # the product (x2 - t - t^2 u1)(x2 - 1 - t - t^2 u1), multiplied out
     f2 = paper_f2_tilde()
-    assert f2.coeff(2) == uconst(2, const(1))
-    assert f2.coeff(1) == uc(2, (ps((0, -1), (1, -2)), (0, 0)), (tp(2, -2), (1, 0)))
-    assert f2.coeff(0) == uc(
+    assert f2.coeffs[2] == uconst(2, const(1))
+    assert f2.coeffs[1] == uc(2, (ps((0, -1), (1, -2)), (0, 0)), (tp(2, -2), (1, 0)))
+    assert f2.coeffs[0] == uc(
         2,
         (ps((1, 1), (2, 1)), (0, 0)),
         (ps((2, 1), (3, 2)), (1, 0)),
@@ -99,20 +104,20 @@ def test_compose_direct_substitution():
     f2 = xvar(2, 1) - xvar(2, 0) + mconst(2, ps((0, 1), (1, 1)))
     bare = root(0, [], 0)  # u1
     g = compose_roots(f2, [bare], 1)
-    assert g == upoly(2, 1, {1: const(1), 0: uc(2, (const(-1), (1, 0)), (ps((0, 1), (1, 1)), (0, 0)))})
+    assert g.coeffs == upoly(2, 1, {1: const(1), 0: uc(2, (const(-1), (1, 0)), (ps((0, 1), (1, 1)), (0, 0)))}).coeffs
 
 
 def test_compose_with_refined_root():
     f2 = xvar(2, 1) - xvar(2, 0) + mconst(2, ps((0, 1), (1, 1)))
     refined = root(0, [(0, 1), (1, 1)], 2)  # 1 + t + u1 t^2
     g = compose_roots(f2, [refined], 1)
-    assert g == upoly(2, 1, {1: const(1), 0: uc(2, (tp(2, -1), (1, 0)))})
+    assert g.coeffs == upoly(2, 1, {1: const(1), 0: uc(2, (tp(2, -1), (1, 0)))}).coeffs
 
 
 def test_compose_empty_root_sequence():
     f1 = mpoly(1, {(2,): tp(1), (1,): const(1), (0,): const(1)})
     g = compose(f1, 0)
-    assert g == upoly(1, 0, {2: tp(1), 1: const(1), 0: const(1)})
+    assert g.coeffs == upoly(1, 0, {2: tp(1), 1: const(1), 0: const(1)}).coeffs
 
 
 def test_compose_zero_result():
@@ -142,7 +147,7 @@ def _compose_cases(draw):
     scalars = st.lists(st.tuples(_EXPONENTS, _COEFFS), min_size=1, max_size=2).map(
         lambda pairs: ps(*pairs)
     )
-    f = MPoly.from_terms(QQ, nvars, draw(st.dictionaries(degrees, scalars, max_size=5)).items())
+    f = sum_mpoly(QQ, nvars, draw(st.dictionaries(degrees, scalars, max_size=5)).items())
     roots = []
     for i in range(k):
         exps = sorted(draw(st.sets(_EXPONENTS, max_size=2)))
@@ -159,7 +164,7 @@ def _compose_cases(draw):
 
 def _compose_outcome(fn, f, values, k):
     try:
-        return fn(f, values, k)
+        return fn(f, values, k).coeffs
     except ZeroSubstitutionError:
         return "zero"
 
@@ -199,7 +204,7 @@ def _shift_cases(draw):
     var = draw(st.integers(0, nvars - 1))
     u_degrees = st.tuples(*[st.integers(0, 2)] * nvars)
     coeff = st.dictionaries(u_degrees, _scalars(field, 2), min_size=1, max_size=3).map(
-        lambda terms: MPoly.from_terms(field, nvars, terms.items())
+        lambda terms: sum_mpoly(field, nvars, terms.items())
     )
     top = draw(st.integers(0, 6))
     coeffs = draw(st.dictionaries(st.integers(0, top), coeff, max_size=top + 1))
@@ -218,7 +223,7 @@ def _substitute_cases(draw):
     nvars = draw(st.integers(1, 3))
     index = draw(st.integers(0, nvars - 1))
     degrees = st.tuples(*[st.integers(0, 3)] * nvars)
-    f = MPoly.from_terms(field, nvars, draw(st.dictionaries(degrees, _scalars(field, 2), max_size=5)).items())
+    f = sum_mpoly(field, nvars, draw(st.dictionaries(degrees, _scalars(field, 2), max_size=5)).items())
     shape = draw(_VALUE_SHAPES)
     nonzero = _scalars(field, 3).filter(lambda c: not c.is_zero())
     a = draw(_scalars(field, 3) if shape in ("bare tail", "unused coordinate") else nonzero)
@@ -247,11 +252,11 @@ def test_substitute_matches_horners_rule(case):
 @given(_shift_cases())
 def test_shift_substitute_matches_the_naive_horner_rule(case):
     f, prefix, other, scale = case
-    assert f.shift_substitute(prefix) == shift_substitute_naive(f, prefix, 0)
-    assert shift_and_rescale(f, prefix, scale) == shift_substitute_naive(f, prefix, scale)
+    assert f.shift_substitute(prefix).coeffs == shift_substitute_naive(f, prefix, 0).coeffs
+    assert shift_and_rescale(f, prefix, scale).coeffs == shift_substitute_naive(f, prefix, scale).coeffs
     # recentering twice is recentering once at the sum
     twice = f.shift_substitute(prefix).shift_substitute(other)
-    assert twice == f.shift_substitute(prefix + other)
+    assert twice.coeffs == f.shift_substitute(prefix + other).coeffs
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "F7"])
@@ -295,14 +300,14 @@ def test_recentering_leaves_its_input_as_it_was(shift_case, substitute_case):
 
 def test_shift_substitute_identity():
     f = paper_f2_tilde()
-    assert f.shift_substitute(ps()) == f
+    assert f.shift_substitute(ps()).coeffs == f.coeffs
 
 
 def test_shift_substitute_paper_fixtures():
     # the four recentered/rescaled forms of the two-factor product
     f2 = paper_f2_tilde()
     shifted = shift_and_rescale(f2, ps((0, 1), (1, 1)), 2)
-    assert shifted == upoly(
+    assert shifted.coeffs == upoly(
         2,
         1,
         {
@@ -310,9 +315,9 @@ def test_shift_substitute_paper_fixtures():
             1: uc(2, (tp(4, -2), (1, 0)), (tp(2), (0, 0))),
             0: uc(2, (tp(4), (2, 0)), (tp(2, -1), (1, 0))),
         },
-    )
+    ).coeffs
     shifted2 = shift_and_rescale(f2, tp(1), 2)
-    assert shifted2 == upoly(
+    assert shifted2.coeffs == upoly(
         2,
         1,
         {
@@ -320,17 +325,17 @@ def test_shift_substitute_paper_fixtures():
             1: uc(2, (tp(4, -2), (1, 0)), (tp(2, -1), (0, 0))),
             0: uc(2, (tp(4), (2, 0)), (tp(2), (1, 0))),
         },
-    )
+    ).coeffs
 
 
 def test_specialize_u_examples():
     g = upoly(2, 1, {1: const(1), 0: uc(2, (const(-1), (1, 0)), (ps((0, 1), (1, 1)), (0, 0)))})
     h = specialize(g, {0: const(1)})
-    assert h == upoly(2, 1, {1: const(1), 0: tp(1)})
+    assert h.coeffs == upoly(2, 1, {1: const(1), 0: tp(1)}).coeffs
 
     g2 = upoly(2, 1, {1: const(1), 0: uc(2, (tp(2, -1), (1, 0)))})
     h2 = specialize(g2, {0: ps((0, 1), (1, 1))})
-    assert h2 == upoly(2, 1, {1: const(1), 0: ps((2, -1), (3, -1))})
+    assert h2.coeffs == upoly(2, 1, {1: const(1), 0: ps((2, -1), (3, -1))}).coeffs
 
 
 def test_specialize_u_requires_valuation_zero():
@@ -339,7 +344,7 @@ def test_specialize_u_requires_valuation_zero():
         specialize(g, {0: tp(1)})
     with pytest.raises(ValueError):
         specialize(g, {0: ps()})
-    assert specialize(g, {}) == g
+    assert specialize(g, {}).coeffs == g.coeffs
 
 
 def test_uval_is_a_valuation_randomized():
@@ -366,7 +371,7 @@ def test_compose_is_multiplicative_randomized():
             continue
         cf = compose_roots(f, roots, k)
         cg = compose_roots(g, roots, k)
-        assert fg == cf * cg
+        assert lift(fg) == lift(cf) * lift(cg)
 
 
 def test_shift_substitute_is_multiplicative_randomized():
@@ -376,8 +381,8 @@ def test_shift_substitute_is_multiplicative_randomized():
         g = _random_upoly(rng)
         prefix = ps((0, rng.choice([1, 2, -1])), (1, rng.randint(-2, 2)))
         scale = Fraction(rng.randint(0, 3), rng.randint(1, 2))
-        lhs = shift_and_rescale(f * g, prefix, scale)
-        assert lhs == shift_and_rescale(f, prefix, scale) * shift_and_rescale(g, prefix, scale)
+        lhs = shift_and_rescale(unlift(lift(f) * lift(g), f.var), prefix, scale)
+        assert lift(lhs) == lift(shift_and_rescale(f, prefix, scale)) * lift(shift_and_rescale(g, prefix, scale))
 
 
 def test_specialize_commutes_with_ufree_shift():
@@ -386,10 +391,10 @@ def test_specialize_commutes_with_ufree_shift():
         f = _random_upoly(rng)
         prefix = ps((0, rng.choice([1, -1, 2])), (2, rng.randint(-2, 2)))
         scale = Fraction(rng.randint(0, 2))
-        values = {i: const(rng.choice([1, 2, 3, -1])) for i in f.variables()}
+        values = {i: const(rng.choice([1, 2, 3, -1])) for i in tail_variables(f)}
         a = specialize(shift_and_rescale(f, prefix, scale), values)
         b = shift_and_rescale(specialize(f, values), prefix, scale)
-        assert a == b
+        assert a.coeffs == b.coeffs
 
 
 def test_specialization_never_lowers_uval():
@@ -401,7 +406,7 @@ def test_specialization_never_lowers_uval():
         if s.is_zero():
             continue
         assert uval(s) >= uval(c)
-        residues = {i: v.initial() for i, v in values.items()}
+        residues = {i: initial(v) for i, v in values.items()}
         survives = eval_residue(QQ, c.initial_terms(), residues)[0]
         if survives != 0:
             assert uval(s) == uval(c)
@@ -445,7 +450,7 @@ def _random_mpoly(rng, width, nvars):
             deg[i] = rng.randint(0, 2)
         scalar = ps((Fraction(rng.randint(-2, 3)), rng.choice([1, 2, -1])))
         terms[tuple(deg)] = scalar
-    p = MPoly.from_terms(QQ, nvars, list(terms.items()))
+    p = sum_mpoly(QQ, nvars, terms.items())
     if p.is_zero():
         return mconst(nvars, const(1))
     return p

@@ -1,0 +1,156 @@
+"""Functions of the package that no CLI run on the benchmark corpora enters.
+
+Runs ``troptri.cli.main`` in this process under ``sys.setprofile`` on the
+first SYSTEMS systems of every workload in ``bench/workloads.py`` at each of
+SEEDS, once per flag set in FLAG_SETS, with ``--newton-svg`` into a
+temporary directory on every tenth system.  Then it prints, one per line,
+every function defined in ``src/troptri`` (methods and nested functions
+included, lambdas and generator expressions not) that no run entered and
+that ALLOWED does not name.  An empty output means the engine carries no
+member that only the tests reach.  Run it from the root of the tree:
+
+    PYTHONPATH=src python tests/unreached_members.py
+
+The name keeps pytest from collecting it.  The files under ``bench/`` are
+read, not imported, so nothing is written next to them.
+"""
+
+import importlib
+import inspect
+import io
+import pkgutil
+import sys
+import tempfile
+import types
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import troptri
+import troptri.cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SEEDS = (3, 7)
+SYSTEMS = 100
+FLAG_SETS = (
+    ("--format", "json", "--tree"),
+    ("--format", "text"),
+    ("--format", "text", "--pstep", "1/3"),
+)
+
+# Members kept although the corpora never reach them.
+ALLOWED = {
+    # parser paths the generated systems do not take
+    "upoly.MPoly.__pow__",
+    "sysparse._ExprParser.natural_exponent",
+    "residue.RationalField.div",
+    "residue.PrimeField.div",
+    "residue.PrimeField.inv",
+    # public, and round-trip tested
+    "sysparse.format_system",
+    # the library API
+    "roottree.trop_triangular",
+    "roottree.RootTree.point_set",
+    # value equality of the values the library API hands out; a field's
+    # equality is what a scalar's and a polynomial's compares
+    "puiseux.PuiseuxScalar.__eq__",
+    "puiseux.PuiseuxScalar.__hash__",
+    "upoly.MPoly.__eq__",
+    "upoly.MPoly.__hash__",
+    "residue.ResiduePoly.__eq__",
+    "residue.ResiduePoly.__hash__",
+    "residue.RationalField.__eq__",
+    "residue.RationalField.__hash__",
+    "residue.PrimeField.__eq__",
+    "residue.PrimeField.__hash__",
+    # the rational view of a scalar, which the tests read
+    "puiseux.PuiseuxScalar.valuation",
+    "puiseux.PuiseuxScalar.terms",
+    # called only by the members named here: format_system and the __repr__s
+    # render polynomials, and error messages name the field
+    "sysparse._format_mpoly",
+    "upoly.MPoly.format",
+    "upoly.UPoly.format",
+    "puiseux.PuiseuxScalar.format",
+    "residue.PrimeField.name",
+}
+
+
+def _allowed(name):
+    """ALLOWED, plus the error classes' constructors and every ``__repr__``,
+    which pytest prints on a failure."""
+    method = name.rsplit(".", 1)[-1]
+    return (
+        name in ALLOWED
+        or (name.startswith("errors.") and method == "__init__")
+        or method == "__repr__"
+    )
+
+
+def _read_module(name):
+    path = BENCH / (name + ".py")
+    module = types.ModuleType("bench_" + name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def package_functions():
+    """Map each code object of a named function in the package to its name;
+    class bodies, which run on import, are searched but not listed."""
+    root = str(Path(troptri.__file__).resolve().parent)
+    found = {}
+
+    def visit(code, prefix):
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType) and not const.co_name.startswith("<"):
+                if const.co_flags & inspect.CO_NEWLOCALS:
+                    found[const] = prefix + const.co_qualname
+                visit(const, prefix)
+
+    for info in pkgutil.iter_modules(troptri.__path__):
+        module = importlib.import_module("troptri." + info.name)
+        path = Path(module.__file__).resolve()
+        if str(path.parent) == root:
+            source = path.read_text(encoding="utf-8")
+            visit(compile(source, module.__file__, "exec"), info.name + ".")
+    return found
+
+
+def entered_functions(workloads):
+    """(code file, first line, qualified name) of every function the runs enter."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno, code.co_qualname))
+
+    with tempfile.TemporaryDirectory() as svg_dir:
+        for workload in workloads.WORKLOADS:
+            for seed in SEEDS:
+                for index, system in enumerate(workloads.corpus(workload, seed, SYSTEMS)):
+                    for flags in FLAG_SETS:
+                        argv = list(flags)
+                        if index % 10 == 0:
+                            argv += ["--newton-svg", svg_dir]
+                        sys.stdin = io.StringIO(system.text)
+                        sys.setprofile(profile)
+                        try:
+                            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                                troptri.cli.main(argv)
+                        finally:
+                            sys.setprofile(None)
+                            sys.stdin = sys.__stdin__
+    return entered
+
+
+def main():
+    functions = package_functions()
+    entered = entered_functions(_read_module("workloads"))
+    for code, name in sorted(functions.items(), key=lambda item: item[1]):
+        if (code.co_filename, code.co_firstlineno, code.co_qualname) not in entered and not _allowed(name):
+            print(name)
+
+
+if __name__ == "__main__":
+    main()
