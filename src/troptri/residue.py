@@ -31,6 +31,7 @@ integer polynomial, where a root u/v divides out as the factor v*x - u.
 """
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -491,17 +492,21 @@ def _reconstruct(r, m, bound):
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_k, the least strong pseudoprime to the first k bases (OEIS A014233)
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+           341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461, 3317044064679887385961981)
 
 
 def _is_prime(n):
-    """Miller-Rabin to the 13 prime bases 2..41, exact below psi_13 =
+    """Miller-Rabin to the first k of the 13 prime bases 2..41, k the least
+    with n < psi_k (Jaeschke, Math. Comp. 61, 1993), so exact below psi_13 =
     3317044064679887385961981 (Sorenson and Webster, Math. Comp. 86, 2017),
-    so for every n up to PrimeField.MAX_PRIME.  Twelve bases are not enough:
-    psi_12 = 318665857834031151167461 passes 2..37."""
+    and for every n up to PrimeField.MAX_PRIME."""
     if n < 2 or any(n % b == 0 for b in _MR_BASES):
         return n in _MR_BASES
     r = ((n - 1) & (1 - n)).bit_length() - 1  # 2^r exactly divides n - 1
-    for b in _MR_BASES:
+    for b in _MR_BASES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(b, (n - 1) >> r, n)
         if x == 1:
             continue

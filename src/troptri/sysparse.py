@@ -18,6 +18,7 @@ MAX_NESTING.
 
 import re
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from .errors import NonTriangularError, ParseError, ReservedIdentifierError
@@ -40,62 +41,74 @@ MAX_POWER_SIZE = 256
 # default recursion limit of 1000.
 MAX_NESTING = 100
 
-# the last group catches any other character, so one pass finds every token
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^/])|(\S))")
+# A character that no token starts with matches as an empty token in front
+# of it, so the one pass that splits a line also finds its bad characters.
+_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*^/]|(?=\S))")
+_VARIABLE = re.compile(r"x(\d+)")
+_RESERVED = "%r is reserved for internal tail variables"
 
 
 class _Tokenizer:
-    """The tokens of one expression; ``offset`` is the line's column before it."""
+    """The token texts of one expression, ended by a ``None`` sentinel.
+
+    ``offset`` is the line's column before the expression.  Tokens carry no
+    columns; ``column`` finds one only for an error that names its token."""
 
     def __init__(self, text, line_no, offset):
+        self.text = text
         self.line_no = line_no
-        self.end_col = offset + len(text) + 1
-        self.tokens = []
-        for m in _TOKEN.finditer(text):
-            col = m.start(m.lastindex) + offset + 1
-            if m.lastindex == 4:
-                raise ParseError("unexpected character %r" % m.group(4), line_no, col)
-            self.tokens.append((m.group(m.lastindex), col))
-        self.index = 0
+        self.offset = offset
+        self.tokens = _TOKEN.findall(text) + [None]
+        if "" in self.tokens:
+            col = self.column(self.tokens.index(""))
+            raise ParseError("unexpected character %r" % text[col - offset - 1], line_no, col)
 
-    def peek(self):
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][0]
-        return None
+    def column(self, index) -> int:
+        """The column of token ``index``, found by splitting the text again up to it."""
+        m = next(islice(_TOKEN.finditer(self.text), index, None), None)
+        return self.offset + (len(self.text) if m is None else m.start(1)) + 1
 
-    def next(self):
-        if self.index >= len(self.tokens):
-            raise ParseError("unexpected end of expression", self.line_no, self.end_col)
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect(self, want):
-        tok, col = self.next()
-        if tok != want:
-            raise ParseError("expected %r, found %r" % (want, tok), self.line_no, col)
+    def error(self, index, message, kind=ParseError):
+        """A ``kind`` error at token ``index``; the sentinel's column is the line's end."""
+        return kind(message, self.line_no, self.column(index))
 
 
 class _ExprParser:
-    """Recursive descent over one poly line; yields an MPoly.
+    """Recursive descent over one poly line's token list; yields an MPoly.
 
+    The methods read the list at ``self.at``, the index of the next token.
     Numbers and powers of t stay PuiseuxScalars, combined by scalar
     arithmetic, until they meet a polynomial: a product takes them in by
-    ``mul_scalar``, and a sum, a power or the result lifts them to a constant.
-    """
+    ``mul_scalar``, and a sum, a power or the result lifts them to a constant."""
 
     def __init__(self, tokens, field, nvars):
         self.toks = tokens
+        self.tokens = tokens.tokens
+        self.at = 0
         self.field = field
         self.nvars = nvars
         self.nesting = 0
+        self.unit = PuiseuxScalar.constant(field, field.one)
 
     def parse(self) -> MPoly:
         value = self.lift(self.expression())
-        if self.toks.peek() is not None:
-            tok, col = self.toks.next()
-            raise ParseError("unexpected %r after expression" % tok, self.toks.line_no, col)
+        if self.tokens[self.at] is not None:
+            raise self.toks.error(self.at, "unexpected %r after expression" % self.tokens[self.at])
         return value
+
+    def take(self):
+        """The next token and its index, stepped past; the sentinel is an error."""
+        i = self.at
+        tok = self.tokens[i]
+        if tok is None:
+            raise self.toks.error(i, "unexpected end of expression")
+        self.at = i + 1
+        return i, tok
+
+    def close(self):
+        i, tok = self.take()
+        if tok != ")":
+            raise self.toks.error(i, "expected ')', found %r" % tok)
 
     def lift(self, value) -> MPoly:
         if isinstance(value, PuiseuxScalar):
@@ -103,25 +116,29 @@ class _ExprParser:
         return value
 
     def expression(self):
-        negate = False
-        if self.toks.peek() == "-":
-            self.toks.next()
-            negate = True
-        value = self.term()
-        if negate:
-            value = -value
-        while self.toks.peek() in ("+", "-"):
-            op, _ = self.toks.next()
+        tokens = self.tokens
+        if tokens[self.at] == "-":
+            self.at += 1
+            value = -self.term()
+        else:
+            value = self.term()
+        op = tokens[self.at]
+        while op == "+" or op == "-":
+            self.at += 1
             rhs = self.term()
             if type(value) is not type(rhs):
+                if op == "-" and type(rhs) is PuiseuxScalar:
+                    rhs, op = -rhs, "+"
                 value, rhs = self.lift(value), self.lift(rhs)
             value = value + rhs if op == "+" else value - rhs
+            op = tokens[self.at]
         return value
 
     def term(self):
+        tokens = self.tokens
         value = self.factor()
-        while self.toks.peek() == "*":
-            self.toks.next()
+        while tokens[self.at] == "*":
+            self.at += 1
             rhs = self.factor()
             if type(value) is type(rhs):
                 value = value * rhs
@@ -132,115 +149,100 @@ class _ExprParser:
         return value
 
     def factor(self):
-        base, base_kind = self.atom()
-        if self.toks.peek() != "^":
-            return PuiseuxScalar.t_power(self.field, 1) if base_kind == "t" else base
-        _, col = self.toks.next()
-        if base_kind == "t":
+        base = self.atom()
+        i = self.at
+        if self.tokens[i] != "^":
+            return PuiseuxScalar.t_power(self.field, 1) if base is None else base
+        self.at = i + 1
+        if base is None:
             return PuiseuxScalar.t_power(self.field, self.signed_rational_exponent())
-        exp = self.natural_exponent()
+        j, tok = self.take()
+        if not tok.isdigit():
+            raise self.toks.error(j, "fractional or negative exponents are only allowed on t")
+        exp = self.integer(tok, j)
         base = self.lift(base)
         k = sum(len(s.nums) for s in base.terms.values())
         if exp > MAX_POWER_SIZE or (k >= 2 and comb(exp + k - 1, k - 1) > MAX_POWER_SIZE):
-            raise ParseError(
-                "power too large: exponent %s on a %d-term base exceeds the size limit %d"
-                % (exp, k, MAX_POWER_SIZE),
-                self.toks.line_no,
-                col,
-            )
+            message = "power too large: exponent %s on a %d-term base exceeds the size limit %d"
+            raise self.toks.error(i, message % (exp, k, MAX_POWER_SIZE))
         return base**exp
 
     def atom(self):
-        tok, col = self.toks.next()
+        i, tok = self.take()
         if tok == "(":
             if self.nesting == MAX_NESTING:
-                raise ParseError(
-                    "parentheses nested deeper than %d" % MAX_NESTING, self.toks.line_no, col
-                )
+                raise self.toks.error(i, "parentheses nested deeper than %d" % MAX_NESTING)
             self.nesting += 1
             value = self.expression()
-            self.toks.expect(")")
+            self.close()
             self.nesting -= 1
-            return value, "expr"
+            return value
         if tok.isdigit():
-            value = self.rational_constant(self.integer(tok, col), col)
-            return PuiseuxScalar.constant(self.field, value), "num"
+            value = self.rational_constant(self.integer(tok, i), i)
+            return PuiseuxScalar.constant(self.field, value)
         if tok == "t":
-            return None, "t"  # factor builds the power of t once it has the exponent
+            return None  # factor builds the power of t once it has the exponent
         if tok.startswith("u"):
-            raise ReservedIdentifierError(
-                "%r is reserved for internal tail variables" % tok, self.toks.line_no, col
-            )
-        m = re.fullmatch(r"x(\d+)", tok)
+            raise self.toks.error(i, _RESERVED % tok, ReservedIdentifierError)
+        m = _VARIABLE.fullmatch(tok)
         if m:
-            idx = self.integer(m.group(1), col)
+            idx = self.integer(m.group(1), i)
             if not 1 <= idx <= self.nvars:
-                raise ParseError("unknown variable %r" % tok, self.toks.line_no, col)
-            return MPoly.variable(self.field, self.nvars, idx - 1), "var"
-        raise ParseError("unexpected %r" % tok, self.toks.line_no, col)
+                raise self.toks.error(i, "unknown variable %r" % tok)
+            return MPoly.variable(self.field, self.nvars, idx - 1, self.unit)
+        raise self.toks.error(i, "unexpected %r" % tok)
 
-    def rational_constant(self, numerator, col):
-        """The field element of numerator[/denominator]; ``col`` is where it starts."""
-        if self.toks.peek() == "/":
-            self.toks.next()
-            value = Fraction(numerator, self.nonzero_denominator())
-        else:
-            value = Fraction(numerator)
+    def rational_constant(self, numerator, index):
+        """The field element of numerator[/denominator]; it starts at token ``index``."""
+        if self.tokens[self.at] != "/":
+            return self.field.from_int(numerator)
+        value = Fraction(numerator, self.denominator())
         if value.denominator == 1:
             return self.field.from_int(value.numerator)
         den = self.field.from_int(value.denominator)
         if den == 0:
             message = "the denominator %d is 0 in %s" % (value.denominator, self.field.name)
-            raise ParseError(message, self.toks.line_no, col)
+            raise self.toks.error(index, message)
         return self.field.div(self.field.from_int(value.numerator), den)
 
-    def integer(self, digits, col) -> int:
+    def integer(self, digits, index) -> int:
         try:
             return int(digits)
         except ValueError:  # more digits than int() converts
-            raise ParseError("the number has too many digits", self.toks.line_no, col) from None
+            raise self.toks.error(index, "the number has too many digits") from None
 
-    def nonzero_denominator(self) -> int:
-        tok, col = self.toks.next()
-        den = self.integer(tok, col) if tok.isdigit() else 0
+    def denominator(self) -> int:
+        """The nonzero denominator after the '/' at ``self.at``."""
+        self.at += 1
+        i, tok = self.take()
+        den = self.integer(tok, i) if tok.isdigit() else 0
         if den == 0:
-            raise ParseError("expected a nonzero denominator", self.toks.line_no, col)
+            raise self.toks.error(i, "expected a nonzero denominator")
         return den
-
-    def natural_exponent(self) -> int:
-        tok, col = self.toks.next()
-        if not tok.isdigit():
-            raise ParseError(
-                "fractional or negative exponents are only allowed on t", self.toks.line_no, col
-            )
-        return self.integer(tok, col)
 
     def signed_rational_exponent(self):
         """The exponent of t in stored form: an int when integral, else a Fraction."""
-        tok, col = self.toks.next()
+        i, tok = self.take()
         if tok.isdigit():
-            return self.integer(tok, col)
+            return self.integer(tok, i)
         if tok == "-":
-            tok, col = self.toks.next()
+            i, tok = self.take()
             if not tok.isdigit():
-                raise ParseError("expected an integer exponent", self.toks.line_no, col)
-            return -self.integer(tok, col)
+                raise self.toks.error(i, "expected an integer exponent")
+            return -self.integer(tok, i)
         if tok == "(":
             sign = 1
-            tok, col = self.toks.next()
+            i, tok = self.take()
             if tok == "-":
                 sign = -1
-                tok, col = self.toks.next()
+                i, tok = self.take()
             if not tok.isdigit():
-                raise ParseError("expected an integer numerator", self.toks.line_no, col)
-            num = self.integer(tok, col)
-            den = 1
-            if self.toks.peek() == "/":
-                self.toks.next()
-                den = self.nonzero_denominator()
-            self.toks.expect(")")
+                raise self.toks.error(i, "expected an integer numerator")
+            num = self.integer(tok, i)
+            den = self.denominator() if self.tokens[self.at] == "/" else 1
+            self.close()
             return ratio(sign * num, den)
-        raise ParseError("expected an exponent", self.toks.line_no, col)
+        raise self.toks.error(i, "expected an exponent")
 
 
 def parse_system(text: str) -> TriangularSystem:
@@ -298,9 +300,7 @@ def _parse_header(header, line_no):
         raise ParseError("the ring header declares no variables", line_no, 1)
     for i, name in enumerate(names):
         if name.startswith("u"):
-            raise ReservedIdentifierError(
-                "%r is reserved for internal tail variables" % name, line_no, 1
-            )
+            raise ReservedIdentifierError(_RESERVED % name, line_no, 1)
         if name != "x%d" % (i + 1):
             raise ParseError(
                 "variables must be named x1..xn in order; found %r" % name, line_no, 1

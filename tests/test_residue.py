@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -74,8 +75,53 @@ def test_prime_field_validation():
     assert PrimeField(10**6 + 3).p == 10**6 + 3
 
 
-def test_miller_rabin_agrees_with_trial_division_below_10_to_the_5():
-    assert [n for n in range(10**5) if _is_prime(n)] == [n for n in range(10**5) if is_prime_trial_division(n)]
+def test_miller_rabin_agrees_with_trial_division_below_200000():
+    assert [n for n in range(200_000) if _is_prime(n)] == [
+        n for n in range(200_000) if is_prime_trial_division(n)
+    ]
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS
+# A014233), for k = 1..12, the ones below PrimeField.MAX_PRIME, with their
+# prime factors
+_PSI = [
+    (2047, (23, 89)),
+    (1373653, (829, 1657)),
+    (25326001, (2251, 11251)),
+    (3215031751, (151, 751, 28351)),
+    (2152302898747, (6763, 10627, 29947)),
+    (3474749660383, (1303, 16927, 157543)),
+    (341550071728321, (10670053, 32010157)),
+    (341550071728321, (10670053, 32010157)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (318665857834031151167461, (399165290221, 798330580441)),
+]
+_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+
+
+def _strong_probable_prime(n, b):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(b, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_miller_rabin_rejects_the_least_pseudoprime_to_each_base_prefix(k):
+    psi, factors = _PSI[k - 1]
+    assert prod(factors) == psi
+    # psi_k fools the first k bases, so the test must go on to the next one
+    assert all(_strong_probable_prime(psi, b) for b in _BASES[:k])
+    if k == 12 or _PSI[k][0] != psi:
+        assert not _strong_probable_prime(psi, _BASES[k])
+    assert not _is_prime(psi)
+
+
+def test_miller_rabin_rejects_carmichael_numbers():
+    assert not any(_is_prime(n) for n in (561, 1105, 1729))
 
 
 def test_miller_rabin_on_large_numbers():

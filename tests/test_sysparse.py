@@ -1,7 +1,9 @@
 """The system-file grammar: parsing, validation, round trips."""
 
 import random
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -120,6 +122,33 @@ def test_parse_error_messages_and_columns(text, message):
     with pytest.raises(ParseError) as err:
         parse_system(text)
     assert str(err.value) == message
+
+
+def _bench_workloads():
+    """``bench/workloads.py``, read rather than imported, so nothing is written next to it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    module = types.ModuleType("bench_workloads")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_bad_character_column_in_benchmark_lines():
+    # the column is found only once the error is raised, so check it on real
+    # lines: '@' anywhere after 'poly', under a space or a tab indent
+    workloads = _bench_workloads()
+    rng = random.Random(18)
+    texts = [s.text for w in workloads.WORKLOADS for s in workloads.corpus(w, 18, 30)]
+    for case in range(200):
+        lines = rng.choice(texts).splitlines()
+        k = rng.randrange(1, len(lines))
+        indent = " " * rng.randrange(1, 4) if case % 2 else "\t" * rng.randrange(1, 3)
+        raw = indent + lines[k]
+        at = rng.randrange(len(indent) + len("poly"), len(raw) + 1)
+        lines[k] = raw[:at] + "@" + raw[at:]
+        with pytest.raises(ParseError) as err:
+            parse_system("\n".join(lines))
+        assert str(err.value) == "line %d, column %d: unexpected character '@'" % (k + 1, at + 1)
 
 
 def _render(tree, level="sum", lead=True):
