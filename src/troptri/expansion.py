@@ -11,7 +11,7 @@ relative-precision budget runs out.  Truncated roots keep a symbolic
 tail u_i * t^(w_r) standing for their unknown continuation.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidTargetError, RecursionLimitError, ZeroPolynomialError
 from .polygon import is_unique, newton_polygon
@@ -36,6 +36,7 @@ class ApproxRoot:
     index: int
     known: tuple
     tail: object  # int | Fraction | None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.known and self.tail is None:
@@ -47,6 +48,10 @@ class ApproxRoot:
             raise ValueError("known exponents must strictly increase")
         if self.tail is not None and exps and self.tail <= exps[-1]:
             raise ValueError("the tail must sit past every known term")
+        object.__setattr__(self, "_hash", hash((self.index, self.known, self.tail)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_exact(self):
@@ -125,7 +130,7 @@ def _expand(f: UPoly, w, p_rel, depth, max_depth) -> dict:
             return bare
         if 0 not in shifted.coeffs:
             out[ApproxRoot(i, ((w, c),), None)] = None
-        higher = sorted(w2 for w2 in polygon.tropical_points() if w2 > w)
+        higher = [w2 for w2 in reversed(polygon.tropical_points()) if w2 > w]
         if higher:
             # every branch is charged the gap to the nearest admissible
             # point; the budget hits zero no later than the accumulated

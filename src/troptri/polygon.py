@@ -25,10 +25,10 @@ class Polygon:
     """Lower hull vertices (j, v), strictly increasing in j and in slope."""
 
     vertices: tuple
-    _slopes: tuple = field(init=False, repr=False, compare=False)
+    _points: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the checks and the slopes run on the heights scaled to integers
+        # the checks and the tropical points run on the heights scaled to integers
         vs = self.vertices
         if not vs:
             raise ValueError("a polygon needs at least one vertex")
@@ -40,17 +40,18 @@ class Polygon:
         for (dj1, dh1), (dj2, dh2) in zip(steps, steps[1:]):
             if dh2 * dj1 <= dh1 * dj2:
                 raise ValueError("slopes must strictly increase (convexity)")
-        object.__setattr__(self, "_slopes", tuple(ratio(dh, dj * scale) for dj, dh in steps))
+        object.__setattr__(self, "_points", tuple(ratio(-dh, dj * scale) for dj, dh in steps))
 
     def edges(self):
         return list(zip(self.vertices, self.vertices[1:]))
 
     def slopes(self):
-        return list(self._slopes)
+        return [-w for w in self._points]
 
     def tropical_points(self):
-        """Negated lower-edge slopes: the candidate root valuations."""
-        return {-s for s in self._slopes}
+        """Negated lower-edge slopes, the candidate root valuations, as a
+        strictly decreasing tuple."""
+        return self._points
 
     def __repr__(self):
         return "Polygon[%s]" % ", ".join(
@@ -114,6 +115,6 @@ def is_unique(f: UPoly, polygon=None) -> bool:
     if polygon is None:
         polygon = newton_polygon(f)
     for j, _ in polygon.vertices:
-        if len(f.coeffs[j].initial_terms()) != 1:
+        if f.coeffs[j].initial_term() is None:
             return False
     return True

@@ -10,6 +10,10 @@ The arithmetic works on the integer numerators only; exponents leave
 as rationals (an int when integral, else a ``fractions.Fraction``)
 through ``valuation``, ``terms`` and ``format``.  All arithmetic is
 exact; cancellation removes terms only when they are exactly zero.
+
+Most products have a one-term side c*t^(n/d): they add n to the other
+side's numerators, over the lcm only when the denominators differ, and
+reduce by one gcd, or none over denominator 1.
 """
 
 from math import gcd, lcm
@@ -28,10 +32,11 @@ def _scalar(field, den, nums):
 
 def _reduced(field, den, nums):
     """The scalar of sorted nonzero ``nums`` over ``den``, with den made least."""
-    g = gcd(den, *[n for n, _ in nums]) if den != 1 else 1
-    if g != 1:
-        den //= g
-        nums = [(n // g, c) for n, c in nums]
+    if den != 1:
+        g = gcd(den, nums[0][0]) if len(nums) == 1 else gcd(den, *[n for n, _ in nums])
+        if g != 1:
+            den //= g
+            nums = [(n // g, c) for n, c in nums]
     return _scalar(field, den, tuple(nums))
 
 
@@ -91,7 +96,7 @@ class PuiseuxScalar:
 
     def __add__(self, other):
         field = self.field
-        den, a, b = _common(self, other)
+        den, a, b = (self.den, self.nums, other.nums) if self.den == other.den else _common(self, other)
         i = j = 0
         out = []
         cancelled = False
@@ -112,7 +117,7 @@ class PuiseuxScalar:
                 j += 1
         out.extend(a[i:])
         out.extend(b[j:])
-        if cancelled:
+        if cancelled and den != 1:
             # without a cancellation the least common denominator stays least
             return _reduced(field, den, out)
         return _scalar(field, den, tuple(out))
@@ -126,15 +131,24 @@ class PuiseuxScalar:
 
     def __mul__(self, other):
         field = self.field
-        den, a, b = _common(self, other)
-        mul, add = field.mul, field.add
-        if len(a) == 1 or len(b) == 1:
+        a, b = self, other
+        if len(b.nums) != 1:
+            a, b = b, a
+        if len(b.nums) == 1:
             # one term shifts the other's exponents in order, and a field
             # has no zero divisors, so nothing merges or cancels
-            if len(b) != 1:
-                a, b = b, a
-            ((n2, c2),) = b
-            return _reduced(field, den, [(n1 + n2, mul(c1, c2)) for n1, c1 in a])
+            ((n2, c2),) = b.nums
+            mul = field.mul
+            if a.den == b.den:
+                den = a.den
+                nums = [(n1 + n2, mul(c1, c2)) for n1, c1 in a.nums]
+            else:
+                den = lcm(a.den, b.den)
+                ka, n2 = den // a.den, n2 * (den // b.den)
+                nums = [(n1 * ka + n2, mul(c1, c2)) for n1, c1 in a.nums]
+            return _reduced(field, den, nums)
+        den, a, b = _common(self, other)
+        mul, add = field.mul, field.add
         acc = {}
         for n1, c1 in a:
             for n2, c2 in b:

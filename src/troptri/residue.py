@@ -57,10 +57,12 @@ class RationalField:
         return n
 
     def add(self, a, b):
-        return int_if_integral(a + b)
+        c = a + b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return int_if_integral(a * b)
+        c = a * b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def neg(self, a):
         return -a

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .expansion import DEFAULT_MAX_DEPTH, ApproxRoot, puiseux_expansion
 from .polygon import is_unique, newton_polygon
+from .rationals import int_if_integral
 from .upoly import UPoly, compose, format_residue_terms
 
 
@@ -85,8 +86,8 @@ class Vertex:
 
 class RootTree:
     def __init__(self, system, p_step, p_max, max_depth=DEFAULT_MAX_DEPTH, record_polygons=False):
-        p_step = Fraction(p_step)
-        p_max = Fraction(p_max)
+        p_step = int_if_integral(Fraction(p_step))
+        p_max = int_if_integral(Fraction(p_max))
         if p_step <= 0:
             raise ValueError("the precision increment must be positive")
         if p_max < 0:
@@ -111,7 +112,7 @@ class RootTree:
         # valuation w to that budget); holding g or f keeps its id from being
         # reused (see _next_polynomial, reinforcement_polynomial and _corrections)
         self.store = {}
-        self.root_id = self._new_vertex(parent=None, depth=0, root=None, prec=Fraction(0)).vid
+        self.root_id = self._new_vertex(parent=None, depth=0, root=None, prec=0).vid
 
     # -- construction helpers -------------------------------------------------
 
@@ -176,18 +177,20 @@ class RootTree:
             raise ValueError("the branch is already full length")
         return self._next_polynomial(v)
 
-    def reinforcement_polynomial(self, vid) -> UPoly:
+    def reinforcement_polynomial(self, vid, composed=None) -> UPoly:
         """f_k recentered at the known part of this vertex's root.
 
         Ancestors contribute their full roots (tails included); the
         vertex's own root contributes only its known prefix, so the
         polynomial's roots are exactly the possible corrections.  It lives
         in the store, where ``reinforce`` puts the ones its expansion built.
+        ``composed``, if given, is ``_next_polynomial`` of the parent.
         """
         v = self.vertices[vid]
         if v.depth < 1:
             raise ValueError("the tree root carries no root to reinforce")
-        composed = self._next_polynomial(self.vertices[v.parent])
+        if composed is None:
+            composed = self._next_polynomial(self.vertices[v.parent])
         known = v.root.known
         if not known:
             return composed
@@ -210,12 +213,12 @@ class RootTree:
         if not points:
             v.dead = True
             return
-        for w in sorted(points, reverse=True):
+        for w in points:
             child = self._new_vertex(
                 parent=vid,
                 depth=v.depth + 1,
                 root=ApproxRoot(v.depth, (), w),
-                prec=Fraction(0),
+                prec=0,
             )
             v.children.append(child.vid)
 
@@ -246,7 +249,7 @@ class RootTree:
         target_vertex = chain[l]
         old_prec = target_vertex.prec
         if l == 0 and not chain[0].root.is_exact:
-            new_prec = head_prec + self.p_step
+            new_prec = int_if_integral(head_prec + self.p_step)
             if new_prec > self.p_max:
                 raise PrecisionLimitError(
                     "precision %s for the branch head would exceed the bound %s"
@@ -260,11 +263,11 @@ class RootTree:
             target = self.p_max
 
         root = target_vertex.root
-        reinf = self.reinforcement_polynomial(target_vertex.vid)
+        composed = self._next_polynomial(self.vertices[target_vertex.parent])
+        reinf = self.reinforcement_polynomial(target_vertex.vid, composed)
         polygon = newton_polygon(reinf)
         self._log_polygon("reinforcement", l + 1, target_vertex.vid, reinf, polygon)
         corrections = self._corrections(reinf, polygon, root, target, l + 1)
-        composed = self._next_polynomial(self.vertices[target_vertex.parent])
         refined = []
         for corr, g in corrections.items():
             new_root = self._merge_root(root, corr)
@@ -295,7 +298,7 @@ class RootTree:
             return {ApproxRoot(root.index, (), w_r): reinf}
         points = polygon.tropical_points()
         if root.known:
-            admissible = sorted(w for w in points if w >= w_r)
+            admissible = [w for w in reversed(points) if w >= w_r]
         else:
             admissible = [w for w in points if w == w_r]
         out = {}
@@ -403,8 +406,7 @@ class RootTree:
 
     def points(self):
         """Branch valuation vectors, depth-first, first occurrence kept."""
-        out = []
-        seen = set()
+        out = {}  # a dict keeps each key where it was first put in
         stack = [(self.root_id, ())]
         while stack:
             vid, vals = stack.pop()
@@ -413,10 +415,9 @@ class RootTree:
                 vals = vals + (v.root.valuation(),)
             if v.children:
                 stack.extend((c, vals) for c in reversed(v.children))
-            elif v.depth == self.n and not v.dead and vals not in seen:
-                seen.add(vals)
-                out.append(vals)
-        return out
+            elif v.depth == self.n and not v.dead:
+                out[vals] = None
+        return list(out)
 
     def point_set(self):
         return set(self.points())

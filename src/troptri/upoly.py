@@ -40,15 +40,19 @@ class MPoly:
 
     The same type serves the input polynomials in x_1..x_n and the
     K[u_1..u_n] coefficients of a UPoly; only ``format`` names the letter.
+    ``terms`` is never changed once built, so ``val_pair`` and ``initial_term``,
+    read many times over, are found in one pass on first use and kept (a kept
+    ``initial_terms`` dict would cost 224 bytes per polynomial).
     """
 
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("field", "nvars", "terms", "_val", "_lead")
 
     def __init__(self, field, nvars, terms=None):
         # terms must already be canonical (no zero scalars)
         self.field = field
         self.nvars = nvars
         self.terms = dict(terms) if terms else {}
+        self._val = None  # set with _lead by _keep_initial_part
 
     @classmethod
     def zero(cls, field, nvars):
@@ -129,18 +133,30 @@ class MPoly:
             return MPoly.zero(self.field, self.nvars)
         return MPoly(self.field, self.nvars, {d: s * scalar for d, s in self.terms.items()})
 
-    def val_pair(self):
-        """Minimum valuation over all Puiseux coefficients, as (numerator,
-        denominator) in lowest terms with a positive denominator."""
+    def _keep_initial_part(self):
+        """(val_pair, initial_term), computed in one pass; both are kept."""
         if not self.terms:
             raise ZeroHasNoValuation("0 has no valuation")
         n = d = None
-        for s in self.terms.values():
-            sn = s.nums[0][0]
-            if d is None or sn * d < n * s.den:
-                n, d = sn, s.den
+        for deg, s in self.terms.items():
+            (sn, c), sd = s.nums[0], s.den
+            if d is None or sn * d < n * sd:
+                n, d, lead = sn, sd, (deg, c)
+            elif sn * d == n * sd:
+                lead = None
         g = gcd(n, d)
-        return n // g, d // g
+        self._val, self._lead = part = (n // g, d // g), lead
+        return part
+
+    def val_pair(self):
+        """Minimum valuation over all Puiseux coefficients, as (numerator,
+        denominator) in lowest terms with a positive denominator."""
+        return self._val or self._keep_initial_part()[0]
+
+    def initial_term(self):
+        """The one residue term attaining the minimum valuation, as (u-exponent
+        tuple, residue element), or None when several do.  Raises on zero."""
+        return self._lead if self._val else self._keep_initial_part()[1]
 
     def initial_terms(self):
         """The residue terms attaining the minimum valuation.
@@ -338,10 +354,10 @@ def initial_form(f: UPoly, w):
     zero = _zero_deg(f.nvars)
     coeffs = [f.field.zero] * (max(top) + 1)
     for j in top:
-        terms = f.coeffs[j].initial_terms()
-        if len(terms) != 1 or zero not in terms:
+        term = f.coeffs[j].initial_term()
+        if term is None or term[0] != zero:
             return None
-        coeffs[j] = terms[zero]
+        coeffs[j] = term[1]
     return ResiduePoly(f.field, coeffs)
 
 

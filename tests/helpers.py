@@ -83,6 +83,24 @@ def uval(c):
     return ratio(*c.val_pair())
 
 
+def val_pair_naive(c):
+    """``MPoly.val_pair`` recomputed from the scalars' rational valuations."""
+    low = Fraction(min(s.valuation() for s in c.terms.values()))
+    return low.numerator, low.denominator
+
+
+def initial_terms_naive(c):
+    """``MPoly.initial_terms`` recomputed from the scalars' rational valuations."""
+    low = min(s.valuation() for s in c.terms.values())
+    return {deg: s.terms[0][1] for deg, s in c.terms.items() if s.valuation() == low}
+
+
+def initial_part_naive(c):
+    """(val_pair, initial_term, initial_terms) of a nonzero MPoly, recomputed."""
+    terms = initial_terms_naive(c)
+    return val_pair_naive(c), next(iter(terms.items())) if len(terms) == 1 else None, terms
+
+
 def upoly(nvars, var, coeffs, field=QQ):
     """UPoly from {degree: MPoly-or-scalar}."""
     pairs = []

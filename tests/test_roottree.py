@@ -11,6 +11,7 @@ from helpers import (
     close_roots_system,
     compose_naive,
     const,
+    initial_part_naive,
     mconst,
     mpoly,
     ps,
@@ -25,6 +26,7 @@ from helpers import (
 )
 from oracles import as_mpoly, check_invariants, evaluate
 from troptri import (
+    ApproxRoot,
     MPoly,
     NonSplittingError,
     NonTriangularError,
@@ -645,3 +647,63 @@ def test_a_subtree_copy_expands_each_polynomial_once(monkeypatch):
     assert tree.reinforce_count > len(calls) > 0
     assert set(keys) == set(_expansion_entries(tree))
     _assert_untouched_entries_are_shared(tree)
+
+
+def _stored_polynomials(tree):
+    """Every MPoly the tree's store holds, alone or as a UPoly's coefficient."""
+    out = []
+    for entry in tree.store.values():
+        for x in entry:
+            if isinstance(x, dict):
+                for g in x.values():
+                    if g is not None:
+                        out.extend(g.coeffs.values())
+            elif isinstance(x, UPoly):
+                out.extend(x.coeffs.values())
+            else:
+                out.append(x)
+    return out
+
+
+_RUN_SYSTEMS = pytest.mark.parametrize("system", [
+    three_var_system(),
+    close_roots_system(),
+    parse_system("ring x1 x2\npoly x1^2 - x1 - t\npoly x2 - x1 + 1 + t - t^2 + 2*t^3\n"),
+    parse_system("ring x1 x2 x3\npoly (x1 - 1 - t)*(x1 - 1 - t^2)\npoly x2 - x1\npoly x3 - x2 + 1\n"),
+], ids=["three-var", "close-roots", "series-root", "cascade"])
+
+
+@_RUN_SYSTEMS
+def test_kept_initial_parts_still_describe_their_terms_after_a_run(system):
+    # a polynomial keeps its initial part from its first use on; nothing in
+    # a run may change its terms afterwards, or the kept part goes stale
+    tree = RootTree(system, 1, 32).run()
+    polys = _stored_polynomials(tree)
+    assert polys
+    for c in polys:
+        assert (c.val_pair(), c.initial_term(), c.initial_terms()) == initial_part_naive(c)
+
+
+@_RUN_SYSTEMS
+def test_a_given_composed_polynomial_gives_the_same_reinforcement_polynomial(system):
+    # reinforce passes in the parent's composed polynomial it already has
+    tree = RootTree(system, 1, 32).run()
+    for vid, v in tree.vertices.items():
+        if v.depth >= 1:
+            composed = tree._next_polynomial(tree.vertices[v.parent])
+            assert tree.reinforcement_polynomial(vid, composed) is tree.reinforcement_polynomial(vid)
+
+
+def test_equal_roots_hash_alike_and_share_a_store_entry():
+    tree = RootTree(parse_system("ring x1 x2\npoly x1^2 - t\npoly x2 - x1^2 + x1\n"), 1, 32)
+    g = tree.system.polys[1]
+    direct = ApproxRoot(0, ((fr(1, 2), 1), (1, -1)), fr(3, 2))
+    prefixed = ApproxRoot(0, ((1, -1),), fr(3, 2)).with_prefix(fr(1, 2), 1)
+    as_fractions = ApproxRoot(0, ((fr(1, 2), 1), (fr(1), -1)), fr(3, 2))
+    assert direct == prefixed == as_fractions
+    assert hash(direct) == hash(prefixed) == hash(as_fractions)
+    h = tree._stored(g, direct)
+    size = len(tree.store)
+    assert tree._stored(g, prefixed) is h and tree._stored(g, as_fractions) is h
+    assert len(tree.store) == size
+    assert hash(ApproxRoot(0, ((fr(1, 2), 1),), None)) != hash(ApproxRoot(0, ((fr(1, 2), 1),), 1))

@@ -20,7 +20,7 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import from_coeffs, series, sum_mpoly, uval
+from helpers import const, from_coeffs, series, sum_mpoly, tp, uval
 from oracles import newton_polygon_rational
 from troptri import (
     NonSplittingError,
@@ -226,6 +226,54 @@ def test_scalar_arithmetic_matches_fraction_keyed_reference(case):
 
 
 @st.composite
+def one_term_cases(draw):
+    """A field, one term c*t^w and the terms of a scalar whose exponents have
+    another denominator than w's (before either is reduced)."""
+    field = draw(series_fields)
+    coeffs = st.integers(-3, 3).map(field.from_int)
+    d1, d2 = draw(st.lists(st.integers(1, 6), min_size=2, max_size=2, unique=True))
+    w = Fraction(draw(st.integers(-12, 12)), d1)
+    exps = st.integers(-12, 12).map(lambda n: Fraction(n, d2))
+    return field, w, draw(coeffs.filter(bool)), draw(st.lists(st.tuples(exps, coeffs), max_size=4))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(one_term_cases())
+def test_one_term_products_and_sums_match_the_fraction_keyed_reference(case):
+    field, w, c, pairs = case
+    tw = PuiseuxScalar.t_power(field, w, c)
+    a = series(field, pairs)
+    ra = reference(field, pairs)
+    product = reference_product(field, ra, {w: c})
+    assert_matches(tw * a, product)
+    assert_matches(a * tw, product)
+    assert_matches(tw * tw, {2 * w: field.mul(c, c)})
+    total = reference(field, [*ra.items(), (w, c)])
+    assert_matches(tw + a, total)
+    assert_matches(a + tw, total)
+    # a sum that loses the term at w, whose denominator may then shrink
+    assert_matches(a + tw + (-tw), ra)
+    assert_matches(-tw + (a + tw), ra)
+
+
+def test_one_term_fast_paths_keep_the_stored_form():
+    half = tp(Fraction(1, 2))
+    s = half * half
+    assert (s.den, s.nums) == (1, ((1, 1),)) and type(s.terms[0][0]) is int
+    s = tp(Fraction(1, 3)) * tp(Fraction(1, 6))
+    assert (s.den, s.nums) == (2, ((1, 1),))
+    s = half * (half + tp(Fraction(3, 2), 2))
+    assert (s.den, s.nums) == (1, ((1, 1), (2, 2)))
+    for a in (const(3), half + const(1), tp(Fraction(2, 3), -2) + half):
+        zero = a + (-a)
+        assert (zero.den, zero.nums) == (1, ())
+    s = const(Fraction(1, 2)) * const(4)
+    assert s.nums == ((0, 2),) and type(s.nums[0][1]) is int
+    assert QQ.mul(Fraction(1, 2), 4) == 2 and type(QQ.mul(Fraction(1, 2), 4)) is int
+    assert QQ.add(Fraction(1, 2), Fraction(3, 2)) == 2 and type(QQ.add(Fraction(1, 2), Fraction(3, 2))) is int
+
+
+@st.composite
 def upolys(draw):
     """A UPoly over Q in x1 whose coefficients are K[u1, u2] elements with
     exponent denominators 1..6."""
@@ -256,6 +304,20 @@ def test_integer_newton_hull_matches_the_rational_hull(f):
     assert polygon.slopes() == [Fraction(v2 - v1, j2 - j1) for (j1, v1), (j2, v2) in polygon.edges()]
     for s in polygon.slopes():
         assert_stored(s)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(upolys())
+def test_tropical_points_are_the_negated_slopes_in_decreasing_order(f):
+    if f.is_zero():
+        return
+    points = newton_polygon(f).tropical_points()
+    assert type(points) is tuple
+    assert all(a > b for a, b in zip(points, points[1:]))
+    edges = newton_polygon_rational(f).edges()
+    assert set(points) == {-Fraction(v2 - v1, j2 - j1) for (j1, v1), (j2, v2) in edges}
+    for w in points:
+        assert_stored(w)
 
 
 def _initial_form_by_fractions(f, w):
@@ -300,3 +362,18 @@ def test_points_and_root_exponents_keep_the_stored_form():
                 assert_stored(e)
             if v.root.tail is not None:
                 assert_stored(v.root.tail)
+
+
+def test_precisions_keep_the_stored_form():
+    # at --pstep 1/2 the head's precision steps through 1/2, 1, 3/2, ...,
+    # and every precision a vertex carries on the way is stored
+    system = parse_system("ring x1 x2\npoly x1^2 - x1 - t\npoly x2 - x1 + 1 + t - t^2 + 2*t^3\n")
+    tree = RootTree(system, Fraction(1, 2), Fraction(32))
+    assert type(tree.p_step) is Fraction and type(tree.p_max) is int
+    precs = set()
+    while tree.step():
+        precs.update(v.prec for v in tree.vertices.values())
+    assert tree.point_set() == {(1, 0), (0, 4)}
+    assert precs == {Fraction(k, 2) for k in range(8)}
+    for p in precs:
+        assert_stored(p)

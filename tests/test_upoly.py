@@ -13,6 +13,7 @@ from helpers import (
     const,
     from_coeffs,
     initial,
+    initial_part_naive,
     lift,
     mconst,
     mpoly,
@@ -283,19 +284,49 @@ def test_recentering_a_cube_at_its_root_cancels_every_lower_coefficient(field):
     assert cube.substitute(0, a, None).is_zero()
 
 
+def _initial_parts(coeffs):
+    """Each nonzero coefficient's (val_pair, initial_term, initial_terms),
+    filling what it keeps."""
+    return [(c.val_pair(), c.initial_term(), c.initial_terms()) for c in coeffs if not c.is_zero()]
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(_shift_cases(), _substitute_cases())
 def test_recentering_leaves_its_input_as_it_was(shift_case, substitute_case):
     # the root tree's store shares polynomials between branches, so the
-    # kernel must work on copies of the coefficients' term dicts
+    # kernel must work on copies of the coefficients' term dicts, and the
+    # initial part each coefficient keeps must still describe its terms
     f, prefix, _, _ = shift_case
     before = {j: dict(c.terms) for j, c in f.coeffs.items()}
+    kept = _initial_parts(f.coeffs.values())
     f.shift_substitute(prefix)
     assert {j: c.terms for j, c in f.coeffs.items()} == before
+    assert _initial_parts(f.coeffs.values()) == kept
+    assert kept == [initial_part_naive(c) for c in f.coeffs.values()]
     g, index, a, s = substitute_case
     before = dict(g.terms)
+    kept = _initial_parts([g, *UPoly.from_mpoly(g, index).coeffs.values()])
     g.substitute(index, None if a.is_zero() else a, None if s.is_zero() else s)
     assert g.terms == before
+    if not g.is_zero():
+        assert _initial_parts([g])[0] == kept[0] == initial_part_naive(g)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_substitute_cases(), st.booleans())
+def test_the_kept_initial_part_matches_a_naive_recomputation(case, term_first):
+    f, index, _, _ = case
+    for c in [f, *UPoly.from_mpoly(f, index).coeffs.values()]:
+        if c.is_zero():
+            for _ in range(2):
+                for method in (c.val_pair, c.initial_term, c.initial_terms):
+                    with pytest.raises(ZeroHasNoValuation):
+                        method()
+            continue
+        first = c.initial_term() if term_first else c.val_pair()
+        for _ in range(2):
+            assert _initial_parts([c]) == [initial_part_naive(c)]
+        assert first is (c.initial_term() if term_first else c.val_pair())
 
 
 def test_shift_substitute_identity():
