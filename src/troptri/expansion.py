@@ -72,9 +72,6 @@ class ApproxRoot:
         s = None if self.tail is None else PuiseuxScalar.t_power(field, self.tail)
         return a, s
 
-    def with_prefix(self, exp, coeff):
-        return ApproxRoot(self.index, ((exp, coeff),) + self.known, self.tail)
-
     def sort_key(self):
         exact_rank = 0 if self.tail is None else 1
         return (self.valuation(), exact_rank, self.known, self.tail or 0)
@@ -111,25 +108,23 @@ def puiseux_expansion(f: UPoly, w, p_rel, max_depth: int = DEFAULT_MAX_DEPTH) ->
     return _expand(f, w, p_rel, 0, max_depth)
 
 
-def _expand(f: UPoly, w, p_rel, depth, max_depth) -> dict:
+def _expand(f: UPoly, w, p_rel, depth, max_depth, known=()) -> dict:
+    """The roots of f of valuation w, each built with the terms ``known``
+    that led to f in front."""
     if depth > max_depth:
         raise RecursionLimitError("expansion exceeded %d recursion levels" % max_depth)
-    field = f.field
-    i = f.var
-    bare = {ApproxRoot(i, (), w): f}
-    if p_rel <= 0:
-        return bare
-    h = initial_form(f, w)
+    h = initial_form(f, w) if p_rel > 0 else None
     if h is None:
-        return bare
+        return {ApproxRoot(f.var, known, w): f}
     out = {}
     for c in sorted(roots_in_units(h)):
-        shifted = f.shift_substitute(PuiseuxScalar.t_power(field, w, c))
+        shifted = f.shift_substitute(PuiseuxScalar.t_power(f.field, w, c))
         polygon = newton_polygon(shifted)
         if not is_unique(shifted, polygon):
-            return bare
+            return {ApproxRoot(f.var, known, w): f}
+        prefix = known + ((w, c),)
         if 0 not in shifted.coeffs:
-            out[ApproxRoot(i, ((w, c),), None)] = None
+            out[ApproxRoot(f.var, prefix, None)] = None
         higher = [w2 for w2 in reversed(polygon.tropical_points()) if w2 > w]
         if higher:
             # every branch is charged the gap to the nearest admissible
@@ -137,6 +132,5 @@ def _expand(f: UPoly, w, p_rel, depth, max_depth) -> dict:
             # exponent gain reaches p_rel
             budget = p_rel - (higher[0] - w)
             for w2 in higher:
-                for sub, g in _expand(shifted, w2, budget, depth + 1, max_depth).items():
-                    out[sub.with_prefix(w, c)] = g
+                out.update(_expand(shifted, w2, budget, depth + 1, max_depth, prefix))
     return out

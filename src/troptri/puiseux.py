@@ -171,29 +171,28 @@ class PuiseuxScalar:
     def __hash__(self):
         return hash((self.field, self.den, self.nums))
 
-    def format(self) -> str:
+    def format(self, mono="") -> str:
+        """The scalar times the monomial ``mono`` ('' for none) in the input
+        format, e.g. 'x1 + (-2)*t^(1/2)*x1': one summand per power of t, each
+        a plain product of atoms, so the text reparses whatever the signs are."""
         if not self.nums:
             return "0"
         parts = []
         for e, c in self.terms:
             cs = format_rat(c)
-            if e == 0:
-                parts.append(cs)
-            else:
-                ts = "t" if e == 1 else "t^(%s)" % format_rat(e)
-                if cs == "1":
-                    parts.append(ts)
-                elif cs == "-1":
-                    parts.append("-%s" % ts)
-                else:
-                    parts.append("%s*%s" % (cs, ts))
-        text = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                text += " - %s" % part[1:]
-            else:
-                text += " + %s" % part
-        return text
+            factors = []
+            if cs != "1" or (e == 0 and not mono):
+                factors.append("(%s)" % cs if cs.startswith("-") else cs)
+            if e == 1:
+                factors.append("t")
+            elif e.denominator == 1 and e > 0:
+                factors.append("t^%d" % e)
+            elif e != 0:
+                factors.append("t^(%s)" % format_rat(e))
+            if mono:
+                factors.append(mono)
+            parts.append("*".join(factors))
+        return " + ".join(parts)
 
     def __repr__(self):
         return "<%s>" % self.format()

@@ -338,8 +338,6 @@ def _fp_divmod(a, f, p):
 
 
 def _fp_mulmod(a, b, f, p):
-    if not a or not b:
-        return []
     prod = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):

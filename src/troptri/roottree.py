@@ -248,7 +248,7 @@ class RootTree:
             l = next(idx for idx, v in enumerate(chain) if not v.root.is_exact)
         target_vertex = chain[l]
         old_prec = target_vertex.prec
-        if l == 0 and not chain[0].root.is_exact:
+        if l == 0:
             new_prec = int_if_integral(head_prec + self.p_step)
             if new_prec > self.p_max:
                 raise PrecisionLimitError(
@@ -270,7 +270,7 @@ class RootTree:
         corrections = self._corrections(reinf, polygon, root, target, l + 1)
         refined = []
         for corr, g in corrections.items():
-            new_root = self._merge_root(root, corr)
+            new_root = ApproxRoot(root.index, root.known + corr.known, corr.tail)
             if g is not None and new_root.known:
                 self.store.setdefault((id(composed), new_root.known), (composed, g))
             refined.append(new_root)
@@ -290,13 +290,13 @@ class RootTree:
         correction, so every tropical point at or past the tail exponent
         is admissible; a bare tail *is* the valuation, so only the tail
         exponent itself is (higher points belong to sibling branches).
+        Without any correction the bare tail at w_r comes back, mapped to
+        the reinforcement polynomial.
         """
         w_r = root.tail
-        if not is_unique(reinf, polygon):
-            # cannot trust any tropical point; record the bookkeeping and
-            # let the driver try again with better ancestor precision
-            return {ApproxRoot(root.index, (), w_r): reinf}
-        points = polygon.tropical_points()
+        # an untrusted polygon offers no tropical point, so the bare tail comes
+        # back and the driver tries again with better ancestor precision
+        points = polygon.tropical_points() if is_unique(reinf, polygon) else ()
         if root.known:
             admissible = [w for w in reversed(points) if w >= w_r]
         else:
@@ -315,13 +315,7 @@ class RootTree:
                     raise
                 entry = self.store[key] = (reinf, expansion)
             out.update(entry[1])
-        if not out:
-            out = {ApproxRoot(root.index, (), w_r): reinf}
-        return out
-
-    @staticmethod
-    def _merge_root(root: ApproxRoot, corr: ApproxRoot) -> ApproxRoot:
-        return ApproxRoot(root.index, root.known + corr.known, corr.tail)
+        return out or {ApproxRoot(root.index, (), w_r): reinf}
 
     def _replace_subtree(self, vertex, refined):
         """Replace the vertex by one vertex per refined root.

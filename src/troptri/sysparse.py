@@ -23,10 +23,10 @@ from math import comb
 
 from .errors import NonTriangularError, ParseError, ReservedIdentifierError
 from .puiseux import PuiseuxScalar
-from .rationals import format_rat, ratio
+from .rationals import ratio
 from .residue import PrimeField, RationalField
 from .roottree import TriangularSystem
-from .upoly import MPoly, format_monomial
+from .upoly import MPoly
 
 # Largest power the parser expands.  The size of base^e is its term bound
 # C(e + k - 1, k - 1) for a base of k >= 2 terms (one term: an x-monomial
@@ -320,35 +320,6 @@ def format_system(system: TriangularSystem) -> str:
         header = "ring %s" % " ".join("x%d" % (i + 1) for i in range(system.n))
     lines = [header]
     for f in system.polys:
-        lines.append("poly %s" % _format_mpoly(f))
+        lines.append("poly %s" % f.format())
     return "\n".join(lines) + "\n"
 
-
-def _format_mpoly(f: MPoly) -> str:
-    # one summand per (x-monomial, t-power) pair; every summand is a plain
-    # product of atoms, so the result reparses whatever the signs are
-    parts = []
-    for deg in sorted(f.terms, reverse=True):
-        mono = format_monomial("x", deg)
-        for e, c in f.terms[deg].terms:
-            factors = []
-            cs = format_rat(c)
-            if cs.startswith("-"):
-                cs = "(%s)" % cs
-            if e != 0:
-                if e == 1:
-                    ts = "t"
-                elif e.denominator == 1 and e > 0:
-                    ts = "t^%d" % e.numerator
-                else:
-                    ts = "t^(%s)" % format_rat(e)
-                if cs != "1":
-                    factors.append(cs)
-                factors.append(ts)
-            else:
-                if cs != "1" or not mono:
-                    factors.append(cs)
-            if mono:
-                factors.append(mono)
-            parts.append("*".join(factors))
-    return " + ".join(parts) if parts else "0"

@@ -206,8 +206,12 @@ class MPoly:
         return hash((self.field, self.nvars, frozenset(self.terms.items())))
 
     def format(self, letter="x") -> str:
-        """Render with variables named letter1..lettern, e.g. 'x1^2 + (1 + t)*x1'."""
-        return _format_sum(letter, {d: s.format() for d, s in self.terms.items()})
+        """Render in the input format with variables named letter1..lettern,
+        highest monomial first, e.g. 'x1^2 + x1 + t*x1'."""
+        return " + ".join(
+            self.terms[deg].format(format_monomial(letter, deg))
+            for deg in sorted(self.terms, reverse=True)
+        ) or "0"
 
     def __repr__(self):
         return "<%s>" % self.format()

@@ -386,6 +386,37 @@ def test_newton_svg_output(tmp_path):
         assert (svg_dir / name).read_text() == (again_dir / name).read_text()
 
 
+def test_newton_svg_into_an_existing_file_exits_5(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run_cli(tmp_path, CLOSE_ROOTS, "--newton-svg", str(taken))
+    assert code == 5 and out == ""
+    assert err.startswith("error: cannot write SVG:") and err.count("\n") == 1
+
+
+DEEP_DIGITS = """\
+ring x1 x2
+poly x1^2 - x1 - t
+poly x2 - x1 + 1 + t - t^2 + 2*t^3
+"""
+
+
+def test_max_depth_bounds_the_expansion(tmp_path):
+    code, out, err = run_cli(tmp_path, DEEP_DIGITS, "--max-depth", "0")
+    assert (code, out, err) == (5, "", "error: expansion exceeded 0 recursion levels\n")
+    code, out, err = run_cli(tmp_path, DEEP_DIGITS, "--max-depth", "1")
+    assert (code, out, err) == (0, "(1,0) (0,4)\n", "")
+
+
+def test_text_tree_output_prints_the_points_then_the_tree(tmp_path):
+    code, out, err = run_cli(tmp_path, DEEP_DIGITS, "--format", "text", "--tree")
+    assert code == 0 and err == ""
+    points, tree, rest = out.split("\n")
+    assert points == "(1,0) (0,4)" and rest == ""
+    _, json_out, _ = run_cli(tmp_path, DEEP_DIGITS, "--format", "json", "--tree")
+    assert json.loads(tree) == json.loads(json_out)["tree"]
+
+
 def test_svg_slope_labels_and_vertices():
     f = upoly(1, 0, {2: ps((1, 1)), 1: const(1), 0: const(1)})
     polygon = newton_polygon(f)

@@ -18,7 +18,7 @@ from helpers import (
     xvar,
 )
 from oracles import ExactRootError, has_maximal_precision, is_approximate_root, relative_precision
-from troptri import ApproxRoot, InvalidTargetError, UPoly, puiseux_expansion
+from troptri import ApproxRoot, InvalidTargetError, RecursionLimitError, UPoly, puiseux_expansion
 
 
 def test_worked_expansion_of_close_roots():
@@ -153,6 +153,8 @@ def test_root_shape_validation():
         root(0, [(0, 1), (0, 2)], None)
     with pytest.raises(ValueError):
         root(0, [(1, 1)], 1)
+    with pytest.raises(ValueError, match="known coefficients must be nonzero"):
+        ApproxRoot(0, ((0, 0),), 1)
     assert relative_precision(root(0, [], 0)) == 0
     assert relative_precision(root(0, [(0, 1)], 3)) == 3
     assert relative_precision(root(0, [(0, 1)], None)) is None
@@ -195,3 +197,12 @@ def _extends(true_root, approx):
         return False
     rest = true_root.known[len(prefix):]
     return not rest or rest[0][0] >= approx.tail
+
+
+def test_max_depth_bounds_the_recursion():
+    # x^2 - x - t: the root -t + t^2 - ... of valuation 1 never ends, so
+    # each further digit is one recursion level deeper
+    f = upoly(1, 0, {2: const(1), 1: const(-1), 0: tp(1, -1)})
+    with pytest.raises(RecursionLimitError, match="expansion exceeded 0 recursion levels"):
+        puiseux_expansion(f, 1, 1, max_depth=0)
+    assert set(puiseux_expansion(f, 1, 1, max_depth=1)) == {root(0, [(1, -1)], 2)}

@@ -39,6 +39,7 @@ from troptri import (
     puiseux_expansion,
     trop_triangular,
 )
+from troptri.polygon import is_unique, newton_polygon
 
 
 def fr(a, b=1):
@@ -694,11 +695,27 @@ def test_a_given_composed_polynomial_gives_the_same_reinforcement_polynomial(sys
             assert tree.reinforcement_polynomial(vid, composed) is tree.reinforcement_polynomial(vid)
 
 
+def test_an_untrusted_reinforcement_polygon_gives_back_the_bare_tail():
+    # x2 - (1 + u1): the hull vertex at degree 0 has two minimal u-terms, so
+    # no tropical point can be trusted, not even the tail exponent 0
+    tree = RootTree(parse_system("ring x1 x2\npoly x1 - 1\npoly x2 - x1\n"), 1, 32)
+    reinf = upoly(2, 1, {1: const(1), 0: uc(2, (const(-1), (0, 0)), (const(-1), (1, 0)))})
+    polygon = newton_polygon(reinf)
+    assert not is_unique(reinf, polygon)
+    size = len(tree.store)
+    corrections = tree._corrections(reinf, polygon, ApproxRoot(1, (), 0), 5, 2)
+    assert list(corrections) == [ApproxRoot(1, (), 0)]
+    assert corrections[ApproxRoot(1, (), 0)] is reinf
+    assert len(tree.store) == size
+
+
 def test_equal_roots_hash_alike_and_share_a_store_entry():
     tree = RootTree(parse_system("ring x1 x2\npoly x1^2 - t\npoly x2 - x1^2 + x1\n"), 1, 32)
     g = tree.system.polys[1]
     direct = ApproxRoot(0, ((fr(1, 2), 1), (1, -1)), fr(3, 2))
-    prefixed = ApproxRoot(0, ((1, -1),), fr(3, 2)).with_prefix(fr(1, 2), 1)
+    # the merge reinforce makes of a root and its correction
+    root, corr = ApproxRoot(0, ((fr(1, 2), 1),), 1), ApproxRoot(0, ((1, -1),), fr(3, 2))
+    prefixed = ApproxRoot(0, root.known + corr.known, corr.tail)
     as_fractions = ApproxRoot(0, ((fr(1, 2), 1), (fr(1), -1)), fr(3, 2))
     assert direct == prefixed == as_fractions
     assert hash(direct) == hash(prefixed) == hash(as_fractions)

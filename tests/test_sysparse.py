@@ -271,6 +271,25 @@ def test_fractional_exponent_rejected_off_t():
         parse_system("ring x1\npoly (1 + t)^(1/2)*x1\n")
 
 
+@pytest.mark.parametrize("text, written", [
+    ("ring x1\npoly x1 - 2\n", "ring x1\npoly x1 + (-2)\n"),
+    ("ring x1\npoly -x1 - 1\n", "ring x1\npoly (-1)*x1 + (-1)\n"),
+    ("ring x1\npoly x1 + t\n", "ring x1\npoly x1 + t\n"),
+    ("ring x1\npoly t^3*x1 - t^(1/2)\n", "ring x1\npoly t^3*x1 + (-1)*t^(1/2)\n"),
+    ("ring x1\npoly t^-1*x1^2 + 1\n", "ring x1\npoly t^(-1)*x1^2 + 1\n"),
+    ("ring x1\npoly 2/3*t*x1 - 5/7 - t^(-3/2)\n", "ring x1\npoly 2/3*t*x1 + (-1)*t^(-3/2) + (-5/7)\n"),
+    ("ring x1 x2\npoly x1 - 1\npoly (1 - t)*x1*x2^2 - x2 + x1\n",
+     "ring x1 x2\npoly x1 + (-1)\npoly x1*x2^2 + (-1)*t*x1*x2^2 + x1 + (-1)*x2\n"),
+    ("ring x1 x2 fp:7\npoly x1 - 1\npoly 3*t*x2 - x1*x2 + 1/2\n",
+     "ring x1 x2 fp:7\npoly x1 + 6\npoly 6*x1*x2 + 3*t*x2 + 4\n"),
+])
+def test_format_system_bytes(text, written):
+    # one summand per monomial and power of t, negative coefficients in
+    # parentheses, a coefficient 1 written only where no other factor is
+    assert format_system(parse_system(text)) == written
+    assert format_system(parse_system(written)) == written
+
+
 def test_roundtrip_three_variable_system():
     system = parse_system(THREE_VAR_TEXT)
     again = parse_system(format_system(system))

@@ -6,8 +6,10 @@ SEEDS, once per flag set in FLAG_SETS, with ``--newton-svg`` into a
 temporary directory on every tenth system.  Then it prints, one per line,
 every function defined in ``src/troptri`` (methods and nested functions
 included, lambdas and generator expressions not) that no run entered and
-that ALLOWED does not name.  An empty output means the engine carries no
-member that only the tests reach.  Run it from the root of the tree:
+that ALLOWED does not name, and then every name in ALLOWED that is no
+longer a function of the package, marked "stale in ALLOWED".  An empty
+output means the engine carries no member that only the tests reach, and
+ALLOWED names none that is gone.  Run it from the root of the tree:
 
     PYTHONPATH=src python tests/unreached_members.py
 
@@ -70,7 +72,6 @@ ALLOWED = {
     "puiseux.PuiseuxScalar.terms",
     # called only by the members named here: format_system and the __repr__s
     # render polynomials, and error messages name the field
-    "sysparse._format_mpoly",
     "upoly.MPoly.format",
     "upoly.UPoly.format",
     "puiseux.PuiseuxScalar.format",
@@ -153,6 +154,8 @@ def main():
     for code, name in sorted(functions.items(), key=lambda item: item[1]):
         if (code.co_filename, code.co_firstlineno, code.co_qualname) not in entered and not _allowed(name):
             print(name)
+    for name in sorted(ALLOWED - set(functions.values())):
+        print("stale in ALLOWED:", name)
 
 
 if __name__ == "__main__":
