@@ -1,15 +1,14 @@
 """Command line driver: parse a system, tropicalize, report.
 
 Exit codes: 0 success; 2 the residue field is too small (roots did not
-split); 3 the precision safeguard tripped; 4 a flag value is out of
-range, or input could not be parsed or is not triangular; 5 any other
+split); 3 the precision safeguard tripped; 4 a flag or its value is bad,
+or input could not be parsed or is not triangular; 5 any other
 mathematical failure.
 """
 
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .errors import (
@@ -22,14 +21,20 @@ from .errors import (
 from .expansion import DEFAULT_MAX_DEPTH
 from .rationals import format_rat, parse_rat
 from .roottree import RootTree
-from .svg import write_polygon_svg
+from .svg import write_polygon_log
 from .sysparse import parse_system
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is a bad flag: one line, exit code 4."""
+        self.exit(4, "error: bad flag: %s\n" % message)
 
 
 @functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing does not change it."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="troptri",
         description="Tropical points of a zero-dimensional triangular system "
         "over Puiseux series, computed exactly.",
@@ -83,13 +88,7 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 4
 
-    tree = RootTree(
-        system,
-        p_step,
-        p_max,
-        max_depth=args.max_depth,
-        record_polygons=bool(args.newton_svg),
-    )
+    tree = RootTree(system, p_step, p_max, max_depth=args.max_depth)
     try:
         tree.run()
     except NonSplittingError as exc:
@@ -105,10 +104,7 @@ def main(argv=None) -> int:
 
     if args.newton_svg:
         try:
-            os.makedirs(args.newton_svg, exist_ok=True)
-            for index, (label, polygon, vertex_labels) in enumerate(tree.polygon_log):
-                path = os.path.join(args.newton_svg, "polygon_%03d.svg" % index)
-                write_polygon_svg(path, polygon, vertex_labels, title=label)
+            write_polygon_log(args.newton_svg, tree.polygon_log)
         except OSError as exc:
             print("error: cannot write SVG: %s" % exc, file=sys.stderr)
             return 5

@@ -34,7 +34,7 @@ from .errors import (
 from .expansion import DEFAULT_MAX_DEPTH, ApproxRoot, puiseux_expansion
 from .polygon import is_unique, newton_polygon
 from .rationals import int_if_integral
-from .upoly import UPoly, compose, format_residue_terms
+from .upoly import UPoly, compose
 
 
 class TriangularSystem:
@@ -85,7 +85,7 @@ class Vertex:
 
 
 class RootTree:
-    def __init__(self, system, p_step, p_max, max_depth=DEFAULT_MAX_DEPTH, record_polygons=False):
+    def __init__(self, system, p_step, p_max, max_depth=DEFAULT_MAX_DEPTH):
         p_step = int_if_integral(Fraction(p_step))
         p_max = int_if_integral(Fraction(p_max))
         if p_step <= 0:
@@ -98,9 +98,9 @@ class RootTree:
         self.p_step = p_step
         self.p_max = p_max
         self.max_depth = max_depth
-        self.record_polygons = record_polygons
-        # (label, polygon, vertex labels) per polygon the driver inspects,
-        # for diagnostics and SVG output
+        # (kind, f index, vertex id, polynomial) per Newton polygon the driver
+        # inspects; the polygon is kept on its polynomial, and --newton-svg
+        # draws it (svg.write_polygon_log)
         self.polygon_log = []
         self.grow_count = 0
         self.reinforce_count = 0
@@ -227,11 +227,12 @@ class RootTree:
 
         Picks the first branch vertex whose root was computed with stale
         precision (else the branch head), expands corrections past the
-        root's known prefix, and replaces the vertex by one vertex per
-        correction (``_replace_subtree``).  Raises PrecisionLimitError when
-        the branch head's precision would exceed the safeguard, or when the
-        reinforcement would leave the tree as it was: the driver is
-        deterministic, so it would repeat that reinforcement forever.
+        root's known prefix at its tail exponent, and replaces the vertex by
+        one copy of its subtree per correction (``_replace_subtree``).
+        Raises PrecisionLimitError when the branch head's precision would
+        exceed the safeguard, or when the reinforcement would leave the tree
+        as it was: the driver is deterministic, so it would repeat that
+        reinforcement forever.
         """
         chain = self.branch(vid)
         if not chain:
@@ -266,7 +267,7 @@ class RootTree:
         composed = self._next_polynomial(self.vertices[target_vertex.parent])
         reinf = self.reinforcement_polynomial(target_vertex.vid, composed)
         polygon = newton_polygon(reinf)
-        self._log_polygon("reinforcement", l + 1, target_vertex.vid, reinf, polygon)
+        self.polygon_log.append(("reinforcement", l + 1, target_vertex.vid, reinf))
         corrections = self._corrections(reinf, polygon, root, target, l + 1)
         refined = []
         for corr, g in corrections.items():
@@ -284,62 +285,45 @@ class RootTree:
         self._replace_subtree(target_vertex, refined)
 
     def _corrections(self, reinf: UPoly, polygon, root: ApproxRoot, target, findex):
-        """Expansions of the reinforcement polynomial past the root's tail.
+        """Expansions of the reinforcement polynomial at the root's tail exponent.
 
-        Roots with a known prefix keep their valuation whatever the
-        correction, so every tropical point at or past the tail exponent
-        is admissible; a bare tail *is* the valuation, so only the tail
-        exponent itself is (higher points belong to sibling branches).
-        Without any correction the bare tail at w_r comes back, mapped to
-        the reinforcement polynomial.
+        A vertex stands for the roots whose tail u*t^(w_r) has u of valuation
+        exactly zero: the roots at higher tropical points belong to its
+        siblings, one per point, so only w_r is expanded, with or without a
+        known prefix.  When the polygon is untrusted or does not offer w_r,
+        the bare tail at w_r comes back, mapped to the reinforcement
+        polynomial, and the driver tries again with better ancestor precision.
         """
         w_r = root.tail
-        # an untrusted polygon offers no tropical point, so the bare tail comes
-        # back and the driver tries again with better ancestor precision
-        points = polygon.tropical_points() if is_unique(reinf, polygon) else ()
-        if root.known:
-            admissible = [w for w in reversed(points) if w >= w_r]
-        else:
-            admissible = [w for w in points if w == w_r]
-        out = {}
-        w0 = root.valuation()
-        for w in admissible:
-            budget = target - (w - w0)
-            key = (id(reinf), w, budget)
+        if is_unique(reinf, polygon) and w_r in polygon.tropical_points():
+            budget = target - (w_r - root.valuation())
+            key = (id(reinf), w_r, budget)
             entry = self.store.get(key)
             if entry is None:
                 try:
-                    expansion = puiseux_expansion(reinf, w, budget, self.max_depth)
+                    expansion = puiseux_expansion(reinf, w_r, budget, self.max_depth)
                 except NonSplittingError as exc:
                     exc.source = exc.source or "f%d" % findex
                     raise
                 entry = self.store[key] = (reinf, expansion)
-            out.update(entry[1])
-        return out or {ApproxRoot(root.index, (), w_r): reinf}
+            if entry[1]:
+                return entry[1]
+        return {ApproxRoot(root.index, (), w_r): reinf}
 
     def _replace_subtree(self, vertex, refined):
-        """Replace the vertex by one vertex per refined root.
+        """Replace the vertex by one copy of its subtree per refined root.
 
-        The vertex's subtree was grown with its root's tail u*t^(w_r)
-        symbolic, and every polygon trusted there passed ``is_unique``: it
-        is the same for every value of u of valuation zero.  A refined
-        root whose first new term (or bare tail) sits at w_r is such a
-        value, u = c + ... with c != 0, so it gets a copy of the subtree.
-        A refined root whose next term sits past w_r puts in a u of
-        positive valuation, which the subtree never covered; it gets a
-        fresh childless vertex at the same depth and precision, and the
-        driver grows it again.
+        The vertex stands for the roots whose tail u*t^(w_r) has u of
+        valuation exactly zero; roots at higher points belong to its
+        siblings.  Its subtree was grown with u symbolic, and every polygon
+        trusted there passed ``is_unique``: it is the same for every such u.
+        Each refined root's first new term, or its bare tail, sits at w_r
+        (``_corrections``), so it puts in one such u, c + ... with c != 0.
         """
         parent = self.vertices[vertex.parent]
         parent.children.remove(vertex.vid)
-        k = len(vertex.root.known)
         for new_root in refined:
-            nxt = new_root.known[k][0] if len(new_root.known) > k else new_root.tail
-            if nxt == vertex.root.tail:
-                copy_id = self._copy_subtree(vertex, parent.vid, new_root)
-            else:
-                copy_id = self._new_vertex(parent.vid, vertex.depth, new_root, vertex.prec).vid
-            parent.children.append(copy_id)
+            parent.children.append(self._copy_subtree(vertex, parent.vid, new_root))
         self._drop_subtree(vertex.vid)
 
     def _drop_subtree(self, vid):
@@ -386,7 +370,7 @@ class RootTree:
             return False
         ext = self.extension_polynomial(leaf.vid)
         polygon = newton_polygon(ext)
-        self._log_polygon("extension", leaf.depth + 1, leaf.vid, ext, polygon)
+        self.polygon_log.append(("extension", leaf.depth + 1, leaf.vid, ext))
         if is_unique(ext, polygon):
             self.grow(leaf.vid, ext, polygon)
         else:
@@ -417,16 +401,6 @@ class RootTree:
         return set(self.points())
 
     # -- reporting ---------------------------------------------------------------
-
-    def _log_polygon(self, kind, findex, vid, poly: UPoly, polygon):
-        if not self.record_polygons:
-            return
-        label = "%s f%d at vertex %d" % (kind, findex, vid)
-        labels = [
-            format_residue_terms(poly.coeffs[j].initial_terms())
-            for j, _ in polygon.vertices
-        ]
-        self.polygon_log.append((label, polygon, labels))
 
     def to_json_dict(self):
         from .rationals import format_rat

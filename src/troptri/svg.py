@@ -7,10 +7,12 @@ of its coefficient.  All pixel coordinates are computed with exact
 rationals and rounded once, so identical inputs give identical bytes.
 """
 
+import os
 from fractions import Fraction
 
 from .polygon import Polygon
 from .rationals import format_rat
+from .upoly import format_residue_terms
 
 WIDTH = 420
 HEIGHT = 320
@@ -86,11 +88,21 @@ def polygon_svg(polygon: Polygon, vertex_labels=None, title=None) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_polygon_svg(path, polygon: Polygon, vertex_labels=None, title=None):
-    """Write one polygon to ``path``; IO errors propagate as OSError."""
-    data = polygon_svg(polygon, vertex_labels=vertex_labels, title=title)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(data)
+def write_polygon_log(directory, polygon_log):
+    """Write polygon_000.svg, polygon_001.svg, ... into the directory, one
+    per (kind, f index, vertex id, polynomial) of a root tree's log, each
+    vertex labelled with its coefficient's dominant residue part; IO errors
+    propagate as OSError."""
+    os.makedirs(directory, exist_ok=True)
+    for index, (kind, findex, vid, poly) in enumerate(polygon_log):
+        polygon = poly.polygon
+        labels = [
+            format_residue_terms(poly.coeffs[j].initial_terms()) for j, _ in polygon.vertices
+        ]
+        data = polygon_svg(polygon, labels, "%s f%d at vertex %d" % (kind, findex, vid))
+        path = os.path.join(directory, "polygon_%03d.svg" % index)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(data)
 
 
 def _escape(text: str) -> str:

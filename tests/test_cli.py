@@ -528,6 +528,34 @@ def test_bad_flag_values_exit_4(tmp_path, flags):
     assert err.startswith("error: bad ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--bogus",), "unrecognized arguments: --bogus"),
+        (("--format", "xml"), "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+        (("--max-depth", "x"), "argument --max-depth: invalid int value: 'x'"),
+        (("--pstep",), "argument --pstep: expected one argument"),
+    ],
+    ids=["unknown-flag", "bad-format", "non-integer-max-depth", "missing-value"],
+)
+def test_usage_errors_exit_4_with_one_line(capsys, flags, message):
+    # argparse's own exit 2 would read as "the residue field is too small"
+    with pytest.raises(SystemExit) as stop:
+        main(list(flags))
+    assert stop.value.code == 4
+    assert capsys.readouterr() == ("", "error: bad flag: %s\n" % message)
+
+
+def test_a_leading_coefficient_vanishing_only_at_the_true_roots_exits_3(tmp_path):
+    # the x2-leading coefficient x1^2 - x1 - t is zero at both true x1 roots
+    # but at no truncation of them: put in, its lowest term carries the tail
+    # u1, so no extension polygon is trusted and the head is reinforced until
+    # the precision bound trips (README "Limits")
+    text = "ring x1 x2\npoly x1^2 - x1 - t\npoly x2^2*(x1^2 - x1 - t) + (x2 - x1 + 1 + t)\n"
+    assert run_cli(tmp_path, text) == (
+        3, "", "error: precision 33 for the branch head would exceed the bound 32\n")
+
+
 def test_the_shared_parser_answers_each_call_alike(tmp_path, capsys):
     # the parser is built once per process, so a rejected flag, a run with
     # other flags and --help must leave it as it was
@@ -541,9 +569,9 @@ def test_the_shared_parser_answers_each_call_alike(tmp_path, capsys):
                 main(argv)
             seen.append((stop.value.code, capsys.readouterr()))
             assert run_cli(tmp_path, THREE_VAR, "--format", "json", "--pmax", "8")[0] == 0
-    assert [code for code, _ in seen] == [2, 2, 0, 0, 2, 2]
+    assert [code for code, _ in seen] == [4, 4, 0, 0, 4, 4]
     assert seen[0] == seen[1] and seen[2] == seen[3] and seen[4] == seen[5]
-    assert seen[0][1].err.endswith("error: argument --format: invalid choice: 'bad' (choose from 'text', 'json')\n")
+    assert seen[0][1].err == "error: bad flag: argument --format: invalid choice: 'bad' (choose from 'text', 'json')\n"
     assert seen[2][1].out.startswith("usage: troptri ")
     assert run_cli(tmp_path, THREE_VAR) == (0, "(0,0,0) (0,-1,1) (-1,1,0) (-1,-1,2)\n", "")
 

@@ -6,8 +6,10 @@ exit code, stdout, stderr and, for the SVG run, every file name and its
 bytes.  ``tests/cli_digests.json`` holds the digests of an earlier
 release, so any change in output, traversal or formatting shows here and
 names its system and flags.  After a deliberate output change,
-``python tests/test_cli_digests.py > tests/cli_digests.json`` (with
-``src`` on the path) writes the new digests.
+``python tests/test_cli_digests.py`` (with ``src`` on the path) rewrites
+``tests/cli_digests.json`` and prints to stderr, one line each, every key
+whose digest changed: ``<key>: <old> -> <new>``, ``None`` for a key that
+was not there or is gone.
 """
 
 import contextlib
@@ -107,9 +109,12 @@ def test_cli_bytes_match_the_pinned_digest(tmp_path, pinned, system, flags):
 
 
 if __name__ == "__main__":
+    old = json.loads(DIGESTS.read_text(encoding="utf-8") or "{}") if DIGESTS.exists() else {}
     digests = {}
     for system, flags in CASES:
         with tempfile.TemporaryDirectory() as workdir:
             digests[_key(system, flags)] = cli_digest(SYSTEMS[system], FLAG_SETS[flags], workdir)
-    json.dump(digests, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    for key in sorted(old.keys() | digests.keys()):
+        if old.get(key) != digests.get(key):
+            print("%s: %s -> %s" % (key, old.get(key), digests.get(key)), file=sys.stderr)
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -418,6 +418,52 @@ def test_copied_descendants_extend_with_the_new_root():
     _assert_untouched_entries_are_shared(tree)
 
 
+def _first_new_exponent(old, new):
+    """Where the refined root ``new`` leaves ``old``'s known prefix: its next
+    known term's exponent, or its bare tail's."""
+    k = len(old.known)
+    return new.known[k][0] if len(new.known) > k else new.tail
+
+
+def test_reinforcements_leave_no_two_siblings_with_equal_roots(monkeypatch):
+    # a vertex stands for the roots at exactly its tail exponent, so every
+    # refined root starts its new terms there, and the roots at higher
+    # points stay with the siblings that already carry them
+    from oracle_systems import prefix_cancelling_system_with_expected_points
+
+    replaced = []
+    original = RootTree._replace_subtree
+
+    def spy(self, vertex, refined):
+        replaced.append((vertex.root, refined))
+        return original(self, vertex, refined)
+
+    monkeypatch.setattr(RootTree, "_replace_subtree", spy)
+    rng = random.Random(2718)
+    for _ in range(300):
+        system, expected = prefix_cancelling_system_with_expected_points(rng)
+        tree = RootTree(system, 1, 32).run()
+        assert tree.point_set() == expected
+        for v in tree.vertices.values():
+            roots = [tree.vertices[c].root for c in v.children]
+            assert len(set(roots)) == len(roots), "vertex %d has equal sibling roots" % v.vid
+    assert len(replaced) > 300
+    for old, refined in replaced:
+        assert refined and all(_first_new_exponent(old, new) == old.tail for new in refined)
+
+
+def test_a_reinforced_root_does_not_copy_its_higher_sibling():
+    # reinforcing the x1 root 1 + u1*t expands only at its tail exponent 1,
+    # giving 1 + t + u1*t^3; the root 1 + u1*t^2 at the higher point is its
+    # sibling's, and is not built a second time
+    text = "ring x1 x2\npoly (x1 - 1 - t - t^3)*(x1 - 1 - t^2)\npoly x2 - x1 + 1 + t\n"
+    tree = RootTree(parse_system(text), 1, 32).run()
+    assert tree.points() == [(0, 1), (0, 3)]
+    assert [tree.vertices[c].root for c in tree.vertices[tree.root_id].children] == [
+        root(0, [(0, 1)], 2), root(0, [(0, 1), (1, 1)], 3)]
+    assert (len(tree.vertices), tree._next_id) == (5, 7)
+
+
 def test_a_copied_vertex_builds_its_reinforcement_polynomial_once():
     # the fifth step reinforces the x1 head, and the x2 vertex below it, with
     # the known prefix 2, is copied below both new x1 roots: no expansion
