@@ -18,7 +18,7 @@ from .errors import (
     PrecisionLimitError,
     TropError,
 )
-from .expansion import DEFAULT_MAX_DEPTH
+from .expansion import DEFAULT_MAX_DEPTH, MAX_DEPTH
 from .rationals import format_rat, parse_rat
 from .roottree import RootTree
 from .svg import write_polygon_log
@@ -51,7 +51,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--newton-svg", metavar="DIR",
                         help="write one SVG per Newton polygon the driver inspects")
     parser.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH, metavar="N",
-                        help="recursion cap for the expansion (default %(default)s)")
+                        help="recursion cap for the expansion, at most %d (default %d)"
+                        % (MAX_DEPTH, DEFAULT_MAX_DEPTH))
     return parser
 
 
@@ -67,9 +68,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: bad precision flag: %s" % exc, file=sys.stderr)
         return 4
-    if args.max_depth < 0:
-        print("error: bad --max-depth: must be nonnegative, got %d" % args.max_depth,
-              file=sys.stderr)
+    if not 0 <= args.max_depth <= MAX_DEPTH:
+        print("error: bad --max-depth: must be between 0 and %d, got %d"
+              % (MAX_DEPTH, args.max_depth), file=sys.stderr)
         return 4
 
     try:

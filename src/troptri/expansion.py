@@ -22,6 +22,10 @@ from .upoly import UPoly, initial_form
 
 DEFAULT_MAX_DEPTH = 64
 
+# Largest recursion cap a root tree accepts: ``_expand`` takes one frame per
+# term, so this leaves the caller half of Python's default limit of 1000.
+MAX_DEPTH = 500
+
 
 @dataclass(frozen=True)
 class ApproxRoot:

@@ -20,7 +20,7 @@ kinds of key, each led by the identity of the polynomial it derives from:
   polynomial again reuses it.
 
 No polynomial lives on a vertex, so a vertex never reads one built on
-ancestors it no longer has.
+ancestor roots that a reinforcement has since refined.
 """
 
 from fractions import Fraction
@@ -31,9 +31,9 @@ from .errors import (
     PrecisionLimitError,
     ZeroSubstitutionError,
 )
-from .expansion import DEFAULT_MAX_DEPTH, ApproxRoot, puiseux_expansion
+from .expansion import DEFAULT_MAX_DEPTH, MAX_DEPTH, ApproxRoot, puiseux_expansion
 from .polygon import is_unique, newton_polygon
-from .rationals import int_if_integral
+from .rationals import format_rat, int_if_integral
 from .upoly import UPoly, compose
 
 
@@ -92,6 +92,8 @@ class RootTree:
             raise ValueError("the precision increment must be positive")
         if p_max < 0:
             raise ValueError("the precision bound must be nonnegative")
+        if not 0 <= max_depth <= MAX_DEPTH:
+            raise ValueError("the recursion cap must be between 0 and %d" % MAX_DEPTH)
         self.system = system
         self.field = system.field
         self.n = system.n
@@ -104,7 +106,7 @@ class RootTree:
         self.polygon_log = []
         self.grow_count = 0
         self.reinforce_count = 0
-        self._next_id = 0
+        # vid -> Vertex; no vertex is ever removed, so the ids run 0..N-1
         self.vertices = {}
         # for every branch of this tree: (id(g), root) -> (g, g with the root put
         # in), (id(f), known) -> (f, the composed f recentered at the known
@@ -117,8 +119,7 @@ class RootTree:
     # -- construction helpers -------------------------------------------------
 
     def _new_vertex(self, parent, depth, root, prec):
-        v = Vertex(self._next_id, parent, depth, root, prec)
-        self._next_id += 1
+        v = Vertex(len(self.vertices), parent, depth, root, prec)
         self.vertices[v.vid] = v
         return v
 
@@ -227,8 +228,8 @@ class RootTree:
 
         Picks the first branch vertex whose root was computed with stale
         precision (else the branch head), expands corrections past the
-        root's known prefix at its tail exponent, and replaces the vertex by
-        one copy of its subtree per correction (``_replace_subtree``).
+        root's known prefix at its tail exponent, and writes the refined
+        roots into the vertex and its subtree's copies (``_replace_subtree``).
         Raises PrecisionLimitError when the branch head's precision would
         exceed the safeguard, or when the reinforcement would leave the tree
         as it was: the driver is deterministic, so it would repeat that
@@ -311,7 +312,8 @@ class RootTree:
         return {ApproxRoot(root.index, (), w_r): reinf}
 
     def _replace_subtree(self, vertex, refined):
-        """Replace the vertex by one copy of its subtree per refined root.
+        """Write the first refined root into the vertex, and put one copy of
+        its subtree per other refined root right after it among its siblings.
 
         The vertex stands for the roots whose tail u*t^(w_r) has u of
         valuation exactly zero; roots at higher points belong to its
@@ -319,23 +321,19 @@ class RootTree:
         trusted there passed ``is_unique``: it is the same for every such u.
         Each refined root's first new term, or its bare tail, sits at w_r
         (``_corrections``), so it puts in one such u, c + ... with c != 0.
+        The vertex keeps its id, precision and subtree, so no vertex is
+        ever removed.
         """
-        parent = self.vertices[vertex.parent]
-        parent.children.remove(vertex.vid)
-        for new_root in refined:
-            parent.children.append(self._copy_subtree(vertex, parent.vid, new_root))
-        self._drop_subtree(vertex.vid)
+        siblings = self.vertices[vertex.parent].children
+        at = siblings.index(vertex.vid) + 1
+        siblings[at:at] = [self._copy_subtree(vertex, r) for r in refined[1:]]
+        vertex.root = refined[0]
 
-    def _drop_subtree(self, vid):
-        stack = [vid]
-        while stack:
-            stack.extend(reversed(self.vertices.pop(stack.pop()).children))
-
-    def _copy_subtree(self, template, parent_id, new_root) -> int:
-        """Copy the template's subtree under ``parent_id``, ids in preorder;
-        the caller links the returned top copy to its parent."""
+    def _copy_subtree(self, template, new_root) -> int:
+        """Copy the template's subtree under its parent, ``new_root`` at the
+        top and ids in preorder; the caller links the returned top copy in."""
         top = None
-        stack = [(template, parent_id, new_root)]
+        stack = [(template, template.parent, new_root)]
         while stack:
             template, parent_id, root = stack.pop()
             copy = self._new_vertex(
@@ -403,27 +401,14 @@ class RootTree:
     # -- reporting ---------------------------------------------------------------
 
     def to_json_dict(self):
-        from .rationals import format_rat
-
         vertices = []
-        for vid in sorted(self.vertices):
-            v = self.vertices[vid]
-            if v.root is None:
-                vertices.append(
-                    {"id": v.vid, "parent": None, "valuation": None, "precision": None,
-                     "exact": None, "dead": v.dead}
-                )
-            else:
-                vertices.append(
-                    {
-                        "id": v.vid,
-                        "parent": v.parent,
-                        "valuation": format_rat(v.root.valuation()),
-                        "precision": format_rat(v.prec),
-                        "exact": v.root.is_exact,
-                        "dead": v.dead,
-                    }
-                )
+        for v in self.vertices.values():
+            row = {"id": v.vid, "parent": v.parent, "valuation": None, "precision": None,
+                   "exact": None, "dead": v.dead}
+            if v.root is not None:
+                row.update(valuation=format_rat(v.root.valuation()),
+                           precision=format_rat(v.prec), exact=v.root.is_exact)
+            vertices.append(row)
         return {"root": self.root_id, "vertices": vertices}
 
 

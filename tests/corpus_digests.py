@@ -7,7 +7,10 @@ feeds it.  Under the flag set name ``parsed`` it prints instead the SHA-256
 of the system as ``parse_system`` stores it: the field, and for each
 polynomial its terms in stored order, each the exponent tuple and the
 scalar's ``den`` and ``nums``.  So a parser change is compared on the
-corpora directly, not only through the solver.  The corpora are the first
+corpora directly, not only through the solver.  Under the flag set name
+``set`` it prints the SHA-256 of the exit code, stderr and sorted point list
+of the ``json`` run, so a change that only reorders the points leaves every
+``set`` line as it was.  The corpora are the first
 SYSTEMS systems of every workload in ``bench/workloads.py`` at each of
 SEEDS.  To check that a change leaves both as they were, run this from the
 root of both trees and compare:
@@ -23,14 +26,12 @@ import hashlib
 import io
 import json
 import sys
-import types
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import troptri
 import troptri.cli
+from helpers import read_bench_module
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 SEEDS = (3, 7, 11)
 SYSTEMS = 100
 FLAG_SETS = {
@@ -41,19 +42,15 @@ FLAG_SETS = {
 }
 
 
-def _read_module(name):
-    path = BENCH / (name + ".py")
-    module = types.ModuleType("bench_" + name)
-    module.__file__ = str(path)
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
-    return module
+workloads = read_bench_module("workloads")
 
 
-workloads = _read_module("workloads")
+def sha256(value):
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
 
 
-def cli_digest(text, flags):
-    """SHA-256 of one CLI run on ``text``: exit code, stdout and stderr."""
+def cli_run(text, flags):
+    """Exit code, stdout and stderr of one CLI run on ``text``."""
     out, err = io.StringIO(), io.StringIO()
     sys.stdin = io.StringIO(text)
     try:
@@ -61,7 +58,7 @@ def cli_digest(text, flags):
             code = troptri.cli.main(list(flags))
     finally:
         sys.stdin = sys.__stdin__
-    return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode()).hexdigest()
+    return code, out.getvalue(), err.getvalue()
 
 
 def parsed_digest(text):
@@ -77,9 +74,16 @@ def main():
             systems = workloads.corpus(workload, seed, SYSTEMS)
             for index, system in enumerate(systems):
                 print(workload, seed, "parsed", index, parsed_digest(system.text))
+            sets = []
             for name, flags in FLAG_SETS.items():
                 for index, system in enumerate(systems):
-                    print(workload, seed, name, index, cli_digest(system.text, flags))
+                    code, out, err = cli_run(system.text, flags)
+                    print(workload, seed, name, index, sha256([code, out, err]))
+                    if name == "json":
+                        points = sorted(json.loads(out)["points"]) if code == 0 else []
+                        sets.append(sha256([code, err, points]))
+            for index, digest in enumerate(sets):
+                print(workload, seed, "set", index, digest)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,10 @@
 
 import contextlib
 import signal
+import types
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 from troptri import (
     ApproxRoot,
@@ -18,6 +20,17 @@ from troptri import (
 from troptri.rationals import ratio
 
 QQ = RationalField()
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def read_bench_module(name):
+    """A module of ``bench/`` run from its source, so nothing is written next to it."""
+    path = BENCH / (name + ".py")
+    module = types.ModuleType("bench_" + name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
 
 
 def fr(num, den=1):

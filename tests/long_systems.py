@@ -69,7 +69,7 @@ def run_case(name, n):
         "run_s": round(run_s, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "reinforce": tree.reinforce_count,
-        "vertices_made": tree._next_id,
+        "vertices_made": len(tree.vertices),
         "points": len(tree.points()),
     }
 

@@ -324,10 +324,18 @@ def has_maximal_precision(f: UPoly, root) -> bool:
 
 
 def check_invariants(tree):
-    """Structural sanity: connectivity, depth bound, branch typing, precisions."""
+    """Structural sanity: connectivity, depth bound, branch typing, precisions.
+
+    No vertex is ever removed, so the ids are 0..N-1 in insertion order, and
+    a vertex is made after its parent."""
+    assert list(tree.vertices) == list(range(len(tree.vertices)))
     assert tree.root_id in tree.vertices
-    for v in tree.vertices.values():
+    for vid, v in tree.vertices.items():
+        assert v.vid == vid
         assert v.depth <= tree.n
+        if v.parent is not None:
+            assert tree.vertices[v.parent].children.count(vid) == 1
+            assert vid > v.parent
         for c in v.children:
             child = tree.vertices[c]
             assert child.parent == v.vid

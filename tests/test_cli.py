@@ -408,6 +408,29 @@ def test_max_depth_bounds_the_expansion(tmp_path):
     assert (code, out, err) == (0, "(1,0) (0,4)\n", "")
 
 
+# x1 is a sum of 1,500 powers of t, so expanding it takes one recursion
+# level per term
+_MANY_TERMS = " + ".join(["1"] + ["t^(%d/1000)" % i for i in range(1, 1500)])
+MANY_DIGITS = "ring x1 x2\npoly x1 - (%s)\npoly x2 - x1 + %s + t^2\n" % (_MANY_TERMS, _MANY_TERMS)
+
+
+def test_max_depth_is_bounded_below_the_recursion_limit(tmp_path):
+    # a fresh process, so the 500 levels' polynomials do not raise the peak
+    # memory of this one
+    src = tmp_path / "many.txt"
+    src.write_text(MANY_DIGITS)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for depth, want in [
+        ("500", (5, "error: expansion exceeded 500 recursion levels\n")),
+        ("5000", (4, "error: bad --max-depth: must be between 0 and 500, got 5000\n")),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-m", "troptri.cli", "--input", str(src), "--max-depth", depth],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == want and done.stdout == ""
+
+
 def test_text_tree_output_prints_the_points_then_the_tree(tmp_path):
     code, out, err = run_cli(tmp_path, DEEP_DIGITS, "--format", "text", "--tree")
     assert code == 0 and err == ""
@@ -453,10 +476,10 @@ PINNED_TREE_JSON = {
         ("--pstep", "2", "--pmax", "2"),
         '{"points":[["0","1"],["0","2"]],"tree":{"root":0,"vertices":['
         '{"id":0,"parent":null,"valuation":null,"precision":null,"exact":null,"dead":false},'
-        '{"id":2,"parent":0,"valuation":"0","precision":"2","exact":true,"dead":false},'
-        '{"id":3,"parent":0,"valuation":"0","precision":"2","exact":false,"dead":false},'
-        '{"id":4,"parent":2,"valuation":"1","precision":"0","exact":false,"dead":false},'
-        '{"id":5,"parent":3,"valuation":"2","precision":"0","exact":false,"dead":false}]}}\n',
+        '{"id":1,"parent":0,"valuation":"0","precision":"2","exact":true,"dead":false},'
+        '{"id":2,"parent":0,"valuation":"0","precision":"2","exact":false,"dead":false},'
+        '{"id":3,"parent":1,"valuation":"1","precision":"0","exact":false,"dead":false},'
+        '{"id":4,"parent":2,"valuation":"2","precision":"0","exact":false,"dead":false}]}}\n',
     ),
     "three-var": (
         THREE_VAR,
@@ -483,8 +506,8 @@ PINNED_SVG_SHA256 = {
     "polygon_000.svg": "44e8d14be7027743ac072c161ef91904eb14746486cebdb6f267747fe2d76eb4",
     "polygon_001.svg": "52aa0b492f0885f282faebfc90213731a20cfb30d8c0348689e6230b7f3387b5",
     "polygon_002.svg": "08c1873ed86bfe6442aa3a60eb832060c0aff114424174581dff47609cfc324e",
-    "polygon_003.svg": "82d0266a8eae22babb25d348249ec7de8cacba3ec7b0aa3314ea81c4a8621a01",
-    "polygon_004.svg": "5de6f29e65aced9a26c6cdfff393bbf2437a30d080f3dc9d78ec89888faa681a",
+    "polygon_003.svg": "46d7bf405beffc6c467eb31c1d6a1aebe8bdfe0a68b39912e099e7b96972d604",
+    "polygon_004.svg": "f00deca15ca2f97e78cf8d0f76ece51bba84f27243115541848c2fe190c33df8",
 }
 
 
@@ -518,6 +541,7 @@ def test_pinned_newton_svg_bytes(tmp_path):
         ("--pmax", "1/0"),
         ("--pmax", "x"),
         ("--max-depth", "-1"),
+        ("--max-depth", "501"),
     ],
     ids="=".join,
 )

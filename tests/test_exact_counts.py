@@ -16,31 +16,22 @@ next to them.
 import io
 import json
 import sys
-import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import troptri.cli
+from helpers import read_bench_module
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 PINNED = Path(__file__).resolve().parent / "exact_counts.json"
 SEED = 3
 SYSTEMS = 20
 ARGV = ["--format", "json"]
 
 
-def _read_module(name):
-    path = BENCH / (name + ".py")
-    module = types.ModuleType("bench_" + name)
-    module.__file__ = str(path)
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
-    return module
-
-
-tracing = _read_module("tracing")
-workloads = _read_module("workloads")
+tracing = read_bench_module("tracing")
+workloads = read_bench_module("workloads")
 
 
 def exact_counts(workload):

@@ -15,6 +15,7 @@ from helpers import (
     mconst,
     mpoly,
     ps,
+    read_bench_module,
     root,
     shift_substitute_naive,
     tail_variables,
@@ -58,6 +59,10 @@ def test_starting_tree_validates_parameters():
         RootTree(three_var_system(), 0, 10)
     with pytest.raises(ValueError):
         RootTree(three_var_system(), 1, -1)
+    with pytest.raises(ValueError, match="between 0 and 500"):
+        RootTree(three_var_system(), 1, 10, max_depth=501)
+    with pytest.raises(ValueError, match="between 0 and 500"):
+        RootTree(three_var_system(), 1, 10, max_depth=-1)
 
 
 def test_triangular_validation():
@@ -239,6 +244,23 @@ def test_invariants_hold_after_every_step():
         check_invariants(tree)
 
 
+def test_invariants_hold_after_every_step_of_prefix_cancelling_systems():
+    # every x1 root of these systems shares a prefix that a later line
+    # cancels, so reinforcements refine vertices in place and copy subtrees
+    from oracle_systems import prefix_cancelling_system_with_expected_points
+
+    rng = random.Random(31415)
+    reinforcements = 0
+    for _ in range(200):
+        system, expected = prefix_cancelling_system_with_expected_points(rng)
+        tree = RootTree(system, 1, 32)
+        while tree.step():
+            check_invariants(tree)
+        assert tree.point_set() == expected
+        reinforcements += tree.reinforce_count
+    assert reinforcements > 200
+
+
 def test_exact_roots_are_never_reinforced():
     tree = RootTree(close_roots_system(), 2, 2)
     tree.run()
@@ -395,11 +417,13 @@ def test_copied_descendants_extend_with_the_new_root():
     (grandchild,) = tree.vertices[child].children
     old = {1: tree.extension_polynomial(child), 2: tree.extension_polynomial(grandchild)}
 
+    # the single refined x1 root is written into the vertex itself, which
+    # keeps its subtree
     tree.reinforce(child)
-    (copy,) = tree.vertices[tree.root_id].children
-    assert tree.vertices[copy].root == root(0, [(0, 1)], 1)
-    (copied_grandchild,) = tree.vertices[copy].children
-    for vid in (copy, copied_grandchild):
+    assert tree.vertices[tree.root_id].children == [child]
+    assert tree.vertices[child].root == root(0, [(0, 1)], 1)
+    assert tree.vertices[child].children == [grandchild]
+    for vid in (child, grandchild):
         k = tree.vertices[vid].depth
         ext = tree.extension_polynomial(vid)
         assert ext.coeffs == compose_naive(tree.system.polys[k], _branch_values(tree, vid), k).coeffs
@@ -409,11 +433,13 @@ def test_copied_descendants_extend_with_the_new_root():
 
     # whatever reinforce made, and wherever a copy sits, each vertex's
     # polynomial is built on the ancestors it has now
-    tree.reinforce(copied_grandchild)  # stale below the refined x1 root
-    (refined_x2,) = tree.vertices[copy].children
+    tree.reinforce(grandchild)  # stale below the refined x1 root
+    assert tree.vertices[child].children == [grandchild]
     _assert_reinforcement_polynomials_follow_the_branches(tree)
-    tree.reinforce(refined_x2)  # the head again: refined_x2 is copied below each new x1 root
+    tree.reinforce(grandchild)  # the head again: grandchild is copied below each other new x1 root
+    assert tree.vertices[tree.root_id].children[0] == child
     assert len(tree.vertices[tree.root_id].children) > 1
+    check_invariants(tree)
     _assert_reinforcement_polynomials_follow_the_branches(tree)
     _assert_untouched_entries_are_shared(tree)
 
@@ -458,10 +484,43 @@ def test_a_reinforced_root_does_not_copy_its_higher_sibling():
     # sibling's, and is not built a second time
     text = "ring x1 x2\npoly (x1 - 1 - t - t^3)*(x1 - 1 - t^2)\npoly x2 - x1 + 1 + t\n"
     tree = RootTree(parse_system(text), 1, 32).run()
-    assert tree.points() == [(0, 1), (0, 3)]
+    assert tree.points() == [(0, 3), (0, 1)]
     assert [tree.vertices[c].root for c in tree.vertices[tree.root_id].children] == [
-        root(0, [(0, 1)], 2), root(0, [(0, 1), (1, 1)], 3)]
-    assert (len(tree.vertices), tree._next_id) == (5, 7)
+        root(0, [(0, 1), (1, 1)], 3), root(0, [(0, 1)], 2)]
+    assert list(tree.vertices) == [0, 1, 2, 3, 4]
+
+
+def test_a_head_reinforced_once_per_step_keeps_its_vertices():
+    # the x2 polygon is trusted only once the x1 head is known to t^6, and
+    # each reinforcement adds 1/100 to its precision: the head is refined in
+    # place every time, so the tree never makes more than its 5 vertices
+    text = (
+        "ring x1 x2\npoly x1^2 - x1 - t\n"
+        "poly x2 - x1 + 1 + t - t^2 + 2*t^3 - 5*t^4 + 14*t^5 - 42*t^6\n"
+    )
+    tree = RootTree(parse_system(text), fr(1, 100), 32).run()
+    assert tree.points() == [(1, 0), (0, 7)]
+    assert tree.reinforce_count == 601
+    assert list(tree.vertices) == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "index, p_step, reinforcements",
+    [(7, 1, 33), (7, fr(1, 3), 53), (72, 1, 12), (72, fr(1, 3), 24)],
+    ids=["system-7-pstep-1", "system-7-pstep-1/3", "system-72-pstep-1", "system-72-pstep-1/3"],
+)
+def test_reinforcement_polynomials_follow_the_branches_on_oracle_deep_systems(
+        index, p_step, reinforcements):
+    # oracle-deep systems whose reinforcement counts depend on which of the
+    # deepest open leaves is taken first, the one with the smallest id
+    system = read_bench_module("workloads").corpus("oracle-deep", 3, index + 1)[index]
+    tree = RootTree(parse_system(system.text), p_step, 32)
+    while tree.step():
+        if tree.polygon_log[-1][0] == "reinforcement":
+            _assert_reinforcement_polynomials_follow_the_branches(tree)
+    assert tree.point_set() == system.expected
+    assert tree.reinforce_count == reinforcements
+    check_invariants(tree)
 
 
 def test_a_copied_vertex_builds_its_reinforcement_polynomial_once():
@@ -531,9 +590,9 @@ def test_long_chain_needs_no_recursion_per_coordinate():
         assert len(tree.to_json_dict()["vertices"]) == 151
 
 
-def test_long_chain_copies_and_drops_deep_subtrees_without_recursion():
+def test_long_chain_copies_deep_subtrees_without_recursion():
     # the last line cancels the shared prefix 1 of the two x1 roots, so the
-    # head is reinforced and its 119-deep subtree copied and dropped
+    # head is reinforced and its 119-deep subtree copied below the new root
     system = _chain_system(120, "(x1 - 1 - t)*(x1 - 1 - t^2)", "x120 - x119 + 1")
     with _recursion_headroom(100):
         tree = RootTree(system, 1, 32).run()

@@ -29,8 +29,8 @@ from pathlib import Path
 
 import troptri
 import troptri.cli
+from helpers import read_bench_module
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 SEEDS = (3, 7)
 SYSTEMS = 100
 FLAG_SETS = (
@@ -92,14 +92,6 @@ def _allowed(name):
     )
 
 
-def _read_module(name):
-    path = BENCH / (name + ".py")
-    module = types.ModuleType("bench_" + name)
-    module.__file__ = str(path)
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
-    return module
-
-
 def package_functions():
     """Map each code object of a named function in the package to its name;
     class bodies, which run on import, are searched but not listed."""
@@ -152,7 +144,7 @@ def entered_functions(workloads):
 
 def main():
     functions = package_functions()
-    entered = entered_functions(_read_module("workloads"))
+    entered = entered_functions(read_bench_module("workloads"))
     for code, name in sorted(functions.items(), key=lambda item: item[1]):
         if (code.co_filename, code.co_firstlineno, code.co_qualname) not in entered and not _allowed(name):
             print(name)
