@@ -11,8 +11,6 @@ relative-precision budget runs out.  Truncated roots keep a symbolic
 tail u_i * t^(w_r) standing for their unknown continuation.
 """
 
-from dataclasses import dataclass, field
-
 from .errors import InvalidTargetError, RecursionLimitError, ZeroPolynomialError
 from .polygon import is_unique, newton_polygon
 from .puiseux import PuiseuxScalar
@@ -27,32 +25,42 @@ DEFAULT_MAX_DEPTH = 64
 MAX_DEPTH = 500
 
 
-@dataclass(frozen=True)
 class ApproxRoot:
     """A root prefix c_1 t^(w_1) + ... + c_{r-1} t^(w_{r-1}) [+ u_i t^(w_r)].
 
     ``known`` holds the computed terms with strictly increasing rational
     exponents and nonzero residue coefficients.  ``tail`` is the exponent
     w_r of the symbolic continuation u_i * t^(w_r), or None when the root
-    is exact (a finite Puiseux series, nothing unknown left).
+    is exact (a finite Puiseux series, nothing unknown left).  A root cannot
+    be changed; it equals and hashes as its (index, known, tail).
     """
 
-    index: int
-    known: tuple
-    tail: object  # int | Fraction | None
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("index", "known", "tail", "_hash")
 
-    def __post_init__(self):
-        if not self.known and self.tail is None:
+    def __init__(self, index, known, tail):
+        if not known and tail is None:
             raise ValueError("a root needs known terms or a tail")
-        if any(c == 0 for _, c in self.known):
+        if any(c == 0 for _, c in known):
             raise ValueError("known coefficients must be nonzero")
-        exps = [e for e, _ in self.known]
+        exps = [e for e, _ in known]
         if any(b <= a for a, b in zip(exps, exps[1:])):
             raise ValueError("known exponents must strictly increase")
-        if self.tail is not None and exps and self.tail <= exps[-1]:
+        if tail is not None and exps and tail <= exps[-1]:
             raise ValueError("the tail must sit past every known term")
-        object.__setattr__(self, "_hash", hash((self.index, self.known, self.tail)))
+        put = object.__setattr__
+        put(self, "index", index)
+        put(self, "known", known)
+        put(self, "tail", tail)
+        put(self, "_hash", hash((index, known, tail)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("an ApproxRoot cannot be changed (%r)" % name)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        same = type(other) is ApproxRoot
+        return same and (self.index, self.known, self.tail) == (other.index, other.known, other.tail)
 
     def __hash__(self):
         return self._hash

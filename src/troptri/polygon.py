@@ -8,11 +8,11 @@ substitution for the tails can move a hull vertex; ``is_unique`` decides
 that syntactically, from the coefficients at the hull vertices alone.
 ``newton_polygon`` keeps each polygon in its polynomial's ``polygon``
 slot, so each polygon is built once and lives as long as its polynomial.
+A polygon keeps the hull's integer corners; only SVG and tests read vertices.
 The randomized semantic cross-check of ``is_unique`` is a test oracle
 (``tests/oracles.py``), not part of the package.
 """
 
-from dataclasses import dataclass, field
 from math import lcm
 
 from .errors import ZeroPolynomialError
@@ -20,30 +20,32 @@ from .rationals import format_rat, ratio
 from .upoly import UPoly
 
 
-@dataclass(frozen=True)
 class Polygon:
-    """Lower hull vertices (j, v), strictly increasing in j and in slope."""
+    """Lower hull corners (j, h / scale), strictly increasing in j and in slope,
+    kept as the ints (j, h) and ``scale``; equal when the vertices are."""
 
-    vertices: tuple
-    _points: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("corners", "scale", "_points")
 
-    def __post_init__(self):
-        # the checks and the tropical points run on the heights scaled to integers
-        vs = self.vertices
-        if not vs:
+    def __init__(self, corners, scale=1):
+        if not corners:
             raise ValueError("a polygon needs at least one vertex")
-        scale = lcm(*[v.denominator for _, v in vs])
-        points = [(j, v.numerator * (scale // v.denominator)) for j, v in vs]
-        steps = [(j2 - j1, h2 - h1) for (j1, h1), (j2, h2) in zip(points, points[1:])]
+        steps = [(j2 - j1, h2 - h1) for (j1, h1), (j2, h2) in zip(corners, corners[1:])]
         if any(dj <= 0 for dj, _ in steps):
             raise ValueError("vertices must be strictly increasing in j")
         for (dj1, dh1), (dj2, dh2) in zip(steps, steps[1:]):
             if dh2 * dj1 <= dh1 * dj2:
                 raise ValueError("slopes must strictly increase (convexity)")
-        object.__setattr__(self, "_points", tuple(ratio(-dh, dj * scale) for dj, dh in steps))
+        self.corners = tuple(corners)
+        self.scale = scale
+        self._points = tuple(ratio(-dh, dj * scale) for dj, dh in steps)
+
+    @property
+    def vertices(self):
+        return tuple((j, ratio(h, self.scale)) for j, h in self.corners)
 
     def edges(self):
-        return list(zip(self.vertices, self.vertices[1:]))
+        vs = self.vertices
+        return list(zip(vs, vs[1:]))
 
     def slopes(self):
         return [-w for w in self._points]
@@ -52,6 +54,12 @@ class Polygon:
         """Negated lower-edge slopes, the candidate root valuations, as a
         strictly decreasing tuple."""
         return self._points
+
+    def __eq__(self, other):
+        return isinstance(other, Polygon) and other.vertices == self.vertices
+
+    def __hash__(self):
+        return hash(self.vertices)
 
     def __repr__(self):
         return "Polygon[%s]" % ", ".join(
@@ -85,8 +93,8 @@ def newton_polygon(f: UPoly) -> Polygon:
     and kept in ``f.polygon``.
 
     The hull runs on integers: every height is scaled by the least common
-    denominator of the coefficients' valuations, and only the corners are
-    turned back into rationals.
+    denominator of the coefficients' valuations, and the polygon keeps the
+    integer corners with that scale.
     """
     if f.polygon is not None:
         return f.polygon
@@ -95,7 +103,7 @@ def newton_polygon(f: UPoly) -> Polygon:
     support = [(j, c.val_pair()) for j, c in sorted(f.coeffs.items())]
     scale = lcm(*[d for _, (_, d) in support])
     corners = lower_hull([(j, n * (scale // d)) for j, (n, d) in support])
-    f.polygon = Polygon(tuple((j, ratio(h, scale)) for j, h in corners))
+    f.polygon = Polygon(corners, scale)
     return f.polygon
 
 
@@ -114,7 +122,7 @@ def is_unique(f: UPoly, polygon=None) -> bool:
         raise ZeroPolynomialError("the zero polynomial has no Newton polygon")
     if polygon is None:
         polygon = newton_polygon(f)
-    for j, _ in polygon.vertices:
+    for j, _ in polygon.corners:
         if f.coeffs[j].initial_term() is None:
             return False
     return True

@@ -64,12 +64,6 @@ class PuiseuxScalar:
         self.nums = tuple(_over(terms, self.den))
 
     @classmethod
-    def constant(cls, field, coeff):
-        if coeff == 0:
-            return _scalar(field, 1, ())
-        return _scalar(field, 1, ((0, coeff),))
-
-    @classmethod
     def t_power(cls, field, exp, coeff=None):
         if coeff is None:
             coeff = field.one
@@ -121,13 +115,6 @@ class PuiseuxScalar:
             # without a cancellation the least common denominator stays least
             return _reduced(field, den, out)
         return _scalar(field, den, tuple(out))
-
-    def __neg__(self):
-        neg = self.field.neg
-        return _scalar(self.field, self.den, tuple((n, neg(c)) for n, c in self.nums))
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         field = self.field

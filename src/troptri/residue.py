@@ -10,10 +10,11 @@ univariate polynomial and refuses to continue when the polynomial does
 not split into linear factors over the configured field.
 
 Roots are found in time polynomial in the degree, log p and the bit size
-of the coefficients.  Through degree 2 they come in closed form: -c0/c1,
-and (-b +- s)/(2a) for a*x^2 + b*x + c with s^2 = b^2 - 4ac.  Over F_p
-(p odd) Euler's criterion says whether s exists and Tonelli-Shanks finds
-it; over Q s is the integer square root of the discriminant, if it is a
+of the coefficients.  Closed forms come first: r = -c[d-1]/(d*c[d]) when
+the unit part is lead*(x - r)^d, d a unit (checked on every coefficient),
+then through degree 2 -c0/c1 and (-b +- s)/(2a) for a*x^2 + b*x + c with
+s^2 = b^2 - 4ac.  Over F_p (p odd) Euler's criterion says whether s exists
+and Tonelli-Shanks finds it; over Q s is isqrt(b^2 - 4ac), if that is a
 square.  Above degree 2 F_p takes g = gcd(f, x^p - x), the product of the
 distinct linear factors of f, by powering x modulo f, and splits g by
 equal-degree splitting until every piece has degree at most 2: gcd(h,
@@ -85,6 +86,8 @@ class RationalField:
         work = _strip_unit_part(coeffs)
         if len(work) <= 1:
             return set(), True
+        if (r := _repeated_root(self, work)) is not None:
+            return {r}, True
         den = lcm(*(c.denominator for c in work))
         ints = [c.numerator * (den // c.denominator) for c in work]
         squarefree = _squarefree_part(ints)
@@ -161,6 +164,8 @@ class PrimeField:
         work = _strip_unit_part(coeffs)
         if len(work) <= 1:
             return set(), True
+        if (r := _repeated_root(self, work)) is not None:
+            return {r}, True
         p = self.p
 
         def divide(f, root):
@@ -231,6 +236,21 @@ def _strip_unit_part(coeffs):
     while k < len(coeffs) and coeffs[k] == 0:
         k += 1
     return coeffs[k:]
+
+
+def _repeated_root(field, f):
+    """r when f = f[d]*(x - r)^d, d = deg f a unit of the field, else None:
+    r = -f[d-1]/(d*f[d]) is checked against every lower coefficient."""
+    d, mul = len(f) - 1, field.mul
+    if field.from_int(d) == 0:
+        return None
+    minus_r = field.div(f[d - 1], mul(field.from_int(d), f[d]))
+    power, binom = f[d], 1
+    for k in range(1, d + 1):
+        power, binom = mul(power, minus_r), binom * (d - k + 1) // k
+        if f[d - k] != mul(power, field.from_int(binom)):
+            return None
+    return field.neg(minus_r)
 
 
 def _deflate_roots(work, candidates, divide):

@@ -13,20 +13,22 @@ Identifiers starting with 'u' are reserved for the engine's tail
 variables and rejected.  The i-th poly line may use x1..xi only and must
 use xi.  A power whose expansion would pass MAX_POWER_SIZE is rejected
 before it is computed, and so are parentheses nested deeper than
-MAX_NESTING.
+MAX_NESTING.  A line is multiplied out on integer t-exponents over one
+denominator, and its MPoly and scalars are built once (``_ExprParser``).
 """
 
+import operator
 import re
+from contextlib import suppress
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, lcm
 
 from .errors import NonTriangularError, ParseError, ReservedIdentifierError
-from .puiseux import PuiseuxScalar
-from .rationals import ratio
+from .puiseux import _reduced
 from .residue import PrimeField, RationalField
 from .roottree import TriangularSystem
-from .upoly import MPoly
+from .upoly import MPoly, _zero_deg
 
 # Largest power the parser expands.  The size of base^e is its term bound
 # C(e + k - 1, k - 1) for a base of k >= 2 terms (one term: an x-monomial
@@ -36,7 +38,7 @@ from .upoly import MPoly
 # Xeon); (x1 + 1)^200000 would run for hours.
 MAX_POWER_SIZE = 256
 
-# Deepest parenthesis nesting the parser accepts.  Each level costs four
+# Deepest parenthesis nesting the parser accepts.  Each level costs two
 # frames of the recursive descent, so this stays far below Python's
 # default recursion limit of 1000.
 MAX_NESTING = 100
@@ -45,6 +47,7 @@ MAX_NESTING = 100
 # of it, so the one pass that splits a line also finds its bad characters.
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*^/]|(?=\S))")
 _VARIABLE = re.compile(r"x(\d+)")
+_T_DENOMINATOR = re.compile(r"t\s*\^\s*\(\s*-?\s*\d+\s*/\s*(\d+)")
 _RESERVED = "%r is reserved for internal tail variables"
 
 
@@ -73,13 +76,26 @@ class _Tokenizer:
         return kind(message, self.line_no, self.column(index))
 
 
+def _t_denominator(text) -> int:
+    """The lcm of the d in the line's t^(n/d) and t^(-n/d) (and in text only like
+    them); a d that is 0 or does not convert fails the parse, so is left out."""
+    den = 1
+    for digits in _T_DENOMINATOR.findall(text):
+        with suppress(ValueError):
+            den = lcm(den, int(digits) or 1)
+    return den
+
+
 class _ExprParser:
     """Recursive descent over one poly line's token list; yields an MPoly.
 
     The methods read the list at ``self.at``, the index of the next token.
-    Numbers and powers of t stay PuiseuxScalars, combined by scalar
-    arithmetic, until they meet a polynomial: a product takes them in by
-    ``mul_scalar``, and a sum, a power or the result lifts them to a constant."""
+    A value is {x-degree tuple: {t-numerator: coefficient}}, each t-exponent
+    over ``self.den``, one denominator per line.  A term folds its sign and
+    atoms into one monomial and multiplies out only parenthesized factors of
+    several terms; a sum adds in place.  Both run the loops of MPoly addition
+    and multiplication, so terms are stored in the order polynomial
+    arithmetic on the atoms gives.  ``parse`` builds the MPoly at the end."""
 
     def __init__(self, tokens, field, nvars):
         self.toks = tokens
@@ -88,13 +104,16 @@ class _ExprParser:
         self.field = field
         self.nvars = nvars
         self.nesting = 0
-        self.unit = PuiseuxScalar.constant(field, field.one)
+        self.den = _t_denominator(tokens.text)
+        self.minus_one = field.neg(field.one)
 
     def parse(self) -> MPoly:
-        value = self.lift(self.expression())
+        value = self.expression()
         if self.tokens[self.at] is not None:
             raise self.toks.error(self.at, "unexpected %r after expression" % self.tokens[self.at])
-        return value
+        field, den = self.field, self.den
+        return MPoly(field, self.nvars, {
+            d: _reduced(field, den, sorted(s.items())) for d, s in value.items()})
 
     def take(self):
         """The next token and its index, stepped past; the sentinel is an error."""
@@ -110,87 +129,131 @@ class _ExprParser:
         if tok != ")":
             raise self.toks.error(i, "expected ')', found %r" % tok)
 
-    def lift(self, value) -> MPoly:
-        if isinstance(value, PuiseuxScalar):
-            return MPoly.constant(self.field, self.nvars, value)
-        return value
-
     def expression(self):
         tokens = self.tokens
-        if tokens[self.at] == "-":
-            self.at += 1
-            value = -self.term()
-        else:
-            value = self.term()
         op = tokens[self.at]
-        while op == "+" or op == "-":
+        if op == "-":
             self.at += 1
-            rhs = self.term()
-            if type(value) is not type(rhs):
-                if op == "-" and type(rhs) is PuiseuxScalar:
-                    rhs, op = -rhs, "+"
-                value, rhs = self.lift(value), self.lift(rhs)
-            value = value + rhs if op == "+" else value - rhs
-            op = tokens[self.at]
+        value = self.term(self.minus_one if op == "-" else self.field.one)
+        while (op := tokens[self.at]) == "+" or op == "-":
+            self.at += 1
+            self.add_into(value, self.term(self.minus_one if op == "-" else self.field.one))
         return value
 
-    def term(self):
-        tokens = self.tokens
-        value = self.factor()
-        while tokens[self.at] == "*":
-            self.at += 1
-            rhs = self.factor()
-            if type(value) is type(rhs):
-                value = value * rhs
-            elif isinstance(value, MPoly):
-                value = value.mul_scalar(rhs)
+    def term(self, coeff):
+        """``coeff`` times the product of the factors at ``self.at``."""
+        tokens, field, mul = self.tokens, self.field, self.field.mul
+        # the monomial's t-numerator and x-degrees, and the other factors' product
+        n, deg, value = 0, [0] * self.nvars, None
+        while True:
+            i, tok = self.take()
+            if tok == "(":
+                if self.nesting == MAX_NESTING:
+                    raise self.toks.error(i, "parentheses nested deeper than %d" % MAX_NESTING)
+                self.nesting += 1
+                inner = self.expression()
+                self.close()
+                self.nesting -= 1
+                if tokens[self.at] == "^":
+                    inner = self.power(inner, self.exponent(sum(map(len, inner.values()))))
+                if len(inner) == 1 and len(s := next(iter(inner.values()))) == 1:
+                    # one term multiplies as an atom does: nothing merges or cancels
+                    ((d, _),), ((m, c),) = inner.items(), s.items()
+                    coeff, n, deg = mul(coeff, c), n + m, list(map(operator.add, deg, d))
+                elif inner:
+                    value = inner if value is None else self.product(value, inner)
+                else:
+                    coeff = field.zero
+            elif tok == "t":
+                if tokens[i + 1] == "^":
+                    self.at = i + 2
+                    n += self.t_numerator()
+                else:
+                    n += self.den
+            elif tok.isdigit():
+                c = self.rational_constant(self.integer(tok, i), i)
+                for _ in range(self.exponent(1 if c else 0) if tokens[self.at] == "^" else 1):
+                    coeff = mul(coeff, c)
+            elif tok.startswith("u"):
+                raise self.toks.error(i, _RESERVED % tok, ReservedIdentifierError)
             else:
-                value = rhs.mul_scalar(value)
-        return value
+                m = _VARIABLE.fullmatch(tok)
+                if not m:
+                    raise self.toks.error(i, "unexpected %r" % tok)
+                idx = self.integer(m.group(1), i)
+                if not 1 <= idx <= self.nvars:
+                    raise self.toks.error(i, "unknown variable %r" % tok)
+                deg[idx - 1] += self.exponent(1) if tokens[self.at] == "^" else 1
+            if tokens[self.at] != "*":
+                break
+            self.at += 1
+        if not coeff:
+            return {}
+        mono = tuple(deg)
+        if value is None:
+            return {mono: {n: coeff}}
+        if n == 0 and coeff == field.one and not any(mono):
+            return value
+        return {tuple(map(operator.add, d, mono)): {k + n: mul(c, coeff) for k, c in s.items()}
+                for d, s in value.items()}
 
-    def factor(self):
-        base = self.atom()
+    def exponent(self, k) -> int:
+        """The exponent after the '^' at ``self.at``, on a base of ``k`` terms."""
         i = self.at
-        if self.tokens[i] != "^":
-            return PuiseuxScalar.t_power(self.field, 1) if base is None else base
-        self.at = i + 1
-        if base is None:
-            return PuiseuxScalar.t_power(self.field, self.signed_rational_exponent())
+        self.at += 1
         j, tok = self.take()
         if not tok.isdigit():
             raise self.toks.error(j, "fractional or negative exponents are only allowed on t")
         exp = self.integer(tok, j)
-        base = self.lift(base)
-        k = sum(len(s.nums) for s in base.terms.values())
         if exp > MAX_POWER_SIZE or (k >= 2 and comb(exp + k - 1, k - 1) > MAX_POWER_SIZE):
             message = "power too large: exponent %s on a %d-term base exceeds the size limit %d"
             raise self.toks.error(i, message % (exp, k, MAX_POWER_SIZE))
-        return base**exp
+        return exp
 
-    def atom(self):
-        i, tok = self.take()
-        if tok == "(":
-            if self.nesting == MAX_NESTING:
-                raise self.toks.error(i, "parentheses nested deeper than %d" % MAX_NESTING)
-            self.nesting += 1
-            value = self.expression()
-            self.close()
-            self.nesting -= 1
-            return value
-        if tok.isdigit():
-            value = self.rational_constant(self.integer(tok, i), i)
-            return PuiseuxScalar.constant(self.field, value)
-        if tok == "t":
-            return None  # factor builds the power of t once it has the exponent
-        if tok.startswith("u"):
-            raise self.toks.error(i, _RESERVED % tok, ReservedIdentifierError)
-        m = _VARIABLE.fullmatch(tok)
-        if m:
-            idx = self.integer(m.group(1), i)
-            if not 1 <= idx <= self.nvars:
-                raise self.toks.error(i, "unknown variable %r" % tok)
-            return MPoly.variable(self.field, self.nvars, idx - 1, self.unit)
-        raise self.toks.error(i, "unexpected %r" % tok)
+    def power(self, base, exp):
+        """base^exp by the square-and-multiply of MPoly powers."""
+        result = {_zero_deg(self.nvars): {0: self.field.one}}
+        while exp:
+            if exp & 1:
+                result = self.product(result, base)
+            exp >>= 1
+            base = self.product(base, base) if exp else base
+        return result
+
+    def product(self, a, b):
+        """a*b; a term whose sum passes through zero keeps its place."""
+        add, mul = self.field.add, self.field.mul
+        out = {}
+        for d1, s1 in a.items():
+            for d2, s2 in b.items():
+                acc = out.setdefault(tuple(map(operator.add, d1, d2)), {})
+                for n1, c1 in s1.items():
+                    for n2, c2 in s2.items():
+                        m, c = n1 + n2, mul(c1, c2)
+                        if m in acc:
+                            c = add(acc[m], c)
+                            if not c:
+                                del acc[m]
+                                continue
+                        acc[m] = c
+        return {d: s for d, s in out.items() if s}
+
+    def add_into(self, acc, other):
+        """acc + other, into acc: a term whose sum is zero leaves, a new one goes last."""
+        add = self.field.add
+        for d, s in other.items():
+            mine = acc.setdefault(d, s)
+            if mine is s:
+                continue
+            for m, c in s.items():
+                if m in mine:
+                    c = add(mine[m], c)
+                    if not c:
+                        del mine[m]
+                        continue
+                mine[m] = c
+            if not mine:
+                del acc[d]
 
     def rational_constant(self, numerator, index):
         """The field element of numerator[/denominator]; it starts at token ``index``."""
@@ -220,28 +283,29 @@ class _ExprParser:
             raise self.toks.error(i, "expected a nonzero denominator")
         return den
 
-    def signed_rational_exponent(self):
-        """The exponent of t in stored form: an int when integral, else a Fraction."""
+    def t_numerator(self) -> int:
+        """The exponent of t at ``self.at`` as a numerator over ``self.den``."""
         i, tok = self.take()
         if tok.isdigit():
-            return self.integer(tok, i)
+            return self.integer(tok, i) * self.den
         if tok == "-":
             i, tok = self.take()
             if not tok.isdigit():
                 raise self.toks.error(i, "expected an integer exponent")
-            return -self.integer(tok, i)
+            return -self.integer(tok, i) * self.den
         if tok == "(":
-            sign = 1
+            sign = self.den
             i, tok = self.take()
             if tok == "-":
-                sign = -1
+                sign = -sign
                 i, tok = self.take()
             if not tok.isdigit():
                 raise self.toks.error(i, "expected an integer numerator")
-            num = self.integer(tok, i)
-            den = self.denominator() if self.tokens[self.at] == "/" else 1
+            num = self.integer(tok, i) * sign
+            if self.tokens[self.at] == "/":
+                num //= self.denominator()
             self.close()
-            return ratio(sign * num, den)
+            return num
         raise self.toks.error(i, "expected an exponent")
 
 

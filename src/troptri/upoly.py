@@ -19,7 +19,6 @@ Two layers:
 
 from __future__ import annotations
 
-import operator
 from functools import cache
 from math import gcd, lcm
 
@@ -54,27 +53,6 @@ class MPoly:
         self.terms = dict(terms) if terms else {}
         self._val = None  # set with _lead by _keep_initial_part
 
-    @classmethod
-    def zero(cls, field, nvars):
-        return cls(field, nvars, {})
-
-    @classmethod
-    def constant(cls, field, nvars, scalar):
-        if scalar.is_zero():
-            return cls(field, nvars, {})
-        return cls(field, nvars, {_zero_deg(nvars): scalar})
-
-    @classmethod
-    def variable(cls, field, nvars, index, scalar=None):
-        """scalar * (variable ``index``); the scalar defaults to 1."""
-        if scalar is None:
-            scalar = PuiseuxScalar.constant(field, field.one)
-        if scalar.is_zero():
-            return cls(field, nvars, {})
-        deg = [0] * nvars
-        deg[index] = 1
-        return cls(field, nvars, {tuple(deg): scalar})
-
     def is_zero(self):
         return not self.terms
 
@@ -85,53 +63,6 @@ class MPoly:
                 if e:
                     out.add(i)
         return out
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for deg, scalar in other.terms.items():
-            if deg in out:
-                s = out[deg] + scalar
-                if s.is_zero():
-                    del out[deg]
-                else:
-                    out[deg] = s
-            else:
-                out[deg] = scalar
-        return MPoly(self.field, self.nvars, out)
-
-    def __neg__(self):
-        return MPoly(self.field, self.nvars, {d: -s for d, s in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for d1, s1 in self.terms.items():
-            for d2, s2 in other.terms.items():
-                deg = tuple(map(operator.add, d1, d2))
-                prod = s1 * s2
-                if deg in out:
-                    out[deg] = out[deg] + prod
-                else:
-                    out[deg] = prod
-        return MPoly(self.field, self.nvars, {d: s for d, s in out.items() if not s.is_zero()})
-
-    def __pow__(self, n):
-        result = MPoly.constant(self.field, self.nvars, PuiseuxScalar.constant(self.field, self.field.one))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def mul_scalar(self, scalar):
-        if scalar.is_zero():
-            return MPoly.zero(self.field, self.nvars)
-        return MPoly(self.field, self.nvars, {d: s * scalar for d, s in self.terms.items()})
 
     def _keep_initial_part(self):
         """(val_pair, initial_term), computed in one pass; both are kept."""
@@ -187,7 +118,7 @@ class MPoly:
         if a is not None:
             coeffs = _taylor_shift(coeffs, a)
         if s is None:
-            return coeffs.get(0, MPoly.zero(self.field, self.nvars))
+            return coeffs.get(0, MPoly(self.field, self.nvars))
         powers = _powers(s, max(coeffs))
         return MPoly(self.field, self.nvars, {
             d[:index] + (j,) + d[index + 1:]: scalar * powers[j] if j else scalar

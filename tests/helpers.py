@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
+from oracles import Poly, from_coeffs, scalar_constant, tail_variables, uval  # noqa: F401 (re-exported)
 from troptri import (
     ApproxRoot,
     MPoly,
@@ -17,7 +18,6 @@ from troptri import (
     UPoly,
     ZeroSubstitutionError,
 )
-from troptri.rationals import ratio
 
 QQ = RationalField()
 
@@ -40,7 +40,7 @@ def fr(num, den=1):
 def series(field, pairs):
     """The scalar sum of c*t^e over (exponent, coefficient) pairs in any
     order, built by scalar addition: repeated exponents add up, zeros drop."""
-    acc = PuiseuxScalar.constant(field, field.zero)
+    acc = scalar_constant(field, field.zero)
     for e, c in pairs:
         acc = acc + PuiseuxScalar.t_power(field, Fraction(e), c)
     return acc
@@ -57,7 +57,7 @@ def initial(s):
 
 
 def const(c, field=QQ):
-    return PuiseuxScalar.constant(field, field.from_int(c) if isinstance(c, int) else c)
+    return scalar_constant(field, field.from_int(c) if isinstance(c, int) else c)
 
 
 def tp(exp, coeff=1, field=QQ):
@@ -66,11 +66,11 @@ def tp(exp, coeff=1, field=QQ):
 
 def sum_mpoly(field, nvars, pairs):
     """The MPoly sum of scalar*monomial over (exponent tuple, scalar) pairs in
-    any order, built by MPoly addition: repeated monomials add up, zeros drop."""
-    acc = MPoly.zero(field, nvars)
+    any order, built by Poly addition: repeated monomials add up, zeros drop."""
+    acc = Poly(field, nvars)
     for deg, s in pairs:
         if not s.is_zero():
-            acc = acc + MPoly(field, nvars, {tuple(deg): s})
+            acc = acc + Poly(field, nvars, {tuple(deg): s})
     return acc
 
 
@@ -80,20 +80,7 @@ def uc(nvars, *terms, field=QQ):
 
 
 def uconst(nvars, scalar, field=QQ):
-    return MPoly.constant(field, nvars, scalar)
-
-
-def from_coeffs(field, nvars, var, pairs):
-    """UPoly from (degree, MPoly) pairs; repeated degrees add up, zeros drop."""
-    acc = {}
-    for j, c in pairs:
-        acc[j] = acc[j] + c if j in acc else c
-    return UPoly(field, nvars, var, {j: c for j, c in acc.items() if not c.is_zero()})
-
-
-def uval(c):
-    """The minimum valuation over an MPoly's Puiseux coefficients."""
-    return ratio(*c.val_pair())
+    return Poly.constant(field, nvars, scalar)
 
 
 def val_pair_naive(c):
@@ -119,7 +106,7 @@ def upoly(nvars, var, coeffs, field=QQ):
     pairs = []
     for j, c in coeffs.items():
         if isinstance(c, PuiseuxScalar):
-            c = MPoly.constant(field, nvars, c)
+            c = Poly.constant(field, nvars, c)
         pairs.append((j, c))
     return from_coeffs(field, nvars, var, pairs)
 
@@ -130,11 +117,11 @@ def mpoly(nvars, terms, field=QQ):
 
 
 def xvar(nvars, index, field=QQ):
-    return MPoly.variable(field, nvars, index)
+    return Poly.variable(field, nvars, index)
 
 
 def mconst(nvars, scalar, field=QQ):
-    return MPoly.constant(field, nvars, scalar)
+    return Poly.constant(field, nvars, scalar)
 
 
 def compose_naive(f, values, target):
@@ -150,10 +137,10 @@ def compose_naive(f, values, target):
     for deg, scalar in f.terms.items():
         if any(e and i > target for i, e in enumerate(deg)):
             raise ValueError("polynomial uses a coordinate beyond x%d" % (target + 1))
-        piece = MPoly.constant(field, nvars, scalar)
+        piece = Poly.constant(field, nvars, scalar)
         for i, value in enumerate(values):
             if deg[i]:
-                piece = piece * value ** deg[i]
+                piece = piece * Poly.of(value) ** deg[i]
         j = deg[target]
         acc[j] = acc[j] + piece if j in acc else piece
     coeffs = {j: c for j, c in acc.items() if not c.is_zero()}
@@ -165,10 +152,10 @@ def compose_naive(f, values, target):
 def lift(f):
     """A UPoly as an MPoly in one more variable, the last, standing for x.
 
-    So MPoly arithmetic multiplies UPolys, also where a coefficient uses u
+    So Poly arithmetic multiplies UPolys, also where a coefficient uses u
     at the index of x, which ``UPoly.from_mpoly`` would read as x.
     """
-    return MPoly(f.field, f.nvars + 1, {
+    return Poly(f.field, f.nvars + 1, {
         deg + (j,): s for j, c in f.coeffs.items() for deg, s in c.terms.items()
     })
 
@@ -182,11 +169,6 @@ def unlift(m, var):
     return UPoly(m.field, nvars, var, {j: MPoly(m.field, nvars, terms) for j, terms in coeffs.items()})
 
 
-def tail_variables(f):
-    """The indices of the tail variables u that a UPoly's coefficients use."""
-    return set().union(*[c.variables() for c in f.coeffs.values()])
-
-
 def shift_substitute_naive(f, prefix, scale):
     """``oracles.shift_and_rescale`` by Horner's rule over whole polynomials;
     with scale 0 this is ``UPoly.shift_substitute``.
@@ -196,10 +178,10 @@ def shift_substitute_naive(f, prefix, scale):
     product of full polynomials (``lift``) per degree.
     """
     field, nvars = f.field, f.nvars + 1
-    lin = MPoly.constant(field, nvars, prefix) + MPoly.variable(
+    lin = Poly.constant(field, nvars, prefix) + Poly.variable(
         field, nvars, nvars - 1, PuiseuxScalar.t_power(field, Fraction(scale))
     )
-    acc = MPoly.zero(field, nvars)
+    acc = Poly(field, nvars)
     for j in range(max(f.coeffs, default=-1), -1, -1):
         acc = acc * lin
         c = f.coeffs.get(j)
@@ -225,7 +207,7 @@ def paper_f1(nvars=1, var=0):
 def paper_f2_tilde(nvars=2):
     """(x2 - t - t^2 u1) * (x2 - 1 - t - t^2 u1) over K[u1][x2]."""
     x2 = xvar(nvars, 1)
-    t2u1 = MPoly.variable(QQ, nvars, 0, tp(2))
+    t2u1 = Poly.variable(QQ, nvars, 0, tp(2))
     a = uconst(nvars, tp(1)) + t2u1
     b = uconst(nvars, ps((0, 1), (1, 1))) + t2u1
     return UPoly.from_mpoly((x2 - a) * (x2 - b), 1)

@@ -4,7 +4,7 @@ Runs each case below in a fresh Python process, so that peak RSS is the
 case's own, and prints one JSON object per case, in the form of the rows of
 the ``long_systems`` blocks of ``BENCH_*.json``: the system, n, the time of
 ``RootTree.run`` alone (``time.perf_counter``), the time of ``parse_system``
-before it, peak RSS from ``getrusage``, the reinforcement count, the number
+before it, peak RSS (``VmHWM``, Linux), the reinforcement count, the number
 of vertices made and the number of points.  The cases:
 
 - chain: ``x1 - t``, ``xi - x(i-1)``, at n = 1,000 and 3,000;
@@ -25,7 +25,6 @@ The name keeps pytest from collecting it.
 
 import argparse
 import json
-import resource
 import subprocess
 import sys
 import time
@@ -51,6 +50,13 @@ def system_text(name, n):
     return "\n".join([ring] + ["poly " + line for line in lines]) + "\n"
 
 
+def peak_rss_kb():
+    """This process's own peak RSS, VmHWM: a child started by ``subprocess``
+    inherits the parent's ru_maxrss at the fork and keeps it across exec."""
+    with open("/proc/self/status", encoding="ascii") as status:
+        return int(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+
+
 def run_case(name, n):
     """One row, measured in this process."""
     text = system_text(name, n)
@@ -67,7 +73,7 @@ def run_case(name, n):
         "pstep": PSTEP[name],
         "parse_s": round(parsed - start, 3),
         "run_s": round(run_s, 3),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": round(peak_rss_kb() / 1024, 1),
         "reinforce": tree.reinforce_count,
         "vertices_made": len(tree.vertices),
         "points": len(tree.points()),

@@ -10,6 +10,7 @@ computed with plain scalar arithmetic and no polygon machinery at all.
 from fractions import Fraction
 
 from helpers import QQ, mconst, series, xvar
+from oracles import scalar_constant, scalar_neg, scalar_sub
 from troptri import PuiseuxScalar, TriangularSystem
 
 
@@ -65,7 +66,7 @@ def _build(specs):
 
     polys = []
     for i, factors in enumerate(specs):
-        f = mconst(n, PuiseuxScalar.constant(QQ, QQ.one))
+        f = mconst(n, scalar_constant(QQ, QQ.one))
         for rho, extra in factors:
             factor = xvar(n, i) - mconst(n, rho)
             if extra is not None:
@@ -105,9 +106,9 @@ def _prefix_cancelling_specs(rng):
         series(QQ, [(e, c * rng.choice([1, -1])) for e, c in rng.sample(pool, rng.randint(1, 2))])
         for _ in range(2)
     )
-    prefix = PuiseuxScalar.constant(QQ, QQ.from_int(rng.choice([1, 2, 3, -1, -2, -3])))
-    one = PuiseuxScalar.constant(QQ, QQ.one)
-    return [[(prefix + s, None) for s in parts], [(rho2 - prefix, (0, one))], [(-rho3, (1, one))]]
+    prefix = scalar_constant(QQ, QQ.from_int(rng.choice([1, 2, 3, -1, -2, -3])))
+    one = scalar_constant(QQ, QQ.one)
+    return [[(prefix + s, None) for s in parts], [(scalar_sub(rho2, prefix), (0, one))], [(scalar_neg(rho3), (1, one))]]
 
 
 def _random_root(rng, q):
@@ -124,4 +125,4 @@ def _random_multiplier(rng, q):
     if rng.random() < 0.5:
         exp = Fraction(rng.choice(range(0, 4)), q)
         return PuiseuxScalar.t_power(QQ, exp, coeff)
-    return PuiseuxScalar.constant(QQ, coeff)
+    return scalar_constant(QQ, coeff)

@@ -1,5 +1,10 @@
 """Independent oracles for the engine's predicates and structures.
 
+``Poly`` is an MPoly with the ring operations, and ``scalar_constant``,
+``scalar_neg`` and ``scalar_sub`` complete the scalars' own: the package
+needs none of them, since the parser multiplies out on integers, so they
+are the reference the parser is checked against and what ``helpers``
+makes its fixtures with.
 ``evaluate`` is Horner's rule, the reference for ``MPoly.substitute``, and
 ``as_mpoly`` is a root as the K[u] value it puts in; ``compose_roots`` is
 ``compose`` after putting roots in by ``MPoly.substitute``;
@@ -10,14 +15,14 @@ heights; ``uniqueness_oracle`` probes ``is_unique`` by specializing the tails;
 two predicates on truncated roots; ``shift_and_rescale`` is the
 recentering the second one reads, followed by a rescaling;
 ``expression_mpoly`` is the value of a parsed expression tree with every
-atom built as a one-term MPoly, the reference for the parser's scalars.
+atom built as a one-term MPoly, the reference for the parser.
 """
 
+import operator
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
-from helpers import from_coeffs, tail_variables, uval
 from troptri import (
     MPoly,
     Polygon,
@@ -30,7 +35,120 @@ from troptri import (
     newton_polygon,
 )
 from troptri.polygon import lower_hull
+from troptri.rationals import ratio
 from troptri.sysparse import MAX_POWER_SIZE
+
+
+def scalar_constant(field, c):
+    """The scalar c (0 when c is 0)."""
+    return PuiseuxScalar(field, ((0, c),) if c != 0 else ())
+
+
+def scalar_neg(s):
+    neg = s.field.neg
+    return PuiseuxScalar(s.field, tuple((e, neg(c)) for e, c in s.terms))
+
+
+def scalar_sub(a, b):
+    return a + scalar_neg(b)
+
+
+class Poly(MPoly):
+    """An MPoly with the ring operations, which give a Poly also where one
+    side is a plain MPoly.  A sum keeps the left side's terms in their order
+    and puts the right side's new ones after them, dropping a term that
+    cancels; a product goes through the pairs of terms in order and drops
+    the zero sums at the end."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, f):
+        return f if isinstance(f, Poly) else cls(f.field, f.nvars, f.terms)
+
+    @classmethod
+    def constant(cls, field, nvars, scalar):
+        return cls(field, nvars, {} if scalar.is_zero() else {(0,) * nvars: scalar})
+
+    @classmethod
+    def variable(cls, field, nvars, index, scalar=None):
+        """scalar * (variable ``index``); the scalar defaults to 1."""
+        if scalar is None:
+            scalar = scalar_constant(field, field.one)
+        deg = tuple(int(i == index) for i in range(nvars))
+        return cls(field, nvars, {} if scalar.is_zero() else {deg: scalar})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for deg, scalar in other.terms.items():
+            if deg in out:
+                s = out[deg] + scalar
+                if s.is_zero():
+                    del out[deg]
+                else:
+                    out[deg] = s
+            else:
+                out[deg] = scalar
+        return Poly(self.field, self.nvars, out)
+
+    def __radd__(self, other):
+        return Poly.of(other) + self
+
+    def __neg__(self):
+        return Poly(self.field, self.nvars, {d: scalar_neg(s) for d, s in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -Poly.of(other)
+
+    def __rsub__(self, other):
+        return Poly.of(other) - self
+
+    def __mul__(self, other):
+        out = {}
+        for d1, s1 in self.terms.items():
+            for d2, s2 in other.terms.items():
+                deg = tuple(map(operator.add, d1, d2))
+                prod = s1 * s2
+                out[deg] = out[deg] + prod if deg in out else prod
+        return Poly(self.field, self.nvars, {d: s for d, s in out.items() if not s.is_zero()})
+
+    def __rmul__(self, other):
+        return Poly.of(other) * self
+
+    def __pow__(self, n):
+        """By squaring and multiplying, from the constant 1 up."""
+        result = Poly.constant(self.field, self.nvars, scalar_constant(self.field, self.field.one))
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def mul_scalar(self, scalar):
+        if scalar.is_zero():
+            return Poly(self.field, self.nvars)
+        return Poly(self.field, self.nvars, {d: s * scalar for d, s in self.terms.items()})
+
+
+def from_coeffs(field, nvars, var, pairs):
+    """UPoly from (degree, MPoly) pairs; repeated degrees add up, zeros drop."""
+    acc = {}
+    for j, c in pairs:
+        acc[j] = acc[j] + c if j in acc else Poly.of(c)
+    return UPoly(field, nvars, var, {j: c for j, c in acc.items() if not c.is_zero()})
+
+
+def uval(c):
+    """The minimum valuation over an MPoly's Puiseux coefficients."""
+    return ratio(*c.val_pair())
+
+
+def tail_variables(f):
+    """The indices of the tail variables u that a UPoly's coefficients use."""
+    return set().union(*[c.variables() for c in f.coeffs.values()])
 
 
 class ExactRootError(Exception):
@@ -57,9 +175,9 @@ def specialize(poly, values):
 
 def as_mpoly(root, field, nvars) -> MPoly:
     """The root as an element of K[u]: its known terms plus u_index*t^tail."""
-    value = MPoly.constant(field, nvars, PuiseuxScalar(field, root.known))
+    value = Poly.constant(field, nvars, PuiseuxScalar(field, root.known))
     if root.tail is not None:
-        value = value + MPoly.variable(field, nvars, root.index, PuiseuxScalar.t_power(field, root.tail))
+        value = value + Poly.variable(field, nvars, root.index, PuiseuxScalar.t_power(field, root.tail))
     return value
 
 
@@ -72,7 +190,7 @@ def compose_roots(f: MPoly, roots, target):
 
 def evaluate(f: UPoly, value: MPoly) -> MPoly:
     """f with the K[u] element ``value`` put in for its variable (Horner's rule)."""
-    acc = MPoly.zero(f.field, f.nvars)
+    acc = Poly(f.field, f.nvars)
     for j in range(max(f.coeffs, default=-1), -1, -1):
         acc = acc * value
         c = f.coeffs.get(j)
@@ -92,11 +210,11 @@ def expression_mpoly(tree, field, nvars):
     kind = tree[0]
     if kind == "num":
         c = field.div(field.from_int(tree[1]), field.from_int(tree[2]))
-        return MPoly.constant(field, nvars, PuiseuxScalar.constant(field, c))
+        return Poly.constant(field, nvars, scalar_constant(field, c))
     if kind == "t":
-        return MPoly.constant(field, nvars, PuiseuxScalar.t_power(field, tree[1]))
+        return Poly.constant(field, nvars, PuiseuxScalar.t_power(field, tree[1]))
     if kind == "x":
-        return MPoly.variable(field, nvars, tree[1] - 1)
+        return Poly.variable(field, nvars, tree[1] - 1)
     a = expression_mpoly(tree[1], field, nvars)
     if a is None:
         return None
@@ -136,7 +254,7 @@ def shift_and_rescale(f, prefix, scale):
     rescaled so that x^j gains the factor t^(scale*j)."""
     g = f.shift_substitute(prefix)
     return UPoly(g.field, g.nvars, g.var, {
-        j: c.mul_scalar(PuiseuxScalar.t_power(g.field, Fraction(scale) * j))
+        j: Poly.of(c).mul_scalar(PuiseuxScalar.t_power(g.field, Fraction(scale) * j))
         for j, c in g.coeffs.items()
     })
 
@@ -151,7 +269,9 @@ def newton_polygon_rational(f: UPoly) -> Polygon:
     """The Newton polygon, its lower hull taken over rational heights."""
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no Newton polygon")
-    return Polygon(tuple(lower_hull(support_points(f))))
+    hull = lower_hull(support_points(f))
+    scale = lcm(*[Fraction(v).denominator for _, v in hull])
+    return Polygon([(j, int(v * scale)) for j, v in hull], scale)
 
 
 def span(polygon):
@@ -209,7 +329,7 @@ def uniqueness_oracle(f: UPoly, trials: int = 100, seed: int = 0) -> bool:
 def _random_unit(field, rng) -> PuiseuxScalar:
     """A random valuation-zero finite Puiseux value."""
     c0 = field.from_int(rng.choice([1, 2, 3, 5, -1, -2, -3]))
-    value = PuiseuxScalar.constant(field, c0)
+    value = scalar_constant(field, c0)
     if rng.random() < 0.5:
         exp = Fraction(rng.randint(1, 4), rng.randint(1, 2))
         c1 = field.from_int(rng.randint(-3, 3))
@@ -224,8 +344,8 @@ def _generic_tuple(f, variables, rng):
     for _ in range(64):
         values = {i: field.from_int(rng.randint(1, 97)) for i in variables}
         if all(eval_residue(field, g, values)[0] != 0 for g in initials):
-            return {i: PuiseuxScalar.constant(field, v) for i, v in values.items()}
-    return {i: PuiseuxScalar.constant(field, field.one) for i in variables}
+            return {i: scalar_constant(field, v) for i, v in values.items()}
+    return {i: scalar_constant(field, field.one) for i in variables}
 
 
 def eval_residue(field, terms, values, keep=None):
@@ -268,8 +388,8 @@ def _adversarial_tuples(f, variables, rng):
                 dense = [coeffs.get(d, field.zero) for d in range(max(coeffs) + 1)]
                 roots, _ = field.unit_roots(ResiduePoly(field, dense).coeffs)
                 for root in roots:
-                    values = {k: PuiseuxScalar.constant(field, v) for k, v in others.items()}
-                    values[i] = PuiseuxScalar.constant(field, root)
+                    values = {k: scalar_constant(field, v) for k, v in others.items()}
+                    values[i] = scalar_constant(field, root)
                     out.append(values)
     return out
 

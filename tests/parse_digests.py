@@ -18,7 +18,9 @@ of both trees and compare:
     PYTHONPATH=src python tests/parse_digests.py > parse-digests.txt
     diff parent-parse-digests.txt parse-digests.txt
 
-The name keeps pytest from collecting it.
+``tests/test_parse_digests.py`` compares the blocks with those pinned in
+``tests/parse_digests.json``.  The name keeps pytest from collecting this
+script.
 """
 
 import hashlib
@@ -128,14 +130,20 @@ def cli_run(text):
     return [code, out.getvalue(), err.getvalue()]
 
 
-def main():
+def block_digests():
+    """The SHA-256 of each block of BLOCK runs, in order."""
     rng = random.Random(SEED)
     digest = hashlib.sha256()
     for index in range(LINES):
         digest.update(json.dumps(cli_run(system_text(rng, index))).encode())
         if (index + 1) % BLOCK == 0:
-            print(index // BLOCK, digest.hexdigest())
+            yield digest.hexdigest()
             digest = hashlib.sha256()
+
+
+def main():
+    for block, digest in enumerate(block_digests()):
+        print(block, digest)
 
 
 if __name__ == "__main__":

@@ -31,9 +31,15 @@ from helpers import (
     upoly,
 )
 from oracle_systems import random_system_with_expected_points
-from oracles import compose_roots, has_maximal_precision, is_approximate_root, shift_and_rescale, uniqueness_oracle
+from oracles import (
+    Poly,
+    compose_roots,
+    has_maximal_precision,
+    is_approximate_root,
+    shift_and_rescale,
+    uniqueness_oracle,
+)
 from troptri import (
-    MPoly,
     RootTree,
     ZeroSubstitutionError,
     is_unique,
@@ -258,7 +264,7 @@ def _random_mpoly(rng, width, nvars):
         terms[tuple(deg)] = ps((Fraction(rng.randint(-2, 3)), rng.choice([1, 2, -1])))
     p = sum_mpoly(QQ, nvars, terms.items())
     if p.is_zero():
-        return MPoly.constant(QQ, nvars, const(1))
+        return Poly.constant(QQ, nvars, const(1))
     return p
 
 

@@ -600,11 +600,15 @@ def test_the_shared_parser_answers_each_call_alike(tmp_path, capsys):
     assert run_cli(tmp_path, THREE_VAR) == (0, "(0,0,0) (0,-1,1) (-1,1,0) (-1,-1,2)\n", "")
 
 
+# The child's own peak is VmHWM: ru_maxrss would be inherited from this
+# process at the fork, and so measure the test run, not the chain's.
 CHAIN_RSS = """\
-import resource, sys
+import sys
 from troptri.cli import main
 code = main(["--input", sys.argv[1]])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as status:
+    peak_kb = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, peak_kb, file=sys.stderr)
 """
 
 

@@ -160,6 +160,22 @@ def test_root_shape_validation():
     assert relative_precision(root(0, [(0, 1)], None)) is None
 
 
+def test_root_is_an_unchangeable_value():
+    a = root(1, [(0, 1), (Fraction(1, 2), -2)], 3)
+    b = ApproxRoot(1, ((0, 1), (Fraction(1, 2), -2)), 3)
+    assert a == b and hash(a) == hash(b) == hash((1, a.known, 3))
+    assert len({a, b}) == 1
+    assert a != root(0, [(0, 1), (Fraction(1, 2), -2)], 3)
+    assert a != root(1, [(0, 1), (Fraction(1, 2), -2)], None)
+    assert a != (1, a.known, 3)
+    for name in ("index", "known", "tail", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        del a.tail
+    assert (a.index, a.tail) == (1, 3)
+
+
 def _trop(f):
     from troptri import newton_polygon
 

@@ -68,9 +68,24 @@ def test_tropical_points_of_recentered_quadratic():
 
 def test_convexity_enforced():
     with pytest.raises(ValueError):
-        Polygon(((0, Fraction(0)), (1, Fraction(2)), (2, Fraction(0))))
+        Polygon(((0, 0), (1, 2), (2, 0)))
     with pytest.raises(ValueError):
-        Polygon(((1, Fraction(0)), (1, Fraction(1))))
+        Polygon(((1, 0), (1, 1)))
+    with pytest.raises(ValueError):
+        Polygon(())
+
+
+def test_polygon_keeps_integer_corners_and_compares_by_vertices():
+    polygon = Polygon(((0, 3), (2, 0), (3, 1)), 6)
+    assert polygon.corners == ((0, 3), (2, 0), (3, 1))
+    assert polygon.vertices == ((0, Fraction(1, 2)), (2, 0), (3, Fraction(1, 6)))
+    assert polygon.tropical_points() == (Fraction(1, 4), Fraction(-1, 6))
+    assert polygon.slopes() == [Fraction(-1, 4), Fraction(1, 6)]
+    assert polygon.edges() == [((0, Fraction(1, 2)), (2, 0)), ((2, 0), (3, Fraction(1, 6)))]
+    same = Polygon(((0, 6), (2, 0), (3, 2)), 12)
+    assert polygon == same and hash(polygon) == hash(same)
+    assert polygon != Polygon(((0, 3), (2, 0), (3, 2)), 6)
+    assert repr(polygon) == "Polygon[(0, 1/2), (2, 0), (3, 1/6)]"
 
 
 def test_is_unique_examples():

@@ -18,7 +18,7 @@ from troptri import (
     RationalField,
     ResiduePoly,
 )
-from troptri.residue import _is_prime
+from troptri.residue import _is_prime, _repeated_root, _strip_unit_part
 
 QQ = RationalField()
 F5 = PrimeField(5)
@@ -275,6 +275,43 @@ def test_unit_roots_match_the_enumeration(case):
     field, coeffs = case
     with time_limit(10):
         assert field.unit_roots(coeffs) == unit_roots_naive(field, coeffs)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(10007)],
+                         ids=["QQ", "F2", "F3", "F7", "F10007"])
+def test_a_repeated_root_in_closed_form_agrees_with_the_general_path(field, monkeypatch):
+    # lead*(x - r)^d, with d = 1..9 (so p divides d for some of them), and
+    # the same with one coefficient moved or one root changed
+    rng = random.Random(4711)
+    if field == QQ:
+        element = lambda: Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+    else:
+        element = lambda: rng.randrange(field.p)
+    cases = []
+    for _ in range(150):
+        r, lead, d = element(), element(), rng.randint(1, 9)
+        if r == 0 or lead == 0:
+            continue
+        power = _times(field, [lead], _from_roots(field, [r] * d))
+        other = _times(field, [lead], _from_roots(field, [r] * (d - 1) + [element()]))
+        moved = list(power)
+        k = rng.randrange(d)
+        moved[k] = field.add(moved[k], field.one)
+        for coeffs in (power, other, moved):
+            cases.append(([field.zero] * rng.randint(0, 2) + coeffs, d, coeffs is power))
+    closed = []
+    for coeffs, d, is_power in cases:
+        work = _strip_unit_part(coeffs)
+        r = _repeated_root(field, work) if len(work) > 1 else None
+        closed.append((field.unit_roots(coeffs), r))
+        if field.from_int(len(work) - 1) == 0:
+            assert r is None
+        elif is_power:
+            assert r is not None
+    monkeypatch.setattr(troptri.residue, "_repeated_root", lambda field, f: None)
+    for (coeffs, _, _), (got, r) in zip(cases, closed):
+        assert got == field.unit_roots(coeffs) == unit_roots_naive(field, coeffs)
+        assert r is None or got == ({r}, True)
 
 
 def test_large_prime_split_cubic_returns_the_constructed_roots():

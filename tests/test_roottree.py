@@ -25,7 +25,7 @@ from helpers import (
     upoly,
     xvar,
 )
-from oracles import as_mpoly, check_invariants, evaluate
+from oracles import Poly, as_mpoly, check_invariants, evaluate
 from troptri import (
     ApproxRoot,
     MPoly,
@@ -631,7 +631,7 @@ def _assert_untouched_entries_are_shared(tree):
         assert root.index in source.variables()
         value = as_mpoly(root, field, n)
         if isinstance(g, UPoly):
-            values = [MPoly.variable(field, n, i) for i in range(root.index)] + [value]
+            values = [Poly.variable(field, n, i) for i in range(root.index)] + [value]
             assert g.coeffs == compose_naive(source, values, g.var).coeffs
         else:
             assert g == evaluate(UPoly.from_mpoly(source, root.index), value)

@@ -215,7 +215,8 @@ _CASES = [
 
 
 def _stored(f):
-    return {deg: (s.den, s.nums) for deg, s in f.terms.items()}
+    """The terms of f in stored order, each with its scalar's stored form."""
+    return [(deg, s.den, s.nums) for deg, s in f.terms.items()]
 
 
 def _with_examples(test):
@@ -238,6 +239,59 @@ def test_parse_stores_what_polynomial_atoms_give(tree, p):
             parser.parse()
         return
     assert _stored(parser.parse()) == _stored(want), text
+
+
+def _series_tree(rng, q):
+    """A sum of c*t^e with e in [-2, 3] over the denominator q: some c are 0
+    or 7 (0 in F_7) or a number to a power, and some terms come again with
+    the other sign, so that they cancel."""
+    tree = None
+    for _ in range(rng.randint(1, 4)):
+        c = ("num", rng.choice([0, 1, 2, 3, 7]), rng.choice([1, 1, 2, 3]))
+        if rng.random() < 0.2:
+            c = ("pow", c, rng.randint(0, 3))
+        e = Fraction(rng.randint(-2 * q, 3 * q), q)
+        term = c if e == 0 else ("mul", c, ("t", e))
+        ops = ["add", "sub"] if rng.random() < 0.25 else [rng.choice(["add", "sub"])]
+        for op in ops:
+            tree = term if tree is None else (op, tree, term)
+    return tree
+
+
+def _factored_line(rng, i, q):
+    """A product of factors x_i - h - m*x_j (j < i), some raised to a power;
+    the first to a power at least 1, so that the line uses x_i."""
+    tree = None
+    for k in range(rng.randint(1, 3)):
+        factor = ("sub", ("x", i), _series_tree(rng, q))
+        if i > 1 and rng.random() < 0.5:
+            factor = ("sub", factor, ("mul", _series_tree(rng, q), ("x", rng.randint(1, i - 1))))
+        if rng.random() < 0.3:
+            factor = ("pow", factor, rng.randint(1 if k == 0 else 0, 3))
+        tree = factor if tree is None else ("mul", tree, factor)
+    return tree
+
+
+def test_parsed_factored_systems_store_what_polynomial_arithmetic_gives():
+    # each polynomial, its terms in stored order included, against the
+    # product built by the arithmetic of oracles.Poly
+    rng = random.Random(2323)
+    checked = {"q": 0, "fp:7": 0}
+    for _ in range(200):
+        spec = rng.choice(["q", "fp:7"])
+        field = QQ if spec == "q" else PrimeField(7)
+        n, q = rng.randint(1, 3), rng.randint(1, 3)
+        trees = [_factored_line(rng, i, q) for i in range(1, n + 1)]
+        text = "ring %s %s\n" % (" ".join("x%d" % i for i in range(1, n + 1)), spec)
+        text += "".join("poly %s\n" % _render(tree) for tree in trees)
+        try:
+            system = parse_system(text)
+        except NonTriangularError:
+            continue  # a line cancelled down to one without x_i
+        for tree, f in zip(trees, system.polys):
+            assert _stored(f) == _stored(expression_mpoly(tree, field, n)), text
+        checked[spec] += 1
+    assert min(checked.values()) > 50, checked
 
 
 def test_parse_bad_header():

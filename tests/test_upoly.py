@@ -31,7 +31,7 @@ from helpers import (
     uval,
     xvar,
 )
-from oracles import as_mpoly, compose_roots, eval_residue, evaluate, shift_and_rescale, specialize
+from oracles import Poly, as_mpoly, compose_roots, eval_residue, evaluate, shift_and_rescale, specialize
 from troptri import (
     MPoly,
     PrimeField,
@@ -62,7 +62,7 @@ def test_uval_examples():
     assert uval(uc(2, (const(-1), (1, 0)), (ps((0, -1), (1, -1)), (0, 0)))) == 0
     assert uval(uc(2, (tp(1), (0, 1)))) == 1
     with pytest.raises(ZeroHasNoValuation):
-        uval(MPoly.zero(QQ, 2))
+        uval(MPoly(QQ, 2))
 
 
 def test_uinitial_examples():
@@ -243,7 +243,7 @@ def _substitute_cases(draw):
 def test_substitute_matches_horners_rule(case):
     f, index, a, s = case
     got = f.substitute(index, None if a.is_zero() else a, None if s.is_zero() else s)
-    value = MPoly.constant(f.field, f.nvars, a) + MPoly.variable(f.field, f.nvars, index, s)
+    value = Poly.constant(f.field, f.nvars, a) + Poly.variable(f.field, f.nvars, index, s)
     assert got == evaluate(UPoly.from_mpoly(f, index), value)
     if not any(d[index] for d in f.terms):
         assert got is f
@@ -280,7 +280,7 @@ def test_recentering_a_cube_at_its_root_cancels_every_lower_coefficient(field):
     assert not any(scalar.is_zero() for scalar in shifted.coeffs[3].terms.values())
     # the same cancellation through MPoly.substitute: x1 -> a + s*u1
     s = tp(Fraction(1, 3), 2, field=field)
-    assert cube.substitute(0, a, s) == c * MPoly.variable(field, 3, 0, s) ** 3
+    assert cube.substitute(0, a, s) == c * Poly.variable(field, 3, 0, s) ** 3
     assert cube.substitute(0, a, None).is_zero()
 
 
