@@ -47,11 +47,8 @@ class ApproxRoot:
             raise ValueError("known exponents must strictly increase")
         if tail is not None and exps and tail <= exps[-1]:
             raise ValueError("the tail must sit past every known term")
-        put = object.__setattr__
-        put(self, "index", index)
-        put(self, "known", known)
-        put(self, "tail", tail)
-        put(self, "_hash", hash((index, known, tail)))
+        for name, value in zip(self.__slots__, (index, known, tail, hash((index, known, tail)))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("an ApproxRoot cannot be changed (%r)" % name)

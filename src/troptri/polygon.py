@@ -44,8 +44,7 @@ class Polygon:
         return tuple((j, ratio(h, self.scale)) for j, h in self.corners)
 
     def edges(self):
-        vs = self.vertices
-        return list(zip(vs, vs[1:]))
+        return list(zip(self.vertices, self.vertices[1:]))
 
     def slopes(self):
         return [-w for w in self._points]

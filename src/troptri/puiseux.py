@@ -71,6 +71,11 @@ class PuiseuxScalar:
             return _scalar(field, 1, ())
         return _scalar(field, exp.denominator, ((exp.numerator, coeff),))
 
+    @classmethod
+    def from_numerators(cls, field, den, nums):
+        """The scalar sum(c*t^(n/den)) of a {numerator: nonzero c} dict."""
+        return _reduced(field, den, sorted(nums.items()))
+
     @property
     def terms(self):
         """The (exponent, coefficient) pairs with rational exponents."""

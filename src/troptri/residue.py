@@ -78,10 +78,10 @@ class RationalField:
 
         Returns ``(roots, split)`` where ``split`` is True when the
         polynomial, after the power of x dividing it is removed, factors
-        completely into linear pieces over the rationals.  Candidates come
-        from the squarefree part, in closed form through degree 2 (see
-        the module docstring) and by p-adic lifting above; found roots are
-        deflated out of the integer polynomial to count multiplicities.
+        completely into linear pieces over the rationals.  A power
+        lead*(x - r)^d gives r in closed form, else the squarefree part gives
+        candidates, at degree 2 in closed form and by p-adic lifting above (see
+        the module docstring), deflated out to count multiplicities.
         """
         work = _strip_unit_part(coeffs)
         if len(work) <= 1:
@@ -91,9 +91,7 @@ class RationalField:
         den = lcm(*(c.denominator for c in work))
         ints = [c.numerator * (den // c.denominator) for c in work]
         squarefree = _squarefree_part(ints)
-        if len(squarefree) == 2:
-            candidates = [int_if_integral(Fraction(-squarefree[0], squarefree[1]))]
-        elif len(squarefree) == 3:
+        if len(squarefree) == 3:
             c, b, a = squarefree
             disc = b * b - 4 * a * c
             s = isqrt(max(disc, 0))

@@ -19,16 +19,15 @@ denominator, and its MPoly and scalars are built once (``_ExprParser``).
 
 import operator
 import re
-from contextlib import suppress
 from fractions import Fraction
 from itertools import islice
 from math import comb, lcm
 
 from .errors import NonTriangularError, ParseError, ReservedIdentifierError
-from .puiseux import _reduced
+from .puiseux import PuiseuxScalar
 from .residue import PrimeField, RationalField
 from .roottree import TriangularSystem
-from .upoly import MPoly, _zero_deg
+from .upoly import MPoly
 
 # Largest power the parser expands.  The size of base^e is its term bound
 # C(e + k - 1, k - 1) for a base of k >= 2 terms (one term: an x-monomial
@@ -47,7 +46,6 @@ MAX_NESTING = 100
 # of it, so the one pass that splits a line also finds its bad characters.
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*^/]|(?=\S))")
 _VARIABLE = re.compile(r"x(\d+)")
-_T_DENOMINATOR = re.compile(r"t\s*\^\s*\(\s*-?\s*\d+\s*/\s*(\d+)")
 _RESERVED = "%r is reserved for internal tail variables"
 
 
@@ -76,13 +74,18 @@ class _Tokenizer:
         return kind(message, self.line_no, self.column(index))
 
 
-def _t_denominator(text) -> int:
-    """The lcm of the d in the line's t^(n/d) and t^(-n/d) (and in text only like
-    them); a d that is 0 or does not convert fails the parse, so is left out."""
-    den = 1
-    for digits in _T_DENOMINATOR.findall(text):
-        with suppress(ValueError):
-            den = lcm(den, int(digits) or 1)
+def _t_denominator(tokens) -> int:
+    """The lcm of the d in the token runs t ^ ( [-] n / d.  A d that is 0, no
+    number or too long to convert fails the parse, so it is left out."""
+    den, k = 1, 0
+    for _ in range(tokens.count("/")):
+        k = tokens.index("/", k) + 1
+        start = k - 6 if tokens[k - 3] == "-" else k - 5
+        if start >= 0 and tokens[start:start + 3] == ["t", "^", "("]:
+            try:
+                den = lcm(den, int(tokens[k]) or 1)
+            except (TypeError, ValueError):  # None, not digits, or too many
+                pass
     return den
 
 
@@ -104,7 +107,7 @@ class _ExprParser:
         self.field = field
         self.nvars = nvars
         self.nesting = 0
-        self.den = _t_denominator(tokens.text)
+        self.den = _t_denominator(self.tokens)
         self.minus_one = field.neg(field.one)
 
     def parse(self) -> MPoly:
@@ -113,7 +116,7 @@ class _ExprParser:
             raise self.toks.error(self.at, "unexpected %r after expression" % self.tokens[self.at])
         field, den = self.field, self.den
         return MPoly(field, self.nvars, {
-            d: _reduced(field, den, sorted(s.items())) for d, s in value.items()})
+            d: PuiseuxScalar.from_numerators(field, den, s) for d, s in value.items()})
 
     def take(self):
         """The next token and its index, stepped past; the sentinel is an error."""
@@ -212,7 +215,7 @@ class _ExprParser:
 
     def power(self, base, exp):
         """base^exp by the square-and-multiply of MPoly powers."""
-        result = {_zero_deg(self.nvars): {0: self.field.one}}
+        result = {(0,) * self.nvars: {0: self.field.one}}
         while exp:
             if exp & 1:
                 result = self.product(result, base)

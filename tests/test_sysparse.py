@@ -219,79 +219,61 @@ def _stored(f):
     return [(deg, s.den, s.nums) for deg, s in f.terms.items()]
 
 
+@st.composite
+def _factored(draw):
+    """(tree, n): a product of factors x_n - h - g*x_j (j < n), some raised to
+    a power.  The series h and g are sums of c*t^e over one denominator; c
+    may be 0, 7 (0 in F_7) or a number to a power, and a term may come again
+    with the other sign, so that it cancels."""
+    n, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def series():
+        tree = None
+        for _ in range(draw(st.integers(1, 4))):
+            c = ("num", draw(st.sampled_from([0, 1, 2, 3, 7])), draw(st.sampled_from([1, 2, 3])))
+            if draw(st.booleans()):
+                c = ("pow", c, draw(st.integers(0, 3)))
+            term = ("mul", c, ("t", Fraction(draw(st.integers(-2 * q, 3 * q)), q)))
+            for op in draw(st.sampled_from([["add"], ["sub"], ["add", "sub"]])):
+                tree = term if tree is None else (op, tree, term)
+        return tree
+
+    tree = None
+    for _ in range(draw(st.integers(1, 3))):
+        factor = ("sub", ("x", n), series())
+        if n > 1 and draw(st.booleans()):
+            factor = ("sub", factor, ("mul", series(), ("x", draw(st.integers(1, n - 1)))))
+        if draw(st.booleans()):
+            factor = ("pow", factor, draw(st.integers(0, 3)))
+        tree = factor if tree is None else ("mul", tree, factor)
+    return tree, n
+
+
 def _with_examples(test):
     for tree in _CASES:
         for p in (None, 7):
-            test = example(tree=tree, p=p)(test)
+            test = example(case=(tree, 2), p=p)(test)
     return test
 
 
-@settings(max_examples=300, deadline=None)
-@given(tree=_EXPRESSIONS, p=st.sampled_from([None, 7]))
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=st.one_of(st.tuples(_EXPRESSIONS, st.just(2)), _factored()),
+       p=st.sampled_from([None, 7]))
 @_with_examples
-def test_parse_stores_what_polynomial_atoms_give(tree, p):
+def test_parse_stores_what_polynomial_atoms_give(case, p):
+    # the terms in stored order, against the MPoly that the arithmetic of
+    # oracles.Poly builds from the atoms: random expressions in x1, x2 and
+    # products of factors x_n - series in up to three variables
+    tree, nvars = case
     field = QQ if p is None else PrimeField(p)
     text = _render(tree)
-    want = expression_mpoly(tree, field, 2)
-    parser = _ExprParser(_Tokenizer(text, 1, 0), field, 2)
+    want = expression_mpoly(tree, field, nvars)
+    parser = _ExprParser(_Tokenizer(text, 1, 0), field, nvars)
     if want is None:
         with pytest.raises(ParseError, match="power too large"):
             parser.parse()
         return
     assert _stored(parser.parse()) == _stored(want), text
-
-
-def _series_tree(rng, q):
-    """A sum of c*t^e with e in [-2, 3] over the denominator q: some c are 0
-    or 7 (0 in F_7) or a number to a power, and some terms come again with
-    the other sign, so that they cancel."""
-    tree = None
-    for _ in range(rng.randint(1, 4)):
-        c = ("num", rng.choice([0, 1, 2, 3, 7]), rng.choice([1, 1, 2, 3]))
-        if rng.random() < 0.2:
-            c = ("pow", c, rng.randint(0, 3))
-        e = Fraction(rng.randint(-2 * q, 3 * q), q)
-        term = c if e == 0 else ("mul", c, ("t", e))
-        ops = ["add", "sub"] if rng.random() < 0.25 else [rng.choice(["add", "sub"])]
-        for op in ops:
-            tree = term if tree is None else (op, tree, term)
-    return tree
-
-
-def _factored_line(rng, i, q):
-    """A product of factors x_i - h - m*x_j (j < i), some raised to a power;
-    the first to a power at least 1, so that the line uses x_i."""
-    tree = None
-    for k in range(rng.randint(1, 3)):
-        factor = ("sub", ("x", i), _series_tree(rng, q))
-        if i > 1 and rng.random() < 0.5:
-            factor = ("sub", factor, ("mul", _series_tree(rng, q), ("x", rng.randint(1, i - 1))))
-        if rng.random() < 0.3:
-            factor = ("pow", factor, rng.randint(1 if k == 0 else 0, 3))
-        tree = factor if tree is None else ("mul", tree, factor)
-    return tree
-
-
-def test_parsed_factored_systems_store_what_polynomial_arithmetic_gives():
-    # each polynomial, its terms in stored order included, against the
-    # product built by the arithmetic of oracles.Poly
-    rng = random.Random(2323)
-    checked = {"q": 0, "fp:7": 0}
-    for _ in range(200):
-        spec = rng.choice(["q", "fp:7"])
-        field = QQ if spec == "q" else PrimeField(7)
-        n, q = rng.randint(1, 3), rng.randint(1, 3)
-        trees = [_factored_line(rng, i, q) for i in range(1, n + 1)]
-        text = "ring %s %s\n" % (" ".join("x%d" % i for i in range(1, n + 1)), spec)
-        text += "".join("poly %s\n" % _render(tree) for tree in trees)
-        try:
-            system = parse_system(text)
-        except NonTriangularError:
-            continue  # a line cancelled down to one without x_i
-        for tree, f in zip(trees, system.polys):
-            assert _stored(f) == _stored(expression_mpoly(tree, field, n)), text
-        checked[spec] += 1
-    assert min(checked.values()) > 50, checked
 
 
 def test_parse_bad_header():
