@@ -93,8 +93,7 @@ def main(argv=None) -> int:
     try:
         tree.run()
     except NonSplittingError as exc:
-        where = " in %s" % exc.source if exc.source else ""
-        print("error: residue field too small%s: %s" % (where, exc), file=sys.stderr)
+        print("error: %s" % exc, file=sys.stderr)
         return 2
     except PrecisionLimitError as exc:
         print("error: %s" % exc, file=sys.stderr)

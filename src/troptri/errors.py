@@ -32,11 +32,6 @@ class NonSplittingError(TropError):
     dropping branches.
     """
 
-    def __init__(self, message, poly=None, source=None):
-        super().__init__(message)
-        self.poly = poly
-        self.source = source
-
 
 class InvalidTargetError(TropError):
     """The requested valuation is not a tropical point of the polynomial."""
@@ -48,10 +43,6 @@ class RecursionLimitError(TropError):
 
 class PrecisionLimitError(TropError):
     """Reinforcement would push the branch precision past its upper bound."""
-
-    def __init__(self, message, source=None):
-        super().__init__(message)
-        self.source = source
 
 
 class NonTriangularError(TropError):

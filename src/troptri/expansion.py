@@ -92,8 +92,9 @@ class ApproxRoot:
         return "<root x%d: %s>" % (self.index + 1, " + ".join(bits) or "0")
 
 
-def puiseux_expansion(f: UPoly, w, p_rel, max_depth: int = DEFAULT_MAX_DEPTH) -> dict:
-    """All approximate roots of f with valuation w.
+def puiseux_expansion(f: UPoly, w, p_rel, max_depth: int = DEFAULT_MAX_DEPTH, known=()) -> dict:
+    """All approximate roots of f with valuation w, each built with the
+    prefix ``known`` (terms below w that f was recentered at) in front.
 
     Each returned root is either exact, or truncated with relative
     precision at least ``p_rel``, or truncated earlier because a tail
@@ -102,19 +103,18 @@ def puiseux_expansion(f: UPoly, w, p_rel, max_depth: int = DEFAULT_MAX_DEPTH) ->
     w that the polygon actually offers.
 
     The result maps each root to the polynomial its expansion stopped
-    at: f recentered at the root's known terms (f itself when it has
-    none), or None for an exact root, which needs none.  Refining the
-    root later resumes from that polynomial.
+    at: f recentered at the root's terms past ``known`` (f itself when
+    it has none), or None for an exact root, which needs none.  Refining
+    the root later resumes from that polynomial.
     """
     if f.is_zero():
         raise ZeroPolynomialError("cannot expand roots of the zero polynomial")
-    polygon = newton_polygon(f)
-    if not is_unique(f, polygon):
+    if not is_unique(f):
         raise ValueError("the Newton polygon is not substitution-invariant")
     w = int_if_integral(w)
-    if w not in polygon.tropical_points():
+    if w not in newton_polygon(f).tropical_points():
         raise InvalidTargetError("%s is not a tropical point of the polynomial" % format_rat(w))
-    return _expand(f, w, p_rel, 0, max_depth)
+    return _expand(f, w, p_rel, 0, max_depth, known)
 
 
 def _expand(f: UPoly, w, p_rel, depth, max_depth, known=()) -> dict:
@@ -128,13 +128,12 @@ def _expand(f: UPoly, w, p_rel, depth, max_depth, known=()) -> dict:
     out = {}
     for c in sorted(roots_in_units(h)):
         shifted = f.shift_substitute(PuiseuxScalar.t_power(f.field, w, c))
-        polygon = newton_polygon(shifted)
-        if not is_unique(shifted, polygon):
+        if not is_unique(shifted):
             return {ApproxRoot(f.var, known, w): f}
         prefix = known + ((w, c),)
         if 0 not in shifted.coeffs:
             out[ApproxRoot(f.var, prefix, None)] = None
-        higher = [w2 for w2 in reversed(polygon.tropical_points()) if w2 > w]
+        higher = [w2 for w2 in reversed(newton_polygon(shifted).tropical_points()) if w2 > w]
         if higher:
             # every branch is charged the gap to the nearest admissible
             # point; the budget hits zero no later than the accumulated

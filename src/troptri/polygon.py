@@ -106,22 +106,18 @@ def newton_polygon(f: UPoly) -> Polygon:
     return f.polygon
 
 
-def is_unique(f: UPoly, polygon=None) -> bool:
-    """Whether the polygon survives every valuation-zero tail substitution.
+def is_unique(f: UPoly) -> bool:
+    """Whether f's Newton polygon survives every valuation-zero tail substitution.
 
     Criterion: at every hull *vertex* the minimum-valuation part of the
     coefficient must consist of a single u-monomial; then no admissible
     substitution can raise (or keep ambiguous) that vertex.  Testing the
     whole coefficient for being a monomial would be too strict: in
     x + (1 + t*u1) the constant coefficient has two terms but its
-    valuation is 0 under every substitution.  ``polygon`` is f's Newton
-    polygon when the caller has already built it.
+    valuation is 0 under every substitution.  The polygon is the one
+    ``newton_polygon`` keeps on f, so the zero polynomial raises as there.
     """
-    if f.is_zero():
-        raise ZeroPolynomialError("the zero polynomial has no Newton polygon")
-    if polygon is None:
-        polygon = newton_polygon(f)
-    for j, _ in polygon.corners:
+    for j, _ in newton_polygon(f).corners:
         if f.coeffs[j].initial_term() is None:
             return False
     return True

@@ -222,9 +222,7 @@ def roots_in_units(poly: ResiduePoly) -> set:
         raise ZeroPolynomialError("cannot take roots of the zero polynomial")
     roots, split = poly.field.unit_roots(poly.coeffs)
     if not split:
-        raise NonSplittingError(
-            "polynomial does not split over %s" % poly.field.name, poly=poly
-        )
+        raise NonSplittingError("polynomial does not split over %s" % poly.field.name)
     return roots
 
 

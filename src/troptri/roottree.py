@@ -15,9 +15,9 @@ kinds of key, each led by the identity of the polynomial it derives from:
   roots share it;
 * (composed polynomial, known terms): it recentered at a root's known
   prefix, which is what reinforcing that root expands;
-* (polynomial, valuation, budget): its expansion of the roots of that
-  valuation to that budget, so a subtree copy that meets the same
-  polynomial again reuses it.
+* (polynomial, root, budget): the finished roots it gives the root when
+  expanded at the root's tail exponent to that budget, so a subtree copy
+  that meets the same polynomial again reuses them.
 
 No polynomial lives on a vertex, so a vertex never reads one built on
 ancestor roots that a reinforcement has since refined.
@@ -110,9 +110,10 @@ class RootTree:
         self.vertices = {}
         # for every branch of this tree: (id(g), root) -> (g, g with the root put
         # in), (id(f), known) -> (f, the composed f recentered at the known
-        # terms), and (id(f), w, budget) -> (f, the expansion of f's roots of
-        # valuation w to that budget); holding g or f keeps its id from being
-        # reused (see _next_polynomial, reinforcement_polynomial and _corrections)
+        # terms), and (id(f), root, budget) -> (f, the refined roots f's
+        # expansion gives the root to that budget); holding g or f keeps its id
+        # from being reused (see _next_polynomial, reinforcement_polynomial and
+        # _corrections)
         self.store = {}
         self.root_id = self._new_vertex(parent=None, depth=0, root=None, prec=0).vid
 
@@ -202,15 +203,13 @@ class RootTree:
             entry = self.store[key] = (composed, recentered)
         return entry[1]
 
-    def grow(self, vid, ext=None, polygon=None):
+    def grow(self, vid, ext=None):
         """Attach one child per tropical point of the extension polynomial."""
         v = self.vertices[vid]
         if ext is None:
             ext = self.extension_polynomial(vid)
-        if polygon is None:
-            polygon = newton_polygon(ext)
         self.grow_count += 1
-        points = polygon.tropical_points()
+        points = newton_polygon(ext).tropical_points()
         if not points:
             v.dead = True
             return
@@ -255,8 +254,7 @@ class RootTree:
             if new_prec > self.p_max:
                 raise PrecisionLimitError(
                     "precision %s for the branch head would exceed the bound %s"
-                    % (new_prec, self.p_max),
-                    source="f1",
+                    % (new_prec, self.p_max)
                 )
             target_vertex.prec = new_prec
             target = new_prec
@@ -267,49 +265,47 @@ class RootTree:
         root = target_vertex.root
         composed = self._next_polynomial(self.vertices[target_vertex.parent])
         reinf = self.reinforcement_polynomial(target_vertex.vid, composed)
-        polygon = newton_polygon(reinf)
         self.polygon_log.append(("reinforcement", l + 1, target_vertex.vid, reinf))
-        corrections = self._corrections(reinf, polygon, root, target, l + 1)
-        refined = []
+        corrections = self._corrections(reinf, root, target)
         for corr, g in corrections.items():
-            new_root = ApproxRoot(root.index, root.known + corr.known, corr.tail)
-            if g is not None and new_root.known:
-                self.store.setdefault((id(composed), new_root.known), (composed, g))
-            refined.append(new_root)
-        refined.sort(key=ApproxRoot.sort_key)
+            if g is not None and corr.known:
+                self.store.setdefault((id(composed), corr.known), (composed, g))
+        refined = sorted(corrections, key=ApproxRoot.sort_key)
         if target_vertex.prec == old_prec and refined == [root]:
             raise PrecisionLimitError(
                 "reinforcing f%d at vertex %d gains no precision within the bound %s"
-                % (l + 1, target_vertex.vid, self.p_max),
-                source="f%d" % (l + 1),
+                % (l + 1, target_vertex.vid, self.p_max)
             )
         self._replace_subtree(target_vertex, refined)
 
-    def _corrections(self, reinf: UPoly, polygon, root: ApproxRoot, target, findex):
-        """Expansions of the reinforcement polynomial at the root's tail exponent.
+    def _corrections(self, reinf: UPoly, root: ApproxRoot, target):
+        """The refined roots, each mapped to its polynomial as
+        ``puiseux_expansion`` maps it, from expanding the reinforcement
+        polynomial at the root's tail exponent after its known prefix.
 
         A vertex stands for the roots whose tail u*t^(w_r) has u of valuation
         exactly zero: the roots at higher tropical points belong to its
-        siblings, one per point, so only w_r is expanded, with or without a
-        known prefix.  When the polygon is untrusted or does not offer w_r,
-        the bare tail at w_r comes back, mapped to the reinforcement
-        polynomial, and the driver tries again with better ancestor precision.
+        siblings, one per point, so only w_r is expanded.  When the polygon
+        is untrusted or does not offer w_r, the root itself comes back, mapped
+        to the reinforcement polynomial, and the driver tries again with
+        better ancestor precision.  A residue field too small to split is
+        named in the error's message, with the polynomial being reinforced.
         """
         w_r = root.tail
-        if is_unique(reinf, polygon) and w_r in polygon.tropical_points():
+        if is_unique(reinf) and w_r in newton_polygon(reinf).tropical_points():
             budget = target - (w_r - root.valuation())
-            key = (id(reinf), w_r, budget)
+            key = (id(reinf), root, budget)
             entry = self.store.get(key)
             if entry is None:
                 try:
-                    expansion = puiseux_expansion(reinf, w_r, budget, self.max_depth)
+                    expansion = puiseux_expansion(reinf, w_r, budget, self.max_depth, root.known)
                 except NonSplittingError as exc:
-                    exc.source = exc.source or "f%d" % findex
+                    exc.args = ("residue field too small in f%d: %s" % (root.index + 1, exc),)
                     raise
                 entry = self.store[key] = (reinf, expansion)
             if entry[1]:
                 return entry[1]
-        return {ApproxRoot(root.index, (), w_r): reinf}
+        return {root: reinf}
 
     def _replace_subtree(self, vertex, refined):
         """Write the first refined root into the vertex, and put one copy of
@@ -367,10 +363,9 @@ class RootTree:
         if leaf is None:
             return False
         ext = self.extension_polynomial(leaf.vid)
-        polygon = newton_polygon(ext)
         self.polygon_log.append(("extension", leaf.depth + 1, leaf.vid, ext))
-        if is_unique(ext, polygon):
-            self.grow(leaf.vid, ext, polygon)
+        if is_unique(ext):
+            self.grow(leaf.vid, ext)
         else:
             self.reinforce(leaf.vid)
         return True

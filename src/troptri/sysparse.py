@@ -49,31 +49,6 @@ _VARIABLE = re.compile(r"x(\d+)")
 _RESERVED = "%r is reserved for internal tail variables"
 
 
-class _Tokenizer:
-    """The token texts of one expression, ended by a ``None`` sentinel.
-
-    ``offset`` is the line's column before the expression.  Tokens carry no
-    columns; ``column`` finds one only for an error that names its token."""
-
-    def __init__(self, text, line_no, offset):
-        self.text = text
-        self.line_no = line_no
-        self.offset = offset
-        self.tokens = _TOKEN.findall(text) + [None]
-        if "" in self.tokens:
-            col = self.column(self.tokens.index(""))
-            raise ParseError("unexpected character %r" % text[col - offset - 1], line_no, col)
-
-    def column(self, index) -> int:
-        """The column of token ``index``, found by splitting the text again up to it."""
-        m = next(islice(_TOKEN.finditer(self.text), index, None), None)
-        return self.offset + (len(self.text) if m is None else m.start(1)) + 1
-
-    def error(self, index, message, kind=ParseError):
-        """A ``kind`` error at token ``index``; the sentinel's column is the line's end."""
-        return kind(message, self.line_no, self.column(index))
-
-
 def _t_denominator(tokens) -> int:
     """The lcm of the d in the token runs t ^ ( [-] n / d.  A d that is 0, no
     number or too long to convert fails the parse, so it is left out."""
@@ -90,9 +65,12 @@ def _t_denominator(tokens) -> int:
 
 
 class _ExprParser:
-    """Recursive descent over one poly line's token list; yields an MPoly.
+    """Recursive descent over one poly line's token texts; yields an MPoly.
 
-    The methods read the list at ``self.at``, the index of the next token.
+    The token list ends in a ``None`` sentinel, and the methods read it at
+    ``self.at``, the index of the next token.  ``offset`` is the line's
+    column before the expression.  Tokens carry no columns; ``column``
+    finds one only for an error that names its token.
     A value is {x-degree tuple: {t-numerator: coefficient}}, each t-exponent
     over ``self.den``, one denominator per line.  A term folds its sign and
     atoms into one monomial and multiplies out only parenthesized factors of
@@ -100,9 +78,14 @@ class _ExprParser:
     and multiplication, so terms are stored in the order polynomial
     arithmetic on the atoms gives.  ``parse`` builds the MPoly at the end."""
 
-    def __init__(self, tokens, field, nvars):
-        self.toks = tokens
-        self.tokens = tokens.tokens
+    def __init__(self, text, line_no, offset, field, nvars):
+        self.text = text
+        self.line_no = line_no
+        self.offset = offset
+        self.tokens = _TOKEN.findall(text) + [None]
+        if "" in self.tokens:
+            col = self.column(self.tokens.index(""))
+            raise ParseError("unexpected character %r" % text[col - offset - 1], line_no, col)
         self.at = 0
         self.field = field
         self.nvars = nvars
@@ -110,10 +93,19 @@ class _ExprParser:
         self.den = _t_denominator(self.tokens)
         self.minus_one = field.neg(field.one)
 
+    def column(self, index) -> int:
+        """The column of token ``index``, found by splitting the text again up to it."""
+        m = next(islice(_TOKEN.finditer(self.text), index, None), None)
+        return self.offset + (len(self.text) if m is None else m.start(1)) + 1
+
+    def error(self, index, message, kind=ParseError):
+        """A ``kind`` error at token ``index``; the sentinel's column is the line's end."""
+        return kind(message, self.line_no, self.column(index))
+
     def parse(self) -> MPoly:
         value = self.expression()
         if self.tokens[self.at] is not None:
-            raise self.toks.error(self.at, "unexpected %r after expression" % self.tokens[self.at])
+            raise self.error(self.at, "unexpected %r after expression" % self.tokens[self.at])
         field, den = self.field, self.den
         return MPoly(field, self.nvars, {
             d: PuiseuxScalar.from_numerators(field, den, s) for d, s in value.items()})
@@ -123,14 +115,14 @@ class _ExprParser:
         i = self.at
         tok = self.tokens[i]
         if tok is None:
-            raise self.toks.error(i, "unexpected end of expression")
+            raise self.error(i, "unexpected end of expression")
         self.at = i + 1
         return i, tok
 
     def close(self):
         i, tok = self.take()
         if tok != ")":
-            raise self.toks.error(i, "expected ')', found %r" % tok)
+            raise self.error(i, "expected ')', found %r" % tok)
 
     def expression(self):
         tokens = self.tokens
@@ -152,7 +144,7 @@ class _ExprParser:
             i, tok = self.take()
             if tok == "(":
                 if self.nesting == MAX_NESTING:
-                    raise self.toks.error(i, "parentheses nested deeper than %d" % MAX_NESTING)
+                    raise self.error(i, "parentheses nested deeper than %d" % MAX_NESTING)
                 self.nesting += 1
                 inner = self.expression()
                 self.close()
@@ -178,14 +170,14 @@ class _ExprParser:
                 for _ in range(self.exponent(1 if c else 0) if tokens[self.at] == "^" else 1):
                     coeff = mul(coeff, c)
             elif tok.startswith("u"):
-                raise self.toks.error(i, _RESERVED % tok, ReservedIdentifierError)
+                raise self.error(i, _RESERVED % tok, ReservedIdentifierError)
             else:
                 m = _VARIABLE.fullmatch(tok)
                 if not m:
-                    raise self.toks.error(i, "unexpected %r" % tok)
+                    raise self.error(i, "unexpected %r" % tok)
                 idx = self.integer(m.group(1), i)
                 if not 1 <= idx <= self.nvars:
-                    raise self.toks.error(i, "unknown variable %r" % tok)
+                    raise self.error(i, "unknown variable %r" % tok)
                 deg[idx - 1] += self.exponent(1) if tokens[self.at] == "^" else 1
             if tokens[self.at] != "*":
                 break
@@ -206,11 +198,11 @@ class _ExprParser:
         self.at += 1
         j, tok = self.take()
         if not tok.isdigit():
-            raise self.toks.error(j, "fractional or negative exponents are only allowed on t")
+            raise self.error(j, "fractional or negative exponents are only allowed on t")
         exp = self.integer(tok, j)
         if exp > MAX_POWER_SIZE or (k >= 2 and comb(exp + k - 1, k - 1) > MAX_POWER_SIZE):
             message = "power too large: exponent %s on a %d-term base exceeds the size limit %d"
-            raise self.toks.error(i, message % (exp, k, MAX_POWER_SIZE))
+            raise self.error(i, message % (exp, k, MAX_POWER_SIZE))
         return exp
 
     def power(self, base, exp):
@@ -268,14 +260,14 @@ class _ExprParser:
         den = self.field.from_int(value.denominator)
         if den == 0:
             message = "the denominator %d is 0 in %s" % (value.denominator, self.field.name)
-            raise self.toks.error(index, message)
+            raise self.error(index, message)
         return self.field.div(self.field.from_int(value.numerator), den)
 
     def integer(self, digits, index) -> int:
         try:
             return int(digits)
         except ValueError:  # more digits than int() converts
-            raise self.toks.error(index, "the number has too many digits") from None
+            raise self.error(index, "the number has too many digits") from None
 
     def denominator(self) -> int:
         """The nonzero denominator after the '/' at ``self.at``."""
@@ -283,7 +275,7 @@ class _ExprParser:
         i, tok = self.take()
         den = self.integer(tok, i) if tok.isdigit() else 0
         if den == 0:
-            raise self.toks.error(i, "expected a nonzero denominator")
+            raise self.error(i, "expected a nonzero denominator")
         return den
 
     def t_numerator(self) -> int:
@@ -294,7 +286,7 @@ class _ExprParser:
         if tok == "-":
             i, tok = self.take()
             if not tok.isdigit():
-                raise self.toks.error(i, "expected an integer exponent")
+                raise self.error(i, "expected an integer exponent")
             return -self.integer(tok, i) * self.den
         if tok == "(":
             sign = self.den
@@ -303,13 +295,13 @@ class _ExprParser:
                 sign = -sign
                 i, tok = self.take()
             if not tok.isdigit():
-                raise self.toks.error(i, "expected an integer numerator")
+                raise self.error(i, "expected an integer numerator")
             num = self.integer(tok, i) * sign
             if self.tokens[self.at] == "/":
                 num //= self.denominator()
             self.close()
             return num
-        raise self.toks.error(i, "expected an exponent")
+        raise self.error(i, "expected an exponent")
 
 
 def parse_system(text: str) -> TriangularSystem:
@@ -343,7 +335,7 @@ def parse_system(text: str) -> TriangularSystem:
 
     polys = []
     for line_no, offset, expr in poly_lines:
-        polys.append(_ExprParser(_Tokenizer(expr, line_no, offset), field, nvars).parse())
+        polys.append(_ExprParser(expr, line_no, offset, field, nvars).parse())
     return TriangularSystem(polys)
 
 

@@ -105,6 +105,9 @@ class MPoly:
         Variable ``index`` is x_index before and u_index after, so a root's
         known terms recenter the polynomial and its tail rescales it.  A
         polynomial that does not use x_index comes back as the same object.
+        So does zero, which exact roots can cancel a polynomial to before a
+        branch's last root goes in: the paths below take no zero polynomial,
+        and ``compose`` reports it as a ZeroSubstitutionError.
         """
         if not any(deg[index] for deg in self.terms):
             return self

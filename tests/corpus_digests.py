@@ -23,14 +23,10 @@ read, not imported, so nothing is written next to them.
 """
 
 import hashlib
-import io
 import json
-import sys
-from contextlib import redirect_stderr, redirect_stdout
 
 import troptri
-import troptri.cli
-from helpers import read_bench_module
+from helpers import cli_run, read_bench_module
 
 SEEDS = (3, 7, 11)
 SYSTEMS = 100
@@ -47,18 +43,6 @@ workloads = read_bench_module("workloads")
 
 def sha256(value):
     return hashlib.sha256(json.dumps(value).encode()).hexdigest()
-
-
-def cli_run(text, flags):
-    """Exit code, stdout and stderr of one CLI run on ``text``."""
-    out, err = io.StringIO(), io.StringIO()
-    sys.stdin = io.StringIO(text)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = troptri.cli.main(list(flags))
-    finally:
-        sys.stdin = sys.__stdin__
-    return code, out.getvalue(), err.getvalue()
 
 
 def parsed_digest(text):

@@ -1,7 +1,9 @@
 """Shared builders for the test suite."""
 
 import contextlib
+import io
 import signal
+import sys
 import types
 from fractions import Fraction
 from math import lcm
@@ -18,6 +20,7 @@ from troptri import (
     UPoly,
     ZeroSubstitutionError,
 )
+from troptri.cli import main as cli_main
 
 QQ = RationalField()
 
@@ -31,6 +34,19 @@ def read_bench_module(name):
     module.__file__ = str(path)
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
+
+
+def cli_run(text, argv):
+    """Exit code, stdout and stderr of ``troptri.cli.main(argv)`` run in this
+    process on ``text``, fed on standard input as the benchmark feeds it."""
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(list(argv))
+    finally:
+        sys.stdin = sys.__stdin__
+    return code, out.getvalue(), err.getvalue()
 
 
 def fr(num, den=1):

@@ -24,13 +24,10 @@ script.
 """
 
 import hashlib
-import io
 import json
 import random
-import sys
-from contextlib import redirect_stderr, redirect_stdout
 
-import troptri.cli
+from helpers import cli_run
 from troptri.sysparse import MAX_NESTING, MAX_POWER_SIZE
 
 SEED = 18
@@ -118,24 +115,12 @@ def system_text(rng, index):
     )
 
 
-def cli_run(text):
-    """Exit code, stdout and stderr of one CLI run on ``text``."""
-    out, err = io.StringIO(), io.StringIO()
-    sys.stdin = io.StringIO(text)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = troptri.cli.main([])
-    finally:
-        sys.stdin = sys.__stdin__
-    return [code, out.getvalue(), err.getvalue()]
-
-
 def block_digests():
     """The SHA-256 of each block of BLOCK runs, in order."""
     rng = random.Random(SEED)
     digest = hashlib.sha256()
     for index in range(LINES):
-        digest.update(json.dumps(cli_run(system_text(rng, index))).encode())
+        digest.update(json.dumps(cli_run(system_text(rng, index), [])).encode())
         if (index + 1) % BLOCK == 0:
             yield digest.hexdigest()
             digest = hashlib.sha256()

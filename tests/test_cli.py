@@ -123,6 +123,8 @@ def test_exit_code_precision_limit(tmp_path):
     ("ring x1 x2\npoly x1 - 1\npoly (x1 - 1)*x2\n", 2),
     # f3 vanishes on the branch x1 = 1, x2 = 3, not on x1 = 2
     ("ring x1 x2 x3\npoly (x1 - 1)*(x1 - 2)\npoly x2 - 3\npoly (x1 - 1)*x3 + x2 - 3\n", 3),
+    # x1 = 1 cancels f3 before x2 goes in, so x2 is put into zero
+    ("ring x1 x2 x3\npoly x1 - 1\npoly x2 - 3\npoly (x1 - 1)*x2*x3\n", 3),
 ])
 def test_zero_substitution_exits_5_naming_the_polynomial(tmp_path, text, findex):
     code, out, err = run_cli(tmp_path, text)

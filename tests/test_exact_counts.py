@@ -5,24 +5,24 @@ and scalar operations.  The counts that measure work rather than time
 (``tracing.EXACT``) are kept in ``exact_counts.json`` for the first SYSTEMS
 systems of each workload at SEED, run through the CLI as the benchmark runs
 them.  A change that only makes the engine faster leaves every count as it
-is; a change meant to alter the work regenerates the file with
-
-    PYTHONPATH=src python tests/test_exact_counts.py > tests/exact_counts.json
+is.  After a change meant to alter the work,
+``python tests/test_exact_counts.py`` (with ``src`` on the path) rewrites
+``tests/exact_counts.json`` and prints to stderr, one line each, every count
+that changed: ``<workload> <metric>: <old> -> <new>``, ``None`` for a count
+that was not there or is gone.
 
 The files under ``bench/`` are read, not imported, so nothing is written
 next to them.
 """
 
-import io
 import json
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-import troptri.cli
-from helpers import read_bench_module
+import troptri
+from helpers import cli_run, read_bench_module
 
 PINNED = Path(__file__).resolve().parent / "exact_counts.json"
 SEED = 3
@@ -39,12 +39,7 @@ def exact_counts(workload):
     tracer = tracing.Tracer(troptri)
     with tracer:
         for system in workloads.corpus(workload, SEED, SYSTEMS):
-            sys.stdin = io.StringIO(system.text)
-            try:
-                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                    code = troptri.cli.main(ARGV)
-            finally:
-                sys.stdin = sys.__stdin__
+            code, _, _ = cli_run(system.text, ARGV)
             assert code == 0, system.text
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
     return {name: metrics[name] for name in tracing.EXACT}
@@ -57,5 +52,11 @@ def test_exact_counts_are_pinned(workload):
 
 
 if __name__ == "__main__":
-    json.dump({w: exact_counts(w) for w in workloads.WORKLOADS}, sys.stdout, indent=1, sort_keys=True)
-    print()
+    old = json.loads(PINNED.read_text(encoding="utf-8")) if PINNED.exists() else {}
+    counts = {w: exact_counts(w) for w in workloads.WORKLOADS}
+    for workload in sorted(old.keys() | counts.keys()):
+        was, now = old.get(workload, {}), counts.get(workload, {})
+        for name in sorted(was.keys() | now.keys()):
+            if was.get(name) != now.get(name):
+                print("%s %s: %s -> %s" % (workload, name, was.get(name), now.get(name)), file=sys.stderr)
+    PINNED.write_text(json.dumps(counts, indent=1, sort_keys=True) + "\n", encoding="utf-8")

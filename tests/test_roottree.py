@@ -40,7 +40,7 @@ from troptri import (
     puiseux_expansion,
     trop_triangular,
 )
-from troptri.polygon import is_unique, newton_polygon
+from troptri.polygon import is_unique
 
 
 def fr(a, b=1):
@@ -225,7 +225,16 @@ def test_nonsplitting_propagates_from_reinforcement():
     system = TriangularSystem([f1, f2])
     with pytest.raises(NonSplittingError) as err:
         trop_triangular(system)
-    assert err.value.source == "f1"
+    assert str(err.value) == "residue field too small in f1: polynomial does not split over QQ"
+
+
+def test_nonsplitting_names_the_polynomial_in_its_message():
+    # the fp7-no-split system of tests/test_cli_digests.py: x1^2 - 3 has no
+    # root in F7, and the library's error carries the CLI's whole message
+    system = parse_system("ring x1 x2 fp:7\npoly x1^2 - 3\npoly x2 - x1^2 + 3 + t\n")
+    with pytest.raises(NonSplittingError) as err:
+        trop_triangular(system)
+    assert str(err.value) == "residue field too small in f1: polynomial does not split over F7"
 
 
 def test_determinism():
@@ -606,8 +615,9 @@ def _assert_untouched_entries_are_shared(tree):
     (by Horner's rule), or, under a branch's last key, that polynomial
     composed in the next coordinate (by the product-of-powers rule), or,
     under a key (id, known terms), the composed source recentered at those
-    terms (by Horner's rule), or, under a key (id, w, budget), a fresh
-    expansion of the source's roots of valuation w to that budget.  The
+    terms (by Horner's rule), or, under a key (id, root, budget), a fresh
+    expansion of the source at the root's tail exponent to that budget,
+    with the root's known terms in front of every refined root.  The
     entry keeps the source whose id its key names, and no key holds a root
     whose coordinate the source does not use: such a root would leave the
     polynomial untouched, so a branch passes it by."""
@@ -615,9 +625,10 @@ def _assert_untouched_entries_are_shared(tree):
     for key, (source, g) in tree.store.items():
         assert id(source) == key[0]
         if len(key) == 3:
-            _, w, budget = key
+            _, root, budget = key
             assert isinstance(source, UPoly)
-            assert _expansion_form(g) == _expansion_form(puiseux_expansion(source, w, budget, tree.max_depth))
+            want = puiseux_expansion(source, root.tail, budget, tree.max_depth, root.known)
+            assert _expansion_form(g) == _expansion_form(want)
             continue
         if isinstance(key[1], tuple):
             known = key[1]
@@ -741,14 +752,14 @@ def test_a_subtree_copy_expands_each_polynomial_once(monkeypatch):
     calls = []  # the polynomials themselves, kept alive so ids stay unique
     expand = roottree.puiseux_expansion
 
-    def spy(f, w, budget, max_depth):
-        calls.append((f, w, budget))
-        return expand(f, w, budget, max_depth)
+    def spy(f, w, budget, max_depth, known):
+        calls.append((f, ApproxRoot(f.var, known, w), budget))
+        return expand(f, w, budget, max_depth, known)
 
     monkeypatch.setattr(roottree, "puiseux_expansion", spy)
     tree = RootTree(system, 1, 32).run()
     assert tree.point_set() == expected
-    keys = [(id(f), w, budget) for f, w, budget in calls]
+    keys = [(id(f), r, budget) for f, r, budget in calls]
     assert len(set(keys)) == len(keys)
     assert tree.reinforce_count > len(calls) > 0
     assert set(keys) == set(_expansion_entries(tree))
@@ -805,12 +816,12 @@ def test_an_untrusted_reinforcement_polygon_gives_back_the_bare_tail():
     # no tropical point can be trusted, not even the tail exponent 0
     tree = RootTree(parse_system("ring x1 x2\npoly x1 - 1\npoly x2 - x1\n"), 1, 32)
     reinf = upoly(2, 1, {1: const(1), 0: uc(2, (const(-1), (0, 0)), (const(-1), (1, 0)))})
-    polygon = newton_polygon(reinf)
-    assert not is_unique(reinf, polygon)
+    assert not is_unique(reinf)
     size = len(tree.store)
-    corrections = tree._corrections(reinf, polygon, ApproxRoot(1, (), 0), 5, 2)
-    assert list(corrections) == [ApproxRoot(1, (), 0)]
-    assert corrections[ApproxRoot(1, (), 0)] is reinf
+    bare = ApproxRoot(1, (), 0)
+    corrections = tree._corrections(reinf, bare, 5)
+    (got,) = corrections
+    assert got is bare and corrections[bare] is reinf
     assert len(tree.store) == size
 
 

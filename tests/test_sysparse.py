@@ -19,7 +19,7 @@ from troptri import (
     format_system,
     parse_system,
 )
-from troptri.sysparse import _ExprParser, _Tokenizer
+from troptri.sysparse import _ExprParser
 
 THREE_VAR_TEXT = """\
 # three coordinates, all polygons already trustworthy
@@ -268,7 +268,7 @@ def test_parse_stores_what_polynomial_atoms_give(case, p):
     field = QQ if p is None else PrimeField(p)
     text = _render(tree)
     want = expression_mpoly(tree, field, nvars)
-    parser = _ExprParser(_Tokenizer(text, 1, 0), field, nvars)
+    parser = _ExprParser(text, 1, 0, field, nvars)
     if want is None:
         with pytest.raises(ParseError, match="power too large"):
             parser.parse()

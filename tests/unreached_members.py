@@ -19,17 +19,14 @@ read, not imported, so nothing is written next to them.
 
 import importlib
 import inspect
-import io
 import pkgutil
 import sys
 import tempfile
 import types
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import troptri
-import troptri.cli
-from helpers import read_bench_module
+from helpers import cli_run, read_bench_module
 
 SEEDS = (3, 7)
 SYSTEMS = 100
@@ -50,8 +47,8 @@ ALLOWED = {
     "residue.PrimeField.inv",
     # the parser's error path: a token's column is found only for an error,
     # and the corpora hold no malformed line
-    "sysparse._Tokenizer.column",
-    "sysparse._Tokenizer.error",
+    "sysparse._ExprParser.column",
+    "sysparse._ExprParser.error",
     # the CLI's usage-error path: the corpora pass only valid flags
     "cli._ArgumentParser.error",
     # public, and round-trip tested
@@ -137,14 +134,11 @@ def entered_functions(workloads):
                         argv = list(flags)
                         if index % 10 == 0:
                             argv += ["--newton-svg", svg_dir]
-                        sys.stdin = io.StringIO(system.text)
                         sys.setprofile(profile)
                         try:
-                            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                                troptri.cli.main(argv)
+                            cli_run(system.text, argv)
                         finally:
                             sys.setprofile(None)
-                            sys.stdin = sys.__stdin__
     return entered
 
 
