@@ -32,7 +32,8 @@ class ApproxRoot:
     exponents and nonzero residue coefficients.  ``tail`` is the exponent
     w_r of the symbolic continuation u_i * t^(w_r), or None when the root
     is exact (a finite Puiseux series, nothing unknown left).  A root cannot
-    be changed; it equals and hashes as its (index, known, tail).
+    be changed; it equals and hashes as its (index, known, tail).  One pass
+    checks ``known``: a zero coefficient is named before an order fault.
     """
 
     __slots__ = ("index", "known", "tail", "_hash")
@@ -40,15 +41,20 @@ class ApproxRoot:
     def __init__(self, index, known, tail):
         if not known and tail is None:
             raise ValueError("a root needs known terms or a tail")
-        if any(c == 0 for _, c in known):
-            raise ValueError("known coefficients must be nonzero")
-        exps = [e for e, _ in known]
-        if any(b <= a for a, b in zip(exps, exps[1:])):
+        last, unordered = None, False
+        for e, c in known:
+            if c == 0:
+                raise ValueError("known coefficients must be nonzero")
+            unordered = unordered or (last is not None and e <= last)
+            last = e
+        if unordered:
             raise ValueError("known exponents must strictly increase")
-        if tail is not None and exps and tail <= exps[-1]:
+        if tail is not None and known and tail <= last:
             raise ValueError("the tail must sit past every known term")
-        for name, value in zip(self.__slots__, (index, known, tail, hash((index, known, tail)))):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "known", known)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "_hash", hash((index, known, tail)))
 
     def __setattr__(self, name, value=None):
         raise AttributeError("an ApproxRoot cannot be changed (%r)" % name)

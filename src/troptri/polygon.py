@@ -22,22 +22,28 @@ from .upoly import UPoly
 
 class Polygon:
     """Lower hull corners (j, h / scale), strictly increasing in j and in slope,
-    kept as the ints (j, h) and ``scale``; equal when the vertices are."""
+    kept as the ints (j, h) and ``scale``; equal when the vertices are.  One
+    walk checks the corners, naming a step in j <= 0 before a convexity fault."""
 
     __slots__ = ("corners", "scale", "_points")
 
     def __init__(self, corners, scale=1):
         if not corners:
             raise ValueError("a polygon needs at least one vertex")
-        steps = [(j2 - j1, h2 - h1) for (j1, h1), (j2, h2) in zip(corners, corners[1:])]
-        if any(dj <= 0 for dj, _ in steps):
-            raise ValueError("vertices must be strictly increasing in j")
-        for (dj1, dh1), (dj2, dh2) in zip(steps, steps[1:]):
-            if dh2 * dj1 <= dh1 * dj2:
-                raise ValueError("slopes must strictly increase (convexity)")
+        points, convex = [], True
+        (j1, h1), dj1, dh1 = corners[0], 0, 0
+        for j2, h2 in corners[1:]:
+            dj, dh = j2 - j1, h2 - h1
+            if dj <= 0:
+                raise ValueError("vertices must be strictly increasing in j")
+            convex = convex and (not points or dh * dj1 > dh1 * dj)
+            points.append(ratio(-dh, dj * scale))
+            j1, h1, dj1, dh1 = j2, h2, dj, dh
+        if not convex:
+            raise ValueError("slopes must strictly increase (convexity)")
         self.corners = tuple(corners)
         self.scale = scale
-        self._points = tuple(ratio(-dh, dj * scale) for dj, dh in steps)
+        self._points = tuple(points)
 
     @property
     def vertices(self):

@@ -24,6 +24,7 @@ ancestor roots that a reinforcement has since refined.
 """
 
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .errors import (
     NonSplittingError,
@@ -115,6 +116,9 @@ class RootTree:
         # from being reused (see _next_polynomial, reinforcement_polynomial and
         # _corrections)
         self.store = {}
+        # heap of (-depth, vid) for every vertex made with depth < n: the top
+        # is the deepest, then oldest, that may still be open (_select_leaf)
+        self._open = []
         self.root_id = self._new_vertex(parent=None, depth=0, root=None, prec=0).vid
 
     # -- construction helpers -------------------------------------------------
@@ -122,6 +126,8 @@ class RootTree:
     def _new_vertex(self, parent, depth, root, prec):
         v = Vertex(len(self.vertices), parent, depth, root, prec)
         self.vertices[v.vid] = v
+        if depth < self.n:
+            heappush(self._open, (-depth, v.vid))
         return v
 
     def branch(self, vid):
@@ -348,14 +354,15 @@ class RootTree:
     # -- driver ----------------------------------------------------------------
 
     def _select_leaf(self):
-        """The deepest open leaf; among those, the oldest (smallest id)."""
-        best = None
-        for v in self.vertices.values():
-            if v.children or v.dead or v.depth >= self.n:
-                continue
-            if best is None or (v.depth, -v.vid) > (best.depth, -best.vid):
-                best = v
-        return best
+        """The deepest open leaf; among those, the oldest (smallest id).  Drops
+        closed vertices off the heap (none ever reopens) but keeps the leaf,
+        which a reinforcement leaves open."""
+        while self._open:
+            v = self.vertices[self._open[0][1]]
+            if not (v.children or v.dead):
+                return v
+            heappop(self._open)
+        return None
 
     def step(self) -> bool:
         """One driver iteration; False when the tree is finished."""

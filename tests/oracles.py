@@ -15,7 +15,9 @@ heights; ``uniqueness_oracle`` probes ``is_unique`` by specializing the tails;
 two predicates on truncated roots; ``shift_and_rescale`` is the
 recentering the second one reads, followed by a rescaling;
 ``expression_mpoly`` is the value of a parsed expression tree with every
-atom built as a one-term MPoly, the reference for the parser.
+atom built as a one-term MPoly, the reference for the parser;
+``select_leaf_scan`` is the root tree's next leaf found by scanning every
+vertex, the reference for ``RootTree._select_leaf``'s heap.
 """
 
 import operator
@@ -441,6 +443,18 @@ def has_maximal_precision(f: UPoly, root) -> bool:
         if on_lower_edge(polygon, j, uval(c)) and any(d != zero for d in c.initial_terms()):
             return True
     return False
+
+
+def select_leaf_scan(tree):
+    """The deepest open leaf of the tree; among those, the oldest (smallest
+    id); None when no leaf is open."""
+    best = None
+    for v in tree.vertices.values():
+        if v.children or v.dead or v.depth >= tree.n:
+            continue
+        if best is None or (v.depth, -v.vid) > (best.depth, -best.vid):
+            best = v
+    return best
 
 
 def check_invariants(tree):

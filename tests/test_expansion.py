@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    QQ,
     const,
     mconst,
     paper_f1,
@@ -147,14 +148,22 @@ def test_has_maximal_precision_fixtures():
 
 
 def test_root_shape_validation():
-    with pytest.raises(ValueError):
-        ApproxRoot(0, (), None)
-    with pytest.raises(ValueError):
-        root(0, [(0, 1), (0, 2)], None)
-    with pytest.raises(ValueError):
-        root(0, [(1, 1)], 1)
-    with pytest.raises(ValueError, match="known coefficients must be nonzero"):
-        ApproxRoot(0, ((0, 0),), 1)
+    for known, tail, message in [
+        ((), None, "a root needs known terms or a tail"),
+        (((0, 1), (1, 0)), 2, "known coefficients must be nonzero"),
+        (((0, 1), (0, 2)), None, "known exponents must strictly increase"),
+        (((1, 1), (0, 2)), 3, "known exponents must strictly increase"),
+        (((1, 1),), 1, "the tail must sit past every known term"),
+        (((0, 1), (1, 2)), 0, "the tail must sit past every known term"),
+        # a zero coefficient anywhere wins over an order fault before it, and
+        # an order fault among the known terms over a misplaced tail
+        (((1, 1), (0, 2), (2, 0)), None, "known coefficients must be nonzero"),
+        (((1, 1), (0, 2)), 0, "known exponents must strictly increase"),
+    ]:
+        terms = tuple((Fraction(e), QQ.from_int(c)) for e, c in known)
+        with pytest.raises(ValueError) as info:
+            ApproxRoot(0, terms, tail)
+        assert str(info.value) == message
     assert relative_precision(root(0, [], 0)) == 0
     assert relative_precision(root(0, [(0, 1)], 3)) == 3
     assert relative_precision(root(0, [(0, 1)], None)) is None

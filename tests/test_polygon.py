@@ -67,12 +67,18 @@ def test_tropical_points_of_recentered_quadratic():
 
 
 def test_convexity_enforced():
-    with pytest.raises(ValueError):
-        Polygon(((0, 0), (1, 2), (2, 0)))
-    with pytest.raises(ValueError):
-        Polygon(((1, 0), (1, 1)))
-    with pytest.raises(ValueError):
-        Polygon(())
+    for corners, message in [
+        ((), "a polygon needs at least one vertex"),
+        (((1, 0), (1, 1)), "vertices must be strictly increasing in j"),
+        (((0, 0), (2, 1), (1, 3)), "vertices must be strictly increasing in j"),
+        (((0, 0), (1, 2), (2, 0)), "slopes must strictly increase (convexity)"),
+        (((0, 2), (1, 0), (3, 0), (4, -1)), "slopes must strictly increase (convexity)"),
+        # any dj <= 0 wins over a convexity fault before it
+        (((0, 0), (1, 2), (2, 0), (2, 5)), "vertices must be strictly increasing in j"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            Polygon(corners)
+        assert str(info.value) == message
 
 
 def test_polygon_keeps_integer_corners_and_compares_by_vertices():

@@ -25,7 +25,7 @@ from helpers import (
     upoly,
     xvar,
 )
-from oracles import Poly, as_mpoly, check_invariants, evaluate
+from oracles import Poly, as_mpoly, check_invariants, evaluate, select_leaf_scan
 from troptri import (
     ApproxRoot,
     MPoly,
@@ -599,10 +599,55 @@ def test_long_chain_needs_no_recursion_per_coordinate():
         assert len(tree.to_json_dict()["vertices"]) == 151
 
 
+def _cascade(n):
+    """The two x1 roots share the prefix 1, which the last line cancels: the
+    head is reinforced, then every stale vertex below it once."""
+    return _chain_system(n, "(x1 - 1 - t)*(x1 - 1 - t^2)", "x%d - x%d + 1" % (n, n - 1))
+
+
+@pytest.mark.parametrize("n", [3, 100])
+def test_the_cascade_reinforces_each_vertex_below_the_head_once(n):
+    tree = RootTree(_cascade(n), 1, 32).run()
+    assert tree.reinforce_count == 2 * n - 3
+    assert len(tree.vertices) == 2 * n + 1
+    assert tree.points() == [(0,) * (n - 1) + (1,), (0,) * (n - 1) + (2,)]
+
+
+def _leaf_oracle_cases():
+    """(name, tree) for runs that reinforce and copy subtrees."""
+    corpus = read_bench_module("workloads").corpus("oracle-deep", 3, 73)
+    for index in (7, 72):
+        for p_step in (1, fr(1, 3)):
+            yield "oracle-deep-%d-pstep-%s" % (index, p_step), RootTree(
+                parse_system(corpus[index].text), p_step, 32)
+    yield "cascade-40", RootTree(_cascade(40), 1, 32)
+    from oracle_systems import prefix_cancelling_system_with_expected_points
+
+    rng = random.Random(27182)
+    for k in range(100):
+        system, _ = prefix_cancelling_system_with_expected_points(rng)
+        yield "prefix-cancelling-%d" % k, RootTree(system, 1, 32)
+
+
+def test_the_leaf_heap_takes_the_leaf_a_scan_of_every_vertex_takes():
+    reinforcements = copies = 0
+    for name, tree in _leaf_oracle_cases():
+        while True:
+            assert tree._select_leaf() is select_leaf_scan(tree), name
+            made = len(tree.vertices)
+            reinforced = tree.reinforce_count
+            if not tree.step():
+                break
+            if tree.reinforce_count > reinforced and len(tree.vertices) > made:
+                copies += 1
+        reinforcements += tree.reinforce_count
+    assert reinforcements > 300 and copies > 50
+
+
 def test_long_chain_copies_deep_subtrees_without_recursion():
     # the last line cancels the shared prefix 1 of the two x1 roots, so the
     # head is reinforced and its 119-deep subtree copied below the new root
-    system = _chain_system(120, "(x1 - 1 - t)*(x1 - 1 - t^2)", "x120 - x119 + 1")
+    system = _cascade(120)
     with _recursion_headroom(100):
         tree = RootTree(system, 1, 32).run()
         assert tree.points() == [(0,) * 119 + (1,), (0,) * 119 + (2,)]
@@ -786,8 +831,9 @@ _RUN_SYSTEMS = pytest.mark.parametrize("system", [
     three_var_system(),
     close_roots_system(),
     parse_system("ring x1 x2\npoly x1^2 - x1 - t\npoly x2 - x1 + 1 + t - t^2 + 2*t^3\n"),
-    parse_system("ring x1 x2 x3\npoly (x1 - 1 - t)*(x1 - 1 - t^2)\npoly x2 - x1\npoly x3 - x2 + 1\n"),
-], ids=["three-var", "close-roots", "series-root", "cascade"])
+    _cascade(3),
+    _cascade(100),
+], ids=["three-var", "close-roots", "series-root", "cascade", "cascade-100"])
 
 
 @_RUN_SYSTEMS
