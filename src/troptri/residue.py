@@ -5,30 +5,35 @@ Two concrete fields are provided: the rationals (an element is an
 F_p for p <= ``PrimeField.MAX_PRIME`` = 10^24 (elements are ints in
 0..p-1).  Elements of both are canonical, so callers test them with
 ``== 0``, print them with ``format_rat`` and order them with
-``sorted``.  ``roots_in_units`` returns the nonzero roots of a
-univariate polynomial and refuses to continue when the polynomial does
-not split into linear factors over the configured field.
+``sorted``.
 
-Roots are found in time polynomial in the degree, log p and the bit size
-of the coefficients.  Closed forms come first: r = -c[d-1]/(d*c[d]) when
-the unit part is lead*(x - r)^d, d a unit (checked on every coefficient),
-then through degree 2 -c0/c1 and (-b +- s)/(2a) for a*x^2 + b*x + c with
-s^2 = b^2 - 4ac.  Over F_p (p odd) Euler's criterion says whether s exists
-and Tonelli-Shanks finds it; over Q s is isqrt(b^2 - 4ac), if that is a
-square.  Above degree 2 F_p takes g = gcd(f, x^p - x), the product of the
-distinct linear factors of f, by powering x modulo f, and splits g by
-equal-degree splitting until every piece has degree at most 2: gcd(h,
-(x + a)^((p-1)/2) - 1) for random a separates the roots r with r + a a
-square from the rest (Cantor and Zassenhaus, Math. Comp. 36, 1981).  Over
-Q a squarefree part of degree >= 3 has its roots found, by trying every
-unit, modulo the least prime that divides neither end coefficient and
-keeps them simple (at most about B*log(B) for a B-bit discriminant),
-Hensel-lifted until the modulus bounds numerator and denominator and
-recovered by rational reconstruction (Loos, SIAM J. Comput. 12, 1983).
-In both fields every candidate is then checked by exact division and
-deflated out as often as it divides, which gives the multiplicities and
-whether the polynomial splits; over Q this runs on the denominator-free
-integer polynomial, where a root u/v divides out as the factor v*x - u.
+``roots_in_units`` is the one path to the nonzero roots of a univariate
+polynomial, for both fields.  It strips the power of x, takes r in
+closed form when the rest is lead*(x - r)^d, d a unit (r = -c[d-1]/(d*c[d]),
+checked on every coefficient), and otherwise asks the field's
+``candidates`` for the polynomial to deflate, the candidate roots and
+the division by a root's linear factor.  It deflates each candidate out
+as often as it divides, which gives the distinct roots, and refuses to
+continue (NonSplittingError) when more than a constant is left.
+
+The fields find their candidates in time polynomial in the degree, log p
+and the bit size of the coefficients.  F_p deflates the polynomial as it
+is.  At degree 2 its roots are (-b +- s)/(2a) for a*x^2 + b*x + c with
+s^2 = b^2 - 4ac: Euler's criterion says whether s exists and
+Tonelli-Shanks finds it.  Above degree 2 it takes g = gcd(f, x^p - x), the
+product of the distinct linear factors of f, by powering x modulo f, and
+splits g by equal-degree splitting until every piece has degree at most
+2: gcd(h, (x + a)^((p-1)/2) - 1) for random a separates the roots r with
+r + a a square from the rest (Cantor and Zassenhaus, Math. Comp. 36,
+1981).  Q deflates the denominator-free integer polynomial, where a root
+u/v divides out as the factor v*x - u.  Its squarefree part (of degree
+>= 2, as every d is a unit of Q) gives the candidates: at degree 2 by the
+quadratic formula with s = isqrt(b^2 - 4ac) if that is a square, above
+by trying every unit modulo the least prime that divides neither end
+coefficient and keeps the roots simple (at most about B*log(B) for a
+B-bit discriminant), Hensel-lifting until the modulus bounds numerator
+and denominator and recovering by rational reconstruction (Loos, SIAM J.
+Comput. 12, 1983).
 """
 
 import random
@@ -45,14 +50,7 @@ class RationalField:
 
     __slots__ = ()
     name = "QQ"
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+    zero, one = 0, 1
 
     def from_int(self, n):
         return n
@@ -73,21 +71,10 @@ class RationalField:
             raise DivisionByZero("division by 0 in %s" % self.name)
         return int_if_integral(Fraction(a) / b)
 
-    def unit_roots(self, coeffs):
-        """All nonzero rational roots of sum(coeffs[j] * x**j).
-
-        Returns ``(roots, split)`` where ``split`` is True when the
-        polynomial, after the power of x dividing it is removed, factors
-        completely into linear pieces over the rationals.  A power
-        lead*(x - r)^d gives r in closed form, else the squarefree part gives
-        candidates, at degree 2 in closed form and by p-adic lifting above (see
-        the module docstring), deflated out to count multiplicities.
-        """
-        work = _strip_unit_part(coeffs)
-        if len(work) <= 1:
-            return set(), True
-        if (r := _repeated_root(self, work)) is not None:
-            return {r}, True
+    def candidates(self, work):
+        """The denominator-free integer polynomial of ``work``, the rationals
+        among which its roots lie (from its squarefree part: at degree 2 in
+        closed form, above by p-adic lifting) and its division by a root."""
         den = lcm(*(c.denominator for c in work))
         ints = [c.numerator * (den // c.denominator) for c in work]
         squarefree = _squarefree_part(ints)
@@ -98,7 +85,7 @@ class RationalField:
             candidates = [int_if_integral(Fraction(r - b, 2 * a)) for r in (s, -s) if s * s == disc]
         else:
             candidates = _rational_candidates(squarefree)
-        return _deflate_roots(ints, candidates, _zz_divide_root)
+        return ints, candidates, _zz_divide_root
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -119,6 +106,7 @@ class PrimeField:
 
     __slots__ = ("p",)
     MAX_PRIME = 10**24
+    zero, one = 0, 1
 
     def __init__(self, p):
         if p < 2 or p > self.MAX_PRIME or not _is_prime(p):
@@ -128,14 +116,6 @@ class PrimeField:
     @property
     def name(self):
         return "F%d" % self.p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def from_int(self, n):
         return n % self.p
@@ -157,20 +137,16 @@ class PrimeField:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def unit_roots(self, coeffs):
-        """All roots in F_p*, in closed form or by root splitting; see RationalField."""
-        work = _strip_unit_part(coeffs)
-        if len(work) <= 1:
-            return set(), True
-        if (r := _repeated_root(self, work)) is not None:
-            return {r}, True
+    def candidates(self, work):
+        """``work`` itself, its distinct roots in F_p* and its division by a
+        root's linear factor; see RationalField."""
         p = self.p
 
         def divide(f, root):
             quotient, remainder = _fp_divmod(f, [-root % p, 1], p)
             return None if remainder else quotient
 
-        return _deflate_roots(work, _fp_roots(work, p), divide)
+        return work, _fp_roots(work, p), divide
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -212,7 +188,8 @@ class ResiduePoly:
 
 
 def roots_in_units(poly: ResiduePoly) -> set:
-    """The distinct nonzero roots of ``poly`` over its residue field.
+    """The distinct nonzero roots of ``poly`` over its residue field, by the
+    steps of the module docstring.
 
     Raises NonSplittingError when the unit part of ``poly`` does not
     factor into linear pieces (counted with multiplicity), since missing
@@ -220,9 +197,20 @@ def roots_in_units(poly: ResiduePoly) -> set:
     """
     if poly.is_zero():
         raise ZeroPolynomialError("cannot take roots of the zero polynomial")
-    roots, split = poly.field.unit_roots(poly.coeffs)
-    if not split:
-        raise NonSplittingError("polynomial does not split over %s" % poly.field.name)
+    field = poly.field
+    work = _strip_unit_part(poly.coeffs)
+    if len(work) <= 1:
+        return set()
+    if (r := _repeated_root(field, work)) is not None:
+        return {r}
+    work, candidates, divide = field.candidates(work)
+    roots = set()
+    for c in sorted(candidates):
+        while len(work) > 1 and (quotient := divide(work, c)) is not None:
+            work = quotient
+            roots.add(c)
+    if len(work) > 1:
+        raise NonSplittingError("polynomial does not split over %s" % field.name)
     return roots
 
 
@@ -247,22 +235,6 @@ def _repeated_root(field, f):
         if f[d - k] != mul(power, field.from_int(binom)):
             return None
     return field.neg(minus_r)
-
-
-def _deflate_roots(work, candidates, divide):
-    """``(roots, split)``: the candidates that are roots of ``work``, each
-    deflated out as often as it divides, and whether nothing but a
-    constant is left.  ``divide(work, root)`` is the quotient by the
-    linear factor of ``root``, or None when ``root`` is not a root."""
-    roots = set()
-    for c in sorted(candidates):
-        while len(work) > 1:
-            quotient = divide(work, c)
-            if quotient is None:
-                break
-            work = quotient
-            roots.add(c)
-    return roots, len(work) == 1
 
 
 # Dense polynomials over F_p are coefficient lists, lowest degree first,

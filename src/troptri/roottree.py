@@ -393,12 +393,9 @@ class RootTree:
                 vals = vals + (v.root.valuation(),)
             if v.children:
                 stack.extend((c, vals) for c in reversed(v.children))
-            elif v.depth == self.n and not v.dead:
+            elif v.depth == self.n:
                 out[vals] = None
         return list(out)
-
-    def point_set(self):
-        return set(self.points())
 
     # -- reporting ---------------------------------------------------------------
 
@@ -419,4 +416,4 @@ def trop_triangular(system: TriangularSystem, p_step=1, p_max=32,
     """The tropical points of the system as a set of rational vectors."""
     tree = RootTree(system, p_step, p_max, max_depth=max_depth)
     tree.run()
-    return tree.point_set()
+    return set(tree.points())

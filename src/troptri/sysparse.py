@@ -314,12 +314,12 @@ def parse_system(text: str) -> TriangularSystem:
         if not line:
             continue
         if header is None:
-            if not line.startswith("ring"):
+            if line.split(None, 1)[0] != "ring":
                 raise ParseError("the file must start with a ring header", line_no, 1)
             header = line
             header_line = line_no
             continue
-        if not line.startswith("poly"):
+        if line.split(None, 1)[0] != "poly":
             raise ParseError("expected a poly line", line_no, 1)
         offset = len(raw) - len(raw.lstrip()) + len("poly")
         poly_lines.append((line_no, offset, line[len("poly"):]))
@@ -340,9 +340,7 @@ def parse_system(text: str) -> TriangularSystem:
 
 
 def _parse_header(header, line_no):
-    parts = header.split()
-    assert parts[0] == "ring"
-    names = parts[1:]
+    names = header.split()[1:]
     field = RationalField()
     if names and (names[-1] == "q" or names[-1].startswith("fp:")):
         spec = names.pop()

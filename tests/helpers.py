@@ -251,7 +251,8 @@ def close_roots_system():
 
 
 def unit_roots_naive(field, coeffs):
-    """``field.unit_roots`` by enumerating candidate roots.
+    """``(roots, split)``: the nonzero roots of ``coeffs`` over ``field`` and
+    whether its unit part splits, by enumerating candidate roots.
 
     An oracle independent of the engine's root splitting and p-adic
     lifting: over F_p every unit is tried, over Q every +-u/v with u

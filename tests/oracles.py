@@ -27,6 +27,7 @@ from math import comb, lcm
 
 from troptri import (
     MPoly,
+    NonSplittingError,
     Polygon,
     PuiseuxScalar,
     ResiduePoly,
@@ -35,6 +36,7 @@ from troptri import (
     compose,
     is_unique,
     newton_polygon,
+    roots_in_units,
 )
 from troptri.polygon import lower_hull
 from troptri.rationals import ratio
@@ -388,12 +390,19 @@ def _adversarial_tuples(f, variables, rng):
                 others = {k: field.from_int(rng.randint(1, 12)) for k in variables if k != i}
                 coeffs = eval_residue(field, initial, others, keep=i)
                 dense = [coeffs.get(d, field.zero) for d in range(max(coeffs) + 1)]
-                roots, _ = field.unit_roots(ResiduePoly(field, dense).coeffs)
-                for root in roots:
+                for root in _roots_if_split(ResiduePoly(field, dense)):
                     values = {k: scalar_constant(field, v) for k, v in others.items()}
                     values[i] = scalar_constant(field, root)
                     out.append(values)
     return out
+
+
+def _roots_if_split(poly):
+    """The nonzero roots of ``poly``; none when it is zero or does not split."""
+    try:
+        return roots_in_units(poly)
+    except (NonSplittingError, ZeroPolynomialError):
+        return set()
 
 
 def relative_precision(root):
@@ -467,6 +476,8 @@ def check_invariants(tree):
     for vid, v in tree.vertices.items():
         assert v.vid == vid
         assert v.depth <= tree.n
+        # only grow marks a vertex dead, and a vertex of depth n never grows
+        assert not (v.dead and v.depth == tree.n)
         if v.parent is not None:
             assert tree.vertices[v.parent].children.count(vid) == 1
             assert vid > v.parent

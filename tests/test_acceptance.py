@@ -10,6 +10,7 @@ import functools
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from helpers import (
     QQ,
@@ -86,13 +87,13 @@ def test_criterion_1_three_variable_example():
 def test_criterion_2_reinforcement_counters():
     tree = RootTree(close_roots_system(), 2, 2)
     tree.run()
-    assert tree.point_set() == {(fr(0), fr(1)), (fr(0), fr(2))}
+    assert set(tree.points()) == {(fr(0), fr(1)), (fr(0), fr(2))}
     assert tree.reinforce_count == 1
     assert tree.grow_count == 3
 
     tree2 = RootTree(close_roots_system(), 1, 2)
     tree2.run()
-    assert tree2.point_set() == {(fr(0), fr(1)), (fr(0), fr(2))}
+    assert set(tree2.points()) == {(fr(0), fr(1)), (fr(0), fr(2))}
     assert tree2.reinforce_count == 2
 
 
@@ -274,3 +275,13 @@ def _random_root(rng, index):
     known = [] if rng.random() < 0.5 else [(0, rng.choice([1, 2, -1]))]
     tail = Fraction(rng.randint(1 if known else 0, 2))
     return root(index, known, tail)
+
+
+def test_the_readme_library_example_prints_what_its_comment_says(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    comment = lines[next(i for i, line in enumerate(lines) if line.startswith("print(")) + 1]
+    assert comment.startswith("# ")
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == comment[2:] + "\n"

@@ -85,6 +85,18 @@ def test_exit_code_parse_error(tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ringx1\npoly x1 - t\n", "line 1, column 1: the file must start with a ring header"),
+        ("ring x1\npolyx1 - t\n", "line 2, column 1: expected a poly line"),
+    ],
+    ids=["ring", "poly"],
+)
+def test_a_keyword_glued_to_the_next_word_exits_4_with_one_line(tmp_path, text, message):
+    assert run_cli(tmp_path, text) == (4, "", "error: %s\n" % message)
+
+
 def test_exit_code_non_triangular(tmp_path):
     code, out, err = run_cli(tmp_path, "ring x1 x2\npoly x2 - 1\npoly x1\n")
     assert code == 4

@@ -147,7 +147,7 @@ def test_grow_dead_branch_on_monomial_extension():
     f2 = xvar(2, 0) * xvar(2, 1)
     tree = RootTree(TriangularSystem([f1, f2]), 1, 8)
     tree.run()
-    assert tree.point_set() == set()
+    assert set(tree.points()) == set()
     dead = [v for v in tree.vertices.values() if v.dead]
     assert len(dead) == 1
 
@@ -190,14 +190,14 @@ def test_full_run_three_variables():
 def test_full_run_close_roots_counters():
     tree = RootTree(close_roots_system(), 2, 2)
     tree.run()
-    assert tree.point_set() == {(fr(0), fr(1)), (fr(0), fr(2))}
+    assert set(tree.points()) == {(fr(0), fr(1)), (fr(0), fr(2))}
     assert tree.reinforce_count == 1
     assert tree.grow_count == 3
     check_invariants(tree)
 
     tree2 = RootTree(close_roots_system(), 1, 2)
     tree2.run()
-    assert tree2.point_set() == {(fr(0), fr(1)), (fr(0), fr(2))}
+    assert set(tree2.points()) == {(fr(0), fr(1)), (fr(0), fr(2))}
     assert tree2.reinforce_count == 2
     check_invariants(tree2)
 
@@ -265,7 +265,7 @@ def test_invariants_hold_after_every_step_of_prefix_cancelling_systems():
         tree = RootTree(system, 1, 32)
         while tree.step():
             check_invariants(tree)
-        assert tree.point_set() == expected
+        assert set(tree.points()) == expected
         reinforcements += tree.reinforce_count
     assert reinforcements > 200
 
@@ -320,7 +320,7 @@ def test_deep_reinforcement_refreshes_stale_descendants(monkeypatch):
     tree = RootTree(system, 1, 8)
     tree.run()
     # the only torus solution is (1+t+t^2, t+t^2, t^2)
-    assert tree.point_set() == {(fr(0), fr(1), fr(2))}
+    assert set(tree.points()) == {(fr(0), fr(1), fr(2))}
     assert 2 in targets and 1 in targets
     check_invariants(tree)
 
@@ -478,7 +478,7 @@ def test_reinforcements_leave_no_two_siblings_with_equal_roots(monkeypatch):
     for _ in range(300):
         system, expected = prefix_cancelling_system_with_expected_points(rng)
         tree = RootTree(system, 1, 32).run()
-        assert tree.point_set() == expected
+        assert set(tree.points()) == expected
         for v in tree.vertices.values():
             roots = [tree.vertices[c].root for c in v.children]
             assert len(set(roots)) == len(roots), "vertex %d has equal sibling roots" % v.vid
@@ -527,7 +527,7 @@ def test_reinforcement_polynomials_follow_the_branches_on_oracle_deep_systems(
     while tree.step():
         if tree.polygon_log[-1][0] == "reinforcement":
             _assert_reinforcement_polynomials_follow_the_branches(tree)
-    assert tree.point_set() == system.expected
+    assert set(tree.points()) == system.expected
     assert tree.reinforce_count == reinforcements
     check_invariants(tree)
 
@@ -803,7 +803,7 @@ def test_a_subtree_copy_expands_each_polynomial_once(monkeypatch):
 
     monkeypatch.setattr(roottree, "puiseux_expansion", spy)
     tree = RootTree(system, 1, 32).run()
-    assert tree.point_set() == expected
+    assert set(tree.points()) == expected
     keys = [(id(f), r, budget) for f, r, budget in calls]
     assert len(set(keys)) == len(keys)
     assert tree.reinforce_count > len(calls) > 0

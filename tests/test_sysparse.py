@@ -113,9 +113,11 @@ def test_parse_error_positions():
         # the end of an expression is counted on the whole line, after 'poly'
         ("ring x1\npoly x1 +", "line 2, column 10: unexpected end of expression"),
         ("ring x1\n\tpoly x1 + 1 +   # c", "line 2, column 15: unexpected end of expression"),
-        # the expression starts right after 'poly', even where its text repeats the keyword
-        ("ring x1\npolyly", "line 2, column 5: unexpected 'ly'"),
-        ("ring x1\n  polyly", "line 2, column 7: unexpected 'ly'"),
+        # the keyword is the line's first whitespace-separated word, and the
+        # expression starts right after it, even where its text repeats it
+        ("ring x1\n  polyly", "line 2, column 1: expected a poly line"),
+        ("ring x1\npoly\tpolyly", "line 2, column 6: unexpected 'polyly'"),
+        ("ring x1\n  poly polyly", "line 2, column 8: unexpected 'polyly'"),
     ],
 )
 def test_parse_error_messages_and_columns(text, message):
@@ -135,7 +137,8 @@ def _bench_workloads():
 
 def test_bad_character_column_in_benchmark_lines():
     # the column is found only once the error is raised, so check it on real
-    # lines: '@' anywhere after 'poly', under a space or a tab indent
+    # lines: '@' anywhere after 'poly', under a space or a tab indent; glued
+    # to 'poly', it makes the line's first word no keyword
     workloads = _bench_workloads()
     rng = random.Random(18)
     texts = [s.text for w in workloads.WORKLOADS for s in workloads.corpus(w, 18, 30)]
@@ -148,7 +151,10 @@ def test_bad_character_column_in_benchmark_lines():
         lines[k] = raw[:at] + "@" + raw[at:]
         with pytest.raises(ParseError) as err:
             parse_system("\n".join(lines))
-        assert str(err.value) == "line %d, column %d: unexpected character '@'" % (k + 1, at + 1)
+        if at == len(indent) + len("poly"):
+            assert str(err.value) == "line %d, column 1: expected a poly line" % (k + 1)
+        else:
+            assert str(err.value) == "line %d, column %d: unexpected character '@'" % (k + 1, at + 1)
 
 
 def _render(tree, level="sum", lead=True):
@@ -283,6 +289,12 @@ def test_parse_bad_header():
         parse_system("ring y1\npoly y1\n")
     with pytest.raises(ParseError):
         parse_system("ring x2 x1\npoly x1\npoly x2\n")
+    # a keyword is the line's first whitespace-separated word
+    with pytest.raises(ParseError, match="the file must start with a ring header"):
+        parse_system("ringx1\npoly x1 - t\n")
+    with pytest.raises(ParseError, match="expected a poly line"):
+        parse_system("ring x1\npolyx1 - t\n")
+    assert parse_system("ring\tx1\npoly\tx1 - t\n").polys == parse_system("ring x1\npoly x1 - t\n").polys
 
 
 def test_parse_explicit_rational_header():

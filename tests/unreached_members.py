@@ -55,7 +55,6 @@ ALLOWED = {
     "sysparse.format_system",
     # the library API
     "roottree.trop_triangular",
-    "roottree.RootTree.point_set",
     # value equality of the values the library API hands out; a field's
     # equality is what a scalar's and a polynomial's compares
     "puiseux.PuiseuxScalar.__eq__",
