@@ -14,7 +14,7 @@ variables and rejected.  The i-th poly line may use x1..xi only and must
 use xi.  A power whose expansion would pass MAX_POWER_SIZE is rejected
 before it is computed, and so are parentheses nested deeper than
 MAX_NESTING.  A line is multiplied out on integer t-exponents over one
-denominator, and its MPoly and scalars are built once (``_ExprParser``).
+denominator, into the form an MPoly stores (``_ExprParser``).
 """
 
 import operator
@@ -24,7 +24,6 @@ from itertools import islice
 from math import comb, lcm
 
 from .errors import NonTriangularError, ParseError, ReservedIdentifierError
-from .puiseux import PuiseuxScalar
 from .residue import PrimeField, RationalField
 from .roottree import TriangularSystem
 from .upoly import MPoly
@@ -72,11 +71,12 @@ class _ExprParser:
     column before the expression.  Tokens carry no columns; ``column``
     finds one only for an error that names its token.
     A value is {x-degree tuple: {t-numerator: coefficient}}, each t-exponent
-    over ``self.den``, one denominator per line.  A term folds its sign and
-    atoms into one monomial and multiplies out only parenthesized factors of
-    several terms; a sum adds in place.  Both run the loops of MPoly addition
-    and multiplication, so terms are stored in the order polynomial
-    arithmetic on the atoms gives.  ``parse`` builds the MPoly at the end."""
+    over ``self.den``, one denominator per line: an MPoly's stored form,
+    which ``parse`` hands over.  A term folds its sign and atoms into one
+    monomial and multiplies out only parenthesized factors of several terms;
+    a sum adds in place.  Both run the loops of polynomial addition and
+    multiplication, so terms are stored in the order polynomial arithmetic
+    on the atoms gives."""
 
     def __init__(self, text, line_no, offset, field, nvars):
         self.text = text
@@ -106,9 +106,7 @@ class _ExprParser:
         value = self.expression()
         if self.tokens[self.at] is not None:
             raise self.error(self.at, "unexpected %r after expression" % self.tokens[self.at])
-        field, den = self.field, self.den
-        return MPoly(field, self.nvars, {
-            d: PuiseuxScalar.from_numerators(field, den, s) for d, s in value.items()})
+        return MPoly(self.field, self.nvars, self.den, value)
 
     def take(self):
         """The next token and its index, stepped past; the sentinel is an error."""

@@ -15,6 +15,10 @@ Two layers:
                K[u_1..u_n] once roots have been substituted.
 * ``UPoly`` -- a univariate polynomial in one coordinate x_i whose
                coefficients are MPolys in the tail variables u.
+
+An MPoly keeps its coefficients as integer t-numerators over one
+denominator, the form the parser builds; substitution, recentering and the
+valuations work on those ints, and a ``PuiseuxScalar`` is only put in.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from math import gcd, lcm
 
 from .errors import ZeroHasNoValuation, ZeroSubstitutionError
 from .puiseux import PuiseuxScalar
-from .rationals import format_rat
+from .rationals import format_rat, ratio
 from .residue import ResiduePoly
 
 
@@ -35,22 +39,27 @@ def _zero_deg(nvars):
 
 
 class MPoly:
-    """Sparse polynomial over K: map exponent tuple -> nonzero scalar.
+    """Sparse polynomial over K: one t-exponent denominator ``den`` and
+    ``terms``, a map exponent tuple -> {t-numerator: nonzero coefficient};
+    the term (deg, {n: c}) is c*t^(n/den) times the monomial deg.
 
+    ``den`` is a common denominator, not necessarily the least: ``val_pair``
+    reduces, and ``__eq__`` and ``__hash__`` compare exponents as rationals.
     The same type serves the input polynomials in x_1..x_n and the
     K[u_1..u_n] coefficients of a UPoly; only ``format`` names the letter.
-    ``terms`` is never changed once built, so ``val_pair`` and ``initial_term``,
-    read many times over, are found in one pass on first use and kept (a kept
-    ``initial_terms`` dict would cost 224 bytes per polynomial).
-    """
+    ``terms`` and its dicts are never changed once built, so polynomials
+    share them, and ``val_pair`` and ``initial_term``, read many times over,
+    are found in one pass on first use and kept (a kept ``initial_terms``
+    dict would cost 224 bytes per polynomial)."""
 
-    __slots__ = ("field", "nvars", "terms", "_val", "_lead")
+    __slots__ = ("field", "nvars", "den", "terms", "_val", "_lead")
 
-    def __init__(self, field, nvars, terms=None):
-        # terms must already be canonical (no zero scalars)
+    def __init__(self, field, nvars, den=1, terms=None):
+        # terms is taken over, not copied; no dict in it is empty or holds a zero
         self.field = field
         self.nvars = nvars
-        self.terms = dict(terms) if terms else {}
+        self.den = den
+        self.terms = {} if terms is None else terms
         self._val = None  # set with _lead by _keep_initial_part
 
     def is_zero(self):
@@ -68,15 +77,15 @@ class MPoly:
         """(val_pair, initial_term), computed in one pass; both are kept."""
         if not self.terms:
             raise ZeroHasNoValuation("0 has no valuation")
-        n = d = None
+        n = None
         for deg, s in self.terms.items():
-            (sn, c), sd = s.nums[0], s.den
-            if d is None or sn * d < n * sd:
-                n, d, lead = sn, sd, (deg, c)
-            elif sn * d == n * sd:
+            m = min(s)
+            if n is None or m < n:
+                n, lead = m, (deg, s[m])
+            elif m == n:
                 lead = None
-        g = gcd(n, d)
-        self._val, self._lead = part = (n // g, d // g), lead
+        g = gcd(n, self.den)
+        self._val, self._lead = part = (n // g, self.den // g), lead
         return part
 
     def val_pair(self):
@@ -97,10 +106,12 @@ class MPoly:
         symbolic.  Raises on zero.
         """
         n, d = self.val_pair()
-        return {deg: s.nums[0][1] for deg, s in self.terms.items() if s.nums[0][0] * d == n * s.den}
+        n *= self.den // d
+        return {deg: s[n] for deg, s in self.terms.items() if n in s}
 
     def substitute(self, index, a, s):
-        """Put a + s*u_index in for x_index (a, s scalars, each None when it is 0).
+        """Put a + s*u_index in for x_index: a a scalar, s = t^e the tail's
+        power (coefficient 1), each None when it is 0.
 
         Variable ``index`` is x_index before and u_index after, so a root's
         known terms recenter the polynomial and its tail rescales it.  A
@@ -111,39 +122,48 @@ class MPoly:
         """
         if not any(deg[index] for deg in self.terms):
             return self
-        if a is None and s is not None:
-            # a bare tail: every monomial stays, x_index^k gains the factor s^k
-            powers = _powers(s, max(deg[index] for deg in self.terms))
-            return MPoly(self.field, self.nvars, {
-                d: c * powers[d[index]] if d[index] else c for d, c in self.terms.items()
-            })
-        coeffs = UPoly.from_mpoly(self, index).coeffs
-        if a is not None:
-            coeffs = _taylor_shift(coeffs, a)
+        if a is None:
+            # a bare tail: every monomial stays, x_index^k gains t^(k*e)
+            return self._rescaled(self.den, self.terms.items(), index, s)
+        coeffs = _taylor_shift(UPoly.from_mpoly(self, index).coeffs, a)
         if s is None:
             return coeffs.get(0, MPoly(self.field, self.nvars))
-        powers = _powers(s, max(coeffs))
-        return MPoly(self.field, self.nvars, {
-            d[:index] + (j,) + d[index + 1:]: scalar * powers[j] if j else scalar
-            for j, c in coeffs.items() for d, scalar in c.terms.items()
+        return self._rescaled(coeffs[max(coeffs)].den, (
+            (d[:index] + (j,) + d[index + 1:], terms) for j, c in coeffs.items() for d, terms in c.terms.items()
+        ), index, s)
+
+    def _rescaled(self, den, pairs, index, s):
+        """The MPoly of the (exponent tuple, numerator dict) pairs over ``den``,
+        with t^(k*e) put on x_index^k for s = t^e: k*e joins the numerators."""
+        ((m, one),) = s.nums
+        if one != self.field.one:
+            raise ValueError("the tail's power must have coefficient 1")
+        new = lcm(den, s.den)
+        q, m = new // den, m * (new // s.den)
+        return MPoly(self.field, self.nvars, new, {
+            d: terms if q == 1 and not d[index] else {n * q + d[index] * m: c for n, c in terms.items()}
+            for d, terms in pairs
         })
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MPoly)
-            and other.field == self.field
-            and other.nvars == self.nvars
-            and other.terms == self.terms
+    def _key(self):
+        """What equality compares: the terms with rational exponents."""
+        den = self.den
+        return self.field, self.nvars, frozenset(
+            (d, frozenset((ratio(n, den), c) for n, c in terms.items())) for d, terms in self.terms.items()
         )
 
+    def __eq__(self, other):
+        return isinstance(other, MPoly) and other._key() == self._key()
+
     def __hash__(self):
-        return hash((self.field, self.nvars, frozenset(self.terms.items())))
+        return hash(self._key())
 
     def format(self, letter="x") -> str:
         """Render in the input format with variables named letter1..lettern,
         highest monomial first, e.g. 'x1^2 + x1 + t*x1'."""
+        field, den = self.field, self.den
         return " + ".join(
-            self.terms[deg].format(format_monomial(letter, deg))
+            PuiseuxScalar.from_numerators(field, den, self.terms[deg]).format(format_monomial(letter, deg))
             for deg in sorted(self.terms, reverse=True)
         ) or "0"
 
@@ -193,15 +213,16 @@ class UPoly:
 
     @classmethod
     def from_mpoly(cls, f: MPoly, var):
-        """f as a polynomial in variable ``var`` over its other variables."""
+        """f as a polynomial in variable ``var`` over its other variables; the
+        coefficients share f's numerator dicts."""
         coeffs = {}
-        for deg, scalar in f.terms.items():
+        for deg, terms in f.terms.items():
             j = deg[var]
             if j:
                 deg = _zero_deg(f.nvars) if sum(deg) == j else deg[:var] + (0,) + deg[var + 1:]
-            coeffs.setdefault(j, {})[deg] = scalar
+            coeffs.setdefault(j, {})[deg] = terms
         return cls(f.field, f.nvars, var, {
-            j: MPoly(f.field, f.nvars, terms) for j, terms in coeffs.items()
+            j: MPoly(f.field, f.nvars, f.den, terms) for j, terms in coeffs.items()
         })
 
     def is_zero(self):
@@ -230,33 +251,41 @@ def _taylor_shift(coeffs, prefix):
     """The nonzero coefficients of f(x + prefix), f = sum coeffs[j]*x^j != 0, by
     repeated synthetic division: pass i leaves the coefficient of x^i in a[i].
 
-    a holds copies of the coefficients' term dicts, never the inputs, which
-    other polynomials share; each step adds prefix times a[j + 1] into a[j]
-    in place, deleting a term that cancels to zero, and the MPolys are built
+    Everything runs on numerators over one common denominator.  a holds
+    copies of the numerator dicts it writes to, never the inputs, which other
+    polynomials share; each step adds prefix times a[j + 1] into a[j] in
+    place, deleting a term that cancels to zero, and the MPolys are built
     once at the end."""
     d = max(coeffs)
     field, nvars = coeffs[d].field, coeffs[d].nvars
-    a = [dict(coeffs[j].terms) if j in coeffs else {} for j in range(d + 1)]
+    den = lcm(prefix.den, *[c.den for c in coeffs.values()])
+    q = den // prefix.den
+    shift = [(m * q, c) for m, c in prefix.nums]
+    a = [{} for _ in range(d + 1)]
+    for j, c in coeffs.items():
+        k = den // c.den
+        a[j] = {deg: dict(terms) if k == 1 else {n * k: x for n, x in terms.items()} for deg, terms in c.terms.items()}
+    add, mul = field.add, field.mul
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
             dst = a[j]
-            for deg, scalar in a[j + 1].items():
-                scalar = scalar * prefix
-                if deg in dst:
-                    scalar = dst[deg] + scalar
-                    if scalar.is_zero():
-                        del dst[deg]
-                        continue
-                dst[deg] = scalar
-    return {j: MPoly(field, nvars, terms) for j, terms in enumerate(a) if terms}
-
-
-def _powers(s, k):
-    """[None, s, s^2, ..., s^k]; no caller reads s^0."""
-    powers = [None, s]
-    for _ in range(k - 1):
-        powers.append(powers[-1] * s)
-    return powers
+            for deg, terms in a[j + 1].items():
+                acc = dst.get(deg)
+                if acc is None:
+                    acc = dst[deg] = {}
+                for m, pc in shift:
+                    for n, c in terms.items():
+                        n += m
+                        c = mul(c, pc)
+                        if n in acc:
+                            c = add(acc[n], c)
+                            if not c:
+                                del acc[n]
+                                continue
+                        acc[n] = c
+                if not acc:
+                    del dst[deg]
+    return {j: MPoly(field, nvars, den, terms) for j, terms in enumerate(a) if terms}
 
 
 def compose(f: MPoly, target: int) -> UPoly:

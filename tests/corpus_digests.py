@@ -6,8 +6,11 @@ in this process on the system's text, fed on standard input as the benchmark
 feeds it.  Under the flag set name ``parsed`` it prints instead the SHA-256
 of the system as ``parse_system`` stores it: the field, and for each
 polynomial its terms in stored order, each the exponent tuple and the
-scalar's ``den`` and ``nums``.  So a parser change is compared on the
-corpora directly, not only through the solver.  Under the flag set name
+``den`` and ``nums`` of the term's coefficient as a scalar
+(``oracles.to_scalars``): its numerators sorted, over the least
+denominator of that one term, whatever denominator the polynomial keeps.
+So a parser change is compared on the corpora directly, not only through
+the solver.  Under the flag set name
 ``set`` it prints the SHA-256 of the exit code, stderr and sorted point list
 of the ``json`` run, so a change that only reorders the points leaves every
 ``set`` line as it was.  The corpora are the first
@@ -27,6 +30,7 @@ import json
 
 import troptri
 from helpers import cli_run, read_bench_module
+from oracles import to_scalars
 
 SEEDS = (3, 7, 11)
 SYSTEMS = 100
@@ -48,7 +52,7 @@ def sha256(value):
 def parsed_digest(text):
     """SHA-256 of the stored form of the system ``text`` parses to."""
     system = troptri.parse_system(text)
-    form = [[(deg, s.den, s.nums) for deg, s in f.terms.items()] for f in system.polys]
+    form = [[(deg, s.den, s.nums) for deg, s in to_scalars(f).items()] for f in system.polys]
     return hashlib.sha256(repr((system.field.name, form)).encode()).hexdigest()
 
 

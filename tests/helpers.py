@@ -4,12 +4,13 @@ import contextlib
 import io
 import signal
 import sys
+import time
 import types
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
-from oracles import Poly, from_coeffs, scalar_constant, tail_variables, uval  # noqa: F401 (re-exported)
+from oracles import Poly, from_coeffs, scalar_constant, tail_variables, to_scalars, uval  # noqa: F401 (re-exported)
 from troptri import (
     ApproxRoot,
     MPoly,
@@ -86,7 +87,7 @@ def sum_mpoly(field, nvars, pairs):
     acc = Poly(field, nvars)
     for deg, s in pairs:
         if not s.is_zero():
-            acc = acc + Poly(field, nvars, {tuple(deg): s})
+            acc = acc + Poly.of_scalars(field, nvars, {tuple(deg): s})
     return acc
 
 
@@ -101,14 +102,15 @@ def uconst(nvars, scalar, field=QQ):
 
 def val_pair_naive(c):
     """``MPoly.val_pair`` recomputed from the scalars' rational valuations."""
-    low = Fraction(min(s.valuation() for s in c.terms.values()))
+    low = Fraction(min(s.valuation() for s in to_scalars(c).values()))
     return low.numerator, low.denominator
 
 
 def initial_terms_naive(c):
     """``MPoly.initial_terms`` recomputed from the scalars' rational valuations."""
-    low = min(s.valuation() for s in c.terms.values())
-    return {deg: s.terms[0][1] for deg, s in c.terms.items() if s.valuation() == low}
+    scalars = to_scalars(c)
+    low = min(s.valuation() for s in scalars.values())
+    return {deg: s.terms[0][1] for deg, s in scalars.items() if s.valuation() == low}
 
 
 def initial_part_naive(c):
@@ -150,7 +152,7 @@ def compose_naive(f, values, target):
     """
     field, nvars = f.field, f.nvars
     acc = {}
-    for deg, scalar in f.terms.items():
+    for deg, scalar in to_scalars(f).items():
         if any(e and i > target for i, e in enumerate(deg)):
             raise ValueError("polynomial uses a coordinate beyond x%d" % (target + 1))
         piece = Poly.constant(field, nvars, scalar)
@@ -171,8 +173,8 @@ def lift(f):
     So Poly arithmetic multiplies UPolys, also where a coefficient uses u
     at the index of x, which ``UPoly.from_mpoly`` would read as x.
     """
-    return Poly(f.field, f.nvars + 1, {
-        deg + (j,): s for j, c in f.coeffs.items() for deg, s in c.terms.items()
+    return Poly.of_scalars(f.field, f.nvars + 1, {
+        deg + (j,): s for j, c in f.coeffs.items() for deg, s in to_scalars(c).items()
     })
 
 
@@ -180,9 +182,9 @@ def unlift(m, var):
     """The UPoly in coordinate ``var`` that ``lift`` maps to m."""
     nvars = m.nvars - 1
     coeffs = {}
-    for deg, s in m.terms.items():
+    for deg, s in to_scalars(m).items():
         coeffs.setdefault(deg[-1], {})[deg[:-1]] = s
-    return UPoly(m.field, nvars, var, {j: MPoly(m.field, nvars, terms) for j, terms in coeffs.items()})
+    return UPoly(m.field, nvars, var, {j: Poly.of_scalars(m.field, nvars, terms) for j, terms in coeffs.items()})
 
 
 def shift_substitute_naive(f, prefix, scale):
@@ -202,7 +204,7 @@ def shift_substitute_naive(f, prefix, scale):
         acc = acc * lin
         c = f.coeffs.get(j)
         if c is not None:
-            acc = acc + MPoly(field, nvars, {deg + (0,): s for deg, s in c.terms.items()})
+            acc = acc + Poly.of_scalars(field, nvars, {deg + (0,): s for deg, s in to_scalars(c).items()})
     return unlift(acc, f.var)
 
 
@@ -319,15 +321,27 @@ class TimeLimitExceeded(BaseException):
 
 @contextlib.contextmanager
 def time_limit(seconds):
-    """Fail instead of hanging past ``seconds``, which may be a fraction."""
+    """Fail instead of hanging past ``seconds``, which may be a fraction.
+
+    Limits nest.  The enclosing limit's timer, paused while this one runs,
+    bounds it too; on exit that timer is set again to what is left of it,
+    and if nothing is, the enclosing limit fails at once."""
+    outer = signal.setitimer(signal.ITIMER_REAL, 0)[0]
+    start = time.monotonic()
+    limit = min(seconds, outer) if outer else seconds
 
     def expired(signum, frame):
-        raise TimeLimitExceeded("no result after %g s" % seconds)
+        raise TimeLimitExceeded("no result after %g s" % limit)
 
     previous = signal.signal(signal.SIGALRM, expired)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, limit)
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+        if outer:
+            left = outer - (time.monotonic() - start)
+            if left <= 0:
+                raise TimeLimitExceeded("no result within the enclosing limit")
+            signal.setitimer(signal.ITIMER_REAL, left)

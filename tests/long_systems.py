@@ -15,9 +15,13 @@ of vertices made and the number of points.  The cases:
 
 Every case runs at ``--pmax 32``, the CLI's default.  Run it from the root of
 a tree; ``--tree NAME`` adds ``"tree": NAME`` to every row, to tell the rows
-of two trees apart:
+of two trees apart.  ``--repeat K`` runs every case K times, each in its own
+process and the cases in turn, and prints per case the median of ``parse_s``,
+``run_s`` and ``peak_rss_mb`` with their interquartile ranges
+(``statistics.quantiles``, exclusive method) under the same names plus
+``_iqr``; the counts must agree between runs:
 
-    PYTHONPATH=src python tests/long_systems.py --tree change
+    PYTHONPATH=src python tests/long_systems.py --tree change --repeat 5
     PYTHONPATH=src python tests/long_systems.py --case cascade 600
 
 The name keeps pytest from collecting it.
@@ -25,6 +29,7 @@ The name keeps pytest from collecting it.
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 import time
@@ -35,6 +40,7 @@ from troptri import RootTree, parse_system
 CASES = [("chain", 1000), ("chain", 3000), ("cascade", 600), ("cascade", 1200), ("pstep", 2)]
 P_MAX = 32
 PSTEP = {"chain": "1", "cascade": "1", "pstep": "1/1000"}
+MEASURED = ("parse_s", "run_s", "peak_rss_mb")
 
 
 def system_text(name, n):
@@ -80,21 +86,49 @@ def run_case(name, n):
     }
 
 
+def run_in_process(name, n):
+    """One row, measured in a fresh Python process."""
+    out = subprocess.run(
+        [sys.executable, __file__, "--case", name, str(n)],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def summarize(runs):
+    """One row for the runs of a case: the medians and interquartile ranges
+    of MEASURED, and the counts, which every run must share."""
+    row = {key: value for key, value in runs[0].items() if key not in MEASURED}
+    for run in runs[1:]:
+        if any(run[key] != value for key, value in row.items()):
+            raise SystemExit("the runs of %s n=%d disagree: %r, %r" % (row["system"], row["n"], runs[0], run))
+    for key in MEASURED:
+        values = [run[key] for run in runs]
+        q1, _, q3 = statistics.quantiles(values, n=4)
+        row[key] = round(statistics.median(values), 3)
+        row[key + "_iqr"] = round(q3 - q1, 3)
+    row["repeat"] = len(runs)
+    return row
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--case", nargs=2, metavar=("SYSTEM", "N"), help="run one case in this process")
     parser.add_argument("--tree", help="a name added to every row")
+    parser.add_argument("--repeat", type=int, default=1, metavar="K", help="run every case K times")
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     if args.case:
         rows = [run_case(args.case[0], int(args.case[1]))]
+    elif args.repeat == 1:
+        rows = [run_in_process(name, n) for name, n in CASES]
     else:
-        rows = []
-        for name, n in CASES:
-            out = subprocess.run(
-                [sys.executable, __file__, "--case", name, str(n)],
-                check=True, capture_output=True, text=True,
-            ).stdout
-            rows.append(json.loads(out.splitlines()[-1]))
+        runs = [[] for _ in CASES]
+        for _ in range(args.repeat):
+            for case_runs, (name, n) in zip(runs, CASES):
+                case_runs.append(run_in_process(name, n))
+        rows = [summarize(case_runs) for case_runs in runs]
     for row in rows:
         if args.tree:
             row = {"tree": args.tree, **row}

@@ -1,5 +1,7 @@
 """Independent oracles for the engine's predicates and structures.
 
+``to_stored`` and ``to_scalars`` convert between an MPoly's stored form and
+its view as a {degree: PuiseuxScalar} dict, the one place the tests do so.
 ``Poly`` is an MPoly with the ring operations, and ``scalar_constant``,
 ``scalar_neg`` and ``scalar_sub`` complete the scalars' own: the package
 needs none of them, since the parser multiplies out on integers, so they
@@ -57,22 +59,40 @@ def scalar_sub(a, b):
     return a + scalar_neg(b)
 
 
+def to_stored(scalars):
+    """The (den, terms) an MPoly stores for a {degree: PuiseuxScalar} dict with
+    no zero scalar: the scalars' numerators over their least common
+    denominator, the terms in the dict's order."""
+    den = lcm(*[s.den for s in scalars.values()])
+    return den, {deg: {n * (den // s.den): c for n, c in s.nums} for deg, s in scalars.items()}
+
+
+def to_scalars(f):
+    """The {degree: PuiseuxScalar} dict of an MPoly, in its stored order."""
+    return {deg: PuiseuxScalar.from_numerators(f.field, f.den, terms) for deg, terms in f.terms.items()}
+
+
 class Poly(MPoly):
     """An MPoly with the ring operations, which give a Poly also where one
-    side is a plain MPoly.  A sum keeps the left side's terms in their order
-    and puts the right side's new ones after them, dropping a term that
-    cancels; a product goes through the pairs of terms in order and drops
-    the zero sums at the end."""
+    side is a plain MPoly.  They work on the scalar view (``to_scalars``).
+    A sum keeps the left side's terms in their order and puts the right
+    side's new ones after them, dropping a term that cancels; a product goes
+    through the pairs of terms in order and drops the zero sums at the end."""
 
     __slots__ = ()
 
     @classmethod
     def of(cls, f):
-        return f if isinstance(f, Poly) else cls(f.field, f.nvars, f.terms)
+        return f if isinstance(f, Poly) else cls(f.field, f.nvars, f.den, f.terms)
+
+    @classmethod
+    def of_scalars(cls, field, nvars, scalars):
+        """The Poly of a {degree: PuiseuxScalar} dict with no zero scalar."""
+        return cls(field, nvars, *to_stored(scalars))
 
     @classmethod
     def constant(cls, field, nvars, scalar):
-        return cls(field, nvars, {} if scalar.is_zero() else {(0,) * nvars: scalar})
+        return cls.of_scalars(field, nvars, {} if scalar.is_zero() else {(0,) * nvars: scalar})
 
     @classmethod
     def variable(cls, field, nvars, index, scalar=None):
@@ -80,11 +100,11 @@ class Poly(MPoly):
         if scalar is None:
             scalar = scalar_constant(field, field.one)
         deg = tuple(int(i == index) for i in range(nvars))
-        return cls(field, nvars, {} if scalar.is_zero() else {deg: scalar})
+        return cls.of_scalars(field, nvars, {} if scalar.is_zero() else {deg: scalar})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for deg, scalar in other.terms.items():
+        out = to_scalars(self)
+        for deg, scalar in to_scalars(other).items():
             if deg in out:
                 s = out[deg] + scalar
                 if s.is_zero():
@@ -93,13 +113,13 @@ class Poly(MPoly):
                     out[deg] = s
             else:
                 out[deg] = scalar
-        return Poly(self.field, self.nvars, out)
+        return Poly.of_scalars(self.field, self.nvars, out)
 
     def __radd__(self, other):
         return Poly.of(other) + self
 
     def __neg__(self):
-        return Poly(self.field, self.nvars, {d: scalar_neg(s) for d, s in self.terms.items()})
+        return Poly.of_scalars(self.field, self.nvars, {d: scalar_neg(s) for d, s in to_scalars(self).items()})
 
     def __sub__(self, other):
         return self + -Poly.of(other)
@@ -109,12 +129,13 @@ class Poly(MPoly):
 
     def __mul__(self, other):
         out = {}
-        for d1, s1 in self.terms.items():
-            for d2, s2 in other.terms.items():
+        right = to_scalars(other)
+        for d1, s1 in to_scalars(self).items():
+            for d2, s2 in right.items():
                 deg = tuple(map(operator.add, d1, d2))
                 prod = s1 * s2
                 out[deg] = out[deg] + prod if deg in out else prod
-        return Poly(self.field, self.nvars, {d: s for d, s in out.items() if not s.is_zero()})
+        return Poly.of_scalars(self.field, self.nvars, {d: s for d, s in out.items() if not s.is_zero()})
 
     def __rmul__(self, other):
         return Poly.of(other) * self
@@ -134,7 +155,7 @@ class Poly(MPoly):
     def mul_scalar(self, scalar):
         if scalar.is_zero():
             return Poly(self.field, self.nvars)
-        return Poly(self.field, self.nvars, {d: s * scalar for d, s in self.terms.items()})
+        return Poly.of_scalars(self.field, self.nvars, {d: s * scalar for d, s in to_scalars(self).items()})
 
 
 def from_coeffs(field, nvars, var, pairs):
@@ -226,7 +247,7 @@ def expression_mpoly(tree, field, nvars):
         return -a
     if kind == "pow":
         e = tree[2]
-        k = sum(len(s.nums) for s in a.terms.values())
+        k = sum(map(len, a.terms.values()))
         if e > MAX_POWER_SIZE or (k >= 2 and comb(e + k - 1, k - 1) > MAX_POWER_SIZE):
             return None
         return a**e
@@ -266,7 +287,7 @@ def shift_and_rescale(f, prefix, scale):
 def support_points(f: UPoly):
     """The points (j, val(a_j)) of f = sum a_j x^j, with rational heights
     taken as the least valuation of each coefficient's scalars."""
-    return [(j, min(s.valuation() for s in c.terms.values())) for j, c in sorted(f.coeffs.items())]
+    return [(j, min(s.valuation() for s in to_scalars(c).values())) for j, c in sorted(f.coeffs.items())]
 
 
 def newton_polygon_rational(f: UPoly) -> Polygon:

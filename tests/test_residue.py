@@ -1,6 +1,8 @@
 """Residue fields: exact arithmetic and unit-root extraction."""
 
 import random
+import signal
+import time
 from fractions import Fraction
 from math import prod
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import troptri
-from helpers import horner, time_limit, unit_roots_naive
+from helpers import TimeLimitExceeded, horner, time_limit, unit_roots_naive
 from oracles import is_prime_trial_division
 from troptri import (
     DivisionByZero,
@@ -28,6 +30,31 @@ def roots_in_units(p):
     """``troptri.roots_in_units`` under a time limit, so that a hang fails the test."""
     with time_limit(10):
         return troptri.roots_in_units(p)
+
+
+def test_time_limits_nest():
+    # the wrapper above runs inside the tests' own limits: an inner limit
+    # must neither outlast an outer one nor stop it counting
+    with pytest.raises(TimeLimitExceeded):
+        with time_limit(0.1):
+            with time_limit(10):
+                time.sleep(0.5)
+    with pytest.raises(TimeLimitExceeded):
+        with time_limit(0.2):
+            with time_limit(10):
+                pass
+            time.sleep(0.5)
+    # an inner body that swallows the enclosing limit's expiry still ends it
+    with pytest.raises(TimeLimitExceeded, match="enclosing"):
+        with time_limit(0.1):
+            with time_limit(10):
+                with pytest.raises(TimeLimitExceeded):
+                    time.sleep(0.5)
+    with time_limit(10):
+        with time_limit(0.1):
+            pass
+        assert 9 < signal.getitimer(signal.ITIMER_REAL)[0] <= 10
+    assert signal.getitimer(signal.ITIMER_REAL)[0] == 0
 
 
 def _not_split(field):

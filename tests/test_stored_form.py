@@ -12,6 +12,13 @@ common denominator; the exponents read here come through its rational
 view ``terms``.  Its arithmetic is checked against dicts keyed by
 Fraction exponents, and the integer Newton hull against the hull taken
 over rational heights.
+
+An MPoly stores one int denominator ``den`` and, per monomial, a dict of
+int t-numerators over ``den`` to nonzero coefficients, which the kernels
+work on directly.  These properties pin that form on what the parser,
+the substitution and the recentering build, and check the kernels against
+Horner's rule and the valuations against the view as scalars
+(``oracles.to_scalars``).
 """
 
 from fractions import Fraction
@@ -20,15 +27,17 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import const, from_coeffs, series, sum_mpoly, tp, uval
-from oracles import newton_polygon_rational, scalar_neg, scalar_sub
+from helpers import const, from_coeffs, initial_part_naive, series, sum_mpoly, tp, uval
+from oracles import Poly, evaluate, newton_polygon_rational, scalar_neg, scalar_sub, to_scalars
 from troptri import (
+    MPoly,
     NonSplittingError,
     PrimeField,
     PuiseuxScalar,
     RationalField,
     ResiduePoly,
     RootTree,
+    UPoly,
     initial_form,
     newton_polygon,
     parse_system,
@@ -297,10 +306,11 @@ def test_integer_newton_hull_matches_the_rational_hull(f):
     for j, v in polygon.vertices:
         assert_stored(v)
     for c in f.coeffs.values():
-        low = min(s.valuation() for s in c.terms.values())
+        scalars = to_scalars(c)
+        low = min(s.valuation() for s in scalars.values())
         assert uval(c) == low
         assert_stored(uval(c))
-        assert c.initial_terms() == {d: s.terms[0][1] for d, s in c.terms.items() if s.valuation() == low}
+        assert c.initial_terms() == {d: s.terms[0][1] for d, s in scalars.items() if s.valuation() == low}
     assert polygon.slopes() == [Fraction(v2 - v1, j2 - j1) for (j1, v1), (j2, v2) in polygon.edges()]
     for s in polygon.slopes():
         assert_stored(s)
@@ -377,3 +387,120 @@ def test_precisions_keep_the_stored_form():
     assert precs == {Fraction(k, 2) for k in range(8)}
     for p in precs:
         assert_stored(p)
+
+
+def assert_mpoly_form(f):
+    """A positive int ``den``; per monomial of ``nvars`` exponents a nonempty
+    dict of int numerators to nonzero coefficients in the field's stored form."""
+    assert type(f) in (MPoly, Poly) and type(f.den) is int and f.den >= 1
+    p = getattr(f.field, "p", None)
+    for deg, terms in f.terms.items():
+        assert type(deg) is tuple and len(deg) == f.nvars and terms, (deg, terms)
+        for n, c in terms.items():
+            assert type(n) is int and c != 0
+            if p is None:
+                assert_stored(c)
+            else:
+                assert_canonical(c, p)
+
+
+def assert_initial_part(f):
+    """``val_pair``, ``initial_term`` and ``initial_terms`` as the scalars give them."""
+    if not f.is_zero():
+        assert (f.val_pair(), f.initial_term(), f.initial_terms()) == initial_part_naive(f)
+
+
+def test_the_parser_and_the_root_tree_keep_the_polynomial_form():
+    # denominators 2 and 3 on the input lines, 1 on the roots' first terms
+    text = (
+        "ring x1 x2 x3\n"
+        "poly (x1 - 1 - t^(1/2))*(x1 - 1 - t^(2/3)) + 0*t\n"
+        "poly x2^2 - (x1 - 1)*x2 + t^(5/2)\n"
+        "poly x3 - x1*x2 + 1 + t^(1/3)\n"
+    )
+    system = parse_system(text)
+    assert [f.den for f in system.polys] == [6, 2, 3]
+    tree = RootTree(system, 1, 32).run()
+    assert tree.points()
+    for f in system.polys:
+        assert_mpoly_form(f)
+        assert_initial_part(f)
+    # the store's polynomials: put in, composed, recentered, and the ones
+    # each kept expansion stopped at
+    built = []
+    for _, h in tree.store.values():
+        built.extend(filter(None, h.values()) if isinstance(h, dict) else [h])
+    assert any(isinstance(h, UPoly) for h in built) and any(isinstance(h, MPoly) for h in built)
+    for h in built:
+        for c in (h.coeffs.values() if isinstance(h, UPoly) else [h]):
+            assert_mpoly_form(c)
+            assert_initial_part(c)
+
+
+_KERNEL_FIELDS = st.sampled_from([QQ, PrimeField(7)])
+_SHAPES = st.sampled_from(["bare tail", "exact", "known plus tail"])
+
+
+@st.composite
+def _over(draw, field, den, max_terms):
+    """A scalar with exponents n/den, n in -2*den..3*den, maybe zero."""
+    pairs = draw(st.lists(st.tuples(st.integers(-2 * den, 3 * den), st.integers(-3, 3)), max_size=max_terms))
+    return series(field, [(Fraction(n, den), field.from_int(c)) for n, c in pairs])
+
+
+@st.composite
+def _kernel_cases(draw):
+    """f over denominator q1, a coordinate, a prefix a over q2, a tail t^e over
+    q3 and a shape.  With ``cancel``, f is (x_index - a)^k * g, so that
+    recentering at a cancels its k lowest coefficients to exactly zero."""
+    field = draw(_KERNEL_FIELDS)
+    nvars = draw(st.integers(1, 3))
+    index = draw(st.integers(0, nvars - 1))
+    q1, q2, q3 = (draw(st.integers(1, 3)) for _ in range(3))
+    degrees = st.tuples(*[st.integers(0, 2)] * nvars)
+    g = sum_mpoly(field, nvars, draw(st.dictionaries(degrees, _over(field, q1, 2), max_size=4)).items())
+    a = draw(_over(field, q2, 3))
+    cancel = draw(st.integers(0, 2))
+    if cancel and not a.is_zero() and not g.is_zero():
+        x = Poly.variable(field, nvars, index)
+        g = (x - Poly.constant(field, nvars, a)) ** cancel * g
+    s = tp(Fraction(draw(st.integers(-2 * q3, 3 * q3)), q3), field=field)
+    return g, index, a, s, draw(_SHAPES), cancel
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_kernel_cases())
+def test_kernels_on_numerators_match_horners_rule(case):
+    f, index, a, s, shape, cancel = case
+    field, nvars = f.field, f.nvars
+    f = MPoly(field, nvars, f.den, f.terms)
+    assert_mpoly_form(f)
+    assert_initial_part(f)
+    a = None if shape == "bare tail" or a.is_zero() else a
+    s = None if shape == "exact" else s
+    if a is None and s is None:
+        return
+    before = {d: dict(t) for d, t in f.terms.items()}
+    value = Poly(field, nvars)
+    if a is not None:
+        value = value + Poly.constant(field, nvars, a)
+    if s is not None:
+        value = value + Poly.variable(field, nvars, index, s)
+    got = f.substitute(index, a, s)
+    assert got == evaluate(UPoly.from_mpoly(f, index), value)
+    assert_mpoly_form(got)
+    assert_initial_part(got)
+    if a is not None:
+        g = UPoly.from_mpoly(f, index)
+        shifted = g.shift_substitute(a)
+        x = Poly.variable(field, nvars, index)
+        horner = evaluate(g, Poly.constant(field, nvars, a) + x)
+        assert sum((x**j * c for j, c in shifted.coeffs.items()), Poly(field, nvars)) == horner
+        for c in shifted.coeffs.values():
+            assert_mpoly_form(c)
+            assert_initial_part(c)
+        if cancel and not f.is_zero() and f.variables() >= {index}:
+            # the k lowest coefficients cancelled to exactly zero, and are gone
+            assert min(shifted.coeffs) >= cancel
+    # the inputs, whose dicts the outputs may share, are as they were
+    assert f.terms == before

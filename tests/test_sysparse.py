@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import QQ, const, mpoly, tp, xvar, mconst
-from oracles import expression_mpoly
+from oracles import expression_mpoly, to_scalars
 from troptri import (
     NonTriangularError,
     ParseError,
@@ -222,7 +222,7 @@ _CASES = [
 
 def _stored(f):
     """The terms of f in stored order, each with its scalar's stored form."""
-    return [(deg, s.den, s.nums) for deg, s in f.terms.items()]
+    return [(deg, s.den, s.nums) for deg, s in to_scalars(f).items()]
 
 
 @st.composite

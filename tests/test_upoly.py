@@ -219,7 +219,8 @@ _VALUE_SHAPES = st.sampled_from(["bare tail", "exact", "known plus tail", "unuse
 
 @st.composite
 def _substitute_cases(draw):
-    """A sparse MPoly, a coordinate, and the scalars a, s of a value a + s*u_index."""
+    """A sparse MPoly, a coordinate, and the scalars a, s of a value a + s*u_index,
+    s = t^e the tail's power."""
     field = draw(_SHIFT_FIELDS)
     nvars = draw(st.integers(1, 3))
     index = draw(st.integers(0, nvars - 1))
@@ -228,13 +229,13 @@ def _substitute_cases(draw):
     shape = draw(_VALUE_SHAPES)
     nonzero = _scalars(field, 3).filter(lambda c: not c.is_zero())
     a = draw(_scalars(field, 3) if shape in ("bare tail", "unused coordinate") else nonzero)
-    s = draw(_scalars(field, 2) if shape in ("exact", "unused coordinate") else nonzero)
+    s = draw(_EXPONENTS.map(lambda e: tp(e, field=field)))
     if shape == "bare tail":
         a = ps(field=field)
     elif shape == "exact":
         s = ps(field=field)
     elif shape == "unused coordinate":
-        f = MPoly(field, nvars, {d: c for d, c in f.terms.items() if not d[index]})
+        f = MPoly(field, nvars, f.den, {d: c for d, c in f.terms.items() if not d[index]})
     return f, index, a, s
 
 
@@ -277,11 +278,16 @@ def test_recentering_a_cube_at_its_root_cancels_every_lower_coefficient(field):
     assert len(f.coeffs) == 4
     shifted = f.shift_substitute(a)
     assert shifted.coeffs == {3: c}
-    assert not any(scalar.is_zero() for scalar in shifted.coeffs[3].terms.values())
-    # the same cancellation through MPoly.substitute: x1 -> a + s*u1
-    s = tp(Fraction(1, 3), 2, field=field)
+    assert all(terms and all(terms.values()) for terms in shifted.coeffs[3].terms.values())
+    # the same cancellation through MPoly.substitute: x1 -> a + t^(1/3)*u1
+    s = tp(Fraction(1, 3), field=field)
     assert cube.substitute(0, a, s) == c * Poly.variable(field, 3, 0, s) ** 3
     assert cube.substitute(0, a, None).is_zero()
+
+
+def _copied(terms):
+    """A copy of a stored form's terms that shares no dict with it."""
+    return {d: dict(t) for d, t in terms.items()}
 
 
 def _initial_parts(coeffs):
@@ -293,18 +299,19 @@ def _initial_parts(coeffs):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(_shift_cases(), _substitute_cases())
 def test_recentering_leaves_its_input_as_it_was(shift_case, substitute_case):
-    # the root tree's store shares polynomials between branches, so the
-    # kernel must work on copies of the coefficients' term dicts, and the
-    # initial part each coefficient keeps must still describe its terms
+    # the root tree's store shares polynomials between branches, and
+    # polynomials share their numerator dicts, so the kernel must work on
+    # copies of the dicts it writes, and the initial part each coefficient
+    # keeps must still describe its terms
     f, prefix, _, _ = shift_case
-    before = {j: dict(c.terms) for j, c in f.coeffs.items()}
+    before = {j: _copied(c.terms) for j, c in f.coeffs.items()}
     kept = _initial_parts(f.coeffs.values())
     f.shift_substitute(prefix)
     assert {j: c.terms for j, c in f.coeffs.items()} == before
     assert _initial_parts(f.coeffs.values()) == kept
     assert kept == [initial_part_naive(c) for c in f.coeffs.values()]
     g, index, a, s = substitute_case
-    before = dict(g.terms)
+    before = _copied(g.terms)
     kept = _initial_parts([g, *UPoly.from_mpoly(g, index).coeffs.values()])
     g.substitute(index, None if a.is_zero() else a, None if s.is_zero() else s)
     assert g.terms == before

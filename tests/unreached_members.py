@@ -79,7 +79,17 @@ ALLOWED = {
     "upoly.MPoly.format",
     "upoly.UPoly.format",
     "puiseux.PuiseuxScalar.format",
+    "puiseux.PuiseuxScalar.from_numerators",
     "residue.PrimeField.name",
+    "upoly.MPoly._key",
+    # the scalar sum and product: the engine works on an MPoly's numerators,
+    # but bench/tracing.py counts these two by name, and the tests build
+    # their reference values with them
+    "puiseux.PuiseuxScalar.__add__",
+    "puiseux.PuiseuxScalar.__mul__",
+    # called only by from_numerators and the scalar sum and product
+    "puiseux._common",
+    "puiseux._reduced",
 }
 
 
