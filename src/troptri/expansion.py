@@ -13,7 +13,6 @@ tail u_i * t^(w_r) standing for their unknown continuation.
 
 from .errors import InvalidTargetError, RecursionLimitError, ZeroPolynomialError
 from .polygon import is_unique, newton_polygon
-from .puiseux import PuiseuxScalar
 from .rationals import format_rat, int_if_integral
 from .residue import roots_in_units
 from .upoly import UPoly, initial_form
@@ -77,16 +76,6 @@ class ApproxRoot:
             return self.known[0][0]
         return self.tail
 
-    def known_scalar(self, field) -> PuiseuxScalar:
-        return PuiseuxScalar(field, self.known)
-
-    def scalars(self, field):
-        """(a, s) with the root a + s*u_index: the known part and the tail's
-        t-power, each None when it is 0."""
-        a = self.known_scalar(field) if self.known else None
-        s = None if self.tail is None else PuiseuxScalar.t_power(field, self.tail)
-        return a, s
-
     def sort_key(self):
         exact_rank = 0 if self.tail is None else 1
         return (self.valuation(), exact_rank, self.known, self.tail or 0)
@@ -133,7 +122,7 @@ def _expand(f: UPoly, w, p_rel, depth, max_depth, known=()) -> dict:
         return {ApproxRoot(f.var, known, w): f}
     out = {}
     for c in sorted(roots_in_units(h)):
-        shifted = f.shift_substitute(PuiseuxScalar.t_power(f.field, w, c))
+        shifted = f.shift_substitute(((w, c),))
         if not is_unique(shifted):
             return {ApproxRoot(f.var, known, w): f}
         prefix = known + ((w, c),)

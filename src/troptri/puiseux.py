@@ -10,8 +10,12 @@ The arithmetic works on the integer numerators only; exponents leave
 as rationals (an int when integral, else a ``fractions.Fraction``)
 through ``valuation``, ``terms`` and ``format``.  All arithmetic is
 exact; cancellation removes terms only when they are exactly zero.
-The engine adds and multiplies on an MPoly's numerators (``upoly``), so
-the sum and product here serve the tests and the public API.
+
+This is the library's value type, and no CLI run builds one: the engine
+takes a root as its own (exponent, coefficient) pairs and adds and
+multiplies on an MPoly's numerators (``upoly``).  ``MPoly.format`` writes
+each of its terms out through ``from_numerators`` and ``format``, and the
+sum and product here serve the tests and the public API.
 """
 
 from math import gcd, lcm
@@ -62,14 +66,6 @@ class PuiseuxScalar:
         self.nums = tuple(_over(terms, self.den))
 
     @classmethod
-    def t_power(cls, field, exp, coeff=None):
-        if coeff is None:
-            coeff = field.one
-        if coeff == 0:
-            return _scalar(field, 1, ())
-        return _scalar(field, exp.denominator, ((exp.numerator, coeff),))
-
-    @classmethod
     def from_numerators(cls, field, den, nums):
         """The scalar sum(c*t^(n/den)) of a {numerator: nonzero c} dict."""
         return _reduced(field, den, sorted(nums.items()))
@@ -93,10 +89,9 @@ class PuiseuxScalar:
 
     def __add__(self, other):
         field = self.field
-        den, a, b = (self.den, self.nums, other.nums) if self.den == other.den else _common(self, other)
+        den, a, b = _common(self, other)
         i = j = 0
         out = []
-        cancelled = False
         while i < len(a) and j < len(b):
             if a[i][0] < b[j][0]:
                 out.append(a[i])
@@ -108,16 +103,11 @@ class PuiseuxScalar:
                 c = field.add(a[i][1], b[j][1])
                 if c != 0:
                     out.append((a[i][0], c))
-                else:
-                    cancelled = True
                 i += 1
                 j += 1
         out.extend(a[i:])
         out.extend(b[j:])
-        if cancelled and den != 1:
-            # without a cancellation the least common denominator stays least
-            return _reduced(field, den, out)
-        return _scalar(field, den, tuple(out))
+        return _reduced(field, den, out)
 
     def __mul__(self, other):
         field = self.field

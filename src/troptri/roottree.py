@@ -168,7 +168,7 @@ class RootTree:
         key = (id(g), root)
         entry = self.store.get(key)
         if entry is None:
-            h = g if root is None else g.substitute(root.index, *root.scalars(self.field))
+            h = g if root is None else g.substitute(root.index, root.known, root.tail)
             if k is not None:
                 try:
                     h = compose(h, k)
@@ -205,7 +205,7 @@ class RootTree:
         key = (id(composed), known)
         entry = self.store.get(key)
         if entry is None:
-            recentered = composed.shift_substitute(v.root.known_scalar(self.field))
+            recentered = composed.shift_substitute(known)
             entry = self.store[key] = (composed, recentered)
         return entry[1]
 

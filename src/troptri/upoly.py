@@ -17,8 +17,10 @@ Two layers:
                coefficients are MPolys in the tail variables u.
 
 An MPoly keeps its coefficients as integer t-numerators over one
-denominator, the form the parser builds; substitution, recentering and the
-valuations work on those ints, and a ``PuiseuxScalar`` is only put in.
+denominator, the form the parser builds.  A root goes in as its own terms,
+(exponent, coefficient) pairs and a tail exponent; substitution,
+recentering and the valuations work on those ints, and a
+``PuiseuxScalar`` is only written out (``MPoly.format``), never put in.
 """
 
 from __future__ import annotations
@@ -109,9 +111,10 @@ class MPoly:
         n *= self.den // d
         return {deg: s[n] for deg, s in self.terms.items() if n in s}
 
-    def substitute(self, index, a, s):
-        """Put a + s*u_index in for x_index: a a scalar, s = t^e the tail's
-        power (coefficient 1), each None when it is 0.
+    def substitute(self, index, known, tail):
+        """Put a root in for x_index: ``known`` the (exponent, coefficient) pairs
+        of its known part, possibly empty, and ``tail`` the exponent e of its
+        tail t^e*u_index, or None when the root is exact.
 
         Variable ``index`` is x_index before and u_index after, so a root's
         known terms recenter the polynomial and its tail rescales it.  A
@@ -122,24 +125,21 @@ class MPoly:
         """
         if not any(deg[index] for deg in self.terms):
             return self
-        if a is None:
+        if not known:
             # a bare tail: every monomial stays, x_index^k gains t^(k*e)
-            return self._rescaled(self.den, self.terms.items(), index, s)
-        coeffs = _taylor_shift(UPoly.from_mpoly(self, index).coeffs, a)
-        if s is None:
+            return self._rescaled(self.den, self.terms.items(), index, tail)
+        coeffs = _taylor_shift(UPoly.from_mpoly(self, index).coeffs, known)
+        if tail is None:
             return coeffs.get(0, MPoly(self.field, self.nvars))
         return self._rescaled(coeffs[max(coeffs)].den, (
             (d[:index] + (j,) + d[index + 1:], terms) for j, c in coeffs.items() for d, terms in c.terms.items()
-        ), index, s)
+        ), index, tail)
 
-    def _rescaled(self, den, pairs, index, s):
+    def _rescaled(self, den, pairs, index, e):
         """The MPoly of the (exponent tuple, numerator dict) pairs over ``den``,
-        with t^(k*e) put on x_index^k for s = t^e: k*e joins the numerators."""
-        ((m, one),) = s.nums
-        if one != self.field.one:
-            raise ValueError("the tail's power must have coefficient 1")
-        new = lcm(den, s.den)
-        q, m = new // den, m * (new // s.den)
+        with t^(k*e) put on x_index^k: k*e joins the numerators."""
+        new = lcm(den, e.denominator)
+        q, m = new // den, e.numerator * (new // e.denominator)
         return MPoly(self.field, self.nvars, new, {
             d: terms if q == 1 and not d[index] else {n * q + d[index] * m: c for n, c in terms.items()}
             for d, terms in pairs
@@ -180,23 +180,6 @@ def format_monomial(letter, deg) -> str:
     )
 
 
-def _format_sum(letter, coeffs) -> str:
-    """Render a dict exponent tuple -> coefficient text, highest monomial first."""
-    parts = []
-    for deg in sorted(coeffs, reverse=True):
-        mono = format_monomial(letter, deg)
-        cs = coeffs[deg]
-        if not mono:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append(mono)
-        elif cs == "-1":
-            parts.append("-%s" % mono)
-        else:
-            parts.append("%s*%s" % ("(%s)" % cs if " " in cs else cs, mono))
-    return " + ".join(parts) or "0"
-
-
 class UPoly:
     """Univariate polynomial in coordinate ``var`` over MPoly coefficients in u;
     never changed once built, so ``newton_polygon`` keeps its polygon here, and
@@ -228,39 +211,34 @@ class UPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def shift_substitute(self, prefix: PuiseuxScalar) -> UPoly:
-        """Evaluate at prefix + x, i.e. recenter the polynomial at ``prefix``.
-
-        Exact; the degree is preserved.
+    def shift_substitute(self, known) -> UPoly:
+        """Evaluate at a + x, a the sum of c*t^e over the (exponent, coefficient)
+        pairs ``known``: recenter the polynomial at a.  Exact; the degree is
+        preserved, and with no pairs the polynomial comes back as it is.
         """
-        if prefix.is_zero() or not self.coeffs:
-            return UPoly(self.field, self.nvars, self.var, self.coeffs)
-        return UPoly(self.field, self.nvars, self.var, _taylor_shift(self.coeffs, prefix))
-
-    def format(self) -> str:
-        return _format_sum("x", {
-            tuple(j if i == self.var else 0 for i in range(self.nvars)): c.format("u")
-            for j, c in self.coeffs.items()
-        })
+        if not known or not self.coeffs:
+            return self
+        return UPoly(self.field, self.nvars, self.var, _taylor_shift(self.coeffs, known))
 
     def __repr__(self):
-        return "<%s>" % self.format()
+        return "<UPoly in x%d: %r>" % (self.var + 1, self.coeffs)
 
 
-def _taylor_shift(coeffs, prefix):
-    """The nonzero coefficients of f(x + prefix), f = sum coeffs[j]*x^j != 0, by
+def _taylor_shift(coeffs, known):
+    """The nonzero coefficients of f(x + p), f = sum coeffs[j]*x^j != 0 and p
+    the sum of c*t^e over the (exponent, coefficient) pairs ``known``, by
     repeated synthetic division: pass i leaves the coefficient of x^i in a[i].
 
-    Everything runs on numerators over one common denominator.  a holds
-    copies of the numerator dicts it writes to, never the inputs, which other
-    polynomials share; each step adds prefix times a[j + 1] into a[j] in
-    place, deleting a term that cancels to zero, and the MPolys are built
-    once at the end."""
+    Everything runs on numerators over one common denominator, the lcm of
+    the exponents' and the coefficients' denominators.  a holds copies of
+    the numerator dicts it writes to, never the inputs, which other
+    polynomials share; each step adds p times a[j + 1] into a[j] in place,
+    deleting a term that cancels to zero, and the MPolys are built once at
+    the end."""
     d = max(coeffs)
     field, nvars = coeffs[d].field, coeffs[d].nvars
-    den = lcm(prefix.den, *[c.den for c in coeffs.values()])
-    q = den // prefix.den
-    shift = [(m * q, c) for m, c in prefix.nums]
+    den = lcm(*[e.denominator for e, _ in known], *[c.den for c in coeffs.values()])
+    shift = [(e.numerator * (den // e.denominator), c) for e, c in known]
     a = [{} for _ in range(d + 1)]
     for j, c in coeffs.items():
         k = den // c.den
@@ -329,5 +307,18 @@ def initial_form(f: UPoly, w):
 
 
 def format_residue_terms(terms) -> str:
-    """Render a dict u-degree -> residue element, e.g. '-u1 + 1'."""
-    return _format_sum("u", {d: format_rat(c) for d, c in terms.items()})
+    """Render a dict u-degree -> residue element, highest monomial first,
+    e.g. '-u1 + 1'."""
+    parts = []
+    for deg in sorted(terms, reverse=True):
+        mono = format_monomial("u", deg)
+        cs = format_rat(terms[deg])
+        if not mono:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(mono)
+        elif cs == "-1":
+            parts.append("-" + mono)
+        else:
+            parts.append("%s*%s" % (cs, mono))
+    return " + ".join(parts) or "0"

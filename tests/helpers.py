@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
-from oracles import Poly, from_coeffs, scalar_constant, tail_variables, to_scalars, uval  # noqa: F401 (re-exported)
+from oracles import Poly, from_coeffs, scalar_constant, t_power, tail_variables, to_scalars, uval  # noqa: F401 (re-exported)
 from troptri import (
     ApproxRoot,
     MPoly,
@@ -59,7 +59,7 @@ def series(field, pairs):
     order, built by scalar addition: repeated exponents add up, zeros drop."""
     acc = scalar_constant(field, field.zero)
     for e, c in pairs:
-        acc = acc + PuiseuxScalar.t_power(field, Fraction(e), c)
+        acc = acc + t_power(field, Fraction(e), c)
     return acc
 
 
@@ -78,7 +78,7 @@ def const(c, field=QQ):
 
 
 def tp(exp, coeff=1, field=QQ):
-    return PuiseuxScalar.t_power(field, Fraction(exp), field.from_int(coeff))
+    return t_power(field, Fraction(exp), field.from_int(coeff))
 
 
 def sum_mpoly(field, nvars, pairs):
@@ -197,7 +197,7 @@ def shift_substitute_naive(f, prefix, scale):
     """
     field, nvars = f.field, f.nvars + 1
     lin = Poly.constant(field, nvars, prefix) + Poly.variable(
-        field, nvars, nvars - 1, PuiseuxScalar.t_power(field, Fraction(scale))
+        field, nvars, nvars - 1, t_power(field, Fraction(scale))
     )
     acc = Poly(field, nvars)
     for j in range(max(f.coeffs, default=-1), -1, -1):

@@ -5,7 +5,16 @@ case's own, and prints one JSON object per case, in the form of the rows of
 the ``long_systems`` blocks of ``BENCH_*.json``: the system, n, the time of
 ``RootTree.run`` alone (``time.perf_counter``), the time of ``parse_system``
 before it, peak RSS (``VmHWM``, Linux), the reinforcement count, the number
-of vertices made and the number of points.  The cases:
+of vertices made and the number of points.
+
+Both times are given at the reference speed of ``bench/run.py``, as the
+benchmark gives a solve's: its ``reference`` loop (read through
+``helpers.read_bench_module``, not imported) is timed before the parse and
+after the run, and ``parse_s`` and ``run_s`` are scaled by REF_MS over the
+mean of those two times, so a slow stretch of a shared host cancels out.
+``ref_s`` is that mean, unscaled.  The scaling is always on: no flag turns
+it off.  Reading the loop loads ``bench/run.py`` and its neighbours, which
+adds about 0.5 MB to each case's peak RSS.  The cases:
 
 - chain: ``x1 - t``, ``xi - x(i-1)``, at n = 1,000 and 3,000;
 - cascade: ``(x1 - 1 - t)*(x1 - 1 - t^2)``, ``xi - x(i-1)``,
@@ -17,7 +26,7 @@ Every case runs at ``--pmax 32``, the CLI's default.  Run it from the root of
 a tree; ``--tree NAME`` adds ``"tree": NAME`` to every row, to tell the rows
 of two trees apart.  ``--repeat K`` runs every case K times, each in its own
 process and the cases in turn, and prints per case the median of ``parse_s``,
-``run_s`` and ``peak_rss_mb`` with their interquartile ranges
+``run_s``, ``peak_rss_mb`` and ``ref_s`` with their interquartile ranges
 (``statistics.quantiles``, exclusive method) under the same names plus
 ``_iqr``; the counts must agree between runs:
 
@@ -35,12 +44,14 @@ import sys
 import time
 from fractions import Fraction
 
+from helpers import read_bench_module
 from troptri import RootTree, parse_system
 
 CASES = [("chain", 1000), ("chain", 3000), ("cascade", 600), ("cascade", 1200), ("pstep", 2)]
 P_MAX = 32
 PSTEP = {"chain": "1", "cascade": "1", "pstep": "1/1000"}
-MEASURED = ("parse_s", "run_s", "peak_rss_mb")
+# the measured keys, each with the decimal places it is printed to
+MEASURED = {"parse_s": 3, "run_s": 3, "peak_rss_mb": 1, "ref_s": 6}
 
 
 def system_text(name, n):
@@ -64,8 +75,11 @@ def peak_rss_kb():
 
 
 def run_case(name, n):
-    """One row, measured in this process."""
+    """One row, measured in this process, its times at the reference speed."""
+    sys.dont_write_bytecode = True  # bench/run.py imports its neighbours
+    bench = read_bench_module("run")
     text = system_text(name, n)
+    before = bench.reference_seconds()
     start = time.perf_counter()
     system = parse_system(text)
     parsed = time.perf_counter()
@@ -73,13 +87,16 @@ def run_case(name, n):
     start_run = time.perf_counter()
     tree.run()
     run_s = time.perf_counter() - start_run
+    ref_s = (before + bench.reference_seconds()) / 2
+    scale = bench.REF_MS / 1000 / ref_s
     return {
         "system": name,
         "n": n,
         "pstep": PSTEP[name],
-        "parse_s": round(parsed - start, 3),
-        "run_s": round(run_s, 3),
-        "peak_rss_mb": round(peak_rss_kb() / 1024, 1),
+        "parse_s": round((parsed - start) * scale, MEASURED["parse_s"]),
+        "run_s": round(run_s * scale, MEASURED["run_s"]),
+        "ref_s": round(ref_s, MEASURED["ref_s"]),
+        "peak_rss_mb": round(peak_rss_kb() / 1024, MEASURED["peak_rss_mb"]),
         "reinforce": tree.reinforce_count,
         "vertices_made": len(tree.vertices),
         "points": len(tree.points()),
@@ -102,11 +119,11 @@ def summarize(runs):
     for run in runs[1:]:
         if any(run[key] != value for key, value in row.items()):
             raise SystemExit("the runs of %s n=%d disagree: %r, %r" % (row["system"], row["n"], runs[0], run))
-    for key in MEASURED:
+    for key, places in MEASURED.items():
         values = [run[key] for run in runs]
         q1, _, q3 = statistics.quantiles(values, n=4)
-        row[key] = round(statistics.median(values), 3)
-        row[key + "_iqr"] = round(q3 - q1, 3)
+        row[key] = round(statistics.median(values), places)
+        row[key + "_iqr"] = round(q3 - q1, places)
     row["repeat"] = len(runs)
     return row
 

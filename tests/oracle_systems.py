@@ -10,8 +10,8 @@ computed with plain scalar arithmetic and no polygon machinery at all.
 from fractions import Fraction
 
 from helpers import QQ, mconst, series, xvar
-from oracles import scalar_constant, scalar_neg, scalar_sub
-from troptri import PuiseuxScalar, TriangularSystem
+from oracles import scalar_constant, scalar_neg, scalar_sub, t_power
+from troptri import TriangularSystem
 
 
 def random_system_with_expected_points(rng, max_vars=3, max_factors=3):
@@ -124,5 +124,5 @@ def _random_multiplier(rng, q):
     coeff = QQ.from_int(rng.choice([1, 2, -1, -2]))
     if rng.random() < 0.5:
         exp = Fraction(rng.choice(range(0, 4)), q)
-        return PuiseuxScalar.t_power(QQ, exp, coeff)
+        return t_power(QQ, exp, coeff)
     return scalar_constant(QQ, coeff)

@@ -3,10 +3,10 @@
 ``to_stored`` and ``to_scalars`` convert between an MPoly's stored form and
 its view as a {degree: PuiseuxScalar} dict, the one place the tests do so.
 ``Poly`` is an MPoly with the ring operations, and ``scalar_constant``,
-``scalar_neg`` and ``scalar_sub`` complete the scalars' own: the package
-needs none of them, since the parser multiplies out on integers, so they
-are the reference the parser is checked against and what ``helpers``
-makes its fixtures with.
+``t_power``, ``scalar_neg`` and ``scalar_sub`` complete the scalars' own:
+the package needs none of them, since the parser multiplies out on
+integers and a root goes in as its own terms, so they are the reference
+the parser is checked against and what ``helpers`` makes its fixtures with.
 ``evaluate`` is Horner's rule, the reference for ``MPoly.substitute``, and
 ``as_mpoly`` is a root as the K[u] value it puts in; ``compose_roots`` is
 ``compose`` after putting roots in by ``MPoly.substitute``;
@@ -48,6 +48,13 @@ from troptri.sysparse import MAX_POWER_SIZE
 def scalar_constant(field, c):
     """The scalar c (0 when c is 0)."""
     return PuiseuxScalar(field, ((0, c),) if c != 0 else ())
+
+
+def t_power(field, exp, coeff=None):
+    """The scalar coeff*t^exp, coeff 1 by default (0 when coeff is 0)."""
+    if coeff is None:
+        coeff = field.one
+    return PuiseuxScalar(field, ((exp, coeff),) if coeff != 0 else ())
 
 
 def scalar_neg(s):
@@ -194,7 +201,7 @@ def specialize(poly, values):
             (j, specialize(c, values)) for j, c in poly.coeffs.items()
         ])
     for i, v in values.items():
-        poly = poly.substitute(i, v, None)
+        poly = poly.substitute(i, v.terms, None)
     return poly
 
 
@@ -202,14 +209,14 @@ def as_mpoly(root, field, nvars) -> MPoly:
     """The root as an element of K[u]: its known terms plus u_index*t^tail."""
     value = Poly.constant(field, nvars, PuiseuxScalar(field, root.known))
     if root.tail is not None:
-        value = value + Poly.variable(field, nvars, root.index, PuiseuxScalar.t_power(field, root.tail))
+        value = value + Poly.variable(field, nvars, root.index, t_power(field, root.tail))
     return value
 
 
 def compose_roots(f: MPoly, roots, target):
     """``compose(f, target)`` after putting each root in for its coordinate."""
     for r in roots:
-        f = f.substitute(r.index, *r.scalars(f.field))
+        f = f.substitute(r.index, r.known, r.tail)
     return compose(f, target)
 
 
@@ -237,7 +244,7 @@ def expression_mpoly(tree, field, nvars):
         c = field.div(field.from_int(tree[1]), field.from_int(tree[2]))
         return Poly.constant(field, nvars, scalar_constant(field, c))
     if kind == "t":
-        return Poly.constant(field, nvars, PuiseuxScalar.t_power(field, tree[1]))
+        return Poly.constant(field, nvars, t_power(field, tree[1]))
     if kind == "x":
         return Poly.variable(field, nvars, tree[1] - 1)
     a = expression_mpoly(tree[1], field, nvars)
@@ -277,9 +284,9 @@ def is_prime_trial_division(n):
 def shift_and_rescale(f, prefix, scale):
     """f evaluated at prefix + t^scale * x: recentered at ``prefix``, then
     rescaled so that x^j gains the factor t^(scale*j)."""
-    g = f.shift_substitute(prefix)
+    g = f.shift_substitute(prefix.terms)
     return UPoly(g.field, g.nvars, g.var, {
-        j: Poly.of(c).mul_scalar(PuiseuxScalar.t_power(g.field, Fraction(scale) * j))
+        j: Poly.of(c).mul_scalar(t_power(g.field, Fraction(scale) * j))
         for j, c in g.coeffs.items()
     })
 
@@ -358,7 +365,7 @@ def _random_unit(field, rng) -> PuiseuxScalar:
     if rng.random() < 0.5:
         exp = Fraction(rng.randint(1, 4), rng.randint(1, 2))
         c1 = field.from_int(rng.randint(-3, 3))
-        value = value + PuiseuxScalar.t_power(field, exp, c1)
+        value = value + t_power(field, exp, c1)
     return value
 
 
@@ -464,7 +471,7 @@ def has_maximal_precision(f: UPoly, root) -> bool:
     """
     if root.tail is None:
         raise ValueError("exact roots have nothing left to refine")
-    g = shift_and_rescale(f, root.known_scalar(f.field), root.tail)
+    g = shift_and_rescale(f, PuiseuxScalar(f.field, root.known), root.tail)
     if g.is_zero() or not is_unique(g):
         return False
     polygon = newton_polygon(g)

@@ -109,10 +109,10 @@ def test_criterion_3_worked_expansion():
     # leaves x^2 + (-2t^2 - t)x + (t^4 + t^3); its branch at valuation 2
     # ran with budget 1 (and found the exact continuation t^2), and the
     # branch below valuation 1 ran out at budget 0 (bare tail at t^2)
-    f1_shift = f.shift_substitute(const(1))
+    f1_shift = f.shift_substitute(((0, 1),))
     assert f1_shift.coeffs == upoly(1, 0, {2: const(1), 1: ps((1, -1), (2, -2)), 0: ps((3, 1), (4, 1))}).coeffs
     assert set(puiseux_expansion(f1_shift, 2, 1)) == {root(0, [(2, 1)], None)}
-    f11_shift = f1_shift.shift_substitute(tp(1))
+    f11_shift = f1_shift.shift_substitute(((1, 1),))
     assert f11_shift.coeffs == upoly(1, 0, {2: const(1), 1: ps((1, 1), (2, -2)), 0: ps((3, -1), (4, 1))}).coeffs
     assert set(puiseux_expansion(f11_shift, 2, 0)) == {root(0, [], 2)}
 
@@ -144,7 +144,7 @@ def test_criterion_4_predicates_and_shifts():
             0: uc(2, (ps((1, 1), (2, 1)), (0, 0)), (ps((2, 1), (3, 2)), (1, 0)), (tp(4), (2, 0))),
         }),
     }
-    assert f2.shift_substitute(ps()).coeffs == shifts[(0, 0)].coeffs
+    assert f2.shift_substitute(()).coeffs == shifts[(0, 0)].coeffs
     assert shift_and_rescale(f2, ps(), 1).coeffs == shifts[(1, 0)].coeffs
     assert shift_and_rescale(f2, ps((0, 1), (1, 1)), 2).coeffs == upoly(2, 1, {
         2: tp(4),

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import const, ps, time_limit, upoly
+from helpers import cli_run, const, ps, read_bench_module, time_limit, upoly
 from oracle_systems import prefix_cancelling_system_with_expected_points, random_system_with_expected_points
 from troptri import format_system
 from troptri.cli import main
@@ -660,3 +660,22 @@ def test_modulus_above_the_cap_or_composite_exits_4(tmp_path, p):
     code, out, err = run_cli(tmp_path, "ring x1 fp:%d\npoly x1 - t\n" % p)
     assert (code, out) == (4, "")
     assert err == "error: line 1, column 1: modulus must be a prime <= %d, got %d\n" % (10**24, p)
+
+
+def test_a_cli_run_builds_no_puiseux_scalar(monkeypatch):
+    # a root goes in as its own terms and the kernels work on numerators,
+    # so no run on the benchmark corpora builds a scalar
+    import troptri.puiseux as puiseux
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PuiseuxScalar was built")
+
+    monkeypatch.setattr(puiseux.PuiseuxScalar, "__init__", refuse)
+    monkeypatch.setattr(puiseux, "_scalar", refuse)
+    workloads = read_bench_module("workloads")
+    for name in workloads.WORKLOADS:
+        for system in workloads.corpus(name, 3, 30):
+            code, out, err = cli_run(system.text, ["--format", "json"])
+            assert code == 0, (name, err)
+            points = {tuple(Fraction(c) for c in p) for p in json.loads(out)["points"]}
+            assert points == system.expected, (name, system.text)

@@ -115,7 +115,7 @@ def test_reinforcement_polynomial_recenters_at_known_part():
     (child,) = tree.vertices[tree.root_id].children
     tree.vertices[child].root = root(0, [(0, 1)], 1)
     reinf = tree.reinforcement_polynomial(child)
-    direct = tree.extension_polynomial(tree.root_id).shift_substitute(const(1))
+    direct = tree.extension_polynomial(tree.root_id).shift_substitute(((0, 1),))
     assert reinf.coeffs == direct.coeffs
 
 
@@ -407,7 +407,7 @@ def test_cached_polynomials_match_the_naive_substitution():
                 checked += 1
             if k >= 1:
                 naive = compose_naive(polys[k - 1], values[:-1], k - 1)
-                expected = naive.shift_substitute(v.root.known_scalar(tree.field))
+                expected = naive.shift_substitute(v.root.known)
                 assert tree.reinforcement_polynomial(v.vid).coeffs == expected.coeffs
                 checked += 1
     assert checked > 200
@@ -567,7 +567,7 @@ def _naive_reinforcement_polynomial(tree, vid):
     v = tree.vertices[vid]
     k = v.depth
     naive = compose_naive(tree.system.polys[k - 1], _branch_values(tree, vid)[:-1], k - 1)
-    return shift_substitute_naive(naive, v.root.known_scalar(tree.field), 0)
+    return shift_substitute_naive(naive, PuiseuxScalar(tree.field, v.root.known), 0)
 
 
 @contextmanager

@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import const, from_coeffs, initial_part_naive, series, sum_mpoly, tp, uval
-from oracles import Poly, evaluate, newton_polygon_rational, scalar_neg, scalar_sub, to_scalars
+from oracles import Poly, evaluate, newton_polygon_rational, scalar_neg, scalar_sub, t_power, to_scalars
 from troptri import (
     MPoly,
     NonSplittingError,
@@ -87,7 +87,7 @@ def test_field_operations_return_stored_form(a, b, n):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(scalars(), scalars(), exponents, elements)
 def test_scalar_exponents_return_stored_form(a, b, w, c):
-    for s in (a, b, a + b, a * b, a * PuiseuxScalar.t_power(QQ, w), PuiseuxScalar.t_power(QQ, w, QQ.add(c, 0))):
+    for s in (a, b, a + b, a * b, a * t_power(QQ, w), t_power(QQ, w, QQ.add(c, 0))):
         assert_exponents_stored(s)
 
 
@@ -219,7 +219,7 @@ def test_scalar_arithmetic_matches_fraction_keyed_reference(case):
     field, pa, pb, w, c = case
     a, b = series(field, pa), series(field, pb)
     ra, rb = reference(field, pa), reference(field, pb)
-    tw = PuiseuxScalar.t_power(field, w, c)
+    tw = t_power(field, w, c)
     neg_b = {e: field.neg(x) for e, x in rb.items()}
     assert_matches(a, ra)
     assert_matches(tw, {w: c})
@@ -250,7 +250,7 @@ def one_term_cases(draw):
 @given(one_term_cases())
 def test_one_term_products_and_sums_match_the_fraction_keyed_reference(case):
     field, w, c, pairs = case
-    tw = PuiseuxScalar.t_power(field, w, c)
+    tw = t_power(field, w, c)
     a = series(field, pairs)
     ra = reference(field, pairs)
     product = reference_product(field, ra, {w: c})
@@ -448,53 +448,72 @@ def _over(draw, field, den, max_terms):
     return series(field, [(Fraction(n, den), field.from_int(c)) for n, c in pairs])
 
 
+def _exponent(draw, n, d):
+    """n/d, an integral one drawn as an int or as a Fraction."""
+    e = Fraction(n, d)
+    return int(e) if e.denominator == 1 and draw(st.booleans()) else e
+
+
+@st.composite
+def _known_parts(draw, field, den):
+    """A root's known terms: increasing exponents and nonzero coefficients,
+    maybe none.  Either the terms of a scalar over ``den``, or two or three
+    terms whose exponents have pairwise different denominators, an integral
+    exponent an int or a Fraction."""
+    if draw(st.booleans()):
+        return draw(_over(field, den, 3)).terms
+    known = []
+    for d in draw(st.lists(st.sampled_from([1, 2, 3, 4, 5]), min_size=2, max_size=3, unique=True)):
+        n = draw(st.integers(-2 * d, 3 * d).filter(lambda n, d=d: gcd(n, d) == 1))
+        known.append((_exponent(draw, n, d), field.from_int(draw(st.sampled_from([1, 2, 3, -1, -2, -3])))))
+    return tuple(sorted(known))
+
+
 @st.composite
 def _kernel_cases(draw):
-    """f over denominator q1, a coordinate, a prefix a over q2, a tail t^e over
-    q3 and a shape.  With ``cancel``, f is (x_index - a)^k * g, so that
-    recentering at a cancels its k lowest coefficients to exactly zero."""
+    """f over denominator q1, a coordinate, a root's known terms (over q2, or
+    over pairwise different denominators), its tail exponent over q3 and a
+    shape.  With ``cancel``, f is (x_index - a)^k * g, a the known part, so
+    that recentering at a cancels its k lowest coefficients to exactly zero."""
     field = draw(_KERNEL_FIELDS)
     nvars = draw(st.integers(1, 3))
     index = draw(st.integers(0, nvars - 1))
     q1, q2, q3 = (draw(st.integers(1, 3)) for _ in range(3))
     degrees = st.tuples(*[st.integers(0, 2)] * nvars)
     g = sum_mpoly(field, nvars, draw(st.dictionaries(degrees, _over(field, q1, 2), max_size=4)).items())
-    a = draw(_over(field, q2, 3))
+    known = draw(_known_parts(field, q2))
     cancel = draw(st.integers(0, 2))
-    if cancel and not a.is_zero() and not g.is_zero():
+    if cancel and known and not g.is_zero():
         x = Poly.variable(field, nvars, index)
-        g = (x - Poly.constant(field, nvars, a)) ** cancel * g
-    s = tp(Fraction(draw(st.integers(-2 * q3, 3 * q3)), q3), field=field)
-    return g, index, a, s, draw(_SHAPES), cancel
+        g = (x - Poly.constant(field, nvars, series(field, known))) ** cancel * g
+    tail = _exponent(draw, draw(st.integers(-2 * q3, 3 * q3)), q3)
+    return g, index, known, tail, draw(_SHAPES), cancel
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_kernel_cases())
 def test_kernels_on_numerators_match_horners_rule(case):
-    f, index, a, s, shape, cancel = case
+    f, index, known, tail, shape, cancel = case
     field, nvars = f.field, f.nvars
     f = MPoly(field, nvars, f.den, f.terms)
     assert_mpoly_form(f)
     assert_initial_part(f)
-    a = None if shape == "bare tail" or a.is_zero() else a
-    s = None if shape == "exact" else s
-    if a is None and s is None:
+    known = () if shape == "bare tail" else known
+    tail = None if shape == "exact" else tail
+    if not known and tail is None:
         return
     before = {d: dict(t) for d, t in f.terms.items()}
-    value = Poly(field, nvars)
-    if a is not None:
-        value = value + Poly.constant(field, nvars, a)
-    if s is not None:
-        value = value + Poly.variable(field, nvars, index, s)
-    got = f.substitute(index, a, s)
+    a = Poly.constant(field, nvars, series(field, known))
+    value = a if tail is None else a + Poly.variable(field, nvars, index, t_power(field, tail))
+    got = f.substitute(index, known, tail)
     assert got == evaluate(UPoly.from_mpoly(f, index), value)
     assert_mpoly_form(got)
     assert_initial_part(got)
-    if a is not None:
+    if known:
         g = UPoly.from_mpoly(f, index)
-        shifted = g.shift_substitute(a)
+        shifted = g.shift_substitute(known)
         x = Poly.variable(field, nvars, index)
-        horner = evaluate(g, Poly.constant(field, nvars, a) + x)
+        horner = evaluate(g, a + x)
         assert sum((x**j * c for j, c in shifted.coeffs.items()), Poly(field, nvars)) == horner
         for c in shifted.coeffs.values():
             assert_mpoly_form(c)
