@@ -19,7 +19,7 @@ from .errors import (
     TropError,
 )
 from .expansion import DEFAULT_MAX_DEPTH, MAX_DEPTH
-from .rationals import format_rat, parse_rat
+from .rationals import parse_rat
 from .roottree import RootTree
 from .svg import write_polygon_log
 from .sysparse import parse_system
@@ -109,14 +109,14 @@ def main(argv=None) -> int:
             print("error: cannot write SVG: %s" % exc, file=sys.stderr)
             return 5
 
-    points = tree.points()
+    points = [texts for _, texts in tree.point_rows()]
     if args.format == "json":
-        payload = {"points": [[format_rat(c) for c in p] for p in points]}
+        payload = {"points": points}
         if args.tree:
             payload["tree"] = tree.to_json_dict()
         print(json.dumps(payload, separators=(",", ":")))
     else:
-        line = " ".join("(%s)" % ",".join(format_rat(c) for c in p) for p in points)
+        line = " ".join("(%s)" % ",".join(p) for p in points)
         print(line)
         if args.tree:
             print(json.dumps(tree.to_json_dict(), separators=(",", ":")))

@@ -22,8 +22,8 @@ def int_if_integral(x):
     return x
 
 
-def ratio(n: int, d: int):
-    """n / d (d > 0) in stored form: an int when d divides n, else a Fraction."""
+def ratio(n, d):
+    """n / d (d != 0) in stored form: an int when d divides n, else a Fraction."""
     if n % d == 0:
         return n // d
     return Fraction(n, d)

@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import DivisionByZero, NonSplittingError, ZeroPolynomialError
-from .rationals import int_if_integral
+from .rationals import int_if_integral, ratio
 
 
 class RationalField:
@@ -69,7 +69,7 @@ class RationalField:
     def div(self, a, b):
         if b == 0:
             raise DivisionByZero("division by 0 in %s" % self.name)
-        return int_if_integral(Fraction(a) / b)
+        return ratio(a, b)
 
     def candidates(self, work):
         """The denominator-free integer polynomial of ``work``, the rationals
@@ -82,7 +82,7 @@ class RationalField:
             c, b, a = squarefree
             disc = b * b - 4 * a * c
             s = isqrt(max(disc, 0))
-            candidates = [int_if_integral(Fraction(r - b, 2 * a)) for r in (s, -s) if s * s == disc]
+            candidates = [ratio(r - b, 2 * a) for r in (s, -s) if s * s == disc]
         else:
             candidates = _rational_candidates(squarefree)
         return ints, candidates, _zz_divide_root
@@ -326,11 +326,17 @@ def _fp_divmod(a, f, p):
 
 
 def _fp_mulmod(a, b, f, p):
-    prod = [0] * (len(a) + len(b) - 1)
+    """a*b modulo the monic f, reduced in place with no quotient built."""
+    n = len(f) - 1
+    r = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            prod[i + j] += x * y
-    return _fp_divmod([c % p for c in prod], f, p)[1]
+            r[i + j] += x * y
+    for i in range(len(r) - 1, n - 1, -1):
+        c = r[i] % p
+        for j in range(n):
+            r[i - n + j] -= c * f[j]
+    return _fp_trim([c % p for c in r[:n]])
 
 
 def _fp_powmod(base, e, f, p):

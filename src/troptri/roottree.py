@@ -20,7 +20,9 @@ kinds of key, each led by the identity of the polynomial it derives from:
   that meets the same polynomial again reuses them.
 
 No polynomial lives on a vertex, so a vertex never reads one built on
-ancestor roots that a reinforcement has since refined.
+ancestor roots that a reinforcement has since refined.  Roots are values, so
+the children grown at one (coordinate, exponent) share the tree's one
+bare-tail root, and ``point_rows`` writes each root's valuation once.
 """
 
 from fractions import Fraction
@@ -119,6 +121,7 @@ class RootTree:
         # heap of (-depth, vid) for every vertex made with depth < n: the top
         # is the deepest, then oldest, that may still be open (_select_leaf)
         self._open = []
+        self._bare = {}  # (index, w) -> ApproxRoot(index, (), w), for grow
         self.root_id = self._new_vertex(parent=None, depth=0, root=None, prec=0).vid
 
     # -- construction helpers -------------------------------------------------
@@ -220,12 +223,9 @@ class RootTree:
             v.dead = True
             return
         for w in points:
-            child = self._new_vertex(
-                parent=vid,
-                depth=v.depth + 1,
-                root=ApproxRoot(v.depth, (), w),
-                prec=0,
-            )
+            key = (v.depth, w)
+            root = self._bare.get(key) or self._bare.setdefault(key, ApproxRoot(v.depth, (), w))
+            child = self._new_vertex(parent=vid, depth=v.depth + 1, root=root, prec=0)
             v.children.append(child.vid)
 
     def reinforce(self, vid):
@@ -384,18 +384,36 @@ class RootTree:
 
     def points(self):
         """Branch valuation vectors, depth-first, first occurrence kept."""
+        return [vals for vals, _ in self.point_rows()]
+
+    def point_rows(self):
+        """(valuation vector, its coordinates as text) per branch vector, in the
+        order of ``points``: a row per vertex on a branch that reaches depth n,
+        made once from its parent's, and the leaves deduped on an int key."""
+        rows = {self.root_id: (0, (), ())}  # vid -> (key, vector, texts)
+        keys = {}  # (parent's key, valuation's text) -> key
+        seen = {}  # root -> (valuation, text)
         out = {}  # a dict keeps each key where it was first put in
-        stack = [(self.root_id, ())]
+        stack = [self.root_id]
         while stack:
-            vid, vals = stack.pop()
-            v = self.vertices[vid]
-            if v.root is not None:
-                vals = vals + (v.root.valuation(),)
+            v = self.vertices[stack.pop()]
             if v.children:
-                stack.extend((c, vals) for c in reversed(v.children))
+                stack.extend(reversed(v.children))
             elif v.depth == self.n:
-                out[vals] = None
-        return list(out)
+                chain = []
+                while v.vid not in rows:
+                    chain.append(v)
+                    v = self.vertices[v.parent]
+                key, vals, strs = rows[v.vid]
+                for u in reversed(chain):
+                    if u.root not in seen:
+                        w = u.root.valuation()
+                        seen[u.root] = w, format_rat(w)
+                    w, text = seen[u.root]
+                    key = keys.setdefault((key, text), len(keys) + 1)
+                    rows[u.vid] = key, vals, strs = key, vals + (w,), strs + (text,)
+                out.setdefault(key, (vals, strs))
+        return list(out.values())
 
     # -- reporting ---------------------------------------------------------------
 

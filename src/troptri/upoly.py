@@ -181,9 +181,9 @@ def format_monomial(letter, deg) -> str:
 
 
 class UPoly:
-    """Univariate polynomial in coordinate ``var`` over MPoly coefficients in u;
-    never changed once built, so ``newton_polygon`` keeps its polygon here, and
-    compared by identity, which is how the root tree's store keys it."""
+    """Univariate polynomial in coordinate ``var`` over MPoly coefficients in u,
+    taking its ``coeffs`` dict over; never changed once built, so ``newton_polygon``
+    keeps its polygon here, and compared by identity, as the root tree's store keys it."""
 
     __slots__ = ("field", "nvars", "var", "coeffs", "polygon")
 
@@ -191,7 +191,7 @@ class UPoly:
         self.field = field
         self.nvars = nvars
         self.var = var
-        self.coeffs = dict(coeffs) if coeffs else {}
+        self.coeffs = {} if coeffs is None else coeffs
         self.polygon = None
 
     @classmethod

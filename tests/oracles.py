@@ -19,7 +19,10 @@ recentering the second one reads, followed by a rescaling;
 ``expression_mpoly`` is the value of a parsed expression tree with every
 atom built as a one-term MPoly, the reference for the parser;
 ``select_leaf_scan`` is the root tree's next leaf found by scanning every
-vertex, the reference for ``RootTree._select_leaf``'s heap.
+vertex, the reference for ``RootTree._select_leaf``'s heap;
+``points_walk`` is the tree's point set found by carrying each vertex's
+vector down and deduping the leaves on their vectors, the reference for
+``RootTree.point_rows``.
 """
 
 import operator
@@ -492,6 +495,22 @@ def select_leaf_scan(tree):
         if best is None or (v.depth, -v.vid) > (best.depth, -best.vid):
             best = v
     return best
+
+
+def points_walk(tree):
+    """Branch valuation vectors, depth-first, first occurrence kept."""
+    out = {}  # a dict keeps each key where it was first put in
+    stack = [(tree.root_id, ())]
+    while stack:
+        vid, vals = stack.pop()
+        v = tree.vertices[vid]
+        if v.root is not None:
+            vals = vals + (v.root.valuation(),)
+        if v.children:
+            stack.extend((c, vals) for c in reversed(v.children))
+        elif v.depth == tree.n:
+            out[vals] = None
+    return list(out)
 
 
 def check_invariants(tree):

@@ -20,7 +20,7 @@ from troptri import (
     RationalField,
     ResiduePoly,
 )
-from troptri.residue import _is_prime, _repeated_root, _strip_unit_part
+from troptri.residue import _fp_divmod, _fp_mulmod, _is_prime, _repeated_root, _strip_unit_part
 
 QQ = RationalField()
 F5 = PrimeField(5)
@@ -97,6 +97,43 @@ def test_rational_identity_and_canonical_form():
 def test_rational_division_by_zero():
     with pytest.raises(DivisionByZero):
         QQ.div(Fraction(1), Fraction(0))
+    with pytest.raises(DivisionByZero):
+        QQ.div(3, 0)
+
+
+def test_rational_division_keeps_exact_quotients_as_ints():
+    # an exact quotient is an int, whatever the operands' types; else a
+    # reduced Fraction with a positive denominator
+    for a, b, q in [(6, 3, 2), (6, -3, -2), (-7, 1, -7), (0, 5, 0),
+                    (Fraction(3, 2), Fraction(1, 2), 3), (4, Fraction(2, 3), 6)]:
+        assert type(QQ.div(a, b)) is int and QQ.div(a, b) == q
+    for a, b, q in [(1, 2, Fraction(1, 2)), (6, -4, Fraction(-3, 2)),
+                    (Fraction(1, 3), 2, Fraction(1, 6)), (5, Fraction(2, 3), Fraction(15, 2))]:
+        assert type(QQ.div(a, b)) is Fraction and QQ.div(a, b) == q
+
+
+@st.composite
+def _fp_products(draw):
+    """(a, b, f, p): two polynomials over F_p and a monic f of degree >= 1,
+    lists of coefficients low degree first."""
+    p = draw(st.sampled_from([2, 3, 7, 10007, 45589, 998244353]))
+    element = st.integers(0, p - 1)
+    f = draw(st.lists(element, min_size=1, max_size=5)) + [1]
+    a, b = (draw(st.lists(element, max_size=8)) for _ in range(2))
+    return a, b, f, p
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_fp_products())
+def test_fp_product_modulo_f_matches_the_division_route(case):
+    # the remainder reduced in place is the remainder _fp_divmod gives the
+    # product, trimmed alike
+    a, b, f, p = case
+    product = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    assert _fp_mulmod(a, b, f, p) == _fp_divmod([c % p for c in product], f, p)[1]
 
 
 def test_prime_field_matches_bruteforce_table():

@@ -1,5 +1,6 @@
 """The tree driver: growing, reinforcing, and the full tropicalization."""
 
+import json
 import random
 import sys
 from contextlib import contextmanager
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    cli_run,
     close_roots_system,
     compose_naive,
     const,
@@ -25,7 +27,7 @@ from helpers import (
     upoly,
     xvar,
 )
-from oracles import Poly, as_mpoly, check_invariants, evaluate, select_leaf_scan
+from oracles import Poly, as_mpoly, check_invariants, evaluate, points_walk, select_leaf_scan
 from troptri import (
     ApproxRoot,
     MPoly,
@@ -41,6 +43,7 @@ from troptri import (
     trop_triangular,
 )
 from troptri.polygon import is_unique
+from troptri.rationals import format_rat
 
 
 def fr(a, b=1):
@@ -642,6 +645,54 @@ def test_the_leaf_heap_takes_the_leaf_a_scan_of_every_vertex_takes():
                 copies += 1
         reinforcements += tree.reinforce_count
     assert reinforcements > 300 and copies > 50
+
+
+def _corpus_trees():
+    """(workload, system text, finished tree) for every seed-3 system of each
+    benchmark workload."""
+    workloads = read_bench_module("workloads")
+    for name in workloads.WORKLOADS:
+        for system in workloads.corpus(name, 3, 100):
+            yield name, system.text, RootTree(parse_system(system.text), 1, 32).run()
+
+
+def test_equal_bare_tail_roots_in_a_tree_are_one_object():
+    # grow takes each (coordinate, exponent)'s bare-tail root from the tree's
+    # map, so children grown at one point share it
+    shared = 0
+    for name, text, tree in _corpus_trees():
+        bare = {}
+        held = 0
+        for v in tree.vertices.values():
+            r = v.root
+            if r is not None and not r.known:
+                assert r == ApproxRoot(v.depth - 1, (), r.tail), (name, text)
+                assert bare.setdefault((r.index, r.tail), r) is r, (name, text, v.vid)
+                held += 1
+        shared += held - len(bare)
+    assert shared > 3000
+
+
+def _assert_point_rows_match_the_walk(tree, text=None):
+    expected = points_walk(tree)
+    assert tree.points() == expected, text
+    assert tree.point_rows() == [(p, tuple(format_rat(c) for c in p)) for p in expected], text
+    if text is not None:
+        line = " ".join("(%s)" % ",".join(format_rat(c) for c in p) for p in expected)
+        assert cli_run(text, ["--format", "text"]) == (0, line + "\n", ""), text
+        payload = {"points": [[format_rat(c) for c in p] for p in expected]}
+        assert cli_run(text, ["--format", "json"]) == (
+            0, json.dumps(payload, separators=(",", ":")) + "\n", ""), text
+    # whether two leaves carry one vector
+    return sum(v.depth == tree.n for v in tree.vertices.values()) > len(expected)
+
+
+def test_point_rows_and_the_cli_points_match_the_walk_that_dedupes_vectors():
+    # every seed-3 system of each workload, text and JSON through the CLI
+    duplicated = sum(_assert_point_rows_match_the_walk(tree, text) for _, text, tree in _corpus_trees())
+    # trees whose refined copies repeat a leaf's vector
+    copied = sum(_assert_point_rows_match_the_walk(tree.run()) for _, tree in _leaf_oracle_cases())
+    assert duplicated > 50 and copied > 20
 
 
 def test_long_chain_copies_deep_subtrees_without_recursion():

@@ -344,6 +344,18 @@ def test_shift_substitute_identity():
     assert f.shift_substitute(()) is f
 
 
+def test_a_upoly_takes_its_coefficient_dict_over():
+    # every builder hands over a dict of its own, so none is copied, and
+    # recentering builds a new one without writing the old
+    coeffs = {1: mconst(2, const(1)), 0: mconst(2, const(-1))}
+    f = UPoly(QQ, 2, 1, coeffs)
+    assert f.coeffs is coeffs
+    before = dict(coeffs)
+    shifted = f.shift_substitute(((0, 1),))
+    assert shifted.coeffs is not coeffs and coeffs == before
+    assert shifted.coeffs == {1: mconst(2, const(1))}
+
+
 def test_shift_substitute_paper_fixtures():
     # the four recentered/rescaled forms of the two-factor product
     f2 = paper_f2_tilde()
