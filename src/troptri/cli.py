@@ -18,7 +18,6 @@ from .errors import (
     PrecisionLimitError,
     TropError,
 )
-from .expansion import DEFAULT_MAX_DEPTH, MAX_DEPTH
 from .rationals import parse_rat
 from .roottree import RootTree
 from .svg import write_polygon_log
@@ -50,9 +49,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="include the finished root tree in the output")
     parser.add_argument("--newton-svg", metavar="DIR",
                         help="write one SVG per Newton polygon the driver inspects")
-    parser.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH, metavar="N",
-                        help="recursion cap for the expansion, at most %d (default %d)"
-                        % (MAX_DEPTH, DEFAULT_MAX_DEPTH))
     return parser
 
 
@@ -67,10 +63,6 @@ def main(argv=None) -> int:
             raise ValueError("--pmax must be nonnegative, got %s" % args.pmax)
     except ValueError as exc:
         print("error: bad precision flag: %s" % exc, file=sys.stderr)
-        return 4
-    if not 0 <= args.max_depth <= MAX_DEPTH:
-        print("error: bad --max-depth: must be between 0 and %d, got %d"
-              % (MAX_DEPTH, args.max_depth), file=sys.stderr)
         return 4
 
     try:
@@ -89,7 +81,7 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 4
 
-    tree = RootTree(system, p_step, p_max, max_depth=args.max_depth)
+    tree = RootTree(system, p_step, p_max)
     try:
         tree.run()
     except NonSplittingError as exc:

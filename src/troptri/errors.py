@@ -38,7 +38,7 @@ class InvalidTargetError(TropError):
 
 
 class RecursionLimitError(TropError):
-    """Expansion exceeded the configured recursion depth safeguard."""
+    """Expansion went past ``expansion.MAX_DEPTH`` recursion levels."""
 
 
 class PrecisionLimitError(TropError):

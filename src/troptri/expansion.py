@@ -17,11 +17,11 @@ from .rationals import format_rat, int_if_integral
 from .residue import roots_in_units
 from .upoly import UPoly, initial_form
 
-DEFAULT_MAX_DEPTH = 64
-
-# Largest recursion cap a root tree accepts: ``_expand`` takes one frame per
-# term, so this leaves the caller half of Python's default limit of 1000.
-MAX_DEPTH = 500
+# The most levels ``_expand`` recurses, one per term past the first.  Each
+# level recenters a polynomial that grows with the terms put in, so a root on
+# a fine exponent grid (t^(1/1000)) that needs more terms costs about the
+# square of the cap before it fails; 64 frames leave most of Python's stack.
+MAX_DEPTH = 64
 
 
 class ApproxRoot:
@@ -87,7 +87,7 @@ class ApproxRoot:
         return "<root x%d: %s>" % (self.index + 1, " + ".join(bits) or "0")
 
 
-def puiseux_expansion(f: UPoly, w, p_rel, max_depth: int = DEFAULT_MAX_DEPTH, known=()) -> dict:
+def puiseux_expansion(f: UPoly, w, p_rel, known=()) -> dict:
     """All approximate roots of f with valuation w, each built with the
     prefix ``known`` (terms below w that f was recentered at) in front.
 
@@ -109,14 +109,14 @@ def puiseux_expansion(f: UPoly, w, p_rel, max_depth: int = DEFAULT_MAX_DEPTH, kn
     w = int_if_integral(w)
     if w not in newton_polygon(f).tropical_points():
         raise InvalidTargetError("%s is not a tropical point of the polynomial" % format_rat(w))
-    return _expand(f, w, p_rel, 0, max_depth, known)
+    return _expand(f, w, p_rel, 0, known)
 
 
-def _expand(f: UPoly, w, p_rel, depth, max_depth, known=()) -> dict:
+def _expand(f: UPoly, w, p_rel, depth, known=()) -> dict:
     """The roots of f of valuation w, each built with the terms ``known``
-    that led to f in front."""
-    if depth > max_depth:
-        raise RecursionLimitError("expansion exceeded %d recursion levels" % max_depth)
+    that led to f in front; at most MAX_DEPTH levels below the first."""
+    if depth > MAX_DEPTH:
+        raise RecursionLimitError("expansion exceeded %d recursion levels" % MAX_DEPTH)
     h = initial_form(f, w) if p_rel > 0 else None
     if h is None:
         return {ApproxRoot(f.var, known, w): f}
@@ -135,5 +135,5 @@ def _expand(f: UPoly, w, p_rel, depth, max_depth, known=()) -> dict:
             # exponent gain reaches p_rel
             budget = p_rel - (higher[0] - w)
             for w2 in higher:
-                out.update(_expand(shifted, w2, budget, depth + 1, max_depth, prefix))
+                out.update(_expand(shifted, w2, budget, depth + 1, prefix))
     return out

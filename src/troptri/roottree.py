@@ -32,9 +32,10 @@ from .errors import (
     NonSplittingError,
     NonTriangularError,
     PrecisionLimitError,
+    RecursionLimitError,
     ZeroSubstitutionError,
 )
-from .expansion import DEFAULT_MAX_DEPTH, MAX_DEPTH, ApproxRoot, puiseux_expansion
+from .expansion import ApproxRoot, puiseux_expansion
 from .polygon import is_unique, newton_polygon
 from .rationals import format_rat, int_if_integral
 from .upoly import UPoly, compose
@@ -88,21 +89,18 @@ class Vertex:
 
 
 class RootTree:
-    def __init__(self, system, p_step, p_max, max_depth=DEFAULT_MAX_DEPTH):
+    def __init__(self, system, p_step, p_max):
         p_step = int_if_integral(Fraction(p_step))
         p_max = int_if_integral(Fraction(p_max))
         if p_step <= 0:
             raise ValueError("the precision increment must be positive")
         if p_max < 0:
             raise ValueError("the precision bound must be nonnegative")
-        if not 0 <= max_depth <= MAX_DEPTH:
-            raise ValueError("the recursion cap must be between 0 and %d" % MAX_DEPTH)
         self.system = system
         self.field = system.field
         self.n = system.n
         self.p_step = p_step
         self.p_max = p_max
-        self.max_depth = max_depth
         # (kind, f index, vertex id, polynomial) per Newton polygon the driver
         # inspects; the polygon is kept on its polynomial, and --newton-svg
         # draws it (svg.write_polygon_log)
@@ -152,8 +150,9 @@ class RootTree:
         roots whose coordinates f_(k+1) uses change it.  Those go in through
         the store, topmost first; the last key (the deepest such root, or
         None when there is none) holds the polynomial composed in x_(k+1).
+        A polynomial that vanishes there is named with v's id.
         """
-        k = v.depth
+        k, vid = v.depth, v.vid
         used = self.system.used[k]
         lowest = min(used)
         roots = []
@@ -164,7 +163,11 @@ class RootTree:
         g = self.system.polys[k]
         for root in roots[:0:-1]:
             g = self._stored(g, root)
-        return self._stored(g, roots[0] if roots else None, k)
+        try:
+            return self._stored(g, roots[0] if roots else None, k)
+        except ZeroSubstitutionError as exc:
+            exc.args = ("f%d vanishes on the branch to vertex %d: %s" % (k + 1, vid, exc),)
+            raise
 
     def _stored(self, g, root, k=None):
         """g with the root put in, composed in x_(k+1) when k is given."""
@@ -173,11 +176,7 @@ class RootTree:
         if entry is None:
             h = g if root is None else g.substitute(root.index, root.known, root.tail)
             if k is not None:
-                try:
-                    h = compose(h, k)
-                except ZeroSubstitutionError as exc:
-                    exc.args = ("f%d vanishes on the branch: %s" % (k + 1, exc),)
-                    raise
+                h = compose(h, k)
             entry = self.store[key] = (g, h)
         return entry[1]
 
@@ -238,7 +237,8 @@ class RootTree:
         Raises PrecisionLimitError when the branch head's precision would
         exceed the safeguard, or when the reinforcement would leave the tree
         as it was: the driver is deterministic, so it would repeat that
-        reinforcement forever.
+        reinforcement forever.  Its errors name the polynomial reinforced,
+        and all but a residue field too small to split name the vertex too.
         """
         chain = self.branch(vid)
         if not chain:
@@ -259,8 +259,8 @@ class RootTree:
             new_prec = int_if_integral(head_prec + self.p_step)
             if new_prec > self.p_max:
                 raise PrecisionLimitError(
-                    "precision %s for the branch head would exceed the bound %s"
-                    % (new_prec, self.p_max)
+                    "reinforcing f1 at vertex %d: precision %s for the branch head would "
+                    "exceed the bound %s" % (target_vertex.vid, new_prec, self.p_max)
                 )
             target_vertex.prec = new_prec
             target = new_prec
@@ -272,7 +272,14 @@ class RootTree:
         composed = self._next_polynomial(self.vertices[target_vertex.parent])
         reinf = self.reinforcement_polynomial(target_vertex.vid, composed)
         self.polygon_log.append(("reinforcement", l + 1, target_vertex.vid, reinf))
-        corrections = self._corrections(reinf, root, target)
+        try:
+            corrections = self._corrections(reinf, root, target)
+        except NonSplittingError as exc:
+            exc.args = ("residue field too small in f%d: %s" % (l + 1, exc),)
+            raise
+        except RecursionLimitError as exc:
+            exc.args = ("reinforcing f%d at vertex %d: %s" % (l + 1, target_vertex.vid, exc),)
+            raise
         for corr, g in corrections.items():
             if g is not None and corr.known:
                 self.store.setdefault((id(composed), corr.known), (composed, g))
@@ -294,8 +301,7 @@ class RootTree:
         siblings, one per point, so only w_r is expanded.  When the polygon
         is untrusted or does not offer w_r, the root itself comes back, mapped
         to the reinforcement polynomial, and the driver tries again with
-        better ancestor precision.  A residue field too small to split is
-        named in the error's message, with the polynomial being reinforced.
+        better ancestor precision.
         """
         w_r = root.tail
         if is_unique(reinf) and w_r in newton_polygon(reinf).tropical_points():
@@ -303,11 +309,7 @@ class RootTree:
             key = (id(reinf), root, budget)
             entry = self.store.get(key)
             if entry is None:
-                try:
-                    expansion = puiseux_expansion(reinf, w_r, budget, self.max_depth, root.known)
-                except NonSplittingError as exc:
-                    exc.args = ("residue field too small in f%d: %s" % (root.index + 1, exc),)
-                    raise
+                expansion = puiseux_expansion(reinf, w_r, budget, root.known)
                 entry = self.store[key] = (reinf, expansion)
             if entry[1]:
                 return entry[1]
@@ -429,9 +431,8 @@ class RootTree:
         return {"root": self.root_id, "vertices": vertices}
 
 
-def trop_triangular(system: TriangularSystem, p_step=1, p_max=32,
-                    max_depth=DEFAULT_MAX_DEPTH) -> set:
+def trop_triangular(system: TriangularSystem, p_step=1, p_max=32) -> set:
     """The tropical points of the system as a set of rational vectors."""
-    tree = RootTree(system, p_step, p_max, max_depth=max_depth)
+    tree = RootTree(system, p_step, p_max)
     tree.run()
     return set(tree.points())

@@ -48,7 +48,7 @@ class MPoly:
     ``den`` is a common denominator, not necessarily the least: ``val_pair``
     reduces, and ``__eq__`` and ``__hash__`` compare exponents as rationals.
     The same type serves the input polynomials in x_1..x_n and the
-    K[u_1..u_n] coefficients of a UPoly; only ``format`` names the letter.
+    K[u_1..u_n] coefficients of a UPoly; ``format`` writes it in x_1..x_n.
     ``terms`` and its dicts are never changed once built, so polynomials
     share them, and ``val_pair`` and ``initial_term``, read many times over,
     are found in one pass on first use and kept (a kept ``initial_terms``
@@ -158,12 +158,11 @@ class MPoly:
     def __hash__(self):
         return hash(self._key())
 
-    def format(self, letter="x") -> str:
-        """Render in the input format with variables named letter1..lettern,
-        highest monomial first, e.g. 'x1^2 + x1 + t*x1'."""
+    def format(self) -> str:
+        """Render in the input format, highest monomial first, e.g. 'x1^2 + t*x1'."""
         field, den = self.field, self.den
         return " + ".join(
-            PuiseuxScalar.from_numerators(field, den, self.terms[deg]).format(format_monomial(letter, deg))
+            PuiseuxScalar.from_numerators(field, den, self.terms[deg]).format(format_monomial("x", deg))
             for deg in sorted(self.terms, reverse=True)
         ) or "0"
 

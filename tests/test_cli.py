@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import cli_run, const, ps, read_bench_module, time_limit, upoly
 from oracle_systems import prefix_cancelling_system_with_expected_points, random_system_with_expected_points
-from troptri import format_system
+from troptri import expansion, format_system
 from troptri.cli import main
 from troptri.polygon import newton_polygon
 from troptri.roottree import RootTree
@@ -97,6 +97,19 @@ def test_a_keyword_glued_to_the_next_word_exits_4_with_one_line(tmp_path, text, 
     assert run_cli(tmp_path, text) == (4, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# nothing but comments\n\n  # and blank lines\n", "empty input: no ring header found"),
+        ("ring x1 fp:abc\npoly x1 - t\n", "bad prime in 'fp:abc'"),
+        ("ring q\n", "the ring header declares no variables"),
+    ],
+    ids=["comments-only", "bad-prime", "no-variables"],
+)
+def test_a_file_without_a_usable_ring_header_exits_4_with_one_line(tmp_path, text, message):
+    assert run_cli(tmp_path, text) == (4, "", "error: line 1, column 1: %s\n" % message)
+
+
 def test_exit_code_non_triangular(tmp_path):
     code, out, err = run_cli(tmp_path, "ring x1 x2\npoly x2 - 1\npoly x1\n")
     assert code == 4
@@ -130,19 +143,20 @@ def test_exit_code_precision_limit(tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("text, findex", [
+@pytest.mark.parametrize("text, findex, vid", [
     # x1 = 1 cancels every term of f2
-    ("ring x1 x2\npoly x1 - 1\npoly (x1 - 1)*x2\n", 2),
+    ("ring x1 x2\npoly x1 - 1\npoly (x1 - 1)*x2\n", 2, 1),
     # f3 vanishes on the branch x1 = 1, x2 = 3, not on x1 = 2
-    ("ring x1 x2 x3\npoly (x1 - 1)*(x1 - 2)\npoly x2 - 3\npoly (x1 - 1)*x3 + x2 - 3\n", 3),
+    ("ring x1 x2 x3\npoly (x1 - 1)*(x1 - 2)\npoly x2 - 3\npoly (x1 - 1)*x3 + x2 - 3\n", 3, 2),
     # x1 = 1 cancels f3 before x2 goes in, so x2 is put into zero
-    ("ring x1 x2 x3\npoly x1 - 1\npoly x2 - 3\npoly (x1 - 1)*x2*x3\n", 3),
+    ("ring x1 x2 x3\npoly x1 - 1\npoly x2 - 3\npoly (x1 - 1)*x2*x3\n", 3, 2),
 ])
-def test_zero_substitution_exits_5_naming_the_polynomial(tmp_path, text, findex):
+def test_zero_substitution_exits_5_naming_the_polynomial(tmp_path, text, findex, vid):
     code, out, err = run_cli(tmp_path, text)
     assert code == 5
     assert out == ""
-    assert err == "error: f%d vanishes on the branch: substitution produced the zero polynomial\n" % findex
+    assert err == ("error: f%d vanishes on the branch to vertex %d: substitution produced the zero "
+                   "polynomial\n" % (findex, vid))
 
 
 NO_PROGRESS = {
@@ -415,11 +429,13 @@ poly x2 - x1 + 1 + t - t^2 + 2*t^3
 """
 
 
-def test_max_depth_bounds_the_expansion(tmp_path):
-    code, out, err = run_cli(tmp_path, DEEP_DIGITS, "--max-depth", "0")
-    assert (code, out, err) == (5, "", "error: expansion exceeded 0 recursion levels\n")
-    code, out, err = run_cli(tmp_path, DEEP_DIGITS, "--max-depth", "1")
-    assert (code, out, err) == (0, "(1,0) (0,4)\n", "")
+def test_the_recursion_cap_bounds_the_expansion(tmp_path, monkeypatch):
+    # _expand reads expansion.MAX_DEPTH at call time
+    monkeypatch.setattr(expansion, "MAX_DEPTH", 0)
+    assert run_cli(tmp_path, DEEP_DIGITS) == (
+        5, "", "error: reinforcing f1 at vertex 2: expansion exceeded 0 recursion levels\n")
+    monkeypatch.setattr(expansion, "MAX_DEPTH", 1)
+    assert run_cli(tmp_path, DEEP_DIGITS) == (0, "(1,0) (0,4)\n", "")
 
 
 # x1 is a sum of 1,500 powers of t, so expanding it takes one recursion
@@ -428,21 +444,26 @@ _MANY_TERMS = " + ".join(["1"] + ["t^(%d/1000)" % i for i in range(1, 1500)])
 MANY_DIGITS = "ring x1 x2\npoly x1 - (%s)\npoly x2 - x1 + %s + t^2\n" % (_MANY_TERMS, _MANY_TERMS)
 
 
-def test_max_depth_is_bounded_below_the_recursion_limit(tmp_path):
-    # a fresh process, so the 500 levels' polynomials do not raise the peak
-    # memory of this one
-    src = tmp_path / "many.txt"
-    src.write_text(MANY_DIGITS)
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    for depth, want in [
-        ("500", (5, "error: expansion exceeded 500 recursion levels\n")),
-        ("5000", (4, "error: bad --max-depth: must be between 0 and 500, got 5000\n")),
-    ]:
-        done = subprocess.run(
-            [sys.executable, "-m", "troptri.cli", "--input", str(src), "--max-depth", depth],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert (done.returncode, done.stderr) == want and done.stdout == ""
+def test_a_root_past_the_recursion_cap_exits_5(tmp_path):
+    assert expansion.MAX_DEPTH == 64
+    with time_limit(1):
+        assert run_cli(tmp_path, MANY_DIGITS) == (
+            5, "", "error: reinforcing f1 at vertex 1: expansion exceeded 64 recursion levels\n")
+
+
+@pytest.mark.parametrize("text", [CLOSE_ROOTS, DEEP_DIGITS], ids=["close-roots", "deep-digits"])
+def test_rational_precision_flags_give_the_default_points(tmp_path, text):
+    want = _points(run_cli(tmp_path, text)[1])
+    for flags in [("--pstep", "1/3"), ("--pmax", "65/2"), ("--pstep", "1/3", "--pmax", "65/2")]:
+        code, out, err = run_cli(tmp_path, text, *flags)
+        assert (code, err) == (0, "") and _points(out) == want
+
+
+def test_a_rational_step_prints_rational_precisions(tmp_path):
+    code, out, err = run_cli(tmp_path, DEEP_DIGITS, "--pstep", "1/3", "--format", "json", "--tree")
+    assert (code, err) == (0, "")
+    vertices = json.loads(out)["tree"]["vertices"]
+    assert [v["precision"] for v in vertices] == [None, "0", "10/3", "0", "0"]
 
 
 def test_text_tree_output_prints_the_points_then_the_tree(tmp_path):
@@ -554,8 +575,6 @@ def test_pinned_newton_svg_bytes(tmp_path):
         ("--pstep", "1/0"),
         ("--pmax", "1/0"),
         ("--pmax", "x"),
-        ("--max-depth", "-1"),
-        ("--max-depth", "501"),
     ],
     ids="=".join,
 )
@@ -571,10 +590,11 @@ def test_bad_flag_values_exit_4(tmp_path, flags):
     [
         (("--bogus",), "unrecognized arguments: --bogus"),
         (("--format", "xml"), "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
-        (("--max-depth", "x"), "argument --max-depth: invalid int value: 'x'"),
+        # the recursion cap is the constant expansion.MAX_DEPTH, not a flag
+        (("--max-depth", "5"), "unrecognized arguments: --max-depth 5"),
         (("--pstep",), "argument --pstep: expected one argument"),
     ],
-    ids=["unknown-flag", "bad-format", "non-integer-max-depth", "missing-value"],
+    ids=["unknown-flag", "bad-format", "removed-max-depth", "missing-value"],
 )
 def test_usage_errors_exit_4_with_one_line(capsys, flags, message):
     # argparse's own exit 2 would read as "the residue field is too small"
@@ -591,7 +611,24 @@ def test_a_leading_coefficient_vanishing_only_at_the_true_roots_exits_3(tmp_path
     # the precision bound trips (README "Limits")
     text = "ring x1 x2\npoly x1^2 - x1 - t\npoly x2^2*(x1^2 - x1 - t) + (x2 - x1 + 1 + t)\n"
     assert run_cli(tmp_path, text) == (
-        3, "", "error: precision 33 for the branch head would exceed the bound 32\n")
+        3, "", "error: reinforcing f1 at vertex 1: precision 33 for the branch head would "
+        "exceed the bound 32\n")
+    assert run_cli(tmp_path, text, "--pmax", "65/2")[2] == (
+        "error: reinforcing f1 at vertex 1: precision 33 for the branch head would "
+        "exceed the bound 65/2\n")
+
+
+def test_the_readme_flag_table_lists_every_long_option():
+    from troptri.cli import build_arg_parser
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\nFlags:\n", 1)[1].strip().split("\n\n", 1)[0]
+    listed = [re.match(r"\| `(--[a-z-]+)", row).group(1) for row in table.splitlines()[2:]]
+    options = [
+        option for action in build_arg_parser()._actions for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    ]
+    assert listed == options
 
 
 def test_the_shared_parser_answers_each_call_alike(tmp_path, capsys):

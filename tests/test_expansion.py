@@ -19,7 +19,17 @@ from helpers import (
     xvar,
 )
 from oracles import ExactRootError, has_maximal_precision, is_approximate_root, relative_precision
-from troptri import ApproxRoot, InvalidTargetError, RecursionLimitError, UPoly, puiseux_expansion
+from troptri import (
+    ApproxRoot,
+    InvalidTargetError,
+    RecursionLimitError,
+    UPoly,
+    ZeroHasNoValuation,
+    ZeroPolynomialError,
+    expansion,
+    initial_form,
+    puiseux_expansion,
+)
 
 
 def test_worked_expansion_of_close_roots():
@@ -224,10 +234,21 @@ def _extends(true_root, approx):
     return not rest or rest[0][0] >= approx.tail
 
 
-def test_max_depth_bounds_the_recursion():
+def test_the_recursion_cap_bounds_the_expansion(monkeypatch):
     # x^2 - x - t: the root -t + t^2 - ... of valuation 1 never ends, so
     # each further digit is one recursion level deeper
     f = upoly(1, 0, {2: const(1), 1: const(-1), 0: tp(1, -1)})
+    assert expansion.MAX_DEPTH == 64
+    monkeypatch.setattr(expansion, "MAX_DEPTH", 0)
     with pytest.raises(RecursionLimitError, match="expansion exceeded 0 recursion levels"):
-        puiseux_expansion(f, 1, 1, max_depth=0)
-    assert set(puiseux_expansion(f, 1, 1, max_depth=1)) == {root(0, [(1, -1)], 2)}
+        puiseux_expansion(f, 1, 1)
+    monkeypatch.setattr(expansion, "MAX_DEPTH", 1)
+    assert set(puiseux_expansion(f, 1, 1)) == {root(0, [(1, -1)], 2)}
+
+
+def test_a_zero_polynomial_has_no_expansion_and_no_initial_form():
+    zero = UPoly(QQ, 1, 0, {})
+    with pytest.raises(ZeroPolynomialError, match="cannot expand roots of the zero polynomial"):
+        puiseux_expansion(zero, 0, 1)
+    with pytest.raises(ZeroHasNoValuation, match="the zero polynomial has no initial form"):
+        initial_form(zero, 0)

@@ -58,14 +58,10 @@ def test_starting_tree_is_a_single_vertex():
 
 
 def test_starting_tree_validates_parameters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the precision increment must be positive"):
         RootTree(three_var_system(), 0, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the precision bound must be nonnegative"):
         RootTree(three_var_system(), 1, -1)
-    with pytest.raises(ValueError, match="between 0 and 500"):
-        RootTree(three_var_system(), 1, 10, max_depth=501)
-    with pytest.raises(ValueError, match="between 0 and 500"):
-        RootTree(three_var_system(), 1, 10, max_depth=-1)
 
 
 def test_triangular_validation():
@@ -75,6 +71,21 @@ def test_triangular_validation():
         TriangularSystem([f1, bad_f2])
     f2 = xvar(2, 1) - mconst(2, const(1))
     TriangularSystem([f1, f2])  # fine
+    with pytest.raises(NonTriangularError, match="needs at least one polynomial"):
+        TriangularSystem([])
+    with pytest.raises(NonTriangularError, match="f1 is not a polynomial in 1 coordinates"):
+        TriangularSystem([f1])
+
+
+def test_no_root_to_reinforce_and_no_polynomial_past_a_full_branch():
+    tree = RootTree(three_var_system(), 1, 10).run()
+    made, reinforced = len(tree.vertices), tree.reinforce_count
+    with pytest.raises(ValueError, match="cannot reinforce at the tree root"):
+        tree.reinforce(tree.root_id)
+    full = next(v for v in tree.vertices.values() if v.depth == tree.n)
+    with pytest.raises(ValueError, match="the branch is already full length"):
+        tree.extension_polynomial(full.vid)
+    assert (len(tree.vertices), tree.reinforce_count) == (made, reinforced)
 
 
 def test_extension_polynomial_at_the_tree_root():
@@ -723,7 +734,7 @@ def _assert_untouched_entries_are_shared(tree):
         if len(key) == 3:
             _, root, budget = key
             assert isinstance(source, UPoly)
-            want = puiseux_expansion(source, root.tail, budget, tree.max_depth, root.known)
+            want = puiseux_expansion(source, root.tail, budget, root.known)
             assert _expansion_form(g) == _expansion_form(want)
             continue
         if isinstance(key[1], tuple):
@@ -848,9 +859,9 @@ def test_a_subtree_copy_expands_each_polynomial_once(monkeypatch):
     calls = []  # the polynomials themselves, kept alive so ids stay unique
     expand = roottree.puiseux_expansion
 
-    def spy(f, w, budget, max_depth, known):
+    def spy(f, w, budget, known):
         calls.append((f, ApproxRoot(f.var, known, w), budget))
-        return expand(f, w, budget, max_depth, known)
+        return expand(f, w, budget, known)
 
     monkeypatch.setattr(roottree, "puiseux_expansion", spy)
     tree = RootTree(system, 1, 32).run()
