@@ -6,20 +6,7 @@ sums; truncated root tails stay symbolic so no precision is ever lost to
 cancellation.
 """
 
-from .errors import (
-    DivisionByZero,
-    InvalidTargetError,
-    NonSplittingError,
-    NonTriangularError,
-    ParseError,
-    PrecisionLimitError,
-    RecursionLimitError,
-    ReservedIdentifierError,
-    TropError,
-    ZeroHasNoValuation,
-    ZeroPolynomialError,
-    ZeroSubstitutionError,
-)
+from .errors import NonSplittingError, NonTriangularError, ParseError, PrecisionLimitError, TropError
 from .expansion import ApproxRoot, puiseux_expansion
 from .polygon import Polygon, is_unique, newton_polygon
 from .puiseux import PuiseuxScalar
@@ -33,8 +20,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxRoot",
-    "DivisionByZero",
-    "InvalidTargetError",
     "MPoly",
     "NonSplittingError",
     "NonTriangularError",
@@ -44,16 +29,11 @@ __all__ = [
     "PrimeField",
     "PuiseuxScalar",
     "RationalField",
-    "RecursionLimitError",
-    "ReservedIdentifierError",
     "ResiduePoly",
     "RootTree",
     "TriangularSystem",
     "TropError",
     "UPoly",
-    "ZeroHasNoValuation",
-    "ZeroPolynomialError",
-    "ZeroSubstitutionError",
     "compose",
     "format_rat",
     "format_system",

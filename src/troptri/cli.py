@@ -1,9 +1,10 @@
 """Command line driver: parse a system, tropicalize, report.
 
-Exit codes: 0 success; 2 the residue field is too small (roots did not
-split); 3 the precision safeguard tripped; 4 a flag or its value is bad,
-or input could not be parsed or is not triangular; 5 any other
-mathematical failure.
+Exit codes: 0 success; 4 a flag or its value is bad, or the input cannot
+be read; 5 an SVG cannot be written; else the ``exit_code`` of the error
+raised (``troptri.errors``): 2 the residue field is too small, 3 the
+precision safeguard tripped, 4 the input could not be parsed or is not
+triangular, 5 any other failure.
 """
 
 import argparse
@@ -11,13 +12,7 @@ import functools
 import json
 import sys
 
-from .errors import (
-    NonSplittingError,
-    NonTriangularError,
-    ParseError,
-    PrecisionLimitError,
-    TropError,
-)
+from .errors import TropError
 from .rationals import parse_rat
 from .roottree import RootTree
 from .svg import write_polygon_log
@@ -76,23 +71,11 @@ def main(argv=None) -> int:
         return 4
 
     try:
-        system = parse_system(text)
-    except (ParseError, NonTriangularError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 4
-
-    tree = RootTree(system, p_step, p_max)
-    try:
+        tree = RootTree(parse_system(text), p_step, p_max)
         tree.run()
-    except NonSplittingError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except PrecisionLimitError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
     except TropError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 5
+        return exc.exit_code
 
     if args.newton_svg:
         try:

@@ -11,9 +11,9 @@ relative-precision budget runs out.  Truncated roots keep a symbolic
 tail u_i * t^(w_r) standing for their unknown continuation.
 """
 
-from .errors import InvalidTargetError, RecursionLimitError, ZeroPolynomialError
+from .errors import TropError
 from .polygon import is_unique, newton_polygon
-from .rationals import format_rat, int_if_integral
+from .rationals import exact, format_rat
 from .residue import roots_in_units
 from .upoly import UPoly, initial_form
 
@@ -103,12 +103,12 @@ def puiseux_expansion(f: UPoly, w, p_rel, known=()) -> dict:
     the root later resumes from that polynomial.
     """
     if f.is_zero():
-        raise ZeroPolynomialError("cannot expand roots of the zero polynomial")
+        raise ValueError("cannot expand roots of the zero polynomial")
     if not is_unique(f):
         raise ValueError("the Newton polygon is not substitution-invariant")
-    w = int_if_integral(w)
+    w = exact(w, "w")
     if w not in newton_polygon(f).tropical_points():
-        raise InvalidTargetError("%s is not a tropical point of the polynomial" % format_rat(w))
+        raise ValueError("%s is not a tropical point of the polynomial" % format_rat(w))
     return _expand(f, w, p_rel, 0, known)
 
 
@@ -116,7 +116,7 @@ def _expand(f: UPoly, w, p_rel, depth, known=()) -> dict:
     """The roots of f of valuation w, each built with the terms ``known``
     that led to f in front; at most MAX_DEPTH levels below the first."""
     if depth > MAX_DEPTH:
-        raise RecursionLimitError("expansion exceeded %d recursion levels" % MAX_DEPTH)
+        raise TropError("expansion exceeded %d recursion levels" % MAX_DEPTH)
     h = initial_form(f, w) if p_rel > 0 else None
     if h is None:
         return {ApproxRoot(f.var, known, w): f}

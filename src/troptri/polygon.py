@@ -15,7 +15,6 @@ The randomized semantic cross-check of ``is_unique`` is a test oracle
 
 from math import lcm
 
-from .errors import ZeroPolynomialError
 from .rationals import format_rat, ratio
 from .upoly import UPoly
 
@@ -104,7 +103,7 @@ def newton_polygon(f: UPoly) -> Polygon:
     if f.polygon is not None:
         return f.polygon
     if f.is_zero():
-        raise ZeroPolynomialError("the zero polynomial has no Newton polygon")
+        raise ValueError("the zero polynomial has no Newton polygon")
     support = [(j, c.val_pair()) for j, c in sorted(f.coeffs.items())]
     scale = lcm(*[d for _, (_, d) in support])
     corners = lower_hull([(j, n * (scale // d)) for j, (n, d) in support])

@@ -20,7 +20,6 @@ sum and product here serve the tests and the public API.
 
 from math import gcd, lcm
 
-from .errors import ZeroHasNoValuation
 from .rationals import format_rat, ratio
 
 
@@ -84,7 +83,7 @@ class PuiseuxScalar:
     def valuation(self):
         """The least exponent carrying a nonzero coefficient."""
         if not self.nums:
-            raise ZeroHasNoValuation("0 has no valuation")
+            raise ValueError("0 has no valuation")
         return ratio(self.nums[0][0], self.den)
 
     def __add__(self, other):

@@ -22,6 +22,15 @@ def int_if_integral(x):
     return x
 
 
+def exact(x, name):
+    """The argument ``name``, an int or a Fraction, in stored form.  Anything
+    else is refused, a float above all: its binary fraction is seldom the
+    number meant (0.1 is 3602879701896397/2^55)."""
+    if type(x) is not int and type(x) is not Fraction:
+        raise ValueError("%s must be an int or a Fraction, got %r" % (name, x))
+    return int_if_integral(x)
+
+
 def ratio(n, d):
     """n / d (d != 0) in stored form: an int when d divides n, else a Fraction."""
     if n % d == 0:

@@ -41,7 +41,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import DivisionByZero, NonSplittingError, ZeroPolynomialError
+from .errors import NonSplittingError
 from .rationals import int_if_integral, ratio
 
 
@@ -68,7 +68,7 @@ class RationalField:
 
     def div(self, a, b):
         if b == 0:
-            raise DivisionByZero("division by 0 in %s" % self.name)
+            raise ZeroDivisionError("division by 0 in %s" % self.name)
         return ratio(a, b)
 
     def candidates(self, work):
@@ -131,7 +131,7 @@ class PrimeField:
 
     def inv(self, a):
         if a % self.p == 0:
-            raise DivisionByZero("cannot invert 0 in %s" % self.name)
+            raise ZeroDivisionError("cannot invert 0 in %s" % self.name)
         return pow(a, self.p - 2, self.p)
 
     def div(self, a, b):
@@ -196,7 +196,7 @@ def roots_in_units(poly: ResiduePoly) -> set:
     roots would silently lose tropical branches downstream.
     """
     if poly.is_zero():
-        raise ZeroPolynomialError("cannot take roots of the zero polynomial")
+        raise ValueError("cannot take roots of the zero polynomial")
     field = poly.field
     work = _strip_unit_part(poly.coeffs)
     if len(work) <= 1:

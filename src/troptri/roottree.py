@@ -25,19 +25,12 @@ the children grown at one (coordinate, exponent) share the tree's one
 bare-tail root, and ``point_rows`` writes each root's valuation once.
 """
 
-from fractions import Fraction
 from heapq import heappop, heappush
 
-from .errors import (
-    NonSplittingError,
-    NonTriangularError,
-    PrecisionLimitError,
-    RecursionLimitError,
-    ZeroSubstitutionError,
-)
+from .errors import NonTriangularError, PrecisionLimitError, TropError
 from .expansion import ApproxRoot, puiseux_expansion
 from .polygon import is_unique, newton_polygon
-from .rationals import format_rat, int_if_integral
+from .rationals import exact, format_rat, int_if_integral
 from .upoly import UPoly, compose
 
 
@@ -90,8 +83,8 @@ class Vertex:
 
 class RootTree:
     def __init__(self, system, p_step, p_max):
-        p_step = int_if_integral(Fraction(p_step))
-        p_max = int_if_integral(Fraction(p_max))
+        p_step = exact(p_step, "p_step")
+        p_max = exact(p_max, "p_max")
         if p_step <= 0:
             raise ValueError("the precision increment must be positive")
         if p_max < 0:
@@ -165,7 +158,7 @@ class RootTree:
             g = self._stored(g, root)
         try:
             return self._stored(g, roots[0] if roots else None, k)
-        except ZeroSubstitutionError as exc:
+        except TropError as exc:
             exc.args = ("f%d vanishes on the branch to vertex %d: %s" % (k + 1, vid, exc),)
             raise
 
@@ -237,8 +230,9 @@ class RootTree:
         Raises PrecisionLimitError when the branch head's precision would
         exceed the safeguard, or when the reinforcement would leave the tree
         as it was: the driver is deterministic, so it would repeat that
-        reinforcement forever.  Its errors name the polynomial reinforced,
-        and all but a residue field too small to split name the vertex too.
+        reinforcement forever.  Every error of the reinforcement itself is
+        prefixed once with the polynomial and the vertex it reinforces; one
+        from putting the ancestors' roots in keeps ``_next_polynomial``'s.
         """
         chain = self.branch(vid)
         if not chain:
@@ -255,40 +249,33 @@ class RootTree:
             l = next(idx for idx, v in enumerate(chain) if not v.root.is_exact)
         target_vertex = chain[l]
         old_prec = target_vertex.prec
-        if l == 0:
-            new_prec = int_if_integral(head_prec + self.p_step)
-            if new_prec > self.p_max:
-                raise PrecisionLimitError(
-                    "reinforcing f1 at vertex %d: precision %s for the branch head would "
-                    "exceed the bound %s" % (target_vertex.vid, new_prec, self.p_max)
-                )
-            target_vertex.prec = new_prec
-            target = new_prec
-        else:
-            target_vertex.prec = head_prec
-            target = self.p_max
-
         root = target_vertex.root
+        # outside the handler: _next_polynomial names its own failure
         composed = self._next_polynomial(self.vertices[target_vertex.parent])
-        reinf = self.reinforcement_polynomial(target_vertex.vid, composed)
-        self.polygon_log.append(("reinforcement", l + 1, target_vertex.vid, reinf))
         try:
+            if l == 0:
+                new_prec = int_if_integral(head_prec + self.p_step)
+                if new_prec > self.p_max:
+                    raise PrecisionLimitError(
+                        "precision %s for the branch head would exceed the bound %s" % (new_prec, self.p_max)
+                    )
+                target_vertex.prec = new_prec
+                target = new_prec
+            else:
+                target_vertex.prec = head_prec
+                target = self.p_max
+            reinf = self.reinforcement_polynomial(target_vertex.vid, composed)
+            self.polygon_log.append(("reinforcement", l + 1, target_vertex.vid, reinf))
             corrections = self._corrections(reinf, root, target)
-        except NonSplittingError as exc:
-            exc.args = ("residue field too small in f%d: %s" % (l + 1, exc),)
-            raise
-        except RecursionLimitError as exc:
+            refined = sorted(corrections, key=ApproxRoot.sort_key)
+            if target_vertex.prec == old_prec and refined == [root]:
+                raise PrecisionLimitError("the root gains no precision within the bound %s" % self.p_max)
+        except TropError as exc:
             exc.args = ("reinforcing f%d at vertex %d: %s" % (l + 1, target_vertex.vid, exc),)
             raise
         for corr, g in corrections.items():
             if g is not None and corr.known:
                 self.store.setdefault((id(composed), corr.known), (composed, g))
-        refined = sorted(corrections, key=ApproxRoot.sort_key)
-        if target_vertex.prec == old_prec and refined == [root]:
-            raise PrecisionLimitError(
-                "reinforcing f%d at vertex %d gains no precision within the bound %s"
-                % (l + 1, target_vertex.vid, self.p_max)
-            )
         self._replace_subtree(target_vertex, refined)
 
     def _corrections(self, reinf: UPoly, root: ApproxRoot, target):

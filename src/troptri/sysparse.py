@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import islice
 from math import comb, lcm
 
-from .errors import NonTriangularError, ParseError, ReservedIdentifierError
+from .errors import NonTriangularError, ParseError
 from .residue import PrimeField, RationalField
 from .roottree import TriangularSystem
 from .upoly import MPoly
@@ -98,9 +98,9 @@ class _ExprParser:
         m = next(islice(_TOKEN.finditer(self.text), index, None), None)
         return self.offset + (len(self.text) if m is None else m.start(1)) + 1
 
-    def error(self, index, message, kind=ParseError):
-        """A ``kind`` error at token ``index``; the sentinel's column is the line's end."""
-        return kind(message, self.line_no, self.column(index))
+    def error(self, index, message):
+        """A ParseError at token ``index``; the sentinel's column is the line's end."""
+        return ParseError(message, self.line_no, self.column(index))
 
     def parse(self) -> MPoly:
         value = self.expression()
@@ -168,7 +168,7 @@ class _ExprParser:
                 for _ in range(self.exponent(1 if c else 0) if tokens[self.at] == "^" else 1):
                     coeff = mul(coeff, c)
             elif tok.startswith("u"):
-                raise self.error(i, _RESERVED % tok, ReservedIdentifierError)
+                raise self.error(i, _RESERVED % tok)
             else:
                 m = _VARIABLE.fullmatch(tok)
                 if not m:
@@ -355,7 +355,7 @@ def _parse_header(header, line_no):
         raise ParseError("the ring header declares no variables", line_no, 1)
     for i, name in enumerate(names):
         if name.startswith("u"):
-            raise ReservedIdentifierError(_RESERVED % name, line_no, 1)
+            raise ParseError(_RESERVED % name, line_no, 1)
         if name != "x%d" % (i + 1):
             raise ParseError(
                 "variables must be named x1..xn in order; found %r" % name, line_no, 1

@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import cache
 from math import gcd, lcm
 
-from .errors import ZeroHasNoValuation, ZeroSubstitutionError
+from .errors import TropError
 from .puiseux import PuiseuxScalar
 from .rationals import format_rat, ratio
 from .residue import ResiduePoly
@@ -48,7 +48,8 @@ class MPoly:
     ``den`` is a common denominator, not necessarily the least: ``val_pair``
     reduces, and ``__eq__`` and ``__hash__`` compare exponents as rationals.
     The same type serves the input polynomials in x_1..x_n and the
-    K[u_1..u_n] coefficients of a UPoly; ``format`` writes it in x_1..x_n.
+    K[u_1..u_n] coefficients of a UPoly; ``format`` writes it in x_1..x_n
+    unless told the letter u.
     ``terms`` and its dicts are never changed once built, so polynomials
     share them, and ``val_pair`` and ``initial_term``, read many times over,
     are found in one pass on first use and kept (a kept ``initial_terms``
@@ -78,7 +79,7 @@ class MPoly:
     def _keep_initial_part(self):
         """(val_pair, initial_term), computed in one pass; both are kept."""
         if not self.terms:
-            raise ZeroHasNoValuation("0 has no valuation")
+            raise ValueError("0 has no valuation")
         n = None
         for deg, s in self.terms.items():
             m = min(s)
@@ -121,7 +122,7 @@ class MPoly:
         polynomial that does not use x_index comes back as the same object.
         So does zero, which exact roots can cancel a polynomial to before a
         branch's last root goes in: the paths below take no zero polynomial,
-        and ``compose`` reports it as a ZeroSubstitutionError.
+        and ``compose`` reports it as a TropError.
         """
         if not any(deg[index] for deg in self.terms):
             return self
@@ -158,11 +159,11 @@ class MPoly:
     def __hash__(self):
         return hash(self._key())
 
-    def format(self) -> str:
+    def format(self, letter="x") -> str:
         """Render in the input format, highest monomial first, e.g. 'x1^2 + t*x1'."""
         field, den = self.field, self.den
         return " + ".join(
-            PuiseuxScalar.from_numerators(field, den, self.terms[deg]).format(format_monomial("x", deg))
+            PuiseuxScalar.from_numerators(field, den, self.terms[deg]).format(format_monomial(letter, deg))
             for deg in sorted(self.terms, reverse=True)
         ) or "0"
 
@@ -220,7 +221,8 @@ class UPoly:
         return UPoly(self.field, self.nvars, self.var, _taylor_shift(self.coeffs, known))
 
     def __repr__(self):
-        return "<UPoly in x%d: %r>" % (self.var + 1, self.coeffs)
+        coeffs = ", ".join("%d: <%s>" % (j, c.format("u")) for j, c in self.coeffs.items())
+        return "<UPoly in x%d: {%s}>" % (self.var + 1, coeffs)
 
 
 def _taylor_shift(coeffs, known):
@@ -269,14 +271,14 @@ def compose(f: MPoly, target: int) -> UPoly:
     """f, with roots already put in for the coordinates before ``target``,
     as a polynomial in coordinate ``target`` over K[u].
 
-    Raises ZeroSubstitutionError when everything cancelled, which flags a
-    degenerate input system.
+    Raises TropError when everything cancelled, which flags a degenerate
+    input system.
     """
     if any(any(deg[target + 1:]) for deg in f.terms):
         beyond = min(i for i in f.variables() if i > target)
         raise ValueError("polynomial uses x%d beyond the kept coordinate x%d" % (beyond + 1, target + 1))
     if f.is_zero():
-        raise ZeroSubstitutionError("substitution produced the zero polynomial")
+        raise TropError("substitution produced the zero polynomial")
     return UPoly.from_mpoly(f, target)
 
 
@@ -287,7 +289,7 @@ def initial_form(f: UPoly, w):
     equation has no residue roots to offer.
     """
     if f.is_zero():
-        raise ZeroHasNoValuation("the zero polynomial has no initial form")
+        raise ValueError("the zero polynomial has no initial form")
     # w*j + val(c) times wd*m, m the lcm of the valuations' denominators: an int
     wn, wd = w.numerator, w.denominator
     vals = {j: c.val_pair() for j, c in f.coeffs.items()}

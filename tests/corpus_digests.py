@@ -15,21 +15,27 @@ the solver.  Under the flag set name
 of the ``json`` run, so a change that only reorders the points leaves every
 ``set`` line as it was.  The corpora are the first
 SYSTEMS systems of every workload in ``bench/workloads.py`` at each of
-SEEDS.  To check that a change leaves both as they were, run this from the
-root of both trees and compare:
+SEEDS.  To check that a change leaves both as they were, compare the trees:
 
     PYTHONPATH=src python tests/corpus_digests.py > digests.txt
-    diff parent-digests.txt digests.txt
+    PYTHONPATH=src python tests/corpus_digests.py --compare ../parent .
+
+``--compare A B`` runs this file in a fresh process per tree, with that
+tree's ``src/`` first on the path and PYTHONHASHSEED=0, and prints only the
+lines that differ, A's as ``- <line>`` and B's as ``+ <line>``, then
+``<n> of <total> lines differ``.
 
 The name keeps pytest from collecting it.  The files under ``bench/`` are
 read, not imported, so nothing is written next to them.
 """
 
+import argparse
 import hashlib
 import json
+from itertools import zip_longest
 
 import troptri
-from helpers import cli_run, read_bench_module
+from helpers import cli_run, read_bench_module, run_in_tree
 from oracles import to_scalars
 
 SEEDS = (3, 7, 11)
@@ -56,7 +62,27 @@ def parsed_digest(text):
     return hashlib.sha256(repr((system.field.name, form)).encode()).hexdigest()
 
 
-def main():
+def compare(a, b):
+    """Print the lines of the runs against trees A and B that differ, then their count."""
+    a, b = (run_in_tree(__file__, tree, []).splitlines() for tree in (a, b))
+    differ = 0
+    for old, new in zip_longest(a, b):
+        if old != new:
+            differ += 1
+            for sign, line in (("-", old), ("+", new)):
+                if line is not None:
+                    print(sign, line)
+    print("%d of %d lines differ" % (differ, max(len(a), len(b))))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="run against the src/ of two trees and print the lines that differ")
+    args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             systems = workloads.corpus(workload, seed, SYSTEMS)

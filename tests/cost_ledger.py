@@ -41,13 +41,11 @@ The name keeps pytest from collecting it.
 import argparse
 import gc
 import json
-import os
-import subprocess
 import sys
 import tracemalloc
 from collections import Counter
 
-from helpers import cli_run, read_bench_module
+from helpers import cli_run, read_bench_module, run_in_tree
 from long_systems import system_text
 from troptri import RootTree, parse_system
 
@@ -169,13 +167,7 @@ def difference(a, b):
 
 def rows_of_tree(tree, argv):
     """The rows this file prints when run against the tree's ``src/``."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
-               PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, os.path.abspath(__file__), *argv, "--tree", tree],
-                          env=env, capture_output=True, text=True, check=False)
-    if done.returncode != 0:
-        sys.exit("cost_ledger: the run against %s failed:\n%s" % (tree, done.stderr[-2000:]))
-    return [json.loads(line) for line in done.stdout.splitlines()]
+    return [json.loads(line) for line in run_in_tree(__file__, tree, [*argv, "--tree", tree]).splitlines()]
 
 
 def main(argv=None):

@@ -2,7 +2,9 @@
 
 import contextlib
 import io
+import os
 import signal
+import subprocess
 import sys
 import time
 import types
@@ -18,8 +20,8 @@ from troptri import (
     PuiseuxScalar,
     RationalField,
     TriangularSystem,
+    TropError,
     UPoly,
-    ZeroSubstitutionError,
 )
 from troptri.cli import main as cli_main
 
@@ -35,6 +37,19 @@ def read_bench_module(name):
     module.__file__ = str(path)
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
+
+
+def run_in_tree(script, tree, argv):
+    """Stdout of the Python file ``script`` run with ``argv`` in a fresh process
+    against the tree's ``src/``, with PYTHONHASHSEED=0 and no bytecode
+    written; a failed run ends this process with the end of its stderr."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
+               PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, os.path.abspath(script), *argv],
+                          env=env, capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        sys.exit("%s: the run against %s failed:\n%s" % (Path(script).stem, tree, done.stderr[-2000:]))
+    return done.stdout
 
 
 def cli_run(text, argv):
@@ -163,7 +178,7 @@ def compose_naive(f, values, target):
         acc[j] = acc[j] + piece if j in acc else piece
     coeffs = {j: c for j, c in acc.items() if not c.is_zero()}
     if not coeffs:
-        raise ZeroSubstitutionError("substitution produced the zero polynomial")
+        raise TropError("substitution produced the zero polynomial")
     return UPoly(field, nvars, target, coeffs)
 
 

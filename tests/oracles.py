@@ -37,7 +37,6 @@ from troptri import (
     PuiseuxScalar,
     ResiduePoly,
     UPoly,
-    ZeroPolynomialError,
     compose,
     is_unique,
     newton_polygon,
@@ -303,7 +302,7 @@ def support_points(f: UPoly):
 def newton_polygon_rational(f: UPoly) -> Polygon:
     """The Newton polygon, its lower hull taken over rational heights."""
     if f.is_zero():
-        raise ZeroPolynomialError("the zero polynomial has no Newton polygon")
+        raise ValueError("the zero polynomial has no Newton polygon")
     hull = lower_hull(support_points(f))
     scale = lcm(*[Fraction(v).denominator for _, v in hull])
     return Polygon([(j, int(v * scale)) for j, v in hull], scale)
@@ -342,7 +341,7 @@ def uniqueness_oracle(f: UPoly, trials: int = 100, seed: int = 0) -> bool:
     mismatch.  Probabilistic.
     """
     if f.is_zero():
-        raise ZeroPolynomialError("the zero polynomial has no Newton polygon")
+        raise ValueError("the zero polynomial has no Newton polygon")
     variables = sorted(tail_variables(f))
     if not variables:
         return True
@@ -432,7 +431,7 @@ def _roots_if_split(poly):
     """The nonzero roots of ``poly``; none when it is zero or does not split."""
     try:
         return roots_in_units(poly)
-    except (NonSplittingError, ZeroPolynomialError):
+    except (NonSplittingError, ValueError):
         return set()
 
 
@@ -454,7 +453,7 @@ def is_approximate_root(f: UPoly, root) -> bool:
     cancel and the prefix is off the mark.
     """
     if f.is_zero():
-        raise ZeroPolynomialError("cannot test roots against the zero polynomial")
+        raise ValueError("cannot test roots against the zero polynomial")
     if root.tail is None:
         raise ExactRootError("the root is exact; substitute and compare with zero instead")
     image = evaluate(f, as_mpoly(root, f.field, f.nvars))

@@ -17,7 +17,17 @@ from hypothesis import strategies as st
 
 from helpers import cli_run, const, ps, read_bench_module, time_limit, upoly
 from oracle_systems import prefix_cancelling_system_with_expected_points, random_system_with_expected_points
-from troptri import expansion, format_system
+import troptri
+from troptri import (
+    NonSplittingError,
+    NonTriangularError,
+    ParseError,
+    PrecisionLimitError,
+    TropError,
+    cli,
+    expansion,
+    format_system,
+)
 from troptri.cli import main
 from troptri.polygon import newton_polygon
 from troptri.roottree import RootTree
@@ -128,9 +138,33 @@ def test_exit_code_non_utf8_input(tmp_path, capsys):
 
 def test_exit_code_non_splitting(tmp_path):
     text = "ring x1 x2\npoly x1^2 - 2\npoly x2 - x1 + 1\n"
-    code, out, err = run_cli(tmp_path, text)
-    assert code == 2
-    assert "f1" in err
+    assert run_cli(tmp_path, text) == (
+        2, "", "error: reinforcing f1 at vertex 1: polynomial does not split over QQ\n")
+
+
+# the exit code of each exception class, as troptri.errors documents it
+EXIT_CODES = {NonSplittingError: 2, PrecisionLimitError: 3, ParseError: 4, NonTriangularError: 4, TropError: 5}
+
+
+def test_the_package_exports_one_exception_class_per_exit_code():
+    exported = {getattr(troptri, name) for name in troptri.__all__}
+    assert {c for c in exported if isinstance(c, type) and issubclass(c, BaseException)} == set(EXIT_CODES)
+    assert {c: c.exit_code for c in EXIT_CODES} == EXIT_CODES
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_main_exits_with_the_code_of_the_class_raised(tmp_path, monkeypatch, cls):
+    # input errors come from the parser, every other one from the run
+    if cls in (ParseError, NonTriangularError):
+        def fail(text):
+            raise ParseError("bad", 1, 2) if cls is ParseError else cls("bad")
+        monkeypatch.setattr(cli, "parse_system", fail)
+    else:
+        def fail(tree):
+            raise cls("bad")
+        monkeypatch.setattr(RootTree, "run", fail)
+    message = "line 1, column 2: bad" if cls is ParseError else "bad"
+    assert run_cli(tmp_path, "ring x1\npoly x1 - 1\n") == (EXIT_CODES[cls], "", "error: %s\n" % message)
 
 
 def test_exit_code_precision_limit(tmp_path):
@@ -201,7 +235,7 @@ def test_no_progress_reinforcement_exits_3(tmp_path, monkeypatch, name):
     assert code == 3
     assert out == ""
     assert re.fullmatch(
-        r"error: reinforcing f\d at vertex \d+ gains no precision within the bound 32\n", err
+        r"error: reinforcing f\d at vertex \d+: the root gains no precision within the bound 32\n", err
     )
 
 

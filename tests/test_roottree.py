@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -37,7 +38,10 @@ from troptri import (
     PuiseuxScalar,
     RootTree,
     TriangularSystem,
+    TropError,
     UPoly,
+    expansion,
+    format_system,
     parse_system,
     puiseux_expansion,
     trop_triangular,
@@ -62,6 +66,19 @@ def test_starting_tree_validates_parameters():
         RootTree(three_var_system(), 0, 10)
     with pytest.raises(ValueError, match="the precision bound must be nonnegative"):
         RootTree(three_var_system(), 1, -1)
+
+
+def test_float_precisions_are_refused():
+    # 0.1 is the binary fraction 3602879701896397/36028797018963968, which
+    # --tree would print as the precision
+    with pytest.raises(ValueError, match=r"^p_step must be an int or a Fraction, got 0\.1$"):
+        RootTree(three_var_system(), 0.1, 32)
+    with pytest.raises(ValueError, match=r"^p_step must be an int or a Fraction, got 0\.1$"):
+        trop_triangular(three_var_system(), p_step=0.1)
+    with pytest.raises(ValueError, match=r"^p_max must be an int or a Fraction, got 32\.0$"):
+        RootTree(three_var_system(), 1, 32.0)
+    tree = RootTree(three_var_system(), Fraction(1, 3), Fraction(64, 2))
+    assert (tree.p_step, tree.p_max) == (Fraction(1, 3), 32) and type(tree.p_max) is int
 
 
 def test_triangular_validation():
@@ -239,7 +256,7 @@ def test_nonsplitting_propagates_from_reinforcement():
     system = TriangularSystem([f1, f2])
     with pytest.raises(NonSplittingError) as err:
         trop_triangular(system)
-    assert str(err.value) == "residue field too small in f1: polynomial does not split over QQ"
+    assert str(err.value) == "reinforcing f1 at vertex 1: polynomial does not split over QQ"
 
 
 def test_nonsplitting_names_the_polynomial_in_its_message():
@@ -248,7 +265,52 @@ def test_nonsplitting_names_the_polynomial_in_its_message():
     system = parse_system("ring x1 x2 fp:7\npoly x1^2 - 3\npoly x2 - x1^2 + 3 + t\n")
     with pytest.raises(NonSplittingError) as err:
         trop_triangular(system)
-    assert str(err.value) == "residue field too small in f1: polynomial does not split over F7"
+    assert str(err.value) == "reinforcing f1 at vertex 1: polynomial does not split over F7"
+
+
+DRIVER_FAILURES = {
+    "no-split-qq": ("ring x1 x2\npoly x1^2 - 2\npoly x2 - x1 + 1\n", 32, NonSplittingError),
+    "no-split-fp7": ("ring x1 x2 fp:7\npoly x1^2 - 3\npoly x2 - x1^2 + 3 + t\n", 32, NonSplittingError),
+    "head-precision": (
+        "ring x1 x2\npoly (x1 - 1 - t)*(x1 - 1 - t - t^3)\npoly x2 - (x1 - 1 - t)\n", 1, PrecisionLimitError),
+    "no-gain": (
+        "ring x1 x2 x3\npoly x1 - 1\npoly (x2 - x1 - t)*(x2 - x1 - t - t^40)\n"
+        "poly x3 - x2 + 1 + t + 2*t^40\n", 32, PrecisionLimitError),
+    "recursion-cap": ("ring x1 x2\npoly x1^2 - x1 - t\npoly x2 - x1 + 1 + t - t^2 + 2*t^3\n", 32, TropError),
+    "zero-substitution": (
+        "ring x1 x2 x3\npoly (x1 - 1)*(x1 - 2)\npoly x2 - 3\npoly (x1 - 1)*x3 + x2 - 3\n", 32, TropError),
+}
+_PREFIX = r"(?:reinforcing f(\d+) at vertex (\d+)|f(\d+) vanishes on the branch to vertex (\d+)): "
+
+
+@pytest.mark.parametrize("name", sorted(DRIVER_FAILURES))
+def test_each_driver_failure_names_its_polynomial_and_vertex_once(monkeypatch, name):
+    text, p_max, cls = DRIVER_FAILURES[name]
+    if name == "recursion-cap":
+        monkeypatch.setattr(expansion, "MAX_DEPTH", 0)
+    tree = RootTree(parse_system(text), 1, p_max)
+    with pytest.raises(TropError) as err:
+        tree.run()
+    message = str(err.value)
+    assert type(err.value) is cls
+    m = re.match(_PREFIX, message)
+    assert m and not re.search(_PREFIX, message[m.end():]), message
+    k, vid = [int(g) for g in m.groups() if g is not None]
+    # a reinforcement names the vertex it refines, at depth k; a vanishing
+    # names the end of the branch that f<k> would extend, at depth k - 1
+    vanishes = m.group(3) is not None
+    assert vanishes == (name == "zero-substitution")
+    assert tree.vertices[vid].depth == k - vanishes
+
+
+def test_an_extension_polynomial_writes_its_coefficients_in_u():
+    # the tail u1 of the first x1 vertex must not print as the coordinate x1
+    system = parse_system("ring x1 x2\npoly (x1 - 1 - t)*(x1 - 1 - t^2)\npoly x2 - x1 + 1\n")
+    tree = RootTree(system, 1, 32)
+    tree.grow(tree.root_id)
+    (vid,) = tree.vertices[tree.root_id].children
+    assert repr(tree.extension_polynomial(vid)) == "<UPoly in x2: {1: <1>, 0: <(-1)*u1 + 1>}>"
+    assert format_system(system).endswith("\npoly (-1)*x1 + x2 + 1\n")
 
 
 def test_determinism():

@@ -35,9 +35,8 @@ from oracles import Poly, as_mpoly, compose_roots, eval_residue, evaluate, shift
 from troptri import (
     MPoly,
     PrimeField,
+    TropError,
     UPoly,
-    ZeroHasNoValuation,
-    ZeroSubstitutionError,
     compose,
     initial_form,
 )
@@ -61,7 +60,7 @@ def test_uval_examples():
     assert uval(a0) == 1
     assert uval(uc(2, (const(-1), (1, 0)), (ps((0, -1), (1, -1)), (0, 0)))) == 0
     assert uval(uc(2, (tp(1), (0, 1)))) == 1
-    with pytest.raises(ZeroHasNoValuation):
+    with pytest.raises(ValueError, match="^0 has no valuation$"):
         uval(MPoly(QQ, 2))
 
 
@@ -125,7 +124,7 @@ def test_compose_zero_result():
     f2 = xvar(2, 1) - xvar(2, 0)
     exact = root(0, [(0, 1)], None)
     f = xvar(2, 1) - xvar(2, 1)  # zero polynomial
-    with pytest.raises(ZeroSubstitutionError):
+    with pytest.raises(TropError, match="^substitution produced the zero polynomial$"):
         compose_roots(f, [exact], 1)
 
 
@@ -166,8 +165,8 @@ def _compose_cases(draw):
 def _compose_outcome(fn, f, values, k):
     try:
         return fn(f, values, k).coeffs
-    except ZeroSubstitutionError:
-        return "zero"
+    except TropError as exc:
+        return str(exc)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -330,7 +329,7 @@ def test_the_kept_initial_part_matches_a_naive_recomputation(case, term_first):
         if c.is_zero():
             for _ in range(2):
                 for method in (c.val_pair, c.initial_term, c.initial_terms):
-                    with pytest.raises(ZeroHasNoValuation):
+                    with pytest.raises(ValueError, match="^0 has no valuation$"):
                         method()
             continue
         first = c.initial_term() if term_first else c.val_pair()
@@ -420,7 +419,8 @@ def test_compose_is_multiplicative_randomized():
         roots = [_random_root(rng, i) for i in range(k)]
         try:
             fg = compose_roots(f * g, roots, k)
-        except ZeroSubstitutionError:
+        except TropError as exc:
+            assert str(exc) == "substitution produced the zero polynomial"
             continue
         cf = compose_roots(f, roots, k)
         cg = compose_roots(g, roots, k)
