@@ -14,7 +14,7 @@ import sys
 
 from .errors import TropError
 from .rationals import parse_rat
-from .roottree import RootTree
+from .roottree import RootTree, precisions
 from .svg import write_polygon_log
 from .sysparse import parse_system
 
@@ -50,12 +50,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        p_step = parse_rat(args.pstep)
-        p_max = parse_rat(args.pmax)
-        if p_step <= 0:
-            raise ValueError("--pstep must be positive, got %s" % args.pstep)
-        if p_max < 0:
-            raise ValueError("--pmax must be nonnegative, got %s" % args.pmax)
+        p_step, p_max = precisions(parse_rat(args.pstep), parse_rat(args.pmax))
     except ValueError as exc:
         print("error: bad precision flag: %s" % exc, file=sys.stderr)
         return 4

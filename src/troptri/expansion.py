@@ -106,7 +106,7 @@ def puiseux_expansion(f: UPoly, w, p_rel, known=()) -> dict:
         raise ValueError("cannot expand roots of the zero polynomial")
     if not is_unique(f):
         raise ValueError("the Newton polygon is not substitution-invariant")
-    w = exact(w, "w")
+    w, p_rel = exact(w, "w"), exact(p_rel, "p_rel")
     if w not in newton_polygon(f).tropical_points():
         raise ValueError("%s is not a tropical point of the polynomial" % format_rat(w))
     return _expand(f, w, p_rel, 0, known)

@@ -14,8 +14,10 @@ exact; cancellation removes terms only when they are exactly zero.
 This is the library's value type, and no CLI run builds one: the engine
 takes a root as its own (exponent, coefficient) pairs and adds and
 multiplies on an MPoly's numerators (``upoly``).  ``MPoly.format`` writes
-each of its terms out through ``from_numerators`` and ``format``, and the
-sum and product here serve the tests and the public API.
+each of its terms out through ``from_numerators`` and ``format``.  The sum
+and product serve the tests and the public API, so they are written
+plainly: each collects its terms in one dict over the least common
+denominator of its operands, and ``from_numerators`` makes that least.
 """
 
 from math import gcd, lcm
@@ -23,36 +25,13 @@ from math import gcd, lcm
 from .rationals import format_rat, ratio
 
 
-def _scalar(field, den, nums):
-    s = object.__new__(PuiseuxScalar)
-    s.field = field
-    s.den = den
-    s.nums = nums
-    return s
-
-
-def _reduced(field, den, nums):
-    """The scalar of sorted nonzero ``nums`` over ``den``, with den made least."""
-    if den != 1:
-        g = gcd(den, nums[0][0]) if len(nums) == 1 else gcd(den, *[n for n, _ in nums])
-        if g != 1:
-            den //= g
-            nums = [(n // g, c) for n, c in nums]
-    return _scalar(field, den, tuple(nums))
-
-
-def _over(pairs, den):
-    """(exponent, coefficient) pairs as (numerator over ``den``, coefficient)."""
-    return [(e.numerator * (den // e.denominator), c) for e, c in pairs]
-
-
-def _common(a, b):
-    """The least common denominator of two scalars and both their numerators over it."""
-    if a.den == b.den:
-        return a.den, a.nums, b.nums
-    den = lcm(a.den, b.den)
-    ka, kb = den // a.den, den // b.den
-    return den, [(n * ka, c) for n, c in a.nums], [(n * kb, c) for n, c in b.nums]
+def _collect(field, den, pairs):
+    """The scalar sum(c*t^(n/den)) of (n, c) pairs, like powers added up."""
+    add = field.add
+    acc = {}
+    for n, c in pairs:
+        acc[n] = add(acc[n], c) if n in acc else c
+    return PuiseuxScalar.from_numerators(field, den, {n: c for n, c in acc.items() if c != 0})
 
 
 class PuiseuxScalar:
@@ -61,21 +40,22 @@ class PuiseuxScalar:
     def __init__(self, field, terms=()):
         # terms must already be canonical: sorted, unique exponents, no zeros
         self.field = field
-        self.den = lcm(*[e.denominator for e, _ in terms])
-        self.nums = tuple(_over(terms, self.den))
+        self.den = den = lcm(*[e.denominator for e, _ in terms])
+        self.nums = tuple((e.numerator * (den // e.denominator), c) for e, c in terms)
 
     @classmethod
     def from_numerators(cls, field, den, nums):
-        """The scalar sum(c*t^(n/den)) of a {numerator: nonzero c} dict."""
-        return _reduced(field, den, sorted(nums.items()))
+        """The scalar sum(c*t^(n/den)) of a {numerator: nonzero c} dict, made through __init__."""
+        g = gcd(den, *nums)
+        s = cls(field)
+        s.den = den // g
+        s.nums = tuple((n // g, c) for n, c in sorted(nums.items()))
+        return s
 
     @property
     def terms(self):
         """The (exponent, coefficient) pairs with rational exponents."""
-        den = self.den
-        if den == 1:
-            return self.nums
-        return tuple((ratio(n, den), c) for n, c in self.nums)
+        return tuple((ratio(n, self.den), c) for n, c in self.nums)
 
     def is_zero(self):
         return not self.nums
@@ -87,41 +67,17 @@ class PuiseuxScalar:
         return ratio(self.nums[0][0], self.den)
 
     def __add__(self, other):
-        field = self.field
-        den, a, b = _common(self, other)
-        i = j = 0
-        out = []
-        while i < len(a) and j < len(b):
-            if a[i][0] < b[j][0]:
-                out.append(a[i])
-                i += 1
-            elif a[i][0] > b[j][0]:
-                out.append(b[j])
-                j += 1
-            else:
-                c = field.add(a[i][1], b[j][1])
-                if c != 0:
-                    out.append((a[i][0], c))
-                i += 1
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return _reduced(field, den, out)
+        den = lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        pairs = [(n * ka, c) for n, c in self.nums] + [(n * kb, c) for n, c in other.nums]
+        return _collect(self.field, den, pairs)
 
     def __mul__(self, other):
-        field = self.field
-        den, a, b = _common(self, other)
-        mul, add = field.mul, field.add
-        acc = {}
-        for n1, c1 in a:
-            for n2, c2 in b:
-                n = n1 + n2
-                prod = mul(c1, c2)
-                if n in acc:
-                    acc[n] = add(acc[n], prod)
-                else:
-                    acc[n] = prod
-        return _reduced(field, den, [(n, c) for n, c in sorted(acc.items()) if c != 0])
+        den = lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        mul = self.field.mul
+        pairs = [(n1 * ka + n2 * kb, mul(c1, c2)) for n1, c1 in self.nums for n2, c2 in other.nums]
+        return _collect(self.field, den, pairs)
 
     def __eq__(self, other):
         return (

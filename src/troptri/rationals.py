@@ -26,7 +26,9 @@ def exact(x, name):
     """The argument ``name``, an int or a Fraction, in stored form.  Anything
     else is refused, a float above all: its binary fraction is seldom the
     number meant (0.1 is 3602879701896397/2^55)."""
-    if type(x) is not int and type(x) is not Fraction:
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
         raise ValueError("%s must be an int or a Fraction, got %r" % (name, x))
     return int_if_integral(x)
 

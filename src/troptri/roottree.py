@@ -81,14 +81,19 @@ class Vertex:
         self.dead = False
 
 
+def precisions(p_step, p_max):
+    """The precision increment and bound in stored form; a ValueError names a bad one."""
+    p_step, p_max = exact(p_step, "p_step"), exact(p_max, "p_max")
+    if p_step <= 0:
+        raise ValueError("the precision increment must be positive, got %s" % format_rat(p_step))
+    if p_max < 0:
+        raise ValueError("the precision bound must be nonnegative, got %s" % format_rat(p_max))
+    return p_step, p_max
+
+
 class RootTree:
     def __init__(self, system, p_step, p_max):
-        p_step = exact(p_step, "p_step")
-        p_max = exact(p_max, "p_max")
-        if p_step <= 0:
-            raise ValueError("the precision increment must be positive")
-        if p_max < 0:
-            raise ValueError("the precision bound must be nonnegative")
+        p_step, p_max = precisions(p_step, p_max)
         self.system = system
         self.field = system.field
         self.n = system.n
@@ -377,31 +382,24 @@ class RootTree:
 
     def point_rows(self):
         """(valuation vector, its coordinates as text) per branch vector, in the
-        order of ``points``: a row per vertex on a branch that reaches depth n,
-        made once from its parent's, and the leaves deduped on an int key."""
-        rows = {self.root_id: (0, (), ())}  # vid -> (key, vector, texts)
-        keys = {}  # (parent's key, valuation's text) -> key
+        order of ``points``: one depth-first walk in which each vertex extends
+        its parent's tuples by its root's, leaves deduped on their texts."""
+        vertices = self.vertices
         seen = {}  # root -> (valuation, text)
         out = {}  # a dict keeps each key where it was first put in
-        stack = [self.root_id]
+        stack = [(vertices[vid], (), ()) for vid in reversed(vertices[self.root_id].children)]
         while stack:
-            v = self.vertices[stack.pop()]
+            v, vals, texts = stack.pop()
+            row = seen.get(v.root)
+            if row is None:
+                w = v.root.valuation()
+                row = seen[v.root] = w, format_rat(w)
+            vals, texts = vals + (row[0],), texts + (row[1],)
             if v.children:
-                stack.extend(reversed(v.children))
+                for vid in reversed(v.children):
+                    stack.append((vertices[vid], vals, texts))
             elif v.depth == self.n:
-                chain = []
-                while v.vid not in rows:
-                    chain.append(v)
-                    v = self.vertices[v.parent]
-                key, vals, strs = rows[v.vid]
-                for u in reversed(chain):
-                    if u.root not in seen:
-                        w = u.root.valuation()
-                        seen[u.root] = w, format_rat(w)
-                    w, text = seen[u.root]
-                    key = keys.setdefault((key, text), len(keys) + 1)
-                    rows[u.vid] = key, vals, strs = key, vals + (w,), strs + (text,)
-                out.setdefault(key, (vals, strs))
+                out.setdefault(texts, (vals, texts))
         return list(out.values())
 
     # -- reporting ---------------------------------------------------------------

@@ -314,7 +314,7 @@ def parse_system(text: str) -> TriangularSystem:
         if header is None:
             if line.split(None, 1)[0] != "ring":
                 raise ParseError("the file must start with a ring header", line_no, 1)
-            header = line
+            header = raw.split("#", 1)[0]
             header_line = line_no
             continue
         if line.split(None, 1)[0] != "poly":
@@ -338,6 +338,8 @@ def parse_system(text: str) -> TriangularSystem:
 
 
 def _parse_header(header, line_no):
+    """The field and the number of coordinates of a ring header, the line
+    without its comment; an error names its word's column (``_header_error``)."""
     names = header.split()[1:]
     field = RationalField()
     if names and (names[-1] == "q" or names[-1].startswith("fp:")):
@@ -346,21 +348,26 @@ def _parse_header(header, line_no):
             try:
                 p = int(spec[3:])
             except ValueError:
-                raise ParseError("bad prime in %r" % spec, line_no, 1) from None
+                raise _header_error(header, line_no, len(names) + 1, "bad prime in %r" % spec) from None
             try:
                 field = PrimeField(p)
             except ValueError as exc:
-                raise ParseError(str(exc), line_no, 1) from None
+                raise _header_error(header, line_no, len(names) + 1, str(exc)) from None
     if not names:
-        raise ParseError("the ring header declares no variables", line_no, 1)
-    for i, name in enumerate(names):
+        raise _header_error(header, line_no, len(header.split()), "the ring header declares no variables")
+    for i, name in enumerate(names, start=1):
         if name.startswith("u"):
-            raise ParseError(_RESERVED % name, line_no, 1)
-        if name != "x%d" % (i + 1):
-            raise ParseError(
-                "variables must be named x1..xn in order; found %r" % name, line_no, 1
-            )
+            raise _header_error(header, line_no, i, _RESERVED % name)
+        if name != "x%d" % i:
+            raise _header_error(header, line_no, i, "variables must be named x1..xn in order; found %r" % name)
     return field, len(names)
+
+
+def _header_error(header, line_no, index, message):
+    """A ParseError at the header's word ``index`` ("ring" is word 0), or at the
+    line's end past its last word; as on a poly line, found only for an error."""
+    m = next(islice(re.finditer(r"\S+", header), index, None), None)
+    return ParseError(message, line_no, (len(header.rstrip()) if m is None else m.start()) + 1)
 
 
 def format_system(system: TriangularSystem) -> str:

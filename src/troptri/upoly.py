@@ -291,7 +291,10 @@ def initial_form(f: UPoly, w):
     if f.is_zero():
         raise ValueError("the zero polynomial has no initial form")
     # w*j + val(c) times wd*m, m the lcm of the valuations' denominators: an int
-    wn, wd = w.numerator, w.denominator
+    try:
+        wn, wd = w.numerator, w.denominator
+    except AttributeError:
+        raise ValueError("w must be an int or a Fraction, got %r" % (w,)) from None
     vals = {j: c.val_pair() for j, c in f.coeffs.items()}
     m = lcm(*[d for _, d in vals.values()])
     scores = {j: wn * j * m + n * wd * (m // d) for j, (n, d) in vals.items()}

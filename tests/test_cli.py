@@ -23,6 +23,7 @@ from troptri import (
     NonTriangularError,
     ParseError,
     PrecisionLimitError,
+    PuiseuxScalar,
     TropError,
     cli,
     expansion,
@@ -110,14 +111,15 @@ def test_a_keyword_glued_to_the_next_word_exits_4_with_one_line(tmp_path, text, 
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("# nothing but comments\n\n  # and blank lines\n", "empty input: no ring header found"),
-        ("ring x1 fp:abc\npoly x1 - t\n", "bad prime in 'fp:abc'"),
-        ("ring q\n", "the ring header declares no variables"),
+        ("# nothing but comments\n\n  # and blank lines\n", "column 1: empty input: no ring header found"),
+        # a header's fault is named at its word, or at the line's end
+        ("ring x1 fp:abc\npoly x1 - t\n", "column 9: bad prime in 'fp:abc'"),
+        ("ring q\n", "column 7: the ring header declares no variables"),
     ],
     ids=["comments-only", "bad-prime", "no-variables"],
 )
 def test_a_file_without_a_usable_ring_header_exits_4_with_one_line(tmp_path, text, message):
-    assert run_cli(tmp_path, text) == (4, "", "error: line 1, column 1: %s\n" % message)
+    assert run_cli(tmp_path, text) == (4, "", "error: line 1, %s\n" % message)
 
 
 def test_exit_code_non_triangular(tmp_path):
@@ -600,23 +602,26 @@ def test_pinned_newton_svg_bytes(tmp_path):
     assert got == PINNED_SVG_SHA256
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [
-        ("--pstep", "0"),
-        ("--pstep", "-1"),
-        ("--pmax", "-1"),
-        ("--pstep", "1/0"),
-        ("--pmax", "1/0"),
-        ("--pmax", "x"),
-    ],
-    ids="=".join,
-)
-def test_bad_flag_values_exit_4(tmp_path, flags):
-    code, out, err = run_cli(tmp_path, THREE_VAR, *flags)
-    assert code == 4
-    assert out == ""
-    assert err.startswith("error: bad ") and err.count("\n") == 1
+BAD_FLAG_VALUES = [
+    (("--pstep", "0"), "the precision increment must be positive, got 0"),
+    (("--pstep", "-1"), "the precision increment must be positive, got -1"),
+    (("--pmax", "-1"), "the precision bound must be nonnegative, got -1"),
+    (("--pstep", "1/0"), "zero denominator in '1/0'"),
+    (("--pmax", "1/0"), "zero denominator in '1/0'"),
+    (("--pmax", "x"), "invalid literal for int() with base 10: 'x'"),
+]
+
+
+@pytest.mark.parametrize("flags, message", BAD_FLAG_VALUES, ids=["=".join(f) for f, _ in BAD_FLAG_VALUES])
+def test_bad_flag_values_exit_4(monkeypatch, capsys, flags, message):
+    # the flags are checked, in RootTree's words, before the input is read
+    class Unread:
+        def read(self):
+            raise AssertionError("the input was read")
+
+    monkeypatch.setattr(sys, "stdin", Unread())
+    assert main(list(flags)) == 4
+    assert capsys.readouterr() == ("", "error: bad precision flag: %s\n" % message)
 
 
 @pytest.mark.parametrize(
@@ -730,19 +735,17 @@ def test_system_over_a_61_bit_prime_field_solves(tmp_path):
 def test_modulus_above_the_cap_or_composite_exits_4(tmp_path, p):
     code, out, err = run_cli(tmp_path, "ring x1 fp:%d\npoly x1 - t\n" % p)
     assert (code, out) == (4, "")
-    assert err == "error: line 1, column 1: modulus must be a prime <= %d, got %d\n" % (10**24, p)
+    assert err == "error: line 1, column 9: modulus must be a prime <= %d, got %d\n" % (10**24, p)
 
 
 def test_a_cli_run_builds_no_puiseux_scalar(monkeypatch):
     # a root goes in as its own terms and the kernels work on numerators,
-    # so no run on the benchmark corpora builds a scalar
-    import troptri.puiseux as puiseux
-
+    # so no run on the benchmark corpora builds a scalar; every scalar,
+    # from_numerators' included, is made through __init__
     def refuse(*args, **kwargs):
         raise AssertionError("a PuiseuxScalar was built")
 
-    monkeypatch.setattr(puiseux.PuiseuxScalar, "__init__", refuse)
-    monkeypatch.setattr(puiseux, "_scalar", refuse)
+    monkeypatch.setattr(PuiseuxScalar, "__init__", refuse)
     workloads = read_bench_module("workloads")
     for name in workloads.WORKLOADS:
         for system in workloads.corpus(name, 3, 30):

@@ -68,6 +68,14 @@ def test_expansion_refuses_float_arguments():
     assert set(puiseux_expansion(f, Fraction(1, 2), 0)) == {ApproxRoot(0, (), Fraction(1, 2))}
 
 
+def test_expansion_refuses_a_float_budget():
+    # a float budget would run the relative precision in float arithmetic
+    f = upoly(1, 0, {2: const(1), 0: tp(1, -1)})
+    with pytest.raises(ValueError, match=r"^p_rel must be an int or a Fraction, got 3\.0$"):
+        puiseux_expansion(f, Fraction(1, 2), 3.0)
+    assert set(puiseux_expansion(f, Fraction(1, 2), Fraction(6, 2))) == set(puiseux_expansion(f, Fraction(1, 2), 3))
+
+
 def test_expansion_rejects_untrusted_polygon():
     f = upoly(2, 1, {1: const(1), 0: uc(2, (const(1), (1, 0)), (ps((0, -1), (1, -1)), (0, 0)))})
     with pytest.raises(ValueError):

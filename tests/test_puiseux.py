@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import QQ, const, initial, mconst, ps, tp
+from helpers import QQ, const, initial, mconst, ps, read_bench_module, tp
 from oracles import scalar_sub
+from troptri import PrimeField, PuiseuxScalar
+from troptri.rationals import int_if_integral
 
 
 def test_product_of_conjugates():
@@ -74,6 +76,45 @@ def test_valuation_laws_randomized():
             assert s.valuation() >= min(a.valuation(), b.valuation())
             if a.valuation() != b.valuation():
                 assert s.valuation() == min(a.valuation(), b.valuation())
+
+
+def test_sum_and_product_match_the_generators_dict_series():
+    # bench/workloads.py adds and multiplies series as {exponent: coefficient}
+    # dicts with Fraction keys, sharing no code with the scalar's numerators
+    workloads = read_bench_module("workloads")
+    rng = random.Random(33)
+    pairs = cancelled = 0
+    for field, gen_field in ((QQ, workloads.Field()), (PrimeField(7), workloads.Field(7))):
+        for _ in range(300):
+            a, b = _random_series(rng, gen_field), _random_series(rng, gen_field)
+            if rng.random() < 0.3:
+                # b takes away some of a's terms, so the sum cancels exactly
+                gone = {e: c for e, c in a.items() if rng.random() < 0.6}
+                b = workloads.s_add(gen_field, b, workloads.s_neg(gen_field, gone))
+            total, product = workloads.s_add(gen_field, a, b), workloads.s_mul(gen_field, a, b)
+            sa, sb = _from_series(field, a), _from_series(field, b)
+            assert sa + sb == _from_series(field, total), (a, b)
+            assert sa * sb == _from_series(field, product), (a, b)
+            pairs += 1
+            cancelled += len(total) < len(set(a) | set(b))
+    assert pairs >= 500 and cancelled > 50
+
+
+def _random_series(rng, gen_field):
+    """A {exponent: nonzero coefficient} dict with negative and fractional exponents."""
+    out = {}
+    for _ in range(rng.randint(0, 4)):
+        e = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6]))
+        c = gen_field.norm(Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3])) if gen_field.p is None
+                           else rng.randint(1, gen_field.p - 1))
+        if c:
+            out[e] = c
+    return out
+
+
+def _from_series(field, series):
+    """The scalar of a dict series, through __init__, which makes its stored form."""
+    return PuiseuxScalar(field, tuple((int_if_integral(e), int_if_integral(c)) for e, c in sorted(series.items())))
 
 
 # A scalar has no power operator of its own: the engine raises a scalar to a

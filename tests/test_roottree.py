@@ -62,10 +62,10 @@ def test_starting_tree_is_a_single_vertex():
 
 
 def test_starting_tree_validates_parameters():
-    with pytest.raises(ValueError, match="the precision increment must be positive"):
+    with pytest.raises(ValueError, match="^the precision increment must be positive, got 0$"):
         RootTree(three_var_system(), 0, 10)
-    with pytest.raises(ValueError, match="the precision bound must be nonnegative"):
-        RootTree(three_var_system(), 1, -1)
+    with pytest.raises(ValueError, match="^the precision bound must be nonnegative, got -1/2$"):
+        RootTree(three_var_system(), 1, Fraction(-1, 2))
 
 
 def test_float_precisions_are_refused():
@@ -766,6 +766,9 @@ def test_point_rows_and_the_cli_points_match_the_walk_that_dedupes_vectors():
     # trees whose refined copies repeat a leaf's vector
     copied = sum(_assert_point_rows_match_the_walk(tree.run()) for _, tree in _leaf_oracle_cases())
     assert duplicated > 50 and copied > 20
+    # a 1,000-deep branch, and a cascade whose reinforcements copy subtrees up to 599 deep
+    for system in (_chain_system(1000, "x1 - t", "x1000 - x999"), _cascade(600)):
+        _assert_point_rows_match_the_walk(RootTree(system, 1, 32).run())
 
 
 def test_long_chain_copies_deep_subtrees_without_recursion():

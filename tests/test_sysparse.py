@@ -1,6 +1,7 @@
 """The system-file grammar: parsing, validation, round trips."""
 
 import random
+import re
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -77,8 +78,26 @@ def test_parse_non_triangular():
 def test_parse_reserved_identifier():
     with pytest.raises(ParseError, match="^line 2, column 11: 'u1' is reserved for internal tail variables$"):
         parse_system("ring x1\npoly x1 + u1\n")
-    with pytest.raises(ParseError, match="^line 1, column 1: 'u1' is reserved for internal tail variables$"):
+    with pytest.raises(ParseError, match="^line 1, column 6: 'u1' is reserved for internal tail variables$"):
         parse_system("ring u1\npoly u1\n")
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("ring x1 u1", "column 9: 'u1' is reserved for internal tail variables"),
+        ("ring x1 fp:8", "column 9: modulus must be a prime <= %d, got 8" % 10**24),
+        ("ring x1 fp:abc", "column 9: bad prime in 'fp:abc'"),
+        (" \tring  x1 x3 q # x4", "column 12: variables must be named x1..xn in order; found 'x3'"),
+        ("ring fp:7  # x1", "column 10: the ring header declares no variables"),
+    ],
+    ids=["reserved", "composite", "bad-prime", "indented", "no-variables"],
+)
+def test_a_ring_header_error_names_the_column_of_its_word(header, message):
+    # counted on the whole line, leading whitespace included, as on poly
+    # lines; a header without variables is faulted at its end
+    with pytest.raises(ParseError, match="^line 1, %s$" % re.escape(message)):
+        parse_system(header + "\npoly x1\n")
 
 
 def test_parse_error_positions():

@@ -1,6 +1,7 @@
 """K[u]-coefficients and the univariate/multivariate polynomial layers."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,16 @@ def test_initial_form_weight_two():
 def test_initial_form_flags_tail_variables():
     f = upoly(2, 1, {1: const(1), 0: uc(2, (tp(2, -1), (1, 0)))})
     assert initial_form(f, 2) is None
+
+
+def test_initial_form_refuses_a_float_weight():
+    # x^2 - t: 0.5 is exact here, but a float weight is refused as
+    # puiseux_expansion refuses it, in one line naming w
+    f = upoly(1, 0, {2: const(1), 0: tp(1, -1)})
+    for w in (0.5, "1/2"):
+        with pytest.raises(ValueError, match="^w must be an int or a Fraction, got %s$" % re.escape(repr(w))):
+            initial_form(f, w)
+    assert list(initial_form(f, Fraction(1, 2)).coeffs) == [-1, 0, 1]
 
 
 def test_compose_direct_substitution():

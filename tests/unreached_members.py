@@ -49,6 +49,7 @@ ALLOWED = {
     # and the corpora hold no malformed line
     "sysparse._ExprParser.column",
     "sysparse._ExprParser.error",
+    "sysparse._header_error",
     # the CLI's usage-error path: the corpora pass only valid flags
     "cli._ArgumentParser.error",
     # public, and round-trip tested
@@ -87,14 +88,11 @@ ALLOWED = {
     # their reference values with them
     "puiseux.PuiseuxScalar.__add__",
     "puiseux.PuiseuxScalar.__mul__",
-    # called only by from_numerators and the scalar sum and product
-    "puiseux._common",
-    "puiseux._reduced",
+    # called only by the scalar sum and product
+    "puiseux._collect",
     # the library's scalar type, which no CLI run builds
     "puiseux.PuiseuxScalar.__init__",
     "puiseux.PuiseuxScalar.is_zero",
-    "puiseux._over",
-    "puiseux._scalar",
 }
 
 
