@@ -50,7 +50,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        p_step, p_max = precisions(parse_rat(args.pstep), parse_rat(args.pmax))
+        p_step, p_max = precisions(parse_rat(args.pstep, "--pstep"), parse_rat(args.pmax, "--pmax"))
     except ValueError as exc:
         print("error: bad precision flag: %s" % exc, file=sys.stderr)
         return 4

@@ -1,17 +1,17 @@
 """Exact rational helpers shared by exponents, precisions and output."""
 
+import re
 from fractions import Fraction
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
-def parse_rat(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' into a Fraction; raises ValueError otherwise."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        if int(den) == 0:
-            raise ValueError("zero denominator in %r" % text)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+
+def parse_rat(text: str, name="the text") -> Fraction:
+    """ASCII 'p' or 'p/q', q > 0, as a Fraction; other text raises a ValueError calling it ``name``."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError("%s must be p or p/q in ASCII digits with q > 0, got %r" % (name, text))
+    return Fraction(int(m[1]), int(m[2])) if m[2] else Fraction(int(m[1]))
 
 
 def int_if_integral(x):

@@ -161,7 +161,7 @@ class PrimeField:
 class ResiduePoly:
     """Univariate polynomial over a residue field, dense coefficients."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "roots")
 
     def __init__(self, field, coeffs):
         coeffs = list(coeffs)
@@ -169,6 +169,7 @@ class ResiduePoly:
             coeffs.pop()
         self.field = field
         self.coeffs = tuple(coeffs)
+        self.roots = None  # kept by roots_in_units
 
     def is_zero(self):
         return not self.coeffs
@@ -195,6 +196,8 @@ def roots_in_units(poly: ResiduePoly) -> set:
     factor into linear pieces (counted with multiplicity), since missing
     roots would silently lose tropical branches downstream.
     """
+    if poly.roots is not None:
+        return poly.roots
     if poly.is_zero():
         raise ValueError("cannot take roots of the zero polynomial")
     field = poly.field
@@ -202,7 +205,8 @@ def roots_in_units(poly: ResiduePoly) -> set:
     if len(work) <= 1:
         return set()
     if (r := _repeated_root(field, work)) is not None:
-        return {r}
+        poly.roots = {r}
+        return poly.roots
     work, candidates, divide = field.candidates(work)
     roots = set()
     for c in sorted(candidates):
@@ -211,6 +215,7 @@ def roots_in_units(poly: ResiduePoly) -> set:
             roots.add(c)
     if len(work) > 1:
         raise NonSplittingError("polynomial does not split over %s" % field.name)
+    poly.roots = roots
     return roots
 
 

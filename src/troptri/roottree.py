@@ -27,11 +27,12 @@ bare-tail root, and ``point_rows`` writes each root's valuation once.
 
 from heapq import heappop, heappush
 
-from .errors import NonTriangularError, PrecisionLimitError, TropError
+from .errors import NonSplittingError, NonTriangularError, PrecisionLimitError, TropError
 from .expansion import ApproxRoot, puiseux_expansion
 from .polygon import is_unique, newton_polygon
 from .rationals import exact, format_rat, int_if_integral
-from .upoly import UPoly, compose
+from .residue import ResiduePoly, roots_in_units
+from .upoly import UPoly, compose, initial_form
 
 
 class TriangularSystem:
@@ -69,9 +70,13 @@ class TriangularSystem:
 
 
 class Vertex:
-    __slots__ = ("vid", "parent", "children", "root", "prec", "depth", "dead")
+    """``source`` is the polynomial P the root's tail u*t^w (w = ``root.tail``) was read
+    off, so u = c + ..., c a nonzero root of ``initial_form(P, w)``; that stays so when
+    ancestors are refined, which only specializes P's tails."""
 
-    def __init__(self, vid, parent, depth, root, prec):
+    __slots__ = ("vid", "parent", "children", "root", "prec", "depth", "dead", "source")
+
+    def __init__(self, vid, parent, depth, root, prec, source=None):
         self.vid = vid
         self.parent = parent
         self.children = []
@@ -79,6 +84,7 @@ class Vertex:
         self.prec = prec
         self.depth = depth
         self.dead = False
+        self.source = source
 
 
 def precisions(p_step, p_max):
@@ -122,8 +128,8 @@ class RootTree:
 
     # -- construction helpers -------------------------------------------------
 
-    def _new_vertex(self, parent, depth, root, prec):
-        v = Vertex(len(self.vertices), parent, depth, root, prec)
+    def _new_vertex(self, parent, depth, root, prec, source=None):
+        v = Vertex(len(self.vertices), parent, depth, root, prec, source)
         self.vertices[v.vid] = v
         if depth < self.n:
             heappush(self._open, (-depth, v.vid))
@@ -222,7 +228,7 @@ class RootTree:
         for w in points:
             key = (v.depth, w)
             root = self._bare.get(key) or self._bare.setdefault(key, ApproxRoot(v.depth, (), w))
-            child = self._new_vertex(parent=vid, depth=v.depth + 1, root=root, prec=0)
+            child = self._new_vertex(parent=vid, depth=v.depth + 1, root=root, prec=0, source=ext)
             v.children.append(child.vid)
 
     def reinforce(self, vid):
@@ -278,10 +284,13 @@ class RootTree:
         except TropError as exc:
             exc.args = ("reinforcing f%d at vertex %d: %s" % (l + 1, target_vertex.vid, exc),)
             raise
+        sources = {}
         for corr, g in corrections.items():
             if g is not None and corr.known:
                 self.store.setdefault((id(composed), corr.known), (composed, g))
-        self._replace_subtree(target_vertex, refined)
+            # of the polynomials handed back, only reinf may have failed is_unique
+            sources[corr] = g if g is not None and (g is not reinf or is_unique(g)) else target_vertex.source
+        self._replace_subtree(target_vertex, refined, sources)
 
     def _corrections(self, reinf: UPoly, root: ApproxRoot, target):
         """The refined roots, each mapped to its polynomial as
@@ -307,33 +316,33 @@ class RootTree:
                 return entry[1]
         return {root: reinf}
 
-    def _replace_subtree(self, vertex, refined):
+    def _replace_subtree(self, vertex, refined, sources):
         """Write the first refined root into the vertex, and put one copy of
         its subtree per other refined root right after it among its siblings.
 
         The vertex stands for the roots whose tail u*t^(w_r) has u of
         valuation exactly zero; roots at higher points belong to its
         siblings.  Its subtree was grown with u symbolic, and every polygon
-        trusted there passed ``is_unique``: it is the same for every such u.
-        Each refined root's first new term, or its bare tail, sits at w_r
-        (``_corrections``), so it puts in one such u, c + ... with c != 0.
+        trusted there (``step``) is the same for every such u = c + ..., c a
+        root of the vertex's residue equation.  Each refined root's first new
+        term, or its bare tail, sits at w_r (``_corrections``): one such u.
         The vertex keeps its id, precision and subtree, so no vertex is
         ever removed.
         """
         siblings = self.vertices[vertex.parent].children
         at = siblings.index(vertex.vid) + 1
-        siblings[at:at] = [self._copy_subtree(vertex, r) for r in refined[1:]]
-        vertex.root = refined[0]
+        siblings[at:at] = [self._copy_subtree(vertex, r, sources[r]) for r in refined[1:]]
+        vertex.root, vertex.source = refined[0], sources[refined[0]]
 
-    def _copy_subtree(self, template, new_root) -> int:
-        """Copy the template's subtree under its parent, ``new_root`` at the
-        top and ids in preorder; the caller links the returned top copy in."""
+    def _copy_subtree(self, template, new_root, new_source) -> int:
+        """Copy the template's subtree under its parent, ``new_root`` and its source
+        at the top and ids in preorder; the caller links the returned top copy in."""
         top = None
-        stack = [(template, template.parent, new_root)]
+        stack = [(template, template.parent, new_root, new_source)]
         while stack:
-            template, parent_id, root = stack.pop()
+            template, parent_id, root, source = stack.pop()
             copy = self._new_vertex(
-                parent=parent_id, depth=template.depth, root=root, prec=template.prec
+                parent=parent_id, depth=template.depth, root=root, prec=template.prec, source=source
             )
             copy.dead = template.dead
             if top is None:
@@ -342,7 +351,7 @@ class RootTree:
                 self.vertices[parent_id].children.append(copy.vid)
             for child_id in reversed(template.children):
                 child = self.vertices[child_id]
-                stack.append((child, copy.vid, child.root))
+                stack.append((child, copy.vid, child.root, child.source))
         return top
 
     # -- driver ----------------------------------------------------------------
@@ -365,10 +374,50 @@ class RootTree:
             return False
         ext = self.extension_polynomial(leaf.vid)
         self.polygon_log.append(("extension", leaf.depth + 1, leaf.vid, ext))
-        if is_unique(ext):
+        if is_unique(ext) or self._corners_hold(leaf, ext):
             self.grow(leaf.vid, ext)
         else:
             self.reinforce(leaf.vid)
+        return True
+
+    def _corners_hold(self, leaf, ext):
+        """Whether each corner of ext's polygon that ``is_unique`` leaves untrusted
+        holds all the same: its lowest part A is a polynomial in one tail u_i that
+        vanishes at no nonzero root of h, the u-free initial form u_i's leading
+        coefficient solves (``Vertex``), its roots kept for the expansion after a
+        failed test; when h does not split, A's roots must split and miss h's."""
+        field, k = self.field, leaf.depth
+        add, mul = field.add, field.mul
+        for j, _ in newton_polygon(ext).corners:
+            if ext.coeffs[j].initial_term() is not None:
+                continue
+            lowest = ext.coeffs[j].initial_terms()
+            tails = {i for i in self.system.used[k] if i != k for deg in lowest if deg[i]}
+            if len(tails) != 1:
+                return False
+            (i,) = tails
+            v = leaf
+            while v.depth > i + 1:
+                v = self.vertices[v.parent]
+            h = v.source and initial_form(v.source, v.root.tail)
+            if h is None or not any(h.coeffs[:-1]):  # no nonzero root: no roots at w
+                return False
+            a = [field.zero] * (1 + max(lowest)[i])  # A's tuples are zero off i
+            for deg, c in lowest.items():
+                a[deg[i]] = c
+            try:
+                roots, q = roots_in_units(h), a
+            except NonSplittingError:
+                try:
+                    roots, q = roots_in_units(ResiduePoly(field, a)), h.coeffs
+                except NonSplittingError:
+                    return False
+            for r in roots:
+                value = q[-1]
+                for c in q[-2::-1]:
+                    value = add(mul(value, r), c)
+                if value == 0:
+                    return False
         return True
 
     def run(self):

@@ -181,18 +181,18 @@ def format_monomial(letter, deg) -> str:
 
 
 class UPoly:
-    """Univariate polynomial in coordinate ``var`` over MPoly coefficients in u,
-    taking its ``coeffs`` dict over; never changed once built, so ``newton_polygon``
-    keeps its polygon here, and compared by identity, as the root tree's store keys it."""
+    """Univariate polynomial in coordinate ``var`` over MPoly coefficients in u, taking its
+    ``coeffs`` dict over; never changed once built, so ``newton_polygon`` and ``initial_form``
+    keep their results here, and compared by identity, as the root tree's store keys it."""
 
-    __slots__ = ("field", "nvars", "var", "coeffs", "polygon")
+    __slots__ = ("field", "nvars", "var", "coeffs", "polygon", "initial")
 
     def __init__(self, field, nvars, var, coeffs=None):
         self.field = field
         self.nvars = nvars
         self.var = var
         self.coeffs = {} if coeffs is None else coeffs
-        self.polygon = None
+        self.polygon = self.initial = None
 
     @classmethod
     def from_mpoly(cls, f: MPoly, var):
@@ -286,15 +286,18 @@ def initial_form(f: UPoly, w):
     """The residue polynomial of the terms of f minimizing w*j + val(coefficient).
 
     None when a tail variable survives in those terms: then the dominant
-    equation has no residue roots to offer.
+    equation has no residue roots to offer.  The last one is kept in ``f.initial``, read back
+    for the same w object: the tree's trust test and the expansion after it build it once.
     """
-    if f.is_zero():
-        raise ValueError("the zero polynomial has no initial form")
-    # w*j + val(c) times wd*m, m the lcm of the valuations' denominators: an int
+    if f.initial is not None and f.initial[0] is w:
+        return f.initial[1]
     try:
         wn, wd = w.numerator, w.denominator
     except AttributeError:
         raise ValueError("w must be an int or a Fraction, got %r" % (w,)) from None
+    if f.is_zero():
+        raise ValueError("the zero polynomial has no initial form")
+    # w*j + val(c) times wd*m, m the lcm of the valuations' denominators: an int
     vals = {j: c.val_pair() for j, c in f.coeffs.items()}
     m = lcm(*[d for _, d in vals.values()])
     scores = {j: wn * j * m + n * wd * (m // d) for j, (n, d) in vals.items()}
@@ -305,9 +308,11 @@ def initial_form(f: UPoly, w):
     for j in top:
         term = f.coeffs[j].initial_term()
         if term is None or term[0] != zero:
-            return None
+            coeffs = None
+            break
         coeffs[j] = term[1]
-    return ResiduePoly(f.field, coeffs)
+    f.initial = w, coeffs and ResiduePoly(f.field, coeffs)
+    return f.initial[1]
 
 
 def format_residue_terms(terms) -> str:

@@ -22,7 +22,9 @@ atom built as a one-term MPoly, the reference for the parser;
 vertex, the reference for ``RootTree._select_leaf``'s heap;
 ``points_walk`` is the tree's point set found by carrying each vertex's
 vector down and deduping the leaves on their vectors, the reference for
-``RootTree.point_rows``.
+``RootTree.point_rows``.  ``shift_coordinates``, ``power_of_t``,
+``scale_line`` and ``add_multiple`` are the metamorphic relations: each
+transforms a system in a way whose effect on its tropical points is known.
 """
 
 import operator
@@ -36,6 +38,7 @@ from troptri import (
     Polygon,
     PuiseuxScalar,
     ResiduePoly,
+    TriangularSystem,
     UPoly,
     compose,
     is_unique,
@@ -534,3 +537,46 @@ def check_invariants(tree):
         if v.root is not None:
             assert v.root.index == v.depth - 1
             assert v.prec <= tree.branch(v.vid)[0].prec
+
+
+# -- metamorphic relations: S has points P ------------------------------------
+
+
+def shift_coordinates(system, a):
+    """(a) x_i = t^(a[i])*y_i for every i: the points become p - a."""
+    polys = list(system.polys)
+    for i, e in enumerate(a):
+        if e:
+            polys = [f.substitute(i, (), Fraction(e)) for f in polys]
+    return TriangularSystem(polys)
+
+
+def power_of_t(system, k):
+    """(b) t = s^k for a rational k > 0: the points become k*p."""
+    k = Fraction(k)
+    return TriangularSystem([
+        MPoly(f.field, f.nvars, f.den * k.denominator, {
+            deg: {n * k.numerator: c for n, c in terms.items()} for deg, terms in f.terms.items()
+        })
+        for f in system.polys
+    ])
+
+
+def scale_line(system, i, c, b):
+    """(c) f_i replaced by c*t^b*f_i, c a nonzero residue: the points stay."""
+    polys = list(system.polys)
+    polys[i] = Poly.of(polys[i]).mul_scalar(t_power(system.field, Fraction(b), c))
+    return TriangularSystem(polys)
+
+
+def add_multiple(system, i, j, m, c, e):
+    """(d) f_i replaced by f_i + c*t^e*x_i^m*f_j, with j < i and m below the
+    x_i-degree of f_i: the ideal and the leading coefficient stay, and so do
+    the points."""
+    f, field, n = system.polys[i], system.field, system.n
+    if not j < i or not 0 <= m < max(deg[i] for deg in f.terms):
+        raise ValueError("(d) needs j < i and m below the x%d-degree of f%d" % (i + 1, i + 1))
+    extra = Poly.variable(field, n, i) ** m * Poly.of(system.polys[j]).mul_scalar(t_power(field, Fraction(e), c))
+    polys = list(system.polys)
+    polys[i] = Poly.of(f) + extra
+    return TriangularSystem(polys)

@@ -139,9 +139,18 @@ def test_exit_code_non_utf8_input(tmp_path, capsys):
 
 
 def test_exit_code_non_splitting(tmp_path):
-    text = "ring x1 x2\npoly x1^2 - 2\npoly x2 - x1 + 1\n"
+    # x2 = x1^2 - 2 - t = -t whatever the root of x1^2 - 2, but the corner
+    # -(u1^2 - 2) shares both roots with u1^2 - 2, so x1 must be expanded
+    text = "ring x1 x2\npoly x1^2 - 2\npoly x2 - x1^2 + 2 + t\n"
     assert run_cli(tmp_path, text) == (
         2, "", "error: reinforcing f1 at vertex 1: polynomial does not split over QQ\n")
+
+
+def test_a_corner_that_no_root_of_a_nonsplit_residue_equation_cancels_prints_its_points(tmp_path):
+    # x1 = +-sqrt(2) and x2 = x1 - 1 both have valuation 0: the corner 1 - u1
+    # vanishes at no root of u1^2 - 2, so x1 is never expanded over QQ
+    text = "ring x1 x2\npoly x1^2 - 2\npoly x2 - x1 + 1\n"
+    assert run_cli(tmp_path, text) == (0, "(0,0)\n", "")
 
 
 # the exit code of each exception class, as troptri.errors documents it
@@ -197,12 +206,13 @@ def test_zero_substitution_exits_5_naming_the_polynomial(tmp_path, text, findex,
 
 NO_PROGRESS = {
     # the head x1 = 1 is exact, and the x2 root 1 + t + u2*t^40 cannot be
-    # refined within --pmax 32, so every reinforcement returns it unchanged
+    # refined within --pmax 32, so every reinforcement returns it unchanged;
+    # the x3 corner (3 - u2)*t^40 vanishes at u2's residue root 3
     "exact-head": (
         "ring x1 x2 x3\n"
         "poly x1 - 1\n"
-        "poly (x2 - x1 - t)*(x2 - x1 - t - t^40)\n"
-        "poly x3 - x2 + 1 + t + 2*t^40\n"
+        "poly (x2 - x1 - t)*(x2 - x1 - t - 3*t^40)\n"
+        "poly x3 - x2 + 1 + t + 3*t^40 + t^41\n"
     ),
 }
 
@@ -250,7 +260,15 @@ def test_copied_subtree_system_prints_its_points(tmp_path, monkeypatch):
 def test_exact_head_system_finishes_with_a_higher_bound(tmp_path, monkeypatch):
     _step_budget(monkeypatch)
     code, out, err = run_cli(tmp_path, NO_PROGRESS["exact-head"], "--pmax", "64")
-    assert (code, out) == (0, "(0,0,40)\n")
+    assert (code, out) == (0, "(0,0,40) (0,0,41)\n")
+
+
+def test_an_exact_head_corner_no_residue_root_cancels_needs_no_precision(tmp_path, monkeypatch):
+    # x3 = -2*t^40 or -t^40: the corner (2 - u2)*t^40 vanishes at no root of
+    # u2*(u2 - 1), so the x2 root 1 + t + u2*t^40 is never refined
+    _step_budget(monkeypatch)
+    text = "ring x1 x2 x3\npoly x1 - 1\npoly (x2 - x1 - t)*(x2 - x1 - t - t^40)\npoly x3 - x2 + 1 + t + 2*t^40\n"
+    assert run_cli(tmp_path, text) == (0, "(0,0,40)\n", "")
 
 
 def test_large_residue_constants_finish(tmp_path):
@@ -602,13 +620,20 @@ def test_pinned_newton_svg_bytes(tmp_path):
     assert got == PINNED_SVG_SHA256
 
 
+_NOT_A_RATIONAL = "%s must be p or p/q in ASCII digits with q > 0, got %r"
 BAD_FLAG_VALUES = [
     (("--pstep", "0"), "the precision increment must be positive, got 0"),
     (("--pstep", "-1"), "the precision increment must be positive, got -1"),
     (("--pmax", "-1"), "the precision bound must be nonnegative, got -1"),
-    (("--pstep", "1/0"), "zero denominator in '1/0'"),
-    (("--pmax", "1/0"), "zero denominator in '1/0'"),
-    (("--pmax", "x"), "invalid literal for int() with base 10: 'x'"),
+    (("--pstep", "1/0"), _NOT_A_RATIONAL % ("--pstep", "1/0")),
+    (("--pmax", "1/0"), _NOT_A_RATIONAL % ("--pmax", "1/0")),
+    (("--pmax", "x"), _NOT_A_RATIONAL % ("--pmax", "x")),
+    (("--pmax", "1/x"), _NOT_A_RATIONAL % ("--pmax", "1/x")),
+    (("--pstep", ""), _NOT_A_RATIONAL % ("--pstep", "")),
+    # int() would read 3_2 as 32, and a non-ASCII digit as its value
+    (("--pmax", "3_2"), _NOT_A_RATIONAL % ("--pmax", "3_2")),
+    (("--pmax", "\u0663"), _NOT_A_RATIONAL % ("--pmax", "\u0663")),
+    (("--pstep", " 1"), _NOT_A_RATIONAL % ("--pstep", " 1")),
 ]
 
 

@@ -250,13 +250,24 @@ def test_precision_limit_aborts():
 
 
 def test_nonsplitting_propagates_from_reinforcement():
+    # the x2 corner -(u1^2 - 2) vanishes at both roots of x1's residue
+    # equation u1^2 - 2, so x1 must be expanded, and QQ has no sqrt(2)
     x1 = xvar(2, 0)
     f1 = x1 * x1 - mconst(2, const(2))
-    f2 = xvar(2, 1) - x1 + mconst(2, const(1))
+    f2 = xvar(2, 1) - x1 * x1 + mconst(2, ps((0, 2), (1, 1)))
     system = TriangularSystem([f1, f2])
     with pytest.raises(NonSplittingError) as err:
         trop_triangular(system)
     assert str(err.value) == "reinforcing f1 at vertex 1: polynomial does not split over QQ"
+
+
+def test_a_nonsplit_residue_equation_that_no_corner_leans_on_is_never_solved():
+    # the x2 corner 1 - u1 vanishes at no root of u1^2 - 2 in any extension
+    x1 = xvar(2, 0)
+    f1 = x1 * x1 - mconst(2, const(2))
+    f2 = xvar(2, 1) - x1 + mconst(2, const(1))
+    tree = RootTree(TriangularSystem([f1, f2]), 1, 32).run()
+    assert (tree.points(), tree.reinforce_count) == ([(0, 0)], 0)
 
 
 def test_nonsplitting_names_the_polynomial_in_its_message():
@@ -269,13 +280,13 @@ def test_nonsplitting_names_the_polynomial_in_its_message():
 
 
 DRIVER_FAILURES = {
-    "no-split-qq": ("ring x1 x2\npoly x1^2 - 2\npoly x2 - x1 + 1\n", 32, NonSplittingError),
+    "no-split-qq": ("ring x1 x2\npoly x1^2 - 2\npoly x2 - x1^2 + 2 + t\n", 32, NonSplittingError),
     "no-split-fp7": ("ring x1 x2 fp:7\npoly x1^2 - 3\npoly x2 - x1^2 + 3 + t\n", 32, NonSplittingError),
     "head-precision": (
         "ring x1 x2\npoly (x1 - 1 - t)*(x1 - 1 - t - t^3)\npoly x2 - (x1 - 1 - t)\n", 1, PrecisionLimitError),
     "no-gain": (
-        "ring x1 x2 x3\npoly x1 - 1\npoly (x2 - x1 - t)*(x2 - x1 - t - t^40)\n"
-        "poly x3 - x2 + 1 + t + 2*t^40\n", 32, PrecisionLimitError),
+        "ring x1 x2 x3\npoly x1 - 1\npoly (x2 - x1 - t)*(x2 - x1 - t - 3*t^40)\n"
+        "poly x3 - x2 + 1 + t + 3*t^40 + t^41\n", 32, PrecisionLimitError),
     "recursion-cap": ("ring x1 x2\npoly x1^2 - x1 - t\npoly x2 - x1 + 1 + t - t^2 + 2*t^3\n", 32, TropError),
     "zero-substitution": (
         "ring x1 x2 x3\npoly (x1 - 1)*(x1 - 2)\npoly x2 - 3\npoly (x1 - 1)*x3 + x2 - 3\n", 32, TropError),
@@ -545,9 +556,9 @@ def test_reinforcements_leave_no_two_siblings_with_equal_roots(monkeypatch):
     replaced = []
     original = RootTree._replace_subtree
 
-    def spy(self, vertex, refined):
+    def spy(self, vertex, refined, sources):
         replaced.append((vertex.root, refined))
-        return original(self, vertex, refined)
+        return original(self, vertex, refined, sources)
 
     monkeypatch.setattr(RootTree, "_replace_subtree", spy)
     rng = random.Random(2718)
@@ -914,12 +925,16 @@ def test_each_tree_keeps_its_own_store():
 
 
 def test_a_subtree_copy_expands_each_polynomial_once(monkeypatch):
-    # f3 uses x2 and x3 only; reinforcing the x1 head copies the x3 vertex,
-    # whose bare root is reinforced again with the same stored polynomial
-    from oracle_systems import random_system_with_expected_points
+    # f3 uses x2 and x3 only, and its corner -(u2 + 3) vanishes at x2's residue
+    # root -3; reinforcing the x1 head splits 3/t from -2/t - 3 and copies the
+    # x2 vertex, whose bare root is reinforced again with the same stored
+    # polynomial
     from troptri import roottree
 
-    system, expected = random_system_with_expected_points(random.Random(38))
+    system = parse_system(
+        "ring x1 x2 x3\npoly x1^2 + (3 - t^(-1))*x1 - 6*t^(-2) - 9*t^(-1)\n"
+        "poly x2 + 3 - 3*t^(3/2)\npoly x3 - x2 - 3 + t^2\n")
+    expected = {(-1, 0, Fraction(3, 2))}
     assert system.used[2] == {1, 2}
     calls = []  # the polynomials themselves, kept alive so ids stay unique
     expand = roottree.puiseux_expansion
